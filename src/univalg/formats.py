@@ -46,6 +46,16 @@ def _int(path: str, line_no: int, text: str) -> int:
         raise ParseError(path, line_no, f"bad integer {text!r}") from None
 
 
+def _size(path: str, line_no: int, parts: list[str], least: int = 0) -> int:
+    """The integer argument of a ``<directive> <n>`` line, at least ``least``."""
+    if len(parts) != 2:
+        raise ParseError(path, line_no, f"{parts[0]} takes one integer")
+    n = _int(path, line_no, parts[1])
+    if n < least:
+        raise ParseError(path, line_no, f"{parts[0]} must be at least {least}")
+    return n
+
+
 def _lines(path: str, text: str) -> list[tuple[int, str]]:
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -96,9 +106,7 @@ def parse_algebra_text(text: str, path: str = "<string>") -> LieAlgebra:
         if parts[0] == "algebra":
             name = parts[1] if len(parts) > 1 else ""
         elif parts[0] == "dim":
-            if len(parts) != 2:
-                raise ParseError(path, no, "dim takes one integer")
-            dim = _int(path, no, parts[1])
+            dim = _size(path, no, parts, least=1)
         elif parts[0] == "bracket":
             if dim is None:
                 raise ParseError(path, no, "dim must come before bracket entries")
@@ -210,9 +218,7 @@ def parse_module_text(text: str, path: str = "<string>",
                 raise ParseError(path, no, "kind must be lie or assoc-matrix")
             kind = parts[1]
         elif parts[0] == "dim":
-            dim = _int(path, no, parts[1])
-            if dim < 0:
-                raise ParseError(path, no, "dim must be non-negative")
+            dim = _size(path, no, parts)
         elif parts[0] == "action":
             if dim is None:
                 raise ParseError(path, no, "dim must come before action entries")
@@ -360,9 +366,9 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
         if parts[0] == "morphism":
             pass
         elif parts[0] == "rows":
-            rows = _int(path, no, parts[1])
+            rows = _size(path, no, parts)
         elif parts[0] == "cols":
-            cols = _int(path, no, parts[1])
+            cols = _size(path, no, parts)
         elif parts[0] == "row":
             if rows is None or cols is None:
                 raise ParseError(path, no, "rows/cols must come before row entries")

@@ -58,6 +58,8 @@ class LieAlgebra:
         self.dim = dim
         self.table = bracket
         self.name = name
+        # Memo of pbw.normalize_word for this algebra: word -> PBW normal form.
+        self._pbw_words: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     @classmethod
     def abelian(cls, dim: int, name: str = "") -> "LieAlgebra":

@@ -8,8 +8,10 @@ canonical representatives over the quotient ring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .poly import (
@@ -133,6 +135,32 @@ class ModuleGroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
+    @cached_property
+    def _by_pos(self) -> "_LeadTable":
+        """Lead data of the generators by position, built on first use for the
+        reducer."""
+        return _lead_table(_lead_entry(g) for g in self.generators)
+
+
+# (lead position, lead monomial, lead coefficient, vector) of a nonzero vector.
+_LeadEntry = tuple[int, Monomial, Fraction, ModuleVector]
+# Lead position -> (lead monomial, lead coefficient, vector), in basis order.
+_LeadTable = dict[int, list[tuple[Monomial, Fraction, ModuleVector]]]
+
+
+def _lead_entry(g: ModuleVector) -> _LeadEntry:
+    pos = min(g.components)
+    comp = g.components[pos]
+    mono = comp.lead_monomial()
+    return pos, mono, comp.terms[mono], g
+
+
+def _lead_table(entries: Iterable[_LeadEntry]) -> _LeadTable:
+    by_pos: _LeadTable = {}
+    for pos, mono, lc, g in entries:
+        by_pos.setdefault(pos, []).append((mono, lc, g))
+    return by_pos
+
 
 def _sort_key(module: FreeModule):
     okey = module.ring.order.key
@@ -144,13 +172,10 @@ def _sort_key(module: FreeModule):
     return key
 
 
-def _reduce_vector(v: ModuleVector, basis: list[ModuleVector]) -> ModuleVector:
-    """Full reduction: no term of the result is divisible by any basis lead."""
+def _reduce_vector(v: ModuleVector, by_pos: _LeadTable) -> ModuleVector:
+    """Full reduction: no term of the result is divisible by a lead in
+    ``by_pos`` at the same position."""
     module = v.module
-    by_pos: dict[int, list[tuple[Monomial, Fraction, ModuleVector]]] = {}
-    for g in basis:
-        lpos, lmono = g.lead()
-        by_pos.setdefault(lpos, []).append((lmono, g.lead_coeff(), g))
     key = _sort_key(module)
     remainder: dict[int, dict[Monomial, Fraction]] = {}
     work: dict[tuple[int, Monomial], Fraction] = {}
@@ -187,16 +212,20 @@ def _reduce_vector(v: ModuleVector, basis: list[ModuleVector]) -> ModuleVector:
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return _reduce_vector(v, list(mgb.generators))
+    return _reduce_vector(v, mgb._by_pos)
+
+
+def _s_vec(ef: _LeadEntry, eg: _LeadEntry) -> ModuleVector:
+    (pf, mf, cf, f), (pg, mg, cg, g) = ef, eg
+    assert pf == pg
+    lcm = mono_lcm(mf, mg)
+    return f.mul_term(mono_div(lcm, mf), ONE / cf) - g.mul_term(
+        mono_div(lcm, mg), ONE / cg
+    )
 
 
 def _s_vector(f: ModuleVector, g: ModuleVector) -> ModuleVector:
-    (pf, mf), (pg, mg) = f.lead(), g.lead()
-    assert pf == pg
-    lcm = mono_lcm(mf, mg)
-    return f.mul_term(mono_div(lcm, mf), ONE / f.lead_coeff()) - g.mul_term(
-        mono_div(lcm, mg), ONE / g.lead_coeff()
-    )
+    return _s_vec(_lead_entry(f), _lead_entry(g))
 
 
 def module_buchberger(
@@ -206,73 +235,74 @@ def module_buchberger(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ModuleGroebnerBasis:
     """Reduced Groebner basis of the submodule generated by ``gens`` together
-    with j*e_p for every ring-ideal generator j and position p."""
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    ring_tagged: set[int] = set()
-    if ring_ideal is not None:
-        for j in ring_ideal.generators:
-            for p in range(module.rank):
-                ring_tagged.add(len(basis))
-                basis.append(ModuleVector(module, {p: j}))
+    with j*e_p for every ring-ideal generator j and position p.
+
+    Pairs are taken by normal selection from a heap keyed by the sort key of
+    (position, lcm of the leads), computed once when the pair is queued.  Each
+    basis element's lead data is computed once, when it joins the basis; the
+    reducer's table of leads by position grows with the basis instead of being
+    rebuilt.  Raises ResourceBudgetError once more than ``budget`` S-pairs have
+    been taken from the queue.
+    """
+    key = _sort_key(module)
+    leads: list[_LeadEntry] = []
+    by_pos: _LeadTable = {}
+    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
+
+    def add(g: ModuleVector, partners: Iterable[int]) -> None:
+        k = len(leads)
+        entry = _lead_entry(g)
+        pos, mono, lc, _ = entry
+        leads.append(entry)
+        by_pos.setdefault(pos, []).append((mono, lc, g))
+        for t in partners:
+            if leads[t][0] == pos:
+                lcm = mono_lcm(mono, leads[t][1])
+                heapq.heappush(queue, (key((pos, lcm)), k, t))
+
+    for g in gens:
+        if not g.is_zero():
+            add(g.monic(), range(len(leads)))
     # Pairs of two ring-ideal copies at the same position are skipped: their
     # S-vector is a ring S-polynomial times a basis vector, which reduces to
     # zero against the ring basis copies because that basis is already
     # confluent.
-    pairs = {
-        (i, j)
-        for i in range(len(basis))
-        for j in range(i)
-        if basis[i].lead()[0] == basis[j].lead()[0]
-        and not (i in ring_tagged and j in ring_tagged)
-    }
-    key = _sort_key(module)
+    n_gens = len(leads)
+    if ring_ideal is not None:
+        for j in ring_ideal.generators:
+            for p in range(module.rank):
+                add(ModuleVector(module, {p: j}), range(n_gens))
     processed = 0
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: key(
-                (
-                    basis[ij[0]].lead()[0],
-                    mono_lcm(basis[ij[0]].lead()[1], basis[ij[1]].lead()[1]),
-                )
-            ),
-        )
-        pairs.discard((i, j))
+    while queue:
+        _, i, j = heapq.heappop(queue)
         processed += 1
         if processed > budget:
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exceeded in module_buchberger"
             )
-        r = _reduce_vector(_s_vector(basis[i], basis[j]), basis)
+        r = _reduce_vector(_s_vec(leads[i], leads[j]), by_pos)
         if not r.is_zero():
-            k = len(basis)
-            basis.append(r.monic())
-            pairs.update(
-                (k, t) for t in range(k) if basis[t].lead()[0] == r.lead()[0]
-            )
-    return _interreduce_module(module, basis)
+            add(r.monic(), range(len(leads)))
+    return _interreduce_module(module, leads)
 
 
 def _interreduce_module(
-    module: FreeModule, basis: list[ModuleVector]
+    module: FreeModule, leads: list[_LeadEntry]
 ) -> ModuleGroebnerBasis:
-    leads = [g.lead() for g in basis]
-    kept: list[ModuleVector] = []
-    for idx, g in enumerate(basis):
-        pos, mono = leads[idx]
-        redundant = any(
+    kept = [
+        entry
+        for idx, entry in enumerate(leads)
+        if not any(
             other != idx
-            and leads[other][0] == pos
-            and mono_divides(leads[other][1], mono)
-            and (leads[other][1] != mono or other < idx)
-            for other in range(len(basis))
+            and po == entry[0]
+            and mono_divides(mo, entry[1])
+            and (mo != entry[1] or other < idx)
+            for other, (po, mo, _, _) in enumerate(leads)
         )
-        if not redundant:
-            kept.append(g)
+    ]
     reduced: list[ModuleVector] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        r = _reduce_vector(g, others)
+    for idx, entry in enumerate(kept):
+        r = _reduce_vector(entry[3], _lead_table(kept[:idx] + kept[idx + 1 :]))
         if not r.is_zero():
             reduced.append(r.monic())
     key = _sort_key(module)

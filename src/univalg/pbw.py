@@ -98,13 +98,9 @@ class PBWElement:
 
 
 def normalize_word(algebra: LieAlgebra, word: Word) -> dict[Word, Fraction]:
-    """PBW normal form of a single (unsorted) word, with memoization per
-    algebra instance."""
-    cache = _caches.setdefault(id(algebra), {})
-    return _normalize(algebra, word, cache)
-
-
-_caches: dict[int, dict[Word, dict[Word, Fraction]]] = {}
+    """PBW normal form of a single (unsorted) word, memoized on the algebra
+    instance."""
+    return _normalize(algebra, word, algebra._pbw_words)
 
 
 def _normalize(algebra, word, cache):

@@ -8,10 +8,12 @@ the ring's variable list.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -299,21 +301,34 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
+    @cached_property
+    def _leads(self) -> tuple["_LeadEntry", ...]:
+        """Lead data of the generators, built on first use for the reducer."""
+        return tuple(_lead_entry(g) for g in self.generators)
+
     def lead_monomials(self) -> list[Monomial]:
-        return [g.lead_monomial() for g in self.generators]
+        return [lm for lm, _, _ in self._leads]
 
     def contains_unit(self) -> bool:
-        return any(not any(g.lead_monomial()) for g in self.generators)
+        return any(not any(lm) for lm, _, _ in self._leads)
 
 
-def _reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
+# (lead monomial, lead coefficient, polynomial) of a nonzero basis element.
+_LeadEntry = tuple[Monomial, Fraction, Polynomial]
+
+
+def _lead_entry(g: Polynomial) -> _LeadEntry:
+    lm = g.lead_monomial()
+    return lm, g.terms[lm], g
+
+
+def _reduce_full(p: Polynomial, leads: Sequence[_LeadEntry]) -> Polynomial:
     """Full multivariate division: no term of the result is divisible by any
-    basis lead monomial."""
-    if not basis:
+    of the lead monomials in ``leads``."""
+    if not leads:
         return p
     ring = p.ring
     key = ring.order.key
-    leads = [(g.lead_monomial(), g.lead_coeff(), g) for g in basis]
     remainder: dict[Monomial, Fraction] = {}
     work = dict(p.terms)
     while work:
@@ -340,15 +355,19 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
-    return _reduce_full(p, list(gb.generators))
+    return _reduce_full(p, gb._leads)
+
+
+def _s_poly(ef: _LeadEntry, eg: _LeadEntry) -> Polynomial:
+    (lf, cf, f), (lg, cg, g) = ef, eg
+    lcm = mono_lcm(lf, lg)
+    return f.mul_term(mono_div(lcm, lf), ONE / cf) - g.mul_term(
+        mono_div(lcm, lg), ONE / cg
+    )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = mono_lcm(lf, lg)
-    return f.mul_term(mono_div(lcm, lf), ONE / f.lead_coeff()) - g.mul_term(
-        mono_div(lcm, lg), ONE / g.lead_coeff()
-    )
+    return _s_poly(_lead_entry(f), _lead_entry(g))
 
 
 def buchberger(
@@ -359,8 +378,11 @@ def buchberger(
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Uses normal pair selection with Buchberger's coprimality and chain
-    criteria.  Raises ResourceBudgetError once more than ``budget`` S-pairs
-    have been processed.
+    criteria.  Pending pairs sit in a heap keyed by the sort key of the lcm of
+    their leads, computed once when the pair is queued; each basis element's
+    lead data is computed once, when it joins the basis, and shared by pair
+    creation, the criteria and the reducer.  Raises ResourceBudgetError once
+    more than ``budget`` S-pairs have been taken from the queue.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -374,71 +396,70 @@ def buchberger(
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
 
-    basis = [g.monic() for g in gens]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     key = ring.order.key
+    leads: list[_LeadEntry] = []
+    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
+    pending: set[tuple[int, int]] = set()
+
+    def add(g: Polynomial) -> None:
+        k = len(leads)
+        leads.append(_lead_entry(g.monic()))
+        lk = leads[k][0]
+        for t in range(k):
+            heapq.heappush(queue, (key(mono_lcm(lk, leads[t][0])), k, t))
+            pending.add((k, t))
+
+    for g in gens:
+        add(g)
     processed = 0
-    while pairs:
-        # Normal selection: smallest lcm of lead monomials first.
-        i, j = min(
-            pairs,
-            key=lambda ij: key(
-                mono_lcm(basis[ij[0]].lead_monomial(), basis[ij[1]].lead_monomial())
-            ),
-        )
-        pairs.discard((i, j))
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
         processed += 1
         if processed > budget:
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exceeded in buchberger"
             )
-        li, lj = basis[i].lead_monomial(), basis[j].lead_monomial()
+        li, lj = leads[i][0], leads[j][0]
         lcm = mono_lcm(li, lj)
         if lcm == mono_mul(li, lj):
             continue  # coprime leads: S-poly reduces to zero
-        if _chain_criterion(basis, pairs, i, j, lcm):
+        if _chain_criterion(leads, pending, i, j, lcm):
             continue
-        r = _reduce_full(s_polynomial(basis[i], basis[j]), basis)
+        r = _reduce_full(_s_poly(leads[i], leads[j]), leads)
         if not r.is_zero():
-            k = len(basis)
-            basis.append(r.monic())
-            pairs.update((k, t) for t in range(k))
-    return _interreduce(ring, basis)
+            add(r)
+    return _interreduce(ring, leads)
 
 
-def _chain_criterion(basis, pairs, i, j, lcm) -> bool:
-    for k in range(len(basis)):
-        if k in (i, j):
-            continue
-        if not mono_divides(basis[k].lead_monomial(), lcm):
+def _chain_criterion(leads, pending, i, j, lcm) -> bool:
+    for k, (lk, _, _) in enumerate(leads):
+        if k in (i, j) or not mono_divides(lk, lcm):
             continue
         a = (max(i, k), min(i, k))
         b = (max(j, k), min(j, k))
-        if a not in pairs and b not in pairs:
+        if a not in pending and b not in pending:
             return True
     return False
 
 
-def _interreduce(ring: PolyRing, basis: list[Polynomial]) -> GroebnerBasis:
+def _interreduce(ring: PolyRing, leads: list[_LeadEntry]) -> GroebnerBasis:
     key = ring.order.key
     # Drop generators whose lead is divisible by another generator's lead.
-    kept: list[Polynomial] = []
-    leads = [g.lead_monomial() for g in basis]
-    for idx, g in enumerate(basis):
-        lm = leads[idx]
-        redundant = any(
+    kept = [
+        entry
+        for idx, entry in enumerate(leads)
+        if not any(
             other != idx
-            and mono_divides(leads[other], lm)
-            and (leads[other] != lm or other < idx)
-            for other in range(len(basis))
+            and mono_divides(lo, entry[0])
+            and (lo != entry[0] or other < idx)
+            for other, (lo, _, _) in enumerate(leads)
         )
-        if not redundant:
-            kept.append(g)
+    ]
     # Fully reduce each survivor against the others.
     reduced: list[Polynomial] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        r = _reduce_full(g, others)
+    for idx, (_, _, g) in enumerate(kept):
+        r = _reduce_full(g, kept[:idx] + kept[idx + 1 :])
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda g: key(g.lead_monomial()))

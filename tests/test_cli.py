@@ -204,6 +204,35 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sizes, line", [("rows\ncols 1\n", 2), ("rows 1\ncols\n", 3)])
+def test_bare_rows_cols_exit_2(capsys, tmp_path, sizes, line):
+    bad = tmp_path / "bad.mor"
+    bad.write_text("morphism f\n" + sizes + "row 1: 0\n")
+    code = main(["factorize", "amod", fx("abelian1.alg"), fx("abelian1.alg"),
+                 fx("scaling1.mod"), fx("scaling1.mod"), fx("counit1.rep"), str(bad)])
+    assert code == 2
+    assert f"bad.mor:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_algebra_text, "dim\n"),
+    (parse_module_text, "kind assoc-matrix\ndim\n"),
+    (parse_morphism_text, "rows 1\ncols\n"),
+])
+def test_bare_size_line_is_parse_error(parse, text):
+    with pytest.raises(ParseError, match="takes one integer"):
+        parse(text)
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_nonpositive_dim_exit_2(capsys, tmp_path, dim):
+    bad = tmp_path / "dim.alg"
+    bad.write_text(f"algebra bad\ndim {dim}\n")
+    code = main(["univalg", str(bad), str(bad)])
+    assert code == 2
+    assert "dim.alg:2: dim must be at least 1" in capsys.readouterr().err
+
+
 def test_budget_exit_3_flag(capsys):
     code, _ = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), "--budget", "1")
     assert code == 3

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,3 +110,24 @@ def test_module_budget(setup):
     ]
     with pytest.raises(ResourceBudgetError):
         module_buchberger(gens, None, F, budget=0)
+
+
+@pytest.mark.parametrize("with_ideal", [False, True])
+def test_module_buchberger_order_of_generators_irrelevant(with_ideal):
+    # The reduced basis is unique, so neither the order of the generators nor
+    # the order in which pairs are taken may change it.
+    R = PolyRing(["x", "y", "z"], DEGREVLEX)
+    F = FreeModule(R, 2)
+    x, y, z = (R.var(i) for i in range(3))
+    ring_gb = groebner([x * x - y * z, y * y - x * z], R) if with_ideal else None
+    gens = [
+        ModuleVector(F, {0: x * y - z, 1: z}),
+        ModuleVector(F, {0: y * y - x, 1: x + y}),
+        ModuleVector(F, {0: z * x, 1: x * x - y}),
+        ModuleVector(F, {1: y * z + x}),
+    ]
+    shuffled = list(gens)
+    random.Random(3).shuffle(shuffled)
+    expected = module_buchberger(gens, ring_gb, F).generators
+    for order in (list(reversed(gens)), shuffled):
+        assert module_buchberger(order, ring_gb, F).generators == expected

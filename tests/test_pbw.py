@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from helpers import natural2
 from univalg import linalg
 from univalg.lie import LieAlgebra, sl2
@@ -54,3 +56,21 @@ def test_render():
     L = sl2()
     p = PBWElement(L, normalize_word(L, (2, 1)))
     assert render_pbw(p) == "-e3 + e1*e2"
+
+
+def test_memo_not_inherited_through_reused_id():
+    # A new algebra allocated where a freed one lived must not see the freed
+    # algebra's normal forms: over abelian3, e2 e1 = e1 e2; over sl2 it is
+    # e1 e2 - e3.
+    table = sl2().table
+    for _ in range(100):
+        ab = LieAlgebra.abelian(3)
+        assert normalize_word(ab, (2, 1)) == {(1, 2): ONE}
+        freed = id(ab)
+        del ab
+        L = LieAlgebra(3, table)
+        assert normalize_word(L, (2, 1)) == {(1, 2): ONE, (3,): -ONE}
+        if id(L) == freed:
+            break
+    else:
+        pytest.fail("no id was reused in 100 attempts; the test did not run")
