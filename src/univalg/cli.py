@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 semantic failure, 2 parse failure, 3 resource budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -408,7 +409,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="univalg",
         description="Exact universal algebras and universal modules over Q",

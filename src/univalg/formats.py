@@ -305,26 +305,6 @@ def render_module(M: LieModule, over: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def render_matrix_rep(R: MatrixARep, over: str = "") -> str:
-    out = [
-        f"module {R.name or 'unnamed'}",
-        f"over {over or 'unnamed'}",
-        "kind assoc-matrix",
-        f"dim {R.dim}",
-    ]
-    for (s, i) in sorted(R.mats):
-        m = R.mats[(s, i)]
-        pairs = [
-            f"{r * R.dim + c + 1}:{_rat_str(m[r][c])}"
-            for r in range(R.dim)
-            for c in range(R.dim)
-            if m[r][c]
-        ]
-        if pairs:
-            out.append(f"mat {s} {i}: " + " ".join(pairs))
-    return "\n".join(out) + "\n"
-
-
 def render_matrix_rep_data(D: MatrixRepData) -> str:
     out = [
         f"module {D.name or 'unnamed'}",

@@ -112,7 +112,7 @@ class LieAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.dim, self.name))
+        return hash(self.dim)  # only what __eq__ compares; names may differ
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim=%d' % self.dim})"

@@ -7,7 +7,6 @@ Dimensions are desk scale (tens), so no attempt is made at sparsity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -22,10 +21,6 @@ def zeros(rows: int, cols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_from_rows(rows: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

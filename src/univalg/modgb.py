@@ -4,11 +4,14 @@ The term order is position-over-term: terms are compared first by free-module
 position (lower index wins) and then by the ring's monomial order.  Folding the
 generators of a ring ideal into every position makes the resulting normal forms
 canonical representatives over the quotient ring.
+
+The Groebner work is done by the engine in :mod:`univalg.poly`, of which an
+ideal is the rank-1 case; ``module_buchberger`` and ``module_normal_form``
+convert vectors in and out.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,14 +23,15 @@ from .poly import (
     Monomial,
     PolyRing,
     Polynomial,
-    ResourceBudgetError,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
+    _buchberger,
+    _lead_table,
+    _LeadTable,
+    _monic_entry,
+    _reduce,
+    _term_key,
+    _Terms,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -41,9 +45,6 @@ class FreeModule:
 
     def basis_vector(self, pos: int) -> "ModuleVector":
         return ModuleVector(self, {pos: self.ring.one()})
-
-    def from_components(self, comps: dict[int, Polynomial]) -> "ModuleVector":
-        return ModuleVector(self, comps)
 
 
 class ModuleVector:
@@ -136,96 +137,29 @@ class ModuleGroebnerBasis:
         return len(self.generators)
 
     @cached_property
-    def _by_pos(self) -> "_LeadTable":
-        """Lead data of the generators by position, built on first use for the
-        reducer."""
-        return _lead_table(_lead_entry(g) for g in self.generators)
+    def _table(self) -> _LeadTable:
+        """Lead table of the generators, built on first use for the reducer."""
+        key = _term_key(self.module.ring.order)
+        return _lead_table(_monic_entry(_terms(g), key) for g in self.generators)
 
 
-# (lead position, lead monomial, lead coefficient, vector) of a nonzero vector.
-_LeadEntry = tuple[int, Monomial, Fraction, ModuleVector]
-# Lead position -> (lead monomial, lead coefficient, vector), in basis order.
-_LeadTable = dict[int, list[tuple[Monomial, Fraction, ModuleVector]]]
+def _terms(v: ModuleVector) -> _Terms:
+    return {(p, m): c for p, q in v.components.items() for m, c in q.terms.items()}
 
 
-def _lead_entry(g: ModuleVector) -> _LeadEntry:
-    pos = min(g.components)
-    comp = g.components[pos]
-    mono = comp.lead_monomial()
-    return pos, mono, comp.terms[mono], g
-
-
-def _lead_table(entries: Iterable[_LeadEntry]) -> _LeadTable:
-    by_pos: _LeadTable = {}
-    for pos, mono, lc, g in entries:
-        by_pos.setdefault(pos, []).append((mono, lc, g))
-    return by_pos
-
-
-def _sort_key(module: FreeModule):
-    okey = module.ring.order.key
-
-    def key(term: tuple[int, Monomial]):
-        pos, mono = term
-        return (-pos, okey(mono))  # lower position and larger monomial = larger
-
-    return key
-
-
-def _reduce_vector(v: ModuleVector, by_pos: _LeadTable) -> ModuleVector:
-    """Full reduction: no term of the result is divisible by a lead in
-    ``by_pos`` at the same position."""
-    module = v.module
-    key = _sort_key(module)
-    remainder: dict[int, dict[Monomial, Fraction]] = {}
-    work: dict[tuple[int, Monomial], Fraction] = {}
-    for p, q in v.components.items():
-        for m, c in q.terms.items():
-            work[(p, m)] = c
-    while work:
-        term = max(work, key=key)
-        c = work.pop(term)
-        if not c:
-            continue
-        pos, mono = term
-        for lmono, lc, g in by_pos.get(pos, ()):
-            if mono_divides(lmono, mono):
-                qmono = mono_div(mono, lmono)
-                factor = c / lc
-                for gp, gq in g.components.items():
-                    for gm, gc in gq.terms.items():
-                        t = (gp, mono_mul(gm, qmono))
-                        if t == term:
-                            continue
-                        work[t] = work.get(t, ZERO) - factor * gc
-                break
-        else:
-            remainder.setdefault(pos, {})[mono] = (
-                remainder.get(pos, {}).get(mono, ZERO) + c
-            )
+def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
+    comps: dict[int, dict[Monomial, Fraction]] = {}
+    for (p, m), c in terms.items():
+        comps.setdefault(p, {})[m] = c
     ring = module.ring
-    return ModuleVector(
-        module, {p: Polynomial(ring, ts) for p, ts in remainder.items()}
-    )
+    return ModuleVector(module, {p: Polynomial(ring, ts) for p, ts in comps.items()})
 
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return _reduce_vector(v, mgb._by_pos)
-
-
-def _s_vec(ef: _LeadEntry, eg: _LeadEntry) -> ModuleVector:
-    (pf, mf, cf, f), (pg, mg, cg, g) = ef, eg
-    assert pf == pg
-    lcm = mono_lcm(mf, mg)
-    return f.mul_term(mono_div(lcm, mf), ONE / cf) - g.mul_term(
-        mono_div(lcm, mg), ONE / cg
-    )
-
-
-def _s_vector(f: ModuleVector, g: ModuleVector) -> ModuleVector:
-    return _s_vec(_lead_entry(f), _lead_entry(g))
+    key = _term_key(v.module.ring.order)
+    return _vector(v.module, _reduce(_terms(v), mgb._table, key))
 
 
 def module_buchberger(
@@ -237,74 +171,21 @@ def module_buchberger(
     """Reduced Groebner basis of the submodule generated by ``gens`` together
     with j*e_p for every ring-ideal generator j and position p.
 
-    Pairs are taken by normal selection from a heap keyed by the sort key of
-    (position, lcm of the leads), computed once when the pair is queued.  Each
-    basis element's lead data is computed once, when it joins the basis; the
-    reducer's table of leads by position grows with the basis instead of being
-    rebuilt.  Raises ResourceBudgetError once more than ``budget`` S-pairs have
-    been taken from the queue.
+    Runs the shared engine of :mod:`univalg.poly`, with the copies j*e_p as
+    elements that are already confluent among themselves.  Raises
+    ResourceBudgetError once more than ``budget`` S-pairs have been taken from
+    the queue.
     """
-    key = _sort_key(module)
-    leads: list[_LeadEntry] = []
-    by_pos: _LeadTable = {}
-    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
-
-    def add(g: ModuleVector, partners: Iterable[int]) -> None:
-        k = len(leads)
-        entry = _lead_entry(g)
-        pos, mono, lc, _ = entry
-        leads.append(entry)
-        by_pos.setdefault(pos, []).append((mono, lc, g))
-        for t in partners:
-            if leads[t][0] == pos:
-                lcm = mono_lcm(mono, leads[t][1])
-                heapq.heappush(queue, (key((pos, lcm)), k, t))
-
-    for g in gens:
-        if not g.is_zero():
-            add(g.monic(), range(len(leads)))
-    # Pairs of two ring-ideal copies at the same position are skipped: their
-    # S-vector is a ring S-polynomial times a basis vector, which reduces to
-    # zero against the ring basis copies because that basis is already
-    # confluent.
-    n_gens = len(leads)
-    if ring_ideal is not None:
-        for j in ring_ideal.generators:
-            for p in range(module.rank):
-                add(ModuleVector(module, {p: j}), range(n_gens))
-    processed = 0
-    while queue:
-        _, i, j = heapq.heappop(queue)
-        processed += 1
-        if processed > budget:
-            raise ResourceBudgetError(
-                f"S-pair budget of {budget} exceeded in module_buchberger"
-            )
-        r = _reduce_vector(_s_vec(leads[i], leads[j]), by_pos)
-        if not r.is_zero():
-            add(r.monic(), range(len(leads)))
-    return _interreduce_module(module, leads)
-
-
-def _interreduce_module(
-    module: FreeModule, leads: list[_LeadEntry]
-) -> ModuleGroebnerBasis:
-    kept = [
-        entry
-        for idx, entry in enumerate(leads)
-        if not any(
-            other != idx
-            and po == entry[0]
-            and mono_divides(mo, entry[1])
-            and (mo != entry[1] or other < idx)
-            for other, (po, mo, _, _) in enumerate(leads)
-        )
+    copies = [] if ring_ideal is None else [
+        {(p, m): c for m, c in j.terms.items()}
+        for j in ring_ideal.generators
+        for p in range(module.rank)
     ]
-    reduced: list[ModuleVector] = []
-    for idx, entry in enumerate(kept):
-        r = _reduce_vector(entry[3], _lead_table(kept[:idx] + kept[idx + 1 :]))
-        if not r.is_zero():
-            reduced.append(r.monic())
-    key = _sort_key(module)
-    reduced.sort(key=lambda g: key(g.lead()))
-    return ModuleGroebnerBasis(module, tuple(reduced))
+    basis = _buchberger(
+        map(_terms, gens),
+        copies,
+        _term_key(module.ring.order),
+        budget,
+        "module_buchberger",
+    )
+    return ModuleGroebnerBasis(module, tuple(_vector(module, t) for t in basis))

@@ -1,9 +1,15 @@
-"""Exact multivariate polynomials over Q and Buchberger's algorithm.
+"""Exact multivariate polynomials over Q and the one Groebner engine.
 
 Monomials are dense exponent tuples over the ring's variable list; polynomials
 are immutable-by-convention dicts from monomial to nonzero Fraction.  The two
 supported monomial orders (degrevlex, lex) rank variables by their position in
 the ring's variable list.
+
+The Buchberger engine here serves both ideals and submodules of free modules
+(see :mod:`univalg.modgb`).  It works on terms (position, monomial) under
+position-over-term order; an ideal is the rank-1 case, with every term at
+position 0.  ``buchberger``, ``groebner`` and ``normal_form`` convert
+polynomials in and out.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -302,72 +308,227 @@ class GroebnerBasis:
         return len(self.generators)
 
     @cached_property
-    def _leads(self) -> tuple["_LeadEntry", ...]:
-        """Lead data of the generators, built on first use for the reducer."""
-        return tuple(_lead_entry(g) for g in self.generators)
+    def _table(self) -> "_LeadTable":
+        """Lead table of the generators, built on first use for the reducer."""
+        key = _term_key(self.ring.order)
+        return _lead_table(_monic_entry(_terms(g), key) for g in self.generators)
 
     def lead_monomials(self) -> list[Monomial]:
-        return [lm for lm, _, _ in self._leads]
+        return [lm for lm, _ in self._table.get(0, ())]
 
     def contains_unit(self) -> bool:
-        return any(not any(lm) for lm, _, _ in self._leads)
+        return any(not any(lm) for lm in self.lead_monomials())
 
 
-# (lead monomial, lead coefficient, polynomial) of a nonzero basis element.
-_LeadEntry = tuple[Monomial, Fraction, Polynomial]
+# -- the Groebner engine -----------------------------------------------------
+#
+# One engine serves ideals and submodules of free modules.  It works on flat
+# term dicts keyed by (position, monomial) under position-over-term order: a
+# lower position wins, then the larger monomial.  An ideal is the rank-1 case,
+# with every term at position 0.  Elements inside the engine are monic, so
+# lead data carries no coefficient.
+
+_Term = tuple[int, Monomial]
+_Terms = dict[_Term, Fraction]
+# (lead position, lead monomial, terms) of a monic element.
+_Entry = tuple[int, Monomial, _Terms]
+# (lead monomial, tail terms) of a monic element.
+_Row = tuple[Monomial, list[tuple[_Term, Fraction]]]
+# Lead position -> rows of the elements with their lead there, in basis order.
+_LeadTable = dict[int, list[_Row]]
 
 
-def _lead_entry(g: Polynomial) -> _LeadEntry:
-    lm = g.lead_monomial()
-    return lm, g.terms[lm], g
+def _term_key(order: MonomialOrder):
+    """Sort key of terms: larger key means larger term."""
+    okey = order.key
+    return lambda t: (-t[0], okey(t[1]))
 
 
-def _reduce_full(p: Polynomial, leads: Sequence[_LeadEntry]) -> Polynomial:
-    """Full multivariate division: no term of the result is divisible by any
-    of the lead monomials in ``leads``."""
-    if not leads:
-        return p
-    ring = p.ring
-    key = ring.order.key
-    remainder: dict[Monomial, Fraction] = {}
-    work = dict(p.terms)
+def _terms(p: Polynomial) -> _Terms:
+    return {(0, m): c for m, c in p.terms.items()}
+
+
+def _monic_entry(terms: _Terms, key) -> _Entry:
+    pos, mono = lead = max(terms, key=key)
+    c = terms[lead]
+    if c != ONE:
+        terms = {t: x / c for t, x in terms.items()}
+    return pos, mono, terms
+
+
+def _table_row(entry: _Entry) -> _Row:
+    pos, mono, terms = entry
+    lead = (pos, mono)
+    return mono, [(t, c) for t, c in terms.items() if t != lead]
+
+
+def _lead_table(entries: Iterable[_Entry]) -> _LeadTable:
+    table: _LeadTable = {}
+    for entry in entries:
+        table.setdefault(entry[0], []).append(_table_row(entry))
+    return table
+
+
+def _reduce(terms: _Terms, table: _LeadTable, key) -> _Terms:
+    """Full division: no term of the result is divisible by a lead in
+    ``table`` at the same position."""
+    if not table:
+        return dict(terms)
+    work = dict(terms)
+    keys = {t: key(t) for t in work}
+    remainder: _Terms = {}
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+        # Every term a reduction step adds is smaller than the term it
+        # removes, so a term leaves ``work`` at most once.
+        t = max(work, key=keys.__getitem__)
+        c = work.pop(t)
         if not c:
             continue
-        for lm, lc, g in leads:
-            if mono_divides(lm, m):
-                q = mono_div(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    t = mono_mul(gm, q)
-                    if t == m:
-                        continue
-                    work[t] = work.get(t, ZERO) - factor * gc
+        pos, mono = t
+        for lm, tail in table.get(pos, ()):
+            if mono_divides(lm, mono):
+                q = mono_div(mono, lm)
+                for (gp, gm), gc in tail:
+                    u = (gp, mono_mul(gm, q))
+                    if u in work:
+                        work[u] -= c * gc
+                    else:
+                        work[u] = -c * gc
+                        keys[u] = key(u)
                 break
         else:
-            remainder[m] = remainder.get(m, ZERO) + c
-    return Polynomial(ring, remainder)
+            remainder[t] = c
+    return remainder
+
+
+def _s_terms(ef: _Entry, eg: _Entry) -> _Terms:
+    """S-element of two monic elements with leads at the same position."""
+    (_, mf, f), (_, mg, g) = ef, eg
+    lcm = mono_lcm(mf, mg)
+    qf, qg = mono_div(lcm, mf), mono_div(lcm, mg)
+    s = {(p, mono_mul(m, qf)): c for (p, m), c in f.items()}
+    for (p, m), c in g.items():
+        u = (p, mono_mul(m, qg))
+        s[u] = s.get(u, ZERO) - c
+    return {t: c for t, c in s.items() if c}
+
+
+def _buchberger(
+    gens: Iterable[_Terms],
+    confluent: Iterable[_Terms],
+    key,
+    budget: int,
+    name: str,
+) -> list[_Terms]:
+    """Reduced Groebner basis of the span of ``gens`` and ``confluent``, as
+    monic term dicts in ascending order of their leads.
+
+    ``confluent`` elements already form a Groebner basis among themselves, so
+    no pair of two of them is queued: its S-element reduces to zero against
+    them.  Pairs are taken by normal selection from a heap keyed by the sort
+    key of (position, lcm of the leads), computed once when the pair is
+    queued.  A pair is skipped when both elements sit at a single position
+    and their leads are coprime (product criterion), or when the chain
+    criterion applies.  Raises ResourceBudgetError once more than ``budget``
+    pairs, skipped or not, have been taken from the queue.
+    """
+    entries: list[_Entry] = []
+    single: list[bool] = []  # all terms of the element at its lead position
+    table: _LeadTable = {}
+    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
+    pending: set[tuple[int, int]] = set()
+
+    def add(terms: _Terms, partners: Iterable[int]) -> None:
+        k = len(entries)
+        entry = pos, mono, terms = _monic_entry(terms, key)
+        entries.append(entry)
+        single.append(all(p == pos for p, _ in terms))
+        table.setdefault(pos, []).append(_table_row(entry))
+        for t in partners:
+            pt, mt, _ = entries[t]
+            if pt == pos:
+                heapq.heappush(queue, (key((pos, mono_lcm(mono, mt))), k, t))
+                pending.add((k, t))
+
+    for g in gens:
+        if g:
+            add(g, range(len(entries)))
+    n_gens = len(entries)
+    for g in confluent:
+        add(g, range(n_gens))
+    processed = 0
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        pending.discard((i, j))
+        processed += 1
+        if processed > budget:
+            raise ResourceBudgetError(
+                f"S-pair budget of {budget} exceeded in {name}"
+            )
+        li, lj = entries[i][1], entries[j][1]
+        lcm = mono_lcm(li, lj)
+        if single[i] and single[j] and lcm == mono_mul(li, lj):
+            continue  # coprime leads: the S-element reduces to zero
+        if _chain_criterion(entries, pending, i, j, lcm):
+            continue
+        r = _reduce(_s_terms(entries[i], entries[j]), table, key)
+        if r:
+            add(r, range(len(entries)))
+    return _interreduce(entries, key)
+
+
+def _chain_criterion(entries, pending, i, j, lcm) -> bool:
+    pos = entries[i][0]
+    for k, (pk, lk, _) in enumerate(entries):
+        if k in (i, j) or pk != pos or not mono_divides(lk, lcm):
+            continue
+        a = (max(i, k), min(i, k))
+        b = (max(j, k), min(j, k))
+        if a not in pending and b not in pending:
+            return True
+    return False
+
+
+def _interreduce(entries: list[_Entry], key) -> list[_Terms]:
+    # Drop elements whose lead is divisible by another element's lead.
+    kept = [
+        entry
+        for idx, entry in enumerate(entries)
+        if not any(
+            other != idx
+            and po == entry[0]
+            and mono_divides(mo, entry[1])
+            and (mo != entry[1] or other < idx)
+            for other, (po, mo, _) in enumerate(entries)
+        )
+    ]
+    # Reduce each survivor's tail.  No tail term, nor any term its reduction
+    # produces, is divisible by the survivor's own lead, so reducing against
+    # all survivors is reducing against the others.
+    table = _lead_table(kept)
+    kept.sort(key=lambda entry: key(entry[:2]))
+    return [
+        {entry[:2]: ONE, **_reduce(dict(_table_row(entry)[1]), table, key)}
+        for entry in kept
+    ]
+
+
+def _poly(ring: PolyRing, terms: _Terms) -> Polynomial:
+    return Polynomial(ring, {m: c for (_, m), c in terms.items()})
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
-    return _reduce_full(p, gb._leads)
-
-
-def _s_poly(ef: _LeadEntry, eg: _LeadEntry) -> Polynomial:
-    (lf, cf, f), (lg, cg, g) = ef, eg
-    lcm = mono_lcm(lf, lg)
-    return f.mul_term(mono_div(lcm, lf), ONE / cf) - g.mul_term(
-        mono_div(lcm, lg), ONE / cg
-    )
+    return _poly(p.ring, _reduce(_terms(p), gb._table, _term_key(p.ring.order)))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    return _s_poly(_lead_entry(f), _lead_entry(g))
+    key = _term_key(f.ring.order)
+    return _poly(
+        f.ring, _s_terms(_monic_entry(_terms(f), key), _monic_entry(_terms(g), key))
+    )
 
 
 def buchberger(
@@ -377,12 +538,10 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Uses normal pair selection with Buchberger's coprimality and chain
-    criteria.  Pending pairs sit in a heap keyed by the sort key of the lcm of
-    their leads, computed once when the pair is queued; each basis element's
-    lead data is computed once, when it joins the basis, and shared by pair
-    creation, the criteria and the reducer.  Raises ResourceBudgetError once
-    more than ``budget`` S-pairs have been taken from the queue.
+    Runs the shared engine on rank 1, every term at position 0: normal pair
+    selection with the product and chain criteria.  Raises
+    ResourceBudgetError once more than ``budget`` S-pairs have been taken
+    from the queue.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -395,75 +554,10 @@ def buchberger(
         gens = [Polynomial(ring, g.terms) for g in gens]
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
-
-    key = ring.order.key
-    leads: list[_LeadEntry] = []
-    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
-    pending: set[tuple[int, int]] = set()
-
-    def add(g: Polynomial) -> None:
-        k = len(leads)
-        leads.append(_lead_entry(g.monic()))
-        lk = leads[k][0]
-        for t in range(k):
-            heapq.heappush(queue, (key(mono_lcm(lk, leads[t][0])), k, t))
-            pending.add((k, t))
-
-    for g in gens:
-        add(g)
-    processed = 0
-    while queue:
-        _, i, j = heapq.heappop(queue)
-        pending.discard((i, j))
-        processed += 1
-        if processed > budget:
-            raise ResourceBudgetError(
-                f"S-pair budget of {budget} exceeded in buchberger"
-            )
-        li, lj = leads[i][0], leads[j][0]
-        lcm = mono_lcm(li, lj)
-        if lcm == mono_mul(li, lj):
-            continue  # coprime leads: S-poly reduces to zero
-        if _chain_criterion(leads, pending, i, j, lcm):
-            continue
-        r = _reduce_full(_s_poly(leads[i], leads[j]), leads)
-        if not r.is_zero():
-            add(r)
-    return _interreduce(ring, leads)
-
-
-def _chain_criterion(leads, pending, i, j, lcm) -> bool:
-    for k, (lk, _, _) in enumerate(leads):
-        if k in (i, j) or not mono_divides(lk, lcm):
-            continue
-        a = (max(i, k), min(i, k))
-        b = (max(j, k), min(j, k))
-        if a not in pending and b not in pending:
-            return True
-    return False
-
-
-def _interreduce(ring: PolyRing, leads: list[_LeadEntry]) -> GroebnerBasis:
-    key = ring.order.key
-    # Drop generators whose lead is divisible by another generator's lead.
-    kept = [
-        entry
-        for idx, entry in enumerate(leads)
-        if not any(
-            other != idx
-            and mono_divides(lo, entry[0])
-            and (lo != entry[0] or other < idx)
-            for other, (lo, _, _) in enumerate(leads)
-        )
-    ]
-    # Fully reduce each survivor against the others.
-    reduced: list[Polynomial] = []
-    for idx, (_, _, g) in enumerate(kept):
-        r = _reduce_full(g, kept[:idx] + kept[idx + 1 :])
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: key(g.lead_monomial()))
-    return GroebnerBasis(ring, tuple(reduced))
+    basis = _buchberger(
+        map(_terms, gens), (), _term_key(ring.order), budget, "buchberger"
+    )
+    return GroebnerBasis(ring, tuple(_poly(ring, t) for t in basis))
 
 
 def empty_basis(ring: PolyRing) -> GroebnerBasis:

@@ -82,13 +82,6 @@ class MatrixARep:
             for i in range(1, self.owner.g.dim + 1)
         ]
 
-    def act_poly(self, p, v: list) -> list:
-        """Action of a polynomial (class in A) on a vector."""
-        if self.dim == 0:
-            return []
-        m = p.eval_matrices(self.all_matrices())
-        return linalg.mat_vec(m, v)
-
     def direct_sum(self, other: "MatrixARep") -> "MatrixARep":
         if self.owner is not other.owner and self.owner.ring != other.owner.ring:
             raise ValueError("representations of different universal algebras")

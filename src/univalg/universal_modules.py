@@ -192,10 +192,6 @@ def build_universal_amodule(
     return um
 
 
-def rho_apply(um: UniversalAModule, z: Vec) -> TensorElement:
-    return um.rho(z)
-
-
 # ---------------------------------------------------------------------------
 # Factorization through a finite-dimensional A-module
 # ---------------------------------------------------------------------------

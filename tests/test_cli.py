@@ -244,6 +244,19 @@ def test_budget_exit_3_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_calls_in_sequence_share_no_state(capsys, monkeypatch):
+    # The parser is built once per process; no call may leak its options
+    # into the next one.
+    monkeypatch.delenv("UNIVALG_BUDGET", raising=False)
+    sl2_file = fx("sl2.alg")
+    code, out = run(capsys, "univalg", sl2_file, sl2_file, "--golden")
+    assert code == 0 and "golden-ideal-match" in out
+    code, out = run(capsys, "univalg", sl2_file, sl2_file)
+    assert code == 0 and "golden-ideal-match" not in out
+    assert run(capsys, "univalg", sl2_file, sl2_file, "--budget", "1")[0] == 3
+    assert run(capsys, "univalg", sl2_file, sl2_file)[0] == 0
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.txt"
     code = main(["check", "lie", fx("sl2.alg"), "--out", str(target)])

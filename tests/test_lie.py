@@ -34,6 +34,14 @@ def test_abelian_and_brackets():
     assert L.bracket(L.basis_vector(1), L.basis_vector(2)) == [ZERO, ZERO]
 
 
+def test_equal_algebras_hash_equal_whatever_their_names():
+    a = sl2()
+    b = LieAlgebra(a.dim, a.table, name="another-sl2")
+    assert a.name != b.name
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_antisymmetry_violation_reported():
     L = LieAlgebra.from_brackets(2, {(1, 2): {1: ONE}})  # no antisymmetrization
     rep = validate_lie_algebra(L)

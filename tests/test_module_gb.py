@@ -2,19 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from univalg.modgb import (
     FreeModule,
     ModuleVector,
-    _s_vector,
     module_buchberger,
     module_normal_form,
 )
-from univalg.poly import DEGREVLEX, PolyRing, ResourceBudgetError, groebner
+from univalg.poly import (
+    DEGREVLEX,
+    PolyRing,
+    Polynomial,
+    ResourceBudgetError,
+    groebner,
+    mono_div,
+    mono_lcm,
+)
 
 ONE = Fraction(1)
+
+
+def _s_vector(f, g):
+    """S-vector of two vectors with leads at the same position, built from
+    public vector operations only."""
+    (_, mf), (_, mg) = f.lead(), g.lead()
+    lcm = mono_lcm(mf, mg)
+    return f.mul_term(mono_div(lcm, mf), ONE / f.lead_coeff()) - g.mul_term(
+        mono_div(lcm, mg), ONE / g.lead_coeff()
+    )
 
 
 @pytest.fixture
@@ -57,18 +74,44 @@ def test_module_normal_form_quotient(setup):
     assert nf1 == F.basis_vector(1).poly_mul(x.scale(Fraction(2)))
 
 
-def test_module_gb_svector_recheck_oracle(setup):
-    # Independent certificate that the pair-skipping in module_buchberger is
-    # sound: all same-position S-vectors of the final basis reduce to zero.
-    R, F = setup
-    x, y = R.var(0), R.var(1)
-    ring_gb = groebner([x * x - y], R)
-    gens = [
-        ModuleVector(F, {0: x * y - R.one(), 1: y}),
-        ModuleVector(F, {0: y * y}),
-        ModuleVector(F, {1: x - R.const(3)}),
-    ]
-    mgb = module_buchberger(gens, ring_gb, F)
+# Small inputs over Q[x, y] with degrevlex: a polynomial is a dict from
+# exponent pairs to integer coefficients, a vector a dict from position to
+# polynomial.
+R2 = PolyRing(["x", "y"], DEGREVLEX)
+BUDGET = 2000
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3
+)
+vectors = st.dictionaries(st.integers(0, 1), polys, max_size=2)
+
+
+def _poly(data):
+    return Polynomial(R2, {m: Fraction(c) for m, c in data.items()})
+
+
+@given(st.lists(vectors, min_size=1, max_size=3), st.lists(polys, max_size=2))
+@example(
+    gens=[
+        {0: {(1, 1): 1, (0, 0): -1}, 1: {(0, 1): 1}},  # (xy - 1)e0 + y e1
+        {0: {(0, 2): 1}},  # y^2 e0
+        {1: {(1, 0): 1, (0, 0): -3}},  # (x - 3)e1
+    ],
+    ideal=[{(2, 0): 1, (0, 1): -1}],  # x^2 - y
+)
+@settings(max_examples=40, deadline=None)
+def test_module_gb_svector_recheck_oracle(gens, ideal):
+    # Independent certificate that the pair criteria in module_buchberger are
+    # sound: all same-position S-vectors of the final basis reduce to zero,
+    # and the reduced basis does not depend on the order of the generators.
+    F = FreeModule(R2, 2)
+    gens = [ModuleVector(F, {p: _poly(q) for p, q in g.items()}) for g in gens]
+    try:
+        ring_gb = groebner([_poly(j) for j in ideal], R2, budget=BUDGET)
+        mgb = module_buchberger(gens, ring_gb, F, budget=BUDGET)
+        again = module_buchberger(list(reversed(gens)), ring_gb, F, budget=BUDGET)
+    except ResourceBudgetError:
+        assume(False)
+    assert again.generators == mgb.generators
     basis = list(mgb.generators)
     for i in range(len(basis)):
         for j in range(i):
@@ -82,6 +125,24 @@ def test_module_gb_svector_recheck_oracle(setup):
     for jpoly in ring_gb.generators:
         for p in range(F.rank):
             assert module_normal_form(ModuleVector(F, {p: jpoly}), mgb).is_zero()
+
+
+@given(st.lists(polys, min_size=1, max_size=3), st.lists(polys, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_rank_one_module_basis_is_the_ideal_basis(gens, ideal):
+    # An ideal is the rank-1 case: g*e0 with the ring ideal J folded in spans
+    # the ideal generated by the g and J.
+    F = FreeModule(R2, 1)
+    gens = [_poly(g) for g in gens]
+    try:
+        J = groebner([_poly(j) for j in ideal], R2, budget=BUDGET)
+        mgb = module_buchberger(
+            [ModuleVector(F, {0: g}) for g in gens], J, F, budget=BUDGET
+        )
+        gb = groebner(gens + list(J.generators), R2, budget=BUDGET)
+    except ResourceBudgetError:
+        assume(False)
+    assert [v.components[0] for v in mgb.generators] == list(gb.generators)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2))
