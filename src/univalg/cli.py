@@ -23,6 +23,7 @@ from .formats import (
     MatrixRepData,
     ParseError,
     ValidationError,
+    _read_algebra_text,
     parse_algebra,
     parse_module,
     parse_morphism,
@@ -32,6 +33,7 @@ from .lie import (
     LieAlgebra,
     LieModule,
     Report,
+    Violation,
     validate_lie_algebra,
     validate_lie_module,
 )
@@ -40,6 +42,7 @@ from .pbw import render_pbw
 from .poly import DEFAULT_PAIR_BUDGET, DEGREVLEX, LEX, ResourceBudgetError
 from .representations import validate_arep
 from .universal_algebra import (
+    BialgebraStructure,
     build_universal_algebra,
     monomial_basis_up_to_degree,
 )
@@ -252,32 +255,10 @@ def cmd_factorize(args) -> int:
 
 
 def _check_lie(args) -> tuple[str, Report]:
-    # Parse without validation so corrupted fixtures produce a report.
-    from .formats import parse_algebra_text
-
+    # Read without validating, so a file that breaks the axioms gets a report.
     with open(args.files[0]) as fh:
-        text = fh.read()
-    try:
-        L = parse_algebra_text(text, args.files[0])
-        return "lie-axioms", validate_lie_algebra(L)
-    except ValidationError:
-        # Re-parse leniently to report the violations themselves.
-        from .lie import LieAlgebra as LA
-
-        entries: dict = {}
-        dim = None
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line.startswith("dim"):
-                dim = int(line.split()[1])
-            elif line.startswith("bracket"):
-                head, _, tail = line.partition(":")
-                _, i, j = head.split()
-                for part in tail.split():
-                    s, c = part.split(":", 1)
-                    entries.setdefault((int(i), int(j)), {})[int(s)] = Fraction(c)
-        L = LA.from_brackets(dim, entries)
-        return "lie-axioms", validate_lie_algebra(L)
+        L = _read_algebra_text(fh.read(), args.files[0])
+    return "lie-axioms", validate_lie_algebra(L)
 
 
 def cmd_check(args) -> int:
@@ -296,8 +277,6 @@ def cmd_check(args) -> int:
         X = _load_rep_data(args.files[2]).to_rep(A)
         reports.append(("rep-relations", validate_arep(X)))
     elif args.kind == "bialgebra":
-        from .universal_algebra import BialgebraStructure
-
         h = parse_algebra(args.files[0])
         A = build_universal_algebra(h, h, budget=budget)
         B = BialgebraStructure(A)
@@ -318,8 +297,6 @@ def cmd_check(args) -> int:
         um = build_universal_amodule(A, U, U, budget=budget)
         C = build_coalgebra(um)
         cert = verify_comodule(um, C)
-        from .lie import Violation
-
         bad = tuple(
             Violation("comodule-axiom", (r + 1,), "fails")
             for r, (a, b) in enumerate(zip(cert.coassoc_witnesses,
@@ -338,8 +315,6 @@ def cmd_check(args) -> int:
         um = build_universal_amodule(A, U, Z, budget=budget)
         result = factorize_through_universal(um, X, f)
         ok = result.ok and gamma(um, X, result.images).mat() == f.mat()
-        from .lie import Violation
-
         bad = () if ok else (Violation("adjunction-round-trip", (), "fails"),)
         reports.append(("adjunction-round-trip", Report(bad)))
     elif args.kind == "direct-sum":
@@ -350,8 +325,6 @@ def cmd_check(args) -> int:
         W1 = _load_lie_module(args.files[3], g)
         W2 = _load_lie_module(args.files[4], g)
         cert = direct_sum_check(A, U, W1, W2, budget=budget)
-        from .lie import Violation
-
         bad = []
         if not cert.forward_ok:
             bad.append(Violation("direct-sum-forward", (), "relations not preserved"))

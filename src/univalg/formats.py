@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lie import LieAlgebra, LieModule, LinearMap, Report
+from .lie import LieAlgebra, LieModule, LinearMap, Report, validate_lie_algebra
 from .linalg import Mat
 from .representations import MatrixARep
 from .universal_algebra import UniversalAlgebra
@@ -97,6 +97,16 @@ def parse_algebra_text(text: str, path: str = "<string>") -> LieAlgebra:
     Omitted (i,j) pairs mean zero bracket; duplicate (i,j,s) entries are
     rejected.
     """
+    L = _read_algebra_text(text, path)
+    rep = validate_lie_algebra(L)
+    if not rep.ok:
+        raise ValidationError(f"{path}: not a Lie algebra:\n{rep}")
+    return L
+
+
+def _read_algebra_text(text: str, path: str) -> LieAlgebra:
+    """Parse the format of parse_algebra_text without checking the Lie
+    axioms."""
     name = ""
     dim: int | None = None
     entries: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -128,13 +138,7 @@ def parse_algebra_text(text: str, path: str = "<string>") -> LieAlgebra:
             raise ParseError(path, no, f"unknown directive {parts[0]!r}")
     if dim is None:
         raise ParseError(path, 1, "missing dim")
-    L = LieAlgebra.from_brackets(dim, entries, name=name)
-    from .lie import validate_lie_algebra
-
-    rep = validate_lie_algebra(L)
-    if not rep.ok:
-        raise ValidationError(f"{path}: not a Lie algebra:\n{rep}")
-    return L
+    return LieAlgebra.from_brackets(dim, entries, name=name)
 
 
 def parse_algebra(path: str) -> LieAlgebra:

@@ -7,7 +7,7 @@ internally tables are 0-based dense nested lists of Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -184,7 +184,8 @@ class LieModule:
 
     @classmethod
     def adjoint(cls, algebra: LieAlgebra) -> "LieModule":
-        return cls(algebra, algebra.dim, algebra.table, name="adjoint")
+        action = [[list(row) for row in plane] for plane in algebra.table]
+        return cls(algebra, algebra.dim, action, name="adjoint")
 
     @classmethod
     def from_matrices(

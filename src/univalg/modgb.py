@@ -32,8 +32,6 @@ from .poly import (
     _Terms,
 )
 
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class FreeModule:
@@ -98,11 +96,6 @@ class ModuleVector:
     def lead_coeff(self) -> Fraction:
         pos, mono = self.lead()
         return self.components[pos].terms[mono]
-
-    def monic(self) -> "ModuleVector":
-        if self.is_zero():
-            return self
-        return self.scale(ONE / self.lead_coeff())
 
     def __eq__(self, other):
         return (

@@ -171,12 +171,6 @@ class Polynomial:
             return -1
         return max(mono_degree(m) for m in self.terms)
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        inv = ONE / self.lead_coeff()
-        return Polynomial(self.ring, {m: c * inv for m, c in self.terms.items()})
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

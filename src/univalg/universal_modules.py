@@ -14,17 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, modgb, poly
+from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
 from .linalg import Vec
-from .modgb import FreeModule, ModuleGroebnerBasis, ModuleVector
+from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
 from .poly import DEFAULT_PAIR_BUDGET, Polynomial
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +204,17 @@ class FactorizationResult:
     images: dict[tuple[int, int], Vec]  # generator (1-based pair) -> target vector
     witnesses: dict[tuple[int, int, int], Vec]
     commutes: bool
-    unique: bool
+
+    @property
+    def unique(self) -> bool:
+        """Always true, by construction of the presentation: the generators
+        y_sr generate the universal module, and the diagram fixes each
+        generator image theta(y_sr) coordinate by coordinate."""
+        return True
 
     @property
     def ok(self) -> bool:
-        return (
-            self.commutes
-            and self.unique
-            and all(not any(w) for w in self.witnesses.values())
-        )
+        return self.commutes and all(not any(w) for w in self.witnesses.values())
 
 
 def _apply_on_generators(
@@ -249,8 +250,7 @@ def factorize_through_universal(
         for label, gen in zip(um.rel_labels, um.relgens)
     }
     commutes = _gamma_matrix(um, X, w) == f.mat()
-    unique = _determination_system_unique(um, X)
-    return FactorizationResult(w, witnesses, commutes, unique)
+    return FactorizationResult(w, witnesses, commutes)
 
 
 def _gamma_matrix(um: UniversalAModule, X: MatrixARep,
@@ -265,23 +265,6 @@ def _gamma_matrix(um: UniversalAModule, X: MatrixARep,
             for t in range(q):
                 mat[(s - 1) * q + t][r - 1] = vec[t]
     return mat
-
-
-def _determination_system_unique(um: UniversalAModule, X: MatrixARep) -> bool:
-    """The diagram determines the generator images through a linear system;
-    uniqueness holds iff that system has full column rank."""
-    m, q = um.U.dim, X.dim
-    unknowns = um.rank * q
-    if unknowns == 0:
-        return True
-    rows = []
-    for r in range(1, um.Z.dim + 1):
-        for s in range(1, m + 1):
-            for t in range(q):
-                row = [ZERO] * unknowns
-                row[um.pos(s, r) * q + t] = ONE
-                rows.append(row)
-    return linalg.rank(rows) == unknowns
 
 
 def gamma(um: UniversalAModule, X: MatrixARep,
@@ -342,17 +325,10 @@ def identity_presented_map(um: UniversalAModule) -> PresentedMap:
     )
 
 
-def functor_on_morphism_U(
+def _induced_map(
     um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
 ) -> PresentedMap:
-    """The induced map U(U,X) -> U(U,Y) of an equivariant f: X -> Y, with
-    relation preservation and structure-map compatibility verified."""
-    if um_x.A is not um_y.A and um_x.A.ring != um_y.A.ring:
-        raise ValueError("universal modules over different algebras")
-    if um_x.U != um_y.U:
-        raise ValueError("the Lie h-module argument must coincide")
-    if not is_module_morphism(f, um_x.Z, um_y.Z):
-        raise ValueError("f is not a morphism of Lie g-modules")
+    """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr'."""
     images: dict[int, ModuleVector] = {}
     for s in range(1, um_x.U.dim + 1):
         for r in range(1, um_x.Z.dim + 1):
@@ -364,7 +340,21 @@ def functor_on_morphism_U(
                         um_y.A.ring._one_mono, c
                     )
             images[um_x.pos(s, r)] = um_y.nf(acc)
-    fbar = PresentedMap(um_x, um_y, images)
+    return PresentedMap(um_x, um_y, images)
+
+
+def functor_on_morphism_U(
+    um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
+) -> PresentedMap:
+    """The induced map U(U,X) -> U(U,Y) of an equivariant f: X -> Y, with
+    relation preservation and structure-map compatibility verified."""
+    if um_x.A is not um_y.A and um_x.A.ring != um_y.A.ring:
+        raise ValueError("universal modules over different algebras")
+    if um_x.U != um_y.U:
+        raise ValueError("the Lie h-module argument must coincide")
+    if not is_module_morphism(f, um_x.Z, um_y.Z):
+        raise ValueError("f is not a morphism of Lie g-modules")
+    fbar = _induced_map(um_x, um_y, f)
     for label, gen in zip(um_x.rel_labels, um_x.relgens):
         if not fbar.apply(gen).is_zero():
             raise AssertionError(f"relation {label} not preserved by induced map")
@@ -404,71 +394,29 @@ def direct_sum_check(
     um_sum = build_universal_amodule(A, U, ds.module, budget=budget)
     um_1 = build_universal_amodule(A, U, W1, budget=budget)
     um_2 = build_universal_amodule(A, U, W2, budget=budget)
-    d1 = W1.dim
-
-    def split(pos_sum: int) -> tuple[int, int, int]:
-        """Position in the sum presentation -> (summand, s, r) 1-based."""
-        s = pos_sum // ds.module.dim + 1
-        r = pos_sum % ds.module.dim + 1
-        if r <= d1:
-            return 1, s, r
-        return 2, s, r - d1
-
-    # Forward: generator of the sum -> the matching summand generator; a
-    # relation of the sum splits into one relation in each summand.
-    def forward_image(v: ModuleVector) -> tuple[ModuleVector, ModuleVector]:
-        c1: dict[int, Polynomial] = {}
-        c2: dict[int, Polynomial] = {}
-        for p, q in v.components.items():
-            which, s, r = split(p)
-            if which == 1:
-                c1[um_1.pos(s, r)] = q
-            else:
-                c2[um_2.pos(s, r)] = q
-        return (
-            um_1.nf(ModuleVector(um_1.free, c1)),
-            um_2.nf(ModuleVector(um_2.free, c2)),
-        )
-
+    # The maps induced by the projections and injections of W1 (+) W2.
+    p1 = _induced_map(um_sum, um_1, ds.proj1)
+    p2 = _induced_map(um_sum, um_2, ds.proj2)
+    i1 = _induced_map(um_1, um_sum, ds.inj1)
+    i2 = _induced_map(um_2, um_sum, ds.inj2)
     forward_ok = all(
-        a.is_zero() and b.is_zero()
-        for a, b in (forward_image(gen) for gen in um_sum.relgens)
+        p1.apply(gen).is_zero() and p2.apply(gen).is_zero() for gen in um_sum.relgens
     )
-
-    # Backward: summand generators -> the corresponding sum generator.
-    def back_pos(which: int, s: int, r: int) -> int:
-        rr = r if which == 1 else d1 + r
-        return (s - 1) * ds.module.dim + (rr - 1)
-
-    def backward_image(which: int, v: ModuleVector) -> ModuleVector:
-        um = um_1 if which == 1 else um_2
-        comps: dict[int, Polynomial] = {}
-        for p, q in v.components.items():
-            s = p // um.Z.dim + 1
-            r = p % um.Z.dim + 1
-            comps[back_pos(which, s, r)] = q
-        return um_sum.nf(ModuleVector(um_sum.free, comps))
-
-    backward_ok = all(
-        backward_image(1, gen).is_zero() for gen in um_1.relgens
-    ) and all(backward_image(2, gen).is_zero() for gen in um_2.relgens)
-
-    # Round trips on generators.
-    round_trip_ok = True
-    for p in range(um_sum.rank):
-        a, b = forward_image(um_sum.free.basis_vector(p))
-        back = backward_image(1, a) + backward_image(2, b)
-        if back != um_sum.nf(um_sum.free.basis_vector(p)):
-            round_trip_ok = False
-    for which, um in ((1, um_1), (2, um_2)):
-        for p in range(um.rank):
-            s = p // um.Z.dim + 1
-            r = p % um.Z.dim + 1
-            fwd = forward_image(um_sum.free.basis_vector(back_pos(which, s, r)))
-            chk = fwd[0] if which == 1 else fwd[1]
-            other = fwd[1] if which == 1 else fwd[0]
-            if chk != um.nf(um.free.basis_vector(p)) or not other.is_zero():
-                round_trip_ok = False
+    backward_ok = all(i1.apply(gen).is_zero() for gen in um_1.relgens) and all(
+        i2.apply(gen).is_zero() for gen in um_2.relgens
+    )
+    # i1 p1 + i2 p2 = id on the sum, and p_a i_b = delta_ab id on the summands.
+    c1, c2 = i1.compose(p1), i2.compose(p2)
+    both = PresentedMap(
+        um_sum, um_sum, {p: c1.images[p] + c2.images[p] for p in c1.images}
+    )
+    round_trip_ok = (
+        both.equals_on_generators(identity_presented_map(um_sum))
+        and p1.compose(i1).equals_on_generators(identity_presented_map(um_1))
+        and p2.compose(i2).equals_on_generators(identity_presented_map(um_2))
+        and all(v.is_zero() for v in p2.compose(i1).images.values())
+        and all(v.is_zero() for v in p1.compose(i2).images.values())
+    )
     return DirectSumCertificate(forward_ok, backward_ok, round_trip_ok)
 
 
@@ -609,8 +557,7 @@ def factorize_lie(
         for label, gen in zip(vm.rel_labels, vm.relgens)
     }
     commutes = _gamma_lie_matrix(vm, Y, c) == f.mat()
-    unique = _lie_determination_unique(vm, Y)
-    return FactorizationResult(c, witnesses, commutes, unique)
+    return FactorizationResult(c, witnesses, commutes)
 
 
 def _gamma_lie_matrix(vm: UniversalLieHModule, Y: LieModule,
@@ -625,20 +572,6 @@ def _gamma_lie_matrix(vm: UniversalLieHModule, Y: LieModule,
             for a in range(Y.dim):
                 mat[a * l + (s - 1)][r - 1] = vec[a]
     return mat
-
-
-def _lie_determination_unique(vm: UniversalLieHModule, Y: LieModule) -> bool:
-    unknowns = vm.rank * Y.dim
-    if unknowns == 0:
-        return True
-    rows = []
-    for r in range(1, vm.W.dim + 1):
-        for s in range(1, vm.V.dim + 1):
-            for a in range(Y.dim):
-                row = [ZERO] * unknowns
-                row[vm.pos(r, s) * Y.dim + a] = ONE
-                rows.append(row)
-    return linalg.rank(rows) == unknowns
 
 
 def gamma_lie(vm: UniversalLieHModule, Y: LieModule,
@@ -688,7 +621,7 @@ def functor_on_morphism_V(
     vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
 ) -> LiePresentedMap:
     """Induced map V(V,X) -> V(V,Y) of an equivariant f: X -> Y; structure-map
-    compatibility holds at generator level by construction and is re-checked."""
+    compatibility holds at generator level by construction."""
     if vm_x.V is not vm_y.V and vm_x.V.mats != vm_y.V.mats:
         raise ValueError("the A-module argument must coincide")
     if not is_module_morphism(f, vm_x.W, vm_y.W):
@@ -702,16 +635,4 @@ def functor_on_morphism_V(
                 if cc:
                     acc = acc + vm_y.generator(rp, s).scale(cc)
             images[vm_x.pos(r, s)] = acc
-    fbar = LiePresentedMap(vm_x, vm_y, images)
-    # (fbar (x) Id_V) o tau_X = tau_Y o f at generator level.
-    for r in range(1, vm_x.W.dim + 1):
-        col = f.apply(vm_x.W.basis_vector(r))
-        for s in range(1, vm_x.V.dim + 1):
-            lhs = fbar.apply(vm_x.generator(r, s))
-            rhs = PBWVector(vm_y, {})
-            for rp, cc in enumerate(col, start=1):
-                if cc:
-                    rhs = rhs + vm_y.generator(rp, s).scale(cc)
-            if lhs != rhs:
-                raise AssertionError("structure maps do not commute at generators")
-    return fbar
+    return LiePresentedMap(vm_x, vm_y, images)

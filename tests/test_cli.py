@@ -137,6 +137,16 @@ def test_factorize_amod_round_trip(capsys):
     assert "status pass" in out
 
 
+def test_factorize_liemod_identity(capsys):
+    code, out = run(capsys, "factorize", "liemod", fx("sl2.alg"), fx("sl2.alg"),
+                    fx("counit3.rep"), fx("adjoint_sl2.mod"),
+                    fx("adjoint_sl2.mod"), fx("identity3.mor"))
+    assert code == 0
+    assert "diagram-commutes pass" in out
+    assert "unique pass" in out
+    assert "status pass" in out
+
+
 def test_check_lie_pass(capsys):
     code, out = run(capsys, "check", "lie", fx("sl2.alg"))
     assert code == 0
@@ -164,6 +174,20 @@ def test_check_bialgebra(capsys):
     code, out = run(capsys, "check", "bialgebra", fx("abelian2.alg"))
     assert code == 0
     assert "bialgebra-laws" in out
+
+
+def test_check_bialgebra_sl2(capsys):
+    code, out = run(capsys, "check", "bialgebra", fx("sl2.alg"))
+    assert code == 0
+    assert "bialgebra-laws" in out and "status pass" in out
+
+
+def test_check_direct_sum(capsys):
+    code, out = run(capsys, "check", "direct-sum", fx("sl2.alg"), fx("sl2.alg"),
+                    fx("natural2_sl2.mod"), fx("trivial1_sl2.mod"),
+                    fx("trivial1_sl2.mod"))
+    assert code == 0
+    assert "direct-sum" in out and "status pass" in out
 
 
 def test_check_coalgebra_and_comodule_abelian(capsys):

@@ -149,3 +149,21 @@ def test_tensor_square_action_kills_relations(um_adjoint, coalg_adjoint, A_sl2):
     lhs = coalg_adjoint.delta(um.act(x11, g))
     rhs = sq.bmodule_act(1, 1, sq.delta_of_vector(g))
     assert sq.equal(lhs, rhs)
+
+
+def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
+    # Delta(y_lr) = sum_s y_sr (x) y_ls, the two tensor factors exchanged.
+    C = CoalgebraOnU(um_adjoint, B_sl2)
+    sq = C.square
+    n2 = um_adjoint.A.ring.nvars
+    xs = [sq.ring2.var(k) for k in range(2 * n2)]
+    flip = xs[n2:] + xs[:n2]
+    right_way = sq.delta_of_vector
+
+    def swapped(v):
+        return {(b, a): p.map_coeffs_and_vars(sq.ring2, flip)
+                for (a, b), p in right_way(v).items()}
+
+    sq.delta_of_vector = swapped
+    assert not verify_comodule(um_adjoint, C).ok
+    assert not C.delta_by_factorization().ok

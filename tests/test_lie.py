@@ -82,6 +82,15 @@ def test_adjoint_module_jacobi_oracle():
     assert validate_lie_module(M).ok
 
 
+def test_adjoint_module_does_not_alias_the_bracket_table():
+    L = sl2()
+    before = [[list(row) for row in plane] for plane in L.table]
+    M = LieModule.adjoint(L)
+    M.action[0][1][2] += 7
+    assert L.table == before
+    assert validate_lie_algebra(L).ok
+
+
 def test_natural2_module_commutator_oracle():
     # Oracle: direct matrix commutator checks [A1,A2]=A3, [A3,A1]=2A1,
     # [A3,A2]=-2A2, then the validator must agree.

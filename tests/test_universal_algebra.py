@@ -173,3 +173,33 @@ def test_delta_on_generator_matrix_coproduct(A_sl2, B_sl2):
     for s in range(1, 4):
         expected = expected + B_sl2._block_var(0, 1, s) * B_sl2._block_var(1, s, 2)
     assert poly.normal_form(expected - d, B_sl2.tensor_gb).is_zero()
+
+
+def _violated_checks(B):
+    return {v.check for v in B.verify().violations}
+
+
+def test_bialgebra_verify_catches_delta_without_second_factor(A_sl2):
+    # Delta(x_ij) = x_ij (x) 1 is coassociative and kills J, but
+    # (eps (x) id) Delta(x_ij) = delta_ij, not x_ij.
+    B = BialgebraStructure(A_sl2)
+    B._delta_images = [B._block_var(0, i, j) for i in range(1, 4) for j in range(1, 4)]
+    assert "counit-law" in _violated_checks(B)
+
+
+def test_bialgebra_verify_catches_zero_counit(A_sl2):
+    B = BialgebraStructure(A_sl2)
+    B.epsilon = lambda p: ZERO
+    assert "counit-law" in _violated_checks(B)
+
+
+def test_bialgebra_verify_catches_transposed_delta(A_sl2):
+    # Delta(x_ij) = sum_s x_is (x) x_js is not coassociative.
+    B = BialgebraStructure(A_sl2)
+    B._delta_images = [
+        sum((B._block_var(0, i, s) * B._block_var(1, j, s) for s in range(1, 4)),
+            B.tensor_ring.zero())
+        for i in range(1, 4)
+        for j in range(1, 4)
+    ]
+    assert "coassociativity" in _violated_checks(B)
