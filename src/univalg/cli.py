@@ -62,8 +62,13 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _order(name: str):
-    return LEX if name == "lex" else DEGREVLEX
+def _universal_algebra(args, h_file: str, g_file: str | None = None):
+    """h, g and A(h,g) with the command's --order and --budget; without a
+    g file, g is h."""
+    h = parse_algebra(h_file)
+    g = parse_algebra(g_file) if g_file else h
+    order = LEX if args.order == "lex" else DEGREVLEX
+    return h, g, build_universal_algebra(h, g, order=order, budget=args.budget)
 
 
 def _default_budget() -> int:
@@ -136,9 +141,7 @@ def golden_sl2_polynomials(ring) -> list:
 
 
 def cmd_univalg(args) -> int:
-    h = parse_algebra(args.h_file)
-    g = parse_algebra(args.g_file)
-    A = build_universal_algebra(h, g, order=_order(args.order), budget=args.budget)
+    h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     lines = [f"universal-algebra h={h.name} g={g.name}"]
     lines.append("variables " + " ".join(A.ring.names))
     for label, gen in zip(A.labels, A.jgens):
@@ -161,9 +164,7 @@ def cmd_univalg(args) -> int:
 
 
 def cmd_univmod(args) -> int:
-    h = parse_algebra(args.h_file)
-    g = parse_algebra(args.g_file)
-    A = build_universal_algebra(h, g, order=_order(args.order), budget=args.budget)
+    h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     U = _load_lie_module(args.u_file, h)
     Z = _load_lie_module(args.z_file, g)
     um = build_universal_amodule(A, U, Z, budget=args.budget)
@@ -186,9 +187,7 @@ def cmd_univmod(args) -> int:
 
 
 def cmd_univliemod(args) -> int:
-    h = parse_algebra(args.h_file)
-    g = parse_algebra(args.g_file)
-    A = build_universal_algebra(h, g, order=_order(args.order), budget=args.budget)
+    h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     V = _load_rep_data(args.v_file).to_rep(A)
     rep = validate_arep(V)
     if not rep.ok:
@@ -212,9 +211,7 @@ def cmd_univliemod(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    h = parse_algebra(args.h_file)
-    g = parse_algebra(args.g_file)
-    A = build_universal_algebra(h, g, order=_order(args.order), budget=args.budget)
+    h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     f = parse_morphism(args.f_file)
     lines = []
     if args.kind == "amod":
@@ -262,7 +259,6 @@ def _check_lie(args) -> tuple[str, Report]:
 
 
 def cmd_check(args) -> int:
-    budget = args.budget
     reports: list[tuple[str, Report]] = []
     if args.kind == "lie":
         reports.append(_check_lie(args))
@@ -271,60 +267,35 @@ def cmd_check(args) -> int:
         M = _load_lie_module(args.files[1], L)
         reports.append(("lie-module-axioms", validate_lie_module(M)))
     elif args.kind == "rep":
-        h = parse_algebra(args.files[0])
-        g = parse_algebra(args.files[1])
-        A = build_universal_algebra(h, g, budget=budget)
+        h, g, A = _universal_algebra(args, args.files[0], args.files[1])
         X = _load_rep_data(args.files[2]).to_rep(A)
         reports.append(("rep-relations", validate_arep(X)))
     elif args.kind == "bialgebra":
-        h = parse_algebra(args.files[0])
-        A = build_universal_algebra(h, h, budget=budget)
-        B = BialgebraStructure(A)
+        B = BialgebraStructure(_universal_algebra(args, args.files[0])[2])
         reports.append(("bialgebra-laws", B.verify()))
     elif args.kind == "coalgebra":
-        h = parse_algebra(args.files[0])
-        A = build_universal_algebra(h, h, budget=budget)
-        U = _load_lie_module(args.files[1], h)
-        um = build_universal_amodule(A, U, U, budget=budget)
-        C = build_coalgebra(um)
-        reports.append(("coalgebra-laws", C.verify()))
-        reports.append(("bmodule-coalgebra", verify_bmodule_coalgebra(um, C)))
-        reports.append(("tensor-square-action", bmodule_on_tensor_square(um, C.bial)))
+        um, C = _coalgebra_on(args, args.files[0], args.files[1])
+        reports += _coalgebra_reports(um, C)
     elif args.kind == "comodule":
-        h = parse_algebra(args.files[0])
-        A = build_universal_algebra(h, h, budget=budget)
-        U = _load_lie_module(args.files[1], h)
-        um = build_universal_amodule(A, U, U, budget=budget)
-        C = build_coalgebra(um)
-        cert = verify_comodule(um, C)
-        bad = tuple(
-            Violation("comodule-axiom", (r + 1,), "fails")
-            for r, (a, b) in enumerate(zip(cert.coassoc_witnesses,
-                                           cert.counit_witnesses))
-            if not (a and b)
-        )
-        reports.append(("comodule-axioms", Report(bad)))
+        um, C = _coalgebra_on(args, args.files[0], args.files[1])
+        reports.append(("comodule-axioms", _comodule_report(um, C)))
     elif args.kind == "adjunction":
-        h = parse_algebra(args.files[0])
-        g = parse_algebra(args.files[1])
-        A = build_universal_algebra(h, g, budget=budget)
+        h, g, A = _universal_algebra(args, args.files[0], args.files[1])
         U = _load_lie_module(args.files[2], h)
         Z = _load_lie_module(args.files[3], g)
         X = _load_rep_data(args.files[4]).to_rep(A)
         f = parse_morphism(args.files[5])
-        um = build_universal_amodule(A, U, Z, budget=budget)
+        um = build_universal_amodule(A, U, Z, budget=args.budget)
         result = factorize_through_universal(um, X, f)
         ok = result.ok and gamma(um, X, result.images).mat() == f.mat()
         bad = () if ok else (Violation("adjunction-round-trip", (), "fails"),)
         reports.append(("adjunction-round-trip", Report(bad)))
     elif args.kind == "direct-sum":
-        h = parse_algebra(args.files[0])
-        g = parse_algebra(args.files[1])
-        A = build_universal_algebra(h, g, budget=budget)
+        h, g, A = _universal_algebra(args, args.files[0], args.files[1])
         U = _load_lie_module(args.files[2], h)
         W1 = _load_lie_module(args.files[3], g)
         W2 = _load_lie_module(args.files[4], g)
-        cert = direct_sum_check(A, U, W1, W2, budget=budget)
+        cert = direct_sum_check(A, U, W1, W2, budget=args.budget)
         bad = []
         if not cert.forward_ok:
             bad.append(Violation("direct-sum-forward", (), "relations not preserved"))
@@ -335,19 +306,47 @@ def cmd_check(args) -> int:
         reports.append(("direct-sum", Report(tuple(bad))))
     else:
         raise ValidationError(f"unknown check kind {args.kind!r}")
-    text = "".join(render_report(title, rep) for title, rep in reports)
-    _emit(text, args.out)
+    return _emit_reports("", reports, args.out)
+
+
+def _emit_reports(head: str, reports: list[tuple[str, Report]],
+                  out_path: str | None) -> int:
+    _emit(head + "".join(render_report(title, rep) for title, rep in reports),
+          out_path)
     return EXIT_PASS if all(rep.ok for _, rep in reports) else EXIT_SEMANTIC
 
 
-def cmd_coalgebra(args) -> int:
-    h = parse_algebra(args.h_file)
-    A = build_universal_algebra(h, h, order=_order(args.order), budget=args.budget)
-    U = _load_lie_module(args.u_file, h)
+def _coalgebra_on(args, h_file: str, u_file: str):
+    """U(U) over A(h,h) with its certified coalgebra structure."""
+    h, _, A = _universal_algebra(args, h_file)
+    U = _load_lie_module(u_file, h)
     um = build_universal_amodule(A, U, U, budget=args.budget)
-    C = build_coalgebra(um)
-    m = U.dim
-    lines = [f"coalgebra-on-universal-module U={U.name} rank={um.rank}"]
+    return um, build_coalgebra(um)
+
+
+def _comodule_report(um, C) -> Report:
+    cert = verify_comodule(um, C)
+    return Report(tuple(
+        Violation("comodule-axiom", (r + 1,), "fails")
+        for r, (a, b) in enumerate(zip(cert.coassoc_witnesses, cert.counit_witnesses))
+        if not (a and b)
+    ))
+
+
+def _coalgebra_reports(um, C) -> list[tuple[str, Report]]:
+    """The reports shared by `check coalgebra` and `coalgebra`; the laws are
+    the ones build_coalgebra already verified."""
+    return [
+        ("coalgebra-laws", C.laws),
+        ("bmodule-coalgebra", verify_bmodule_coalgebra(um, C)),
+        ("tensor-square-action", bmodule_on_tensor_square(um, C.bial)),
+    ]
+
+
+def cmd_coalgebra(args) -> int:
+    um, C = _coalgebra_on(args, args.h_file, args.u_file)
+    m = um.U.dim
+    lines = [f"coalgebra-on-universal-module U={um.U.name} rank={um.rank}"]
     for l in range(1, m + 1):
         for t in range(1, m + 1):
             pairs = " + ".join(
@@ -356,18 +355,9 @@ def cmd_coalgebra(args) -> int:
             )
             lines.append(f"delta y[{l},{t}]: {pairs}")
             lines.append(f"epsilon y[{l},{t}]: {1 if l == t else 0}")
-    lines.append(render_report("coalgebra-laws", C.verify()).rstrip())
-    cert = verify_comodule(um, C)
-    lines.append(f"check comodule-axioms\nstatus {'pass' if cert.ok else 'fail'}")
-    lines.append(
-        render_report("bmodule-coalgebra", verify_bmodule_coalgebra(um, C)).rstrip()
-    )
-    lines.append(
-        render_report("tensor-square-action",
-                      bmodule_on_tensor_square(um, C.bial)).rstrip()
-    )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_PASS
+    reports = _coalgebra_reports(um, C)
+    reports.insert(1, ("comodule-axioms", _comodule_report(um, C)))
+    return _emit_reports("\n".join(lines) + "\n", reports, args.out)
 
 
 # ---------------------------------------------------------------------------

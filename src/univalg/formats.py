@@ -46,8 +46,12 @@ def _int(path: str, line_no: int, text: str) -> int:
         raise ParseError(path, line_no, f"bad integer {text!r}") from None
 
 
-def _size(path: str, line_no: int, parts: list[str], least: int = 0) -> int:
-    """The integer argument of a ``<directive> <n>`` line, at least ``least``."""
+def _size(path: str, line_no: int, parts: list[str], seen: int | None,
+          least: int = 0) -> int:
+    """The integer argument of a ``<directive> <n>`` line, at least ``least``;
+    ``seen`` is the value of an earlier line of the same directive, if any."""
+    if seen is not None:
+        raise ParseError(path, line_no, f"repeated {parts[0]} line")
     if len(parts) != 2:
         raise ParseError(path, line_no, f"{parts[0]} takes one integer")
     n = _int(path, line_no, parts[1])
@@ -116,7 +120,7 @@ def _read_algebra_text(text: str, path: str) -> LieAlgebra:
         if parts[0] == "algebra":
             name = parts[1] if len(parts) > 1 else ""
         elif parts[0] == "dim":
-            dim = _size(path, no, parts, least=1)
+            dim = _size(path, no, parts, dim, least=1)
         elif parts[0] == "bracket":
             if dim is None:
                 raise ParseError(path, no, "dim must come before bracket entries")
@@ -222,7 +226,7 @@ def parse_module_text(text: str, path: str = "<string>",
                 raise ParseError(path, no, "kind must be lie or assoc-matrix")
             kind = parts[1]
         elif parts[0] == "dim":
-            dim = _size(path, no, parts)
+            dim = _size(path, no, parts, dim)
         elif parts[0] == "action":
             if dim is None:
                 raise ParseError(path, no, "dim must come before action entries")
@@ -350,9 +354,9 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
         if parts[0] == "morphism":
             pass
         elif parts[0] == "rows":
-            rows = _size(path, no, parts)
+            rows = _size(path, no, parts, rows)
         elif parts[0] == "cols":
-            cols = _size(path, no, parts)
+            cols = _size(path, no, parts, cols)
         elif parts[0] == "row":
             if rows is None or cols is None:
                 raise ParseError(path, no, "rows/cols must come before row entries")

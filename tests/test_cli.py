@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from univalg import cli
 from univalg.cli import main
+from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import (
     ParseError,
     parse_algebra_text,
@@ -15,6 +17,7 @@ from univalg.formats import (
     render_morphism,
 )
 from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2
+from univalg.poly import LEX
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 ONE = Fraction(1)
@@ -216,6 +219,52 @@ def test_coalgebra_subcommand(capsys):
     assert "status fail" not in out
 
 
+@pytest.mark.parametrize("command", ["coalgebra", "check coalgebra"])
+def test_coalgebra_reports_match_golden(capsys, command):
+    code, out = run(capsys, *command.split(), fx("sl2.alg"), fx("natural2_sl2.mod"))
+    golden = fx(os.path.join("golden", command.replace(" ", "_") + "_sl2_natural2.txt"))
+    with open(golden) as fh:
+        assert (code, out) == (0, fh.read())
+
+
+def test_check_coalgebra_verifies_laws_once(capsys, monkeypatch):
+    calls = []
+    verify = CoalgebraOnU.verify
+
+    def counted(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(CoalgebraOnU, "verify", counted)
+    code, out = run(capsys, "check", "coalgebra", fx("abelian1.alg"), fx("scaling1.mod"))
+    assert code == 0 and "check coalgebra-laws\nstatus pass" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("files", [
+    "rep abelian1.alg abelian1.alg counit1.rep",
+    "bialgebra abelian1.alg",
+    "coalgebra abelian1.alg scaling1.mod",
+    "comodule abelian1.alg scaling1.mod",
+    "adjunction abelian1.alg abelian1.alg scaling1.mod scaling1.mod counit1.rep one.mor",
+    "direct-sum abelian1.alg abelian1.alg scaling1.mod scaling1.mod scaling1.mod",
+])
+def test_check_honours_order(capsys, monkeypatch, tmp_path, files):
+    (tmp_path / "one.mor").write_text("morphism one\nrows 1\ncols 1\nrow 1: 1\n")
+    orders = []
+    build = cli.build_universal_algebra
+
+    def recorded(h, g, **options):
+        orders.append(options.get("order"))
+        return build(h, g, **options)
+
+    monkeypatch.setattr(cli, "build_universal_algebra", recorded)
+    kind, *names = files.split()
+    paths = [str(tmp_path / n) if n.endswith(".mor") else fx(n) for n in names]
+    assert main(["check", kind, *paths, "--order", "lex"]) == 0
+    assert orders == [LEX]
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, "univalg", fx("nope.alg"), fx("sl2.alg"))
     assert code == 2
@@ -228,7 +277,12 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("sizes, line", [("rows\ncols 1\n", 2), ("rows 1\ncols\n", 3)])
+@pytest.mark.parametrize("sizes, line", [
+    ("rows\ncols 1\n", 2),
+    ("rows 1\ncols\n", 3),
+    ("rows 1\ncols 1\nrow 1: 0\nrows 2\n", 5),
+    ("rows 1\ncols 1\ncols 1\n", 4),
+])
 def test_bare_rows_cols_exit_2(capsys, tmp_path, sizes, line):
     bad = tmp_path / "bad.mor"
     bad.write_text("morphism f\n" + sizes + "row 1: 0\n")
@@ -242,10 +296,16 @@ def test_bare_rows_cols_exit_2(capsys, tmp_path, sizes, line):
     (parse_algebra_text, "dim\n"),
     (parse_module_text, "kind assoc-matrix\ndim\n"),
     (parse_morphism_text, "rows 1\ncols\n"),
+    (parse_algebra_text, "dim 3\nbracket 1 2: 3:1\ndim 2\n"),
+    (parse_module_text, "kind assoc-matrix\ndim 2\ndim 1\n"),
+    (parse_morphism_text, "rows 2\ncols 1\nrow 1: 0\nrow 2: 0\nrows 1\n"),
 ])
 def test_bare_size_line_is_parse_error(parse, text):
-    with pytest.raises(ParseError, match="takes one integer"):
+    # A size line without its integer, or a second one, is an error on
+    # the last line of the text.
+    with pytest.raises(ParseError, match="takes one integer|repeated") as exc:
         parse(text)
+    assert exc.value.line_no == text.count("\n")
 
 
 @pytest.mark.parametrize("dim", ["0", "-2"])

@@ -11,7 +11,7 @@ from univalg.coalgebra import (
     verify_bmodule_coalgebra,
     verify_comodule,
 )
-from univalg import linalg
+from univalg import linalg, modgb
 from univalg.lie import LieAlgebra, LieModule, LinearMap
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import build_universal_algebra
@@ -148,7 +148,7 @@ def test_tensor_square_action_kills_relations(um_adjoint, coalg_adjoint, A_sl2):
     g = um.free.basis_vector(um.pos(1, 1))
     lhs = coalg_adjoint.delta(um.act(x11, g))
     rhs = sq.bmodule_act(1, 1, sq.delta_of_vector(g))
-    assert sq.equal(lhs, rhs)
+    assert sq.normal_form(lhs) == sq.normal_form(rhs)
 
 
 def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
@@ -167,3 +167,32 @@ def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
     sq.delta_of_vector = swapped
     assert not verify_comodule(um_adjoint, C).ok
     assert not C.delta_by_factorization().ok
+
+
+def test_delta_reuses_reduced_basis_vectors(um_adjoint, B_sl2, monkeypatch):
+    C = CoalgebraOnU(um_adjoint, B_sl2)
+    v = um_adjoint.relgens[0]
+    calls = []
+    nf = modgb.module_normal_form
+
+    def counted(vec, mgb):
+        calls.append(vec)
+        return nf(vec, mgb)
+
+    monkeypatch.setattr(modgb, "module_normal_form", counted)
+    first = C.delta(v)
+    assert calls
+    calls.clear()
+    assert C.delta(v) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("wrong_action", [
+    lambda act: lambda i, j, elem: act(j, i, elem),
+    lambda act: lambda i, j, elem: elem,
+], ids=["x_ij-acts-as-x_ji", "x_ij-acts-as-1"])
+def test_wrong_bmodule_action_fails_certificate(um_adjoint, coalg_adjoint,
+                                                monkeypatch, wrong_action):
+    sq = coalg_adjoint.square
+    monkeypatch.setattr(sq, "bmodule_act", wrong_action(sq.bmodule_act))
+    assert not verify_bmodule_coalgebra(um_adjoint, coalg_adjoint).ok
