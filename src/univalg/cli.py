@@ -1,7 +1,8 @@
 """Command-line interface: construction, verification, factorization, and
 deterministic report emission.
 
-Exit codes: 0 pass, 1 semantic failure, 2 parse failure, 3 resource budget.
+Exit codes: 0 pass, 1 semantic failure, 2 parse or usage failure, 3 resource
+budget.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ EXIT_PASS = 0
 EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+
+
+class UsageError(Exception):
+    """A command line that argparse accepts but the command cannot run."""
 
 
 def _universal_algebra(args, h_file: str, g_file: str | None = None):
@@ -258,7 +263,19 @@ def _check_lie(args) -> tuple[str, Report]:
     return "lie-axioms", validate_lie_algebra(L)
 
 
+# `univalg check KIND FILE...`: kind -> number of files.
+_CHECK_FILES = {
+    "lie": 1, "module": 2, "rep": 3, "bialgebra": 1, "coalgebra": 2,
+    "comodule": 2, "adjunction": 6, "direct-sum": 5,
+}
+
+
 def cmd_check(args) -> int:
+    nfiles = _CHECK_FILES[args.kind]
+    if len(args.files) != nfiles:
+        raise UsageError(
+            f"check {args.kind} takes {nfiles} file(s), got {len(args.files)}"
+        )
     reports: list[tuple[str, Report]] = []
     if args.kind == "lie":
         reports.append(_check_lie(args))
@@ -304,8 +321,6 @@ def cmd_check(args) -> int:
         if not cert.round_trip_ok:
             bad.append(Violation("direct-sum-round-trip", (), "not identity"))
         reports.append(("direct-sum", Report(tuple(bad))))
-    else:
-        raise ValidationError(f"unknown check kind {args.kind!r}")
     return _emit_reports("", reports, args.out)
 
 
@@ -419,10 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("kind", choices=[
-        "lie", "module", "rep", "bialgebra", "coalgebra", "comodule",
-        "adjunction", "direct-sum",
-    ])
+    p.add_argument("kind", choices=list(_CHECK_FILES))
     p.add_argument("files", nargs="+")
     _add_common(p)
     p.set_defaults(func=cmd_check)
@@ -443,7 +455,7 @@ def main(argv=None) -> int:
         if args.budget is None:
             args.budget = _default_budget()
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ResourceBudgetError as exc:

@@ -18,7 +18,7 @@ from . import linalg
 from .lie import LinearMap, Report, Violation, is_module_morphism
 from .linalg import Vec
 from .modgb import ModuleVector
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import BialgebraStructure, bialgebra_structure
 from .universal_modules import (
@@ -43,8 +43,9 @@ class TensorSquare:
         self.bial = bial
         self.ring2 = bial.tensor_ring
         self.n = bial.n
-        # (position, monomial, block) -> normal form of x^m e_p in that block
-        self._rows: dict[tuple[int, tuple[int, ...], int], dict[int, Polynomial]] = {}
+        # (position, monomial) -> terms by position of the normal form of
+        # x^m e_p in U(U), over the ring of A
+        self._rows: dict[tuple[int, Monomial], dict[int, dict[Monomial, Fraction]]] = {}
 
     def add_term(self, elem: TensorSquareElement, key: tuple[int, int],
                  p: Polynomial) -> None:
@@ -55,40 +56,40 @@ class TensorSquare:
         if elem[key].is_zero():
             del elem[key]
 
-    def _embed(self, p: Polynomial, block: int) -> Polynomial:
-        """A-ring polynomial -> doubled ring, into the given variable block."""
-        n2 = self.um.A.ring.nvars
-        shift = block * n2
-        terms = {}
-        for m, c in p.terms.items():
-            e = [0] * (2 * n2)
-            for i, x in enumerate(m):
-                e[shift + i] = x
-            terms[tuple(e)] = c
-        return Polynomial(self.ring2, terms)
-
-    def _row(self, pos: int, m: tuple[int, ...], block: int) -> dict[int, Polynomial]:
-        """The normal form of x^m e_pos in U(U), embedded in the given block."""
-        key = (pos, m, block)
+    def _row(self, pos: int, m: Monomial) -> dict[int, dict[Monomial, Fraction]]:
+        """The normal form of x^m e_pos in U(U), as terms by position."""
+        key = (pos, m)
         row = self._rows.get(key)
         if row is None:
             um = self.um
             v = um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
-            row = {q: self._embed(p, block) for q, p in v.components.items()}
+            row = {q: p.terms for q, p in v.components.items()}
             self._rows[key] = row
         return row
 
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
         """Factor-wise canonical form: each separable term is reduced in the
-        first and second factor independently."""
+        first and second factor independently.  The factors live in disjoint
+        variable blocks, so a product of their terms is the concatenation of
+        the two exponent tuples."""
         n2 = self.um.A.ring.nvars
-        out: TensorSquareElement = {}
+        acc: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
         for (p1, p2), q in elem.items():
             for m, c in q.terms.items():
-                row2 = self._row(p2, m[n2:], 1)
-                for q1, f1 in self._row(p1, m[:n2], 0).items():
+                row2 = self._row(p2, m[n2:])
+                for q1, f1 in self._row(p1, m[:n2]).items():
                     for q2, f2 in row2.items():
-                        self.add_term(out, (q1, q2), (f1 * f2).scale(c))
+                        terms = acc.setdefault((q1, q2), {})
+                        for m1, c1 in f1.items():
+                            c1 *= c
+                            for m2, c2 in f2.items():
+                                m12 = m1 + m2
+                                terms[m12] = terms.get(m12, ZERO) + c1 * c2
+        out: TensorSquareElement = {}
+        for key, terms in acc.items():
+            p = Polynomial(self.ring2, terms)
+            if not p.is_zero():
+                out[key] = p
         return out
 
     def bmodule_act(self, i: int, j: int, elem: TensorSquareElement

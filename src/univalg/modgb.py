@@ -6,8 +6,11 @@ generators of a ring ideal into every position makes the resulting normal forms
 canonical representatives over the quotient ring.
 
 The Groebner work is done by the engine in :mod:`univalg.poly`, of which an
-ideal is the rank-1 case; ``module_buchberger`` and ``module_normal_form``
-convert vectors in and out.
+ideal is the rank-1 case.  The engine packs each term (position, monomial)
+into one int, ``monomial key - (position << TOP)``, so a lower position gives
+a larger int.  ``module_buchberger``, ``module_normal_form`` and the lead
+table a ``ModuleGroebnerBasis`` caches are the only places here that pack
+vectors into such terms or unpack them.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .poly import (
     PolyRing,
     Polynomial,
     _buchberger,
+    _Codec,
+    _codec_of,
     _lead_table,
     _LeadTable,
-    _monic_entry,
     _reduce,
-    _term_key,
+    _row,
     _Terms,
 )
 
@@ -132,17 +136,27 @@ class ModuleGroebnerBasis:
     @cached_property
     def _table(self) -> _LeadTable:
         """Lead table of the generators, built on first use for the reducer."""
-        key = _term_key(self.module.ring.order)
-        return _lead_table(_monic_entry(_terms(g), key) for g in self.generators)
+        codec = _codec_of(self.module.ring)
+        return _lead_table(
+            (_row(_terms(g.components, codec), codec) for g in self.generators),
+            codec,
+        )
 
 
-def _terms(v: ModuleVector) -> _Terms:
-    return {(p, m): c for p, q in v.components.items() for m, c in q.terms.items()}
+def _terms(components: dict[int, Polynomial], codec: _Codec) -> _Terms:
+    """Packed terms of a vector given by its components."""
+    terms: _Terms = {}
+    for p, q in components.items():
+        shift = p << codec.top
+        for m, c in q.terms.items():
+            terms[codec.monomial(m) - shift] = c
+    return terms
 
 
-def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
+def _vector(module: FreeModule, terms: _Terms, codec: _Codec) -> ModuleVector:
     comps: dict[int, dict[Monomial, Fraction]] = {}
-    for (p, m), c in terms.items():
+    for t, c in terms.items():
+        p, m = codec.unpack(t)
         comps.setdefault(p, {})[m] = c
     ring = module.ring
     return ModuleVector(module, {p: Polynomial(ring, ts) for p, ts in comps.items()})
@@ -151,8 +165,10 @@ def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    key = _term_key(v.module.ring.order)
-    return _vector(v.module, _reduce(_terms(v), mgb._table, key))
+    codec = _codec_of(v.module.ring)
+    return _vector(
+        v.module, _reduce(_terms(v.components, codec), mgb._table, codec), codec
+    )
 
 
 def module_buchberger(
@@ -169,16 +185,19 @@ def module_buchberger(
     ResourceBudgetError once more than ``budget`` S-pairs have been taken from
     the queue.
     """
+    codec = _codec_of(module.ring)
     copies = [] if ring_ideal is None else [
-        {(p, m): c for m, c in j.terms.items()}
+        _terms({p: j}, codec)
         for j in ring_ideal.generators
         for p in range(module.rank)
     ]
     basis = _buchberger(
-        map(_terms, gens),
+        (_terms(g.components, codec) for g in gens),
         copies,
-        _term_key(module.ring.order),
+        codec,
         budget,
         "module_buchberger",
     )
-    return ModuleGroebnerBasis(module, tuple(_vector(module, t) for t in basis))
+    return ModuleGroebnerBasis(
+        module, tuple(_vector(module, t, codec) for t in basis)
+    )

@@ -8,14 +8,20 @@ the ring's variable list.
 The Buchberger engine here serves both ideals and submodules of free modules
 (see :mod:`univalg.modgb`).  It works on terms (position, monomial) under
 position-over-term order; an ideal is the rank-1 case, with every term at
-position 0.  ``buchberger``, ``groebner`` and ``normal_form`` convert
-polynomials in and out.
+position 0.  Inside the engine each term is one packed int whose integer
+order is the term order: multiplying by a monomial is an addition and a
+divisibility test is one mask (see "packed terms" below).  Tuple monomials are
+packed and unpacked only at the fronts: ``buchberger``/``groebner``,
+``normal_form``, ``s_polynomial`` and the lead table a ``GroebnerBasis``
+caches; exponents above ``MAX_EXPONENT`` raise ``ExponentOverflowError``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -304,113 +310,216 @@ class GroebnerBasis:
     @cached_property
     def _table(self) -> "_LeadTable":
         """Lead table of the generators, built on first use for the reducer."""
-        key = _term_key(self.ring.order)
-        return _lead_table(_monic_entry(_terms(g), key) for g in self.generators)
+        codec = _codec_of(self.ring)
+        return _lead_table(
+            (_row(_terms(g, codec), codec) for g in self.generators), codec
+        )
 
     def lead_monomials(self) -> list[Monomial]:
-        return [lm for lm, _ in self._table.get(0, ())]
+        return [g.lead_monomial() for g in self.generators]
 
     def contains_unit(self) -> bool:
         return any(not any(lm) for lm in self.lead_monomials())
 
 
+# -- packed terms ------------------------------------------------------------
+#
+# Inside the engine a term (position, monomial) is one Python int, its key.
+# The exponent vector E of the monomial holds each exponent in a field of
+# FIELD_BITS bits whose top bit is a guard bit, clear in every valid term, so
+# an exponent is at most MAX_EXPONENT.
+#
+#   degrevlex: E has the last variable in its most significant field, the
+#              total degree sits in a field above E, and
+#              key = (deg << BN) - E - (pos << TOP);
+#   lex:       E has the first variable in its most significant field, and
+#              key = E - (pos << TOP).
+#
+# Integer order of keys is position-over-term order: a lower position wins,
+# then the larger monomial.  Keys are linear in the exponents, so multiplying
+# a term by a monomial adds the monomial's key, and a quotient of terms at one
+# position is a difference of keys.  ``sign * key`` (sign -1 for degrevlex,
+# +1 for lex) carries E in its low BN bits, so a lead l divides a term t at
+# its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
+# negative borrows and sets its guard bit.  The fronts (``buchberger``,
+# ``normal_form``, ``s_polynomial``, the module fronts in modgb and the cached
+# ``_table`` of a basis) are the only places that pack or unpack.
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+
+
+class ExponentOverflowError(ValueError):
+    """Raised when an exponent, given or computed, does not fit a packed
+    term: it exceeds MAX_EXPONENT (or a given one is negative)."""
+
+    def __init__(self, message: str = f"a computed exponent exceeds {MAX_EXPONENT}"):
+        super().__init__(message)
+
+
+class _Codec:
+    """Packing of the terms of one ring, for one monomial order, into ints."""
+
+    def __init__(self, nvars: int, kind: str):
+        lex = kind == "lex"
+        self.nvars = nvars
+        self.sign = 1 if lex else -1
+        self.bn = bn = FIELD_BITS * nvars
+        self.emask = (1 << bn) - 1
+        self.guard = sum(
+            1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars)
+        )
+        # The degree field of degrevlex holds nvars * MAX_EXPONENT.
+        self.top = bn if lex else bn + FIELD_BITS + nvars.bit_length()
+        self._struct = struct.Struct((">" if lex else "<") + "H" * nvars)
+        self._byteorder = "big" if lex else "little"
+
+    def monomial(self, m: Monomial) -> int:
+        """Key of the term (0, m)."""
+        try:
+            e = int.from_bytes(self._struct.pack(*m), self._byteorder)
+        except struct.error:  # an exponent outside 0..65535, or a wrong length
+            e = self.guard
+        if e & self.guard:
+            raise ExponentOverflowError(
+                f"monomial {m} does not have {self.nvars} exponents"
+                f" in 0..{MAX_EXPONENT}"
+            )
+        return e if self.sign > 0 else (sum(m) << self.bn) - e
+
+    def unpack(self, key: int) -> tuple[int, Monomial]:
+        """(position, monomial) of a key."""
+        e = (self.sign * key) & self.emask
+        return -(key >> self.top), self._exponents(e)
+
+    def _exponents(self, e: int) -> Monomial:
+        return self._struct.unpack(e.to_bytes(self._struct.size, self._byteorder))
+
+    def exponents_max(self, a: int, b: int) -> int:
+        """Fieldwise maximum of two exponent vectors."""
+        guard = self.guard
+        sel = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
+        sel -= sel >> (FIELD_BITS - 1)  # ... widened to the whole field
+        return b ^ ((a ^ b) & sel)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Key of the lcm of two terms at the same position."""
+        s, emask, top = self.sign, self.emask, self.top
+        e = self.exponents_max((s * a) & emask, (s * b) & emask)
+        if s < 0:
+            e = (sum(self._exponents(e)) << self.bn) - e
+        return e + ((a >> top) << top)
+
+    def check(self, tail_max: int, q: int) -> None:
+        """Raise unless multiplying exponents up to ``tail_max`` by the
+        monomial with key ``q`` stays within MAX_EXPONENT in every field."""
+        if (tail_max + self.sign * q) & self.guard:
+            raise ExponentOverflowError()
+
+
+@functools.cache
+def _codec(nvars: int, kind: str) -> _Codec:
+    return _Codec(nvars, kind)
+
+
+def _codec_of(ring: PolyRing) -> _Codec:
+    return _codec(ring.nvars, ring.order.kind)
+
+
 # -- the Groebner engine -----------------------------------------------------
 #
 # One engine serves ideals and submodules of free modules.  It works on flat
-# term dicts keyed by (position, monomial) under position-over-term order: a
-# lower position wins, then the larger monomial.  An ideal is the rank-1 case,
+# dicts from packed term keys to coefficients; an ideal is the rank-1 case,
 # with every term at position 0.  Elements inside the engine are monic, so
 # lead data carries no coefficient.
 
-_Term = tuple[int, Monomial]
-_Terms = dict[_Term, Fraction]
-# (lead position, lead monomial, terms) of a monic element.
-_Entry = tuple[int, Monomial, _Terms]
-# (lead monomial, tail terms) of a monic element.
-_Row = tuple[Monomial, list[tuple[_Term, Fraction]]]
-# Lead position -> rows of the elements with their lead there, in basis order.
+_Terms = dict[int, Fraction]
+# A monic element as the reducer sees it: (sign * lead key, lead key,
+# fieldwise maximum of the tail's exponents, tail terms).
+_Row = tuple[int, int, int, list[tuple[int, Fraction]]]
+# Lead position key (lead >> TOP) -> rows of the elements with their lead
+# there, in basis order.
 _LeadTable = dict[int, list[_Row]]
 
 
-def _term_key(order: MonomialOrder):
-    """Sort key of terms: larger key means larger term."""
-    okey = order.key
-    return lambda t: (-t[0], okey(t[1]))
+def _terms(p: Polynomial, codec: _Codec) -> _Terms:
+    return {codec.monomial(m): c for m, c in p.terms.items()}
 
 
-def _terms(p: Polynomial) -> _Terms:
-    return {(0, m): c for m, c in p.terms.items()}
-
-
-def _monic_entry(terms: _Terms, key) -> _Entry:
-    pos, mono = lead = max(terms, key=key)
+def _row(terms: _Terms, codec: _Codec) -> _Row:
+    """Row of the monic multiple of a nonzero element."""
+    lead = max(terms)
     c = terms[lead]
+    tail = [(t, x) for t, x in terms.items() if t != lead]
     if c != ONE:
-        terms = {t: x / c for t, x in terms.items()}
-    return pos, mono, terms
+        tail = [(t, x / c) for t, x in tail]
+    s, emask = codec.sign, codec.emask
+    tail_max = 0
+    for t, _ in tail:
+        tail_max = codec.exponents_max(tail_max, (s * t) & emask)
+    return s * lead, lead, tail_max, tail
 
 
-def _table_row(entry: _Entry) -> _Row:
-    pos, mono, terms = entry
-    lead = (pos, mono)
-    return mono, [(t, c) for t, c in terms.items() if t != lead]
-
-
-def _lead_table(entries: Iterable[_Entry]) -> _LeadTable:
+def _lead_table(rows: Iterable[_Row], codec: _Codec) -> _LeadTable:
     table: _LeadTable = {}
-    for entry in entries:
-        table.setdefault(entry[0], []).append(_table_row(entry))
+    for row in rows:
+        table.setdefault(row[1] >> codec.top, []).append(row)
     return table
 
 
-def _reduce(terms: _Terms, table: _LeadTable, key) -> _Terms:
+def _reduce(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
     """Full division: no term of the result is divisible by a lead in
     ``table`` at the same position."""
     if not table:
         return dict(terms)
+    sign, guard, top = codec.sign, codec.guard, codec.top
     work = dict(terms)
-    keys = {t: key(t) for t in work}
     remainder: _Terms = {}
     while work:
         # Every term a reduction step adds is smaller than the term it
         # removes, so a term leaves ``work`` at most once.
-        t = max(work, key=keys.__getitem__)
+        t = max(work)
         c = work.pop(t)
         if not c:
             continue
-        pos, mono = t
-        for lm, tail in table.get(pos, ()):
-            if mono_divides(lm, mono):
-                q = mono_div(mono, lm)
-                for (gp, gm), gc in tail:
-                    u = (gp, mono_mul(gm, q))
+        st = sign * t
+        for sl, lead, tail_max, tail in table.get(t >> top, ()):
+            d = st - sl  # the quotient's exponents in the low fields
+            if not d & guard:
+                if (tail_max + d) & guard:
+                    raise ExponentOverflowError()
+                q = t - lead
+                for u, uc in tail:
+                    u += q
                     if u in work:
-                        work[u] -= c * gc
+                        work[u] -= c * uc
                     else:
-                        work[u] = -c * gc
-                        keys[u] = key(u)
+                        work[u] = -c * uc
                 break
         else:
             remainder[t] = c
     return remainder
 
 
-def _s_terms(ef: _Entry, eg: _Entry) -> _Terms:
-    """S-element of two monic elements with leads at the same position."""
-    (_, mf, f), (_, mg, g) = ef, eg
-    lcm = mono_lcm(mf, mg)
-    qf, qg = mono_div(lcm, mf), mono_div(lcm, mg)
-    s = {(p, mono_mul(m, qf)): c for (p, m), c in f.items()}
-    for (p, m), c in g.items():
-        u = (p, mono_mul(m, qg))
+def _s_terms(a: _Row, b: _Row, codec: _Codec) -> _Terms:
+    """S-element of two monic elements with leads at the same position; the
+    leads cancel, so only the tails are multiplied."""
+    (_, la, ma, ta), (_, lb, mb, tb) = a, b
+    lcm = codec.lcm(la, lb)
+    qa, qb = lcm - la, lcm - lb
+    codec.check(ma, qa)
+    codec.check(mb, qb)
+    s = {u + qa: c for u, c in ta}
+    for u, c in tb:
+        u += qb
         s[u] = s.get(u, ZERO) - c
-    return {t: c for t, c in s.items() if c}
+    return {u: c for u, c in s.items() if c}
 
 
 def _buchberger(
     gens: Iterable[_Terms],
     confluent: Iterable[_Terms],
-    key,
+    codec: _Codec,
     budget: int,
     name: str,
 ) -> list[_Terms]:
@@ -419,62 +528,72 @@ def _buchberger(
 
     ``confluent`` elements already form a Groebner basis among themselves, so
     no pair of two of them is queued: its S-element reduces to zero against
-    them.  Pairs are taken by normal selection from a heap keyed by the sort
-    key of (position, lcm of the leads), computed once when the pair is
-    queued.  A pair is skipped when both elements sit at a single position
-    and their leads are coprime (product criterion), or when the chain
-    criterion applies.  Raises ResourceBudgetError once more than ``budget``
-    pairs, skipped or not, have been taken from the queue.
+    them.  Pairs are taken by normal selection from a heap keyed by the term
+    (position, lcm of the leads), computed once when the pair is queued.  A
+    pair is skipped when both elements sit at a single position and their
+    leads are coprime (product criterion), or when the chain criterion
+    applies.  Raises ResourceBudgetError once more than ``budget`` pairs,
+    skipped or not, have been taken from the queue.
     """
-    entries: list[_Entry] = []
+    top = codec.top
+    rows: list[_Row] = []
     single: list[bool] = []  # all terms of the element at its lead position
     table: _LeadTable = {}
-    queue: list[tuple[object, int, int]] = []  # (key of the lcm, i, j), i > j
+    at: dict[int, list[int]] = {}  # position key -> indices of the rows there
+    queue: list[tuple[int, int, int]] = []  # (lcm, i, j), i > j
     pending: set[tuple[int, int]] = set()
 
-    def add(terms: _Terms, partners: Iterable[int]) -> None:
-        k = len(entries)
-        entry = pos, mono, terms = _monic_entry(terms, key)
-        entries.append(entry)
-        single.append(all(p == pos for p, _ in terms))
-        table.setdefault(pos, []).append(_table_row(entry))
-        for t in partners:
-            pt, mt, _ = entries[t]
-            if pt == pos:
-                heapq.heappush(queue, (key((pos, mono_lcm(mono, mt))), k, t))
+    def add(terms: _Terms, partners: int) -> None:
+        """Append an element and queue its pairs with the elements at its
+        position among the first ``partners``."""
+        k = len(rows)
+        row = _row(terms, codec)
+        lead = row[1]
+        pk = lead >> top
+        rows.append(row)
+        single.append(all(u >> top == pk for u, _ in row[3]))
+        table.setdefault(pk, []).append(row)
+        same_pos = at.setdefault(pk, [])
+        for t in same_pos:
+            if t < partners:
+                heapq.heappush(queue, (codec.lcm(lead, rows[t][1]), k, t))
                 pending.add((k, t))
+        same_pos.append(k)
 
     for g in gens:
         if g:
-            add(g, range(len(entries)))
-    n_gens = len(entries)
+            add(g, len(rows))
+    n_gens = len(rows)
     for g in confluent:
-        add(g, range(n_gens))
+        add(g, n_gens)
     processed = 0
     while queue:
-        _, i, j = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         processed += 1
         if processed > budget:
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exceeded in {name}"
             )
-        li, lj = entries[i][1], entries[j][1]
-        lcm = mono_lcm(li, lj)
-        if single[i] and single[j] and lcm == mono_mul(li, lj):
-            continue  # coprime leads: the S-element reduces to zero
-        if _chain_criterion(entries, pending, i, j, lcm):
+        pk = lcm >> top
+        # Coprime leads: the lcm is their product (pk << top is the key of
+        # the unit term at their position).
+        if single[i] and single[j] and rows[i][1] + rows[j][1] - lcm == pk << top:
             continue
-        r = _reduce(_s_terms(entries[i], entries[j]), table, key)
+        if _chain_criterion(rows, at[pk], pending, i, j, lcm, codec):
+            continue
+        r = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
         if r:
-            add(r, range(len(entries)))
-    return _interreduce(entries, key)
+            add(r, len(rows))
+    return _interreduce(table, codec)
 
 
-def _chain_criterion(entries, pending, i, j, lcm) -> bool:
-    pos = entries[i][0]
-    for k, (pk, lk, _) in enumerate(entries):
-        if k in (i, j) or pk != pos or not mono_divides(lk, lcm):
+def _chain_criterion(rows, same_pos, pending, i, j, lcm, codec) -> bool:
+    """Some other element k at the position of the pair has its lead
+    dividing ``lcm`` and neither pair (i, k) nor (j, k) pending."""
+    guard, slcm = codec.guard, codec.sign * lcm
+    for k in same_pos:
+        if k in (i, j) or (slcm - rows[k][0]) & guard:
             continue
         a = (max(i, k), min(i, k))
         b = (max(j, k), min(j, k))
@@ -483,45 +602,47 @@ def _chain_criterion(entries, pending, i, j, lcm) -> bool:
     return False
 
 
-def _interreduce(entries: list[_Entry], key) -> list[_Terms]:
-    # Drop elements whose lead is divisible by another element's lead.
+def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
+    guard = codec.guard
+    # Drop elements whose lead is divisible by the lead of another element at
+    # its position; of equal leads the first one in basis order stays.
     kept = [
-        entry
-        for idx, entry in enumerate(entries)
+        row
+        for rows in table.values()
+        for idx, row in enumerate(rows)
         if not any(
             other != idx
-            and po == entry[0]
-            and mono_divides(mo, entry[1])
-            and (mo != entry[1] or other < idx)
-            for other, (po, mo, _) in enumerate(entries)
+            and not (row[0] - so) & guard
+            and (lo != row[1] or other < idx)
+            for other, (so, lo, _, _) in enumerate(rows)
         )
     ]
     # Reduce each survivor's tail.  No tail term, nor any term its reduction
     # produces, is divisible by the survivor's own lead, so reducing against
     # all survivors is reducing against the others.
-    table = _lead_table(kept)
-    kept.sort(key=lambda entry: key(entry[:2]))
-    return [
-        {entry[:2]: ONE, **_reduce(dict(_table_row(entry)[1]), table, key)}
-        for entry in kept
-    ]
+    table = _lead_table(kept, codec)
+    kept.sort(key=lambda row: row[1])
+    return [{row[1]: ONE, **_reduce(dict(row[3]), table, codec)} for row in kept]
 
 
-def _poly(ring: PolyRing, terms: _Terms) -> Polynomial:
-    return Polynomial(ring, {m: c for (_, m), c in terms.items()})
+def _poly(ring: PolyRing, terms: _Terms, codec: _Codec) -> Polynomial:
+    return Polynomial(ring, {codec.unpack(t)[1]: c for t, c in terms.items()})
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
-    return _poly(p.ring, _reduce(_terms(p), gb._table, _term_key(p.ring.order)))
+    codec = _codec_of(p.ring)
+    return _poly(p.ring, _reduce(_terms(p, codec), gb._table, codec), codec)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    key = _term_key(f.ring.order)
+    codec = _codec_of(f.ring)
     return _poly(
-        f.ring, _s_terms(_monic_entry(_terms(f), key), _monic_entry(_terms(g), key))
+        f.ring,
+        _s_terms(_row(_terms(f, codec), codec), _row(_terms(g, codec), codec), codec),
+        codec,
     )
 
 
@@ -548,10 +669,11 @@ def buchberger(
         gens = [Polynomial(ring, g.terms) for g in gens]
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
+    codec = _codec_of(ring)
     basis = _buchberger(
-        map(_terms, gens), (), _term_key(ring.order), budget, "buchberger"
+        (_terms(g, codec) for g in gens), (), codec, budget, "buchberger"
     )
-    return GroebnerBasis(ring, tuple(_poly(ring, t) for t in basis))
+    return GroebnerBasis(ring, tuple(_poly(ring, t, codec) for t in basis))
 
 
 def empty_basis(ring: PolyRing) -> GroebnerBasis:

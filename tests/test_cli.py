@@ -270,6 +270,18 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, files, want", [
+    ("coalgebra", ["sl2.alg"], 2),
+    ("rep", ["sl2.alg"], 3),
+    ("lie", ["sl2.alg", "sl2.alg"], 1),
+])
+def test_check_wrong_file_count_exit_2(capsys, kind, files, want):
+    code = main(["check", kind, *map(fx, files)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: check {kind} takes {want} file(s), got {len(files)}\n"
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     garbled = tmp_path / "x.alg"
     garbled.write_text("dim two\n")

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gb_certificate import ideal_failures
 from univalg.poly import (
     DEGREVLEX,
     LEX,
+    MAX_EXPONENT,
+    ExponentOverflowError,
     PolyRing,
     Polynomial,
     ResourceBudgetError,
@@ -198,3 +201,58 @@ def test_empty_ideal():
     assert len(gb) == 0
     p = R.var(0) + R.const(3)
     assert normal_form(p, gb) == p
+
+
+# ---------------------------------------------------------------------------
+# Exponent limit of the packed terms
+# ---------------------------------------------------------------------------
+
+
+def test_input_exponent_at_the_field_limit():
+    # (x^L y - z, x^L z): z*(x^L y - z) - y*(x^L z) = -z^2, and nothing more.
+    R = ring3()
+    x, y, z = (R.var(i) for i in range(3))
+    xl = R.monomial((MAX_EXPONENT, 0, 0))
+    gens = [xl * y - z, xl * z]
+    gb = groebner(gens, R)
+    assert list(gb.generators) == [z * z, xl * z, xl * y - z]
+    assert ideal_failures(gb, gens) == []
+    assert normal_form(xl * y * y, gb) == y * z
+
+
+def test_input_exponent_outside_the_field_is_an_error():
+    R = ring3()
+    big = R.monomial((MAX_EXPONENT + 1, 0, 0))
+    with pytest.raises(ExponentOverflowError):
+        groebner([big - R.var(1)], R)
+    gb = groebner([R.var(1)], R)
+    for bad in (big, R.monomial((-1, 0, 0))):
+        with pytest.raises(ExponentOverflowError):
+            normal_form(bad, gb)
+
+
+@pytest.mark.parametrize("a", [MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 1])
+def test_lex_reduction_past_the_input_degree(a):
+    # In lex, x^2 reduces by x - y^a to y^(2a): the reducer itself raises the
+    # exponent of y above the input degree a.  At 2a = MAX_EXPONENT - 1 the
+    # basis is exact; one step further it is an error, never a wrapped term.
+    R = PolyRing(["x", "y"], LEX)
+    x, ya = R.var(0), R.monomial((0, a))
+    gens = [x - ya, x * x]
+    if 2 * a > MAX_EXPONENT:
+        with pytest.raises(ExponentOverflowError):
+            groebner(gens, R)
+        with pytest.raises(ExponentOverflowError):
+            normal_form(x * x, groebner([x - ya], R))
+        return
+    gb = groebner(gens, R)
+    assert list(gb.generators) == [ya * ya, x - ya]
+    assert ideal_failures(gb, gens) == []
+
+
+def test_lex_s_polynomial_past_the_field_limit_is_an_error():
+    # z*(x y - z^L) - y*(x z) = -z^(L+1): the S-polynomial itself overflows.
+    R = PolyRing(["x", "y", "z"], LEX)
+    x, y, z = (R.var(i) for i in range(3))
+    with pytest.raises(ExponentOverflowError):
+        groebner([x * y - R.monomial((0, 0, MAX_EXPONENT)), x * z], R)
