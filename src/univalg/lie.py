@@ -294,7 +294,7 @@ class LinearMap:
             raise ValueError("vector length does not match map source")
         if self.target_dim == 0:
             return []
-        return linalg.mat_vec(self.mat(), v)
+        return linalg.mat_vec(self.matrix, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -313,18 +313,17 @@ class LinearMap:
 
 
 def is_module_morphism(f: LinearMap, M: LieModule, N: LieModule) -> bool:
-    """True iff f(x act v) = x act f(v) on all basis pairs."""
+    """True iff f(x act v) = x act f(v) on all basis pairs, that is
+    F rho_M(x_i) = rho_N(x_i) F for every basis element x_i."""
     if M.algebra != N.algebra:
         raise ValueError("modules over different algebras")
     if f.source_dim != M.dim or f.target_dim != N.dim:
         raise ValueError("map dimensions do not match the modules")
-    for i in range(1, M.algebra.dim + 1):
-        x = M.algebra.basis_vector(i)
-        for j in range(1, M.dim + 1):
-            v = M.basis_vector(j)
-            if f.apply(M.act(x, v)) != N.act(x, f.apply(v)):
-                return False
-    return True
+    fm = f.matrix
+    return all(
+        linalg.mat_mul(fm, M.action_matrix(i)) == linalg.mat_mul(N.action_matrix(i), fm)
+        for i in range(1, M.algebra.dim + 1)
+    )
 
 
 @dataclass(frozen=True)

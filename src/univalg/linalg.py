@@ -1,7 +1,8 @@
 """Small exact linear algebra over Q, on plain lists of Fractions.
 
 Everything here works on row-major lists of lists of ``fractions.Fraction``.
-Dimensions are desk scale (tens), so no attempt is made at sparsity.
+Dimensions are desk scale (tens), so sparsity goes no further than skipping
+zero entries.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def mat_vec(a: Mat, v: Vec) -> Vec:
     if a and len(a[0]) != len(v):
         raise ValueError("matrix/vector dimension mismatch")
-    return [sum((c * x for c, x in zip(row, v)), ZERO) for row in a]
+    return [sum((c * x for c, x in zip(row, v) if c and x), ZERO) for row in a]
 
 
 def commutator(a: Mat, b: Mat) -> Mat:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .lie import LieAlgebra
-from .linalg import Mat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -79,19 +77,6 @@ class PBWElement:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def act_matrix(self, action_mats: list[Mat], dim: int) -> Mat:
-        """Matrix of this element in a module given by matrices for e_1..e_n.
-
-        A word (t1, ..., tk) acts as the composite e_t1 after ... after e_tk.
-        """
-        out = linalg.zeros(dim, dim)
-        for w, c in self.terms.items():
-            acc = linalg.identity(dim)
-            for t in w:
-                acc = linalg.mat_mul(acc, action_mats[t - 1])
-            out = linalg.mat_add(out, linalg.mat_scale(c, acc))
-        return out
 
     def __repr__(self):
         return f"PBWElement({render_pbw(self)})"

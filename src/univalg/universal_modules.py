@@ -7,16 +7,23 @@ ideal folded into the module Groebner basis, so element equality is decidable.
 V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
 normal forms on the free side; it is probed only through finite-dimensional
 factorization targets.
+
+Factorization, the bijections Gamma and ``LiePresentedMap.push_to_module``
+evaluate relation vectors in a target by one path, ``_evaluate``: a term is
+a position p, a word of generators and a coefficient, and word . images[p]
+is computed by matrix-vector steps that skip zeros.  No matrix of a
+polynomial or a PBW element is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
-from .linalg import Vec
+from .linalg import Mat, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
 from .poly import DEFAULT_PAIR_BUDGET, Polynomial
@@ -217,17 +224,45 @@ class FactorizationResult:
         return self.commutes and all(not any(w) for w in self.witnesses.values())
 
 
+def _evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
+    """Image of one free vector under the module map sending position p to
+    images[p].
+
+    The vector is given as terms (p, word, c).  A word is a tuple of indices
+    into ``mats`` and acts right to left: (a, b) sends v to a(b(v)).
+    """
+    out = [ZERO] * dim
+    for p, word, c in terms:
+        v = images[p]
+        if dim and len(v) != dim:
+            raise ValueError("matrix/vector dimension mismatch")
+        for a in reversed(word):
+            v = linalg.mat_vec(mats[a], v)
+        for i, x in enumerate(v):
+            if x:
+                out[i] += c * x
+    return out
+
+
+def _arep_images(vectors: list[ModuleVector], images: dict[int, Vec],
+                 X: MatrixARep) -> Iterator[Vec]:
+    """Images of free-module vectors in the matrix module X, one at a time: a
+    monomial acts as the product of its variables' matrices in ring order."""
+    mats = X.all_matrices()
+    for v in vectors:
+        yield _evaluate(
+            ((p, tuple(i for i, e in enumerate(mono) for _ in range(e)), c)
+             for p, q in v.components.items() for mono, c in q.terms.items()),
+            mats, images, X.dim,
+        )
+
+
 def _apply_on_generators(
     um: UniversalAModule, v: ModuleVector, images: dict[int, Vec], X: MatrixARep
 ) -> Vec:
-    """Image of a free-module vector under the A-module map sending position p
-    to images[p] in the matrix module X."""
-    out = [ZERO] * X.dim
-    mats = X.all_matrices()
-    for p, q in v.components.items():
-        m = q.eval_matrices(mats)
-        out = [a + b for a, b in zip(out, linalg.mat_vec(m, images[p]))]
-    return out
+    """Image of one free-module vector under the A-module map sending position
+    p to images[p] in the matrix module X."""
+    return next(_arep_images([v], images, X))
 
 
 def factorize_through_universal(
@@ -245,10 +280,7 @@ def factorize_through_universal(
         for s in range(1, m + 1):
             w[(s, r)] = [col[TX.position(s, t + 1)] for t in range(q)]
     images = {um.pos(s, r): w[(s, r)] for (s, r) in w}
-    witnesses = {
-        label: _apply_on_generators(um, gen, images, X)
-        for label, gen in zip(um.rel_labels, um.relgens)
-    }
+    witnesses = dict(zip(um.rel_labels, _arep_images(um.relgens, images, X)))
     commutes = _gamma_matrix(um, X, w) == f.mat()
     return FactorizationResult(w, witnesses, commutes)
 
@@ -272,8 +304,7 @@ def gamma(um: UniversalAModule, X: MatrixARep,
     """The adjunction bijection: a well-defined A-module map theta on the
     generators of U(U,Z) yields the equivariant map (Id_U (x) theta) o rho."""
     images = {um.pos(s, r): v for (s, r), v in theta.items()}
-    for label, gen in zip(um.rel_labels, um.relgens):
-        img = _apply_on_generators(um, gen, images, X)
+    for label, img in zip(um.rel_labels, _arep_images(um.relgens, images, X)):
         if any(img):
             raise ValueError(f"theta is ill-defined: relation {label} maps to {img}")
     f = LinearMap.from_matrix(_gamma_matrix(um, X, theta), um.Z.dim)
@@ -523,16 +554,17 @@ def build_universal_lie_hmodule(
     return UniversalLieHModule(A, V, W)
 
 
-def _pbw_vector_image(vm: UniversalLieHModule, v: PBWVector, Y: LieModule,
-                      images: dict[int, Vec]) -> Vec:
-    """Image of a free PBW vector under the h-equivariant map sending each
-    generator position to a vector of the Lie h-module Y."""
-    out = [ZERO] * Y.dim
+def _lie_images(vectors: list[PBWVector], images: dict[int, Vec],
+                Y: LieModule) -> Iterator[Vec]:
+    """Images of free PBW vectors in the Lie h-module Y, one at a time: a word
+    (t1, ..., tk) acts as e_t1 after ... after e_tk."""
     mats = [Y.action_matrix(i) for i in range(1, Y.algebra.dim + 1)]
-    for p, e in v.components.items():
-        m = e.act_matrix(mats, Y.dim)
-        out = [a + b for a, b in zip(out, linalg.mat_vec(m, images[p]))]
-    return out
+    for v in vectors:
+        yield _evaluate(
+            ((p, tuple(t - 1 for t in w), c)
+             for p, e in v.components.items() for w, c in e.terms.items()),
+            mats, images, Y.dim,
+        )
 
 
 def factorize_lie(
@@ -552,10 +584,7 @@ def factorize_lie(
         for s in range(1, l + 1):
             c[(r, s)] = [col[TY.position(a + 1, s)] for a in range(Y.dim)]
     images = {vm.pos(r, s): c[(r, s)] for (r, s) in c}
-    witnesses = {
-        label: _pbw_vector_image(vm, gen, Y, images)
-        for label, gen in zip(vm.rel_labels, vm.relgens)
-    }
+    witnesses = dict(zip(vm.rel_labels, _lie_images(vm.relgens, images, Y)))
     commutes = _gamma_lie_matrix(vm, Y, c) == f.mat()
     return FactorizationResult(c, witnesses, commutes)
 
@@ -579,8 +608,7 @@ def gamma_lie(vm: UniversalLieHModule, Y: LieModule,
     """Adjunction bijection for V(V,W): theta on generators, well-defined,
     yields the equivariant map (theta (x) Id_V) o tau."""
     images = {vm.pos(r, s): v for (r, s), v in theta.items()}
-    for label, gen in zip(vm.rel_labels, vm.relgens):
-        img = _pbw_vector_image(vm, gen, Y, images)
+    for label, img in zip(vm.rel_labels, _lie_images(vm.relgens, images, Y)):
         if any(img):
             raise ValueError(f"theta is ill-defined: relation {label} maps to {img}")
     f = LinearMap.from_matrix(_gamma_lie_matrix(vm, Y, theta), vm.W.dim)
@@ -611,10 +639,8 @@ class LiePresentedMap:
 
     def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
         """Compose with a factorization target map given on target generators."""
-        return {
-            p: _pbw_vector_image(self.target, img, Y, images)
-            for p, img in self.images.items()
-        }
+        pushed = _lie_images(list(self.images.values()), images, Y)
+        return dict(zip(self.images, pushed))
 
 
 def functor_on_morphism_V(

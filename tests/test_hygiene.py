@@ -1,0 +1,50 @@
+"""Static checks on the sources of univalg."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "univalg"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never uses.
+
+    A name counts as used when it appears as a name anywhere in the module
+    (annotations included) or as a string in ``__all__``, which is how a
+    package re-exports what it imports.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return [
+        f"line {line}: {name}" for name, line in imported.items() if name not in used
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    src = "from . import linalg\nfrom .lie import LieAlgebra\n\nx = LieAlgebra\n"
+    assert unused_imports(src) == ["line 1: linalg"]
+    used = "from . import linalg\n\n\ndef f() -> None:\n    linalg.zeros(1, 1)\n"
+    assert unused_imports(used) == []

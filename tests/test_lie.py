@@ -171,3 +171,80 @@ def test_linear_map_basics():
     assert f.compose(g).mat() == linalg.mat_mul(f.mat(), g.mat())
     z = LinearMap.zero(2, 3)
     assert z.apply([ONE, ONE]) == [ZERO, ZERO, ZERO]
+
+
+def _per_pair_is_module_morphism(f, M, N):
+    """The per-basis-pair formula: f(x_i act v_j) = x_i act f(v_j), with f
+    applied as a plain matrix product."""
+
+    def apply(v):
+        return [sum((a * b for a, b in zip(row, v)), ZERO) for row in f.matrix]
+
+    for i in range(1, M.algebra.dim + 1):
+        x = M.algebra.basis_vector(i)
+        for j in range(1, M.dim + 1):
+            v = M.basis_vector(j)
+            if apply(M.act(x, v)) != N.act(x, apply(v)):
+                return False
+    return True
+
+
+def _morphism_pool(L):
+    pool = [LieModule.adjoint(L), LieModule.trivial(L, 1), LieModule.trivial(L, 2)]
+    if L.name == "sl2":
+        pool += [natural2(L), direct_sum(natural2(L), natural2(L)).module]
+    else:
+        # e1 and e2 act by commuting nilpotents and the centre e3 by zero.
+        nil = [[ZERO, ONE], [ZERO, ZERO]]
+        pool.append(LieModule.from_matrices(
+            L, [nil, linalg.mat_scale(Fraction(2), nil), linalg.zeros(2, 2)],
+            name="heis-nil2"))
+    pool.append(direct_sum(LieModule.adjoint(L), LieModule.trivial(L, 1)).module)
+    return pool
+
+
+_MORPHISM_POOLS = {L.name: (L, _morphism_pool(L)) for L in (sl2(), heisenberg())}
+
+
+@given(
+    st.sampled_from(sorted(_MORPHISM_POOLS)),
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["intertwiner", "perturbed", "random"]),
+    st.integers(-3, 3).filter(bool),
+)
+@settings(max_examples=120, deadline=None)
+def test_is_module_morphism_matches_per_pair_formula(name, seed, kind, delta):
+    L, pool = _MORPHISM_POOLS[name]
+    rng = Random(seed)
+    M, N = rng.choice(pool), rng.choice(pool)
+    assert validate_lie_module(M).ok and validate_lie_module(N).ok
+    if kind == "random":
+        m = [[Fraction(rng.randint(-2, 2)) for _ in range(M.dim)] for _ in range(N.dim)]
+        f = LinearMap.from_matrix(m, M.dim)
+    else:
+        f = random_equivariant_map(rng, M, N)
+        if kind == "perturbed":
+            m = f.mat()
+            m[rng.randrange(N.dim)][rng.randrange(M.dim)] += delta
+            f = LinearMap.from_matrix(m, M.dim)
+    expected = _per_pair_is_module_morphism(f, M, N)
+    assert is_module_morphism(f, M, N) == expected
+    if kind == "intertwiner":
+        assert expected
+
+
+def test_is_module_morphism_zero_dimensional():
+    L = sl2()
+    Z, M = LieModule.trivial(L, 0), LieModule.adjoint(L)
+    assert is_module_morphism(LinearMap.zero(0, 3), Z, M)
+    assert is_module_morphism(LinearMap.zero(3, 0), M, Z)
+    assert is_module_morphism(LinearMap.zero(0, 0), Z, Z)
+
+
+def test_is_module_morphism_rejects_mismatched_inputs():
+    L = sl2()
+    M = LieModule.adjoint(L)
+    with pytest.raises(ValueError, match="different algebras"):
+        is_module_morphism(LinearMap.identity(3), M, LieModule.adjoint(heisenberg()))
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        is_module_morphism(LinearMap.identity(2), M, M)

@@ -6,6 +6,12 @@ from helpers import natural2
 from univalg import linalg
 from univalg.lie import LieAlgebra, sl2
 from univalg.pbw import PBWElement, normalize_word, render_pbw
+from univalg.representations import MatrixARep
+from univalg.universal_modules import (
+    PBWVector,
+    _lie_images,
+    build_universal_lie_hmodule,
+)
 
 ONE = Fraction(1)
 
@@ -41,15 +47,21 @@ def test_multiplication_associative():
     assert lhs == rhs
 
 
-def test_act_matrix_respects_relations():
+def test_word_action_respects_relations(A_sl2):
     # The defining check: normalized products act identically to the raw word
-    # composition in any module; use the natural 2-dim sl2 module.
-    L = sl2()
+    # composition in any module; use the natural 2-dim sl2 module.  The word
+    # (2, 1) acts as e2 after e1, and e2 e1 != e1 e2 in this module, so a
+    # wrong composition order shows on some basis vector.
+    L = A_sl2.h
     M = natural2(L)
     mats = [M.action_matrix(i) for i in range(1, 4)]
-    raw = linalg.mat_mul(mats[1], mats[0])  # e2 then composed after... e2*e1
-    norm = PBWElement(L, normalize_word(L, (2, 1))).act_matrix(mats, 2)
-    assert raw == norm
+    raw = linalg.mat_mul(mats[1], mats[0])
+    assert raw != linalg.mat_mul(mats[0], mats[1])
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), M)
+    norm = PBWVector(vm, {0: PBWElement(L, normalize_word(L, (2, 1)))})
+    for k in range(1, 3):
+        (image,) = _lie_images([norm], {0: M.basis_vector(k)}, M)
+        assert image == [row[k - 1] for row in raw]
 
 
 def test_render():

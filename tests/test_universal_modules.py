@@ -17,6 +17,8 @@ from univalg.pbw import PBWElement
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
+    _arep_images,
+    _lie_images,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -183,6 +185,131 @@ def test_random_round_trips_abelian():
         result = factorize_through_universal(um, X, f)
         assert result.ok
         assert gamma(um, X, result.images).mat() == f.mat()
+
+
+def _dense_arep_image(v, images, X):
+    """The dense formula: evaluate each component polynomial to a matrix at
+    X's matrices (variables multiplied in ring order), then apply it."""
+    mats = X.all_matrices()
+    out = [ZERO] * X.dim
+    for p, q in v.components.items():
+        m = linalg.zeros(X.dim, X.dim)
+        for mono, c in q.terms.items():
+            acc = linalg.identity(X.dim)
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    acc = linalg.mat_mul(acc, mats[i])
+            m = linalg.mat_add(m, linalg.mat_scale(c, acc))
+        out = [a + b for a, b in zip(out, linalg.mat_vec(m, images[p]))]
+    return out
+
+
+def _dense_lie_image(v, images, Y):
+    """The dense formula: the word (t1, ..., tk) is the matrix product
+    e_t1 ... e_tk of Y's action matrices, applied to the image."""
+    mats = [Y.action_matrix(i) for i in range(1, Y.algebra.dim + 1)]
+    out = [ZERO] * Y.dim
+    for p, e in v.components.items():
+        m = linalg.zeros(Y.dim, Y.dim)
+        for w, c in e.terms.items():
+            acc = linalg.identity(Y.dim)
+            for t in w:
+                acc = linalg.mat_mul(acc, mats[t - 1])
+            m = linalg.mat_add(m, linalg.mat_scale(c, acc))
+        out = [a + b for a, b in zip(out, linalg.mat_vec(m, images[p]))]
+    return out
+
+
+def _seeded_matrices(rng, count):
+    """2x2 integer matrices, each one not symmetric."""
+    mats = []
+    while len(mats) < count:
+        m = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+        if m[0][1] != m[1][0]:
+            mats.append(m)
+    return mats
+
+
+def _seeded_images(rng, rank):
+    return {p: [Fraction(rng.randint(-3, 3)) for _ in range(2)] for p in range(rank)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("U_name,Z_name",
+                         [("natural2", "natural2"), ("trivial1", "adjoint")])
+def test_relation_images_match_dense_formula_U(A_sl2, sl2_alg, U_name, Z_name, seed):
+    # The evaluation is a formula in the matrices, so the targets need not be
+    # modules: 2-dimensional, not symmetric (a transposed action shows) and
+    # not commuting (an action applied in the wrong order shows).
+    mods = {"natural2": natural2(sl2_alg), "adjoint": LieModule.adjoint(sl2_alg),
+            "trivial1": LieModule.trivial(sl2_alg, 1)}
+    um = build_universal_amodule(A_sl2, mods[U_name], mods[Z_name])
+    rng = Random(seed)
+    keys = [(s, i) for s in range(1, 4) for i in range(1, 4)]
+    X = MatrixARep(A_sl2, 2, dict(zip(keys, _seeded_matrices(rng, len(keys)))))
+    images = _seeded_images(rng, um.rank)
+    got = list(_arep_images(um.relgens, images, X))
+    assert got == [_dense_arep_image(gen, images, X) for gen in um.relgens]
+    assert any(any(v) for v in got)  # the comparison is not between zeros
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relation_images_match_dense_formula_V(A_sl2, sl2_alg, seed):
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), natural2(sl2_alg))
+    rng = Random(seed)
+    Y = LieModule.from_matrices(sl2_alg, _seeded_matrices(rng, 3), name="seeded2")
+    images = _seeded_images(rng, vm.rank)
+    got = list(_lie_images(vm.relgens, images, Y))
+    assert got == [_dense_lie_image(gen, images, Y) for gen in vm.relgens]
+    assert any(any(v) for v in got)
+
+
+def _one_coordinate_changed(theta):
+    for key, vec in theta.items():
+        for k in range(len(vec)):
+            changed = dict(theta)
+            changed[key] = [x + ONE if t == k else x for t, x in enumerate(vec)]
+            yield changed
+
+
+def test_gamma_rejects_theta_with_one_coordinate_changed(A_sl2, sl2_alg):
+    # Hom(natural2, natural2) is the line through the identity, so no theta
+    # that differs from a correct one in one coordinate kills the relations.
+    n2 = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, n2, n2)
+    X = MatrixARep.counit(A_sl2)
+    theta = factorize_through_universal(um, X, LinearMap.identity(2)).images
+    assert gamma(um, X, theta).mat() == linalg.identity(2)
+    for changed in _one_coordinate_changed(theta):
+        with pytest.raises(ValueError, match="ill-defined"):
+            gamma(um, X, changed)
+
+
+def test_gamma_lie_rejects_theta_with_one_coordinate_changed(A_sl2, sl2_alg):
+    n2 = natural2(sl2_alg)
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), n2)
+    theta = factorize_lie(vm, n2, LinearMap.identity(2)).images
+    assert gamma_lie(vm, n2, theta).mat() == linalg.identity(2)
+    for changed in _one_coordinate_changed(theta):
+        with pytest.raises(ValueError, match="ill-defined"):
+            gamma_lie(vm, n2, changed)
+
+
+def test_gamma_rejects_theta_of_wrong_length(A_sl2, sl2_alg):
+    # Relations have terms with the empty word, where the image is used
+    # without a matrix step; a wrong length must still be refused there.
+    n2 = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, n2, n2)
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), n2)
+    X = MatrixARep.counit(A_sl2)
+    theta_u = factorize_through_universal(um, X, LinearMap.identity(2)).images
+    theta_v = factorize_lie(vm, n2, LinearMap.identity(2)).images
+    for bijection, target, theta in ((gamma, (um, X), theta_u),
+                                     (gamma_lie, (vm, n2), theta_v)):
+        for key, vec in theta.items():
+            for wrong in (vec + [ONE], vec[:-1]):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    bijection(*target, {**theta, key: wrong})
 
 
 # ---------------------------------------------------------------------------
