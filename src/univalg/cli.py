@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import poly
 from .coalgebra import (
@@ -126,7 +125,7 @@ def golden_sl2_polynomials(ring) -> list:
     def x(i, j):
         return ring.var((i - 1) * 3 + (j - 1))
 
-    two = Fraction(2)
+    two = 2
     return [
         x(1, 3) - (x(1, 2) * x(3, 1)).scale(two) + (x(1, 1) * x(3, 2)).scale(two),
         x(1, 1) - x(1, 1) * x(3, 3) + x(1, 3) * x(3, 1),

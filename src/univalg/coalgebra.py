@@ -12,11 +12,10 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .lie import LinearMap, Report, Violation, is_module_morphism
-from .linalg import Vec
+from .linalg import Scalar, Vec
 from .modgb import ModuleVector
 from .poly import Monomial, Polynomial
 from .representations import MatrixARep, tensor_lie_module
@@ -27,8 +26,8 @@ from .universal_modules import (
     factorize_through_universal,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 # A tensor-square element: position pair -> polynomial in the doubled ring.
 TensorSquareElement = dict[tuple[int, int], Polynomial]
@@ -45,7 +44,7 @@ class TensorSquare:
         self.n = bial.n
         # (position, monomial) -> terms by position of the normal form of
         # x^m e_p in U(U), over the ring of A
-        self._rows: dict[tuple[int, Monomial], dict[int, dict[Monomial, Fraction]]] = {}
+        self._rows: dict[tuple[int, Monomial], dict[int, dict[Monomial, Scalar]]] = {}
 
     def add_term(self, elem: TensorSquareElement, key: tuple[int, int],
                  p: Polynomial) -> None:
@@ -56,7 +55,7 @@ class TensorSquare:
         if elem[key].is_zero():
             del elem[key]
 
-    def _row(self, pos: int, m: Monomial) -> dict[int, dict[Monomial, Fraction]]:
+    def _row(self, pos: int, m: Monomial) -> dict[int, dict[Monomial, Scalar]]:
         """The normal form of x^m e_pos in U(U), as terms by position."""
         key = (pos, m)
         row = self._rows.get(key)
@@ -73,7 +72,7 @@ class TensorSquare:
         variable blocks, so a product of their terms is the concatenation of
         the two exponent tuples."""
         n2 = self.um.A.ring.nvars
-        acc: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
+        acc: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
         for (p1, p2), q in elem.items():
             for m, c in q.terms.items():
                 row2 = self._row(p2, m[n2:])
@@ -113,7 +112,7 @@ class TensorSquare:
                 self.add_term(out, (um.pos(l, s), um.pos(s, t)), dq)
         return out
 
-    def epsilon_of_vector(self, v: ModuleVector) -> Fraction:
+    def epsilon_of_vector(self, v: ModuleVector) -> Scalar:
         """Counit: y_lt -> delta_lt, coefficients through epsilon of B."""
         um = self.um
         out = ZERO
@@ -142,7 +141,7 @@ class CoalgebraOnU:
     def delta(self, v: ModuleVector) -> TensorSquareElement:
         return self.square.normal_form(self.square.delta_of_vector(v))
 
-    def epsilon(self, v: ModuleVector) -> Fraction:
+    def epsilon(self, v: ModuleVector) -> Scalar:
         return self.square.epsilon_of_vector(v)
 
     def verify(self) -> Report:

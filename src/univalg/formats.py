@@ -9,14 +9,13 @@ deterministic text so parse(render(x)) == x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lie import LieAlgebra, LieModule, LinearMap, Report, validate_lie_algebra
-from .linalg import Mat
+from .linalg import Mat, Scalar, scalar
 from .representations import MatrixARep
 from .universal_algebra import UniversalAlgebra
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 class ParseError(Exception):
@@ -32,9 +31,9 @@ class ValidationError(Exception):
     """Well-formed file describing an invalid object."""
 
 
-def _rat(path: str, line_no: int, text: str) -> Fraction:
+def _rat(path: str, line_no: int, text: str) -> Scalar:
     try:
-        return Fraction(text)
+        return scalar(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(path, line_no, f"bad rational {text!r}") from None
 
@@ -69,11 +68,11 @@ def _lines(path: str, text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _rat_str(c: Fraction) -> str:
+def _rat_str(c: Scalar) -> str:
     return str(c)
 
 
-def _parse_pairs(path: str, no: int, parts: list[str]) -> list[tuple[int, Fraction]]:
+def _parse_pairs(path: str, no: int, parts: list[str]) -> list[tuple[int, Scalar]]:
     """Parse "s:c" coefficient pairs."""
     out = []
     for part in parts:
@@ -113,7 +112,7 @@ def _read_algebra_text(text: str, path: str) -> LieAlgebra:
     axioms."""
     name = ""
     dim: int | None = None
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    entries: dict[tuple[int, int], dict[int, Scalar]] = {}
     seen: set[tuple[int, int, int]] = set()
     for no, line in _lines(path, text):
         parts = line.split()
@@ -212,8 +211,8 @@ def parse_module_text(text: str, path: str = "<string>",
     over = ""
     kind = "lie"
     dim: int | None = None
-    lie_entries: list[tuple[int, int, int, list[tuple[int, Fraction]]]] = []
-    mat_entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    lie_entries: list[tuple[int, int, int, list[tuple[int, Scalar]]]] = []
+    mat_entries: dict[tuple[int, int], dict[int, Scalar]] = {}
     seen: set[tuple] = set()
     for no, line in _lines(path, text):
         parts = line.split()
@@ -348,7 +347,7 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
     """
     rows: int | None = None
     cols: int | None = None
-    data: dict[int, list[Fraction]] = {}
+    data: dict[int, list[Scalar]] = {}
     for no, line in _lines(path, text):
         parts = line.split()
         if parts[0] == "morphism":

@@ -2,19 +2,19 @@
 tables, with exhaustive axiom validators.
 
 All indices are 1-based in reports to match the usual e_1..e_n conventions;
-internally tables are 0-based dense nested lists of Fractions.
+internally tables are 0-based dense nested lists of exact scalars, stored
+once, as ints where integral (``linalg.scalar``), by the constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .linalg import Mat, Vec
+from .linalg import Mat, Scalar, Vec, scalar
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Report:
         return "fail\n" + "\n".join(f"  {v}" for v in self.violations)
 
 
-def _table(dim1: int, dim2: int, dim3: int) -> list[list[list[Fraction]]]:
+def _table(dim1: int, dim2: int, dim3: int) -> list[list[list[Scalar]]]:
     return [[[ZERO] * dim3 for _ in range(dim2)] for _ in range(dim1)]
 
 
@@ -52,14 +52,14 @@ class LieAlgebra:
     """Lie algebra given by its bracket table c[i][j][s] with
     [b_i, b_j] = sum_s c[i][j][s] b_s (0-based internally)."""
 
-    def __init__(self, dim: int, bracket: list[list[list[Fraction]]], name: str = ""):
+    def __init__(self, dim: int, bracket: list[list[list[Scalar]]], name: str = ""):
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.table = bracket
+        self.table = [[[scalar(x) for x in row] for row in plane] for plane in bracket]
         self.name = name
         # Memo of pbw.normalize_word for this algebra: word -> PBW normal form.
-        self._pbw_words: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._pbw_words: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
 
     @classmethod
     def abelian(cls, dim: int, name: str = "") -> "LieAlgebra":
@@ -67,7 +67,7 @@ class LieAlgebra:
 
     @classmethod
     def from_brackets(
-        cls, dim: int, entries: dict[tuple[int, int], dict[int, Fraction]],
+        cls, dim: int, entries: dict[tuple[int, int], dict[int, Scalar]],
         name: str = "", antisymmetrize: bool = False,
     ) -> "LieAlgebra":
         """Build from 1-based sparse entries {(i,j): {s: c}}.
@@ -77,9 +77,10 @@ class LieAlgebra:
         table = _table(dim, dim, dim)
         for (i, j), row in entries.items():
             for s, c in row.items():
-                table[i - 1][j - 1][s - 1] = Fraction(c)
+                c = scalar(c)
+                table[i - 1][j - 1][s - 1] = c
                 if antisymmetrize:
-                    table[j - 1][i - 1][s - 1] = -Fraction(c)
+                    table[j - 1][i - 1][s - 1] = -c
         return cls(dim, table, name)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
@@ -122,7 +123,7 @@ def sl2() -> LieAlgebra:
     """sl(2) with [e1,e2]=e3, [e3,e2]=-2e2, [e3,e1]=2e1."""
     return LieAlgebra.from_brackets(
         3,
-        {(1, 2): {3: ONE}, (3, 2): {2: Fraction(-2)}, (3, 1): {1: Fraction(2)}},
+        {(1, 2): {3: ONE}, (3, 2): {2: -2}, (3, 1): {1: 2}},
         name="sl2",
         antisymmetrize=True,
     )
@@ -154,9 +155,8 @@ def validate_lie_algebra(L: LieAlgebra) -> Report:
                 acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ej, ek), ei))]
                 acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ek, ei), ej))]
                 if any(acc):
-                    bad.append(
-                        Violation("jacobi", (i + 1, j + 1, k + 1), f"residual {acc}")
-                    )
+                    bad.append(Violation("jacobi", (i + 1, j + 1, k + 1),
+                                         f"residual {linalg.vec_str(acc)}"))
     return Report(tuple(bad))
 
 
@@ -168,14 +168,14 @@ class LieModule:
         self,
         algebra: LieAlgebra,
         dim: int,
-        action: list[list[list[Fraction]]],
+        action: list[list[list[Scalar]]],
         name: str = "",
     ):
         if dim < 0:
             raise ValueError("dim must be non-negative")
         self.algebra = algebra
         self.dim = dim
-        self.action = action
+        self.action = [[[scalar(x) for x in row] for row in plane] for plane in action]
         self.name = name
 
     @classmethod
@@ -184,8 +184,7 @@ class LieModule:
 
     @classmethod
     def adjoint(cls, algebra: LieAlgebra) -> "LieModule":
-        action = [[list(row) for row in plane] for plane in algebra.table]
-        return cls(algebra, algebra.dim, action, name="adjoint")
+        return cls(algebra, algebra.dim, algebra.table, name="adjoint")
 
     @classmethod
     def from_matrices(
@@ -197,7 +196,7 @@ class LieModule:
         for i, m in enumerate(mats):
             for s in range(dim):
                 for j in range(dim):
-                    action[i][j][s] = Fraction(m[s][j])
+                    action[i][j][s] = m[s][j]
         return cls(algebra, dim, action, name)
 
     def action_matrix(self, i: int) -> Mat:
@@ -256,9 +255,8 @@ def validate_lie_module(M: LieModule) -> Report:
                 rhs_b = M.act(xj, M.act(xi, v))
                 resid = [a - (b - c) for a, b, c in zip(lhs, rhs_a, rhs_b)]
                 if any(resid):
-                    bad.append(
-                        Violation("lie-module", (i, j, r), f"residual {resid}")
-                    )
+                    bad.append(Violation("lie-module", (i, j, r),
+                                         f"residual {linalg.vec_str(resid)}"))
     return Report(tuple(bad))
 
 
@@ -269,13 +267,13 @@ class LinearMap:
 
     source_dim: int
     target_dim: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[Scalar, ...], ...]
 
     @classmethod
     def from_matrix(cls, m: Mat, source_dim: int | None = None) -> "LinearMap":
         rows = len(m)
         cols = len(m[0]) if m else (source_dim or 0)
-        return cls(cols, rows, tuple(tuple(Fraction(x) for x in r) for r in m))
+        return cls(cols, rows, tuple(tuple(scalar(x) for x in r) for r in m))
 
     @classmethod
     def identity(cls, dim: int) -> "LinearMap":

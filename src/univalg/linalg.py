@@ -1,19 +1,40 @@
-"""Small exact linear algebra over Q, on plain lists of Fractions.
+"""Small exact linear algebra over Q, on plain lists of exact scalars.
 
-Everything here works on row-major lists of lists of ``fractions.Fraction``.
-Dimensions are desk scale (tens), so sparsity goes no further than skipping
-zero entries.
+A scalar is an exact rational held as ``int | Fraction``: every entry point of
+univalg stores an integral value as a Python ``int`` (see :func:`scalar`), so
+integer-only work runs on machine-size ints, and a genuine fraction stays a
+``Fraction``.  No scalar is divided with ``/``: a quotient is
+``scalar(Fraction(a, b))``, which keeps it exact for ``int`` operands too.
+Everything here works on row-major lists of lists of scalars.  Dimensions are
+desk scale (tens), so sparsity goes no further than skipping zero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
+Scalar = int | Fraction
+Vec = list[Scalar]
+Mat = list[list[Scalar]]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def scalar(x) -> Scalar:
+    """The exact scalar of ``x``: an ``int`` passes through unchanged, anything
+    else becomes a ``Fraction``, returned as its numerator when it is
+    integral."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def vec_str(v: Vec) -> str:
+    """A vector as report text, each entry as ``str`` writes it ("-1/2"), so
+    the text does not depend on the type of a scalar."""
+    return "[" + ", ".join(str(x) for x in v) + "]"
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -32,7 +53,7 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c: Fraction, a: Mat) -> Mat:
+def mat_scale(c: Scalar, a: Mat) -> Mat:
     return [[c * x for x in row] for row in a]
 
 
@@ -98,7 +119,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
+        inv = scalar(Fraction(1, m[r][c]))
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:

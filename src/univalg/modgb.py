@@ -16,10 +16,10 @@ vectors into such terms or unpack them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+from .linalg import Scalar
 from .poly import (
     DEFAULT_PAIR_BUDGET,
     GroebnerBasis,
@@ -77,7 +77,7 @@ class ModuleVector:
     def __neg__(self) -> "ModuleVector":
         return ModuleVector(self.module, {p: -q for p, q in self.components.items()})
 
-    def scale(self, c: Fraction) -> "ModuleVector":
+    def scale(self, c: Scalar) -> "ModuleVector":
         return ModuleVector(
             self.module, {p: q.scale(c) for p, q in self.components.items()}
         )
@@ -87,7 +87,7 @@ class ModuleVector:
             self.module, {p: q * f for p, q in self.components.items()}
         )
 
-    def mul_term(self, m: Monomial, c: Fraction) -> "ModuleVector":
+    def mul_term(self, m: Monomial, c: Scalar) -> "ModuleVector":
         return ModuleVector(
             self.module, {p: q.mul_term(m, c) for p, q in self.components.items()}
         )
@@ -97,7 +97,7 @@ class ModuleVector:
         pos = min(self.components)
         return pos, self.components[pos].lead_monomial()
 
-    def lead_coeff(self) -> Fraction:
+    def lead_coeff(self) -> Scalar:
         pos, mono = self.lead()
         return self.components[pos].terms[mono]
 
@@ -154,7 +154,7 @@ def _terms(components: dict[int, Polynomial], codec: _Codec) -> _Terms:
 
 
 def _vector(module: FreeModule, terms: _Terms, codec: _Codec) -> ModuleVector:
-    comps: dict[int, dict[Monomial, Fraction]] = {}
+    comps: dict[int, dict[Monomial, Scalar]] = {}
     for t, c in terms.items():
         p, m = codec.unpack(t)
         comps.setdefault(p, {})[m] = c

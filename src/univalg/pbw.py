@@ -8,12 +8,11 @@ because each step either shortens the word or removes an inversion.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lie import LieAlgebra
+from .linalg import Scalar
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 Word = tuple[int, ...]
 
@@ -23,7 +22,7 @@ class PBWElement:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: LieAlgebra, terms: dict[Word, Fraction]):
+    def __init__(self, algebra: LieAlgebra, terms: dict[Word, Scalar]):
         self.algebra = algebra
         self.terms = {w: c for w, c in terms.items() if c}
 
@@ -57,11 +56,11 @@ class PBWElement:
     def __neg__(self) -> "PBWElement":
         return PBWElement(self.algebra, {w: -c for w, c in self.terms.items()})
 
-    def scale(self, c: Fraction) -> "PBWElement":
+    def scale(self, c: Scalar) -> "PBWElement":
         return PBWElement(self.algebra, {w: x * c for w, x in self.terms.items()})
 
     def __mul__(self, other: "PBWElement") -> "PBWElement":
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 for w, c in normalize_word(self.algebra, w1 + w2).items():
@@ -82,7 +81,7 @@ class PBWElement:
         return f"PBWElement({render_pbw(self)})"
 
 
-def normalize_word(algebra: LieAlgebra, word: Word) -> dict[Word, Fraction]:
+def normalize_word(algebra: LieAlgebra, word: Word) -> dict[Word, Scalar]:
     """PBW normal form of a single (unsorted) word, memoized on the algebra
     instance."""
     return _normalize(algebra, word, algebra._pbw_words)

@@ -1,7 +1,9 @@
 """Exact multivariate polynomials over Q and the one Groebner engine.
 
 Monomials are dense exponent tuples over the ring's variable list; polynomials
-are immutable-by-convention dicts from monomial to nonzero Fraction.  The two
+are immutable-by-convention dicts from monomial to nonzero exact scalar, an
+``int`` when integral and a ``Fraction`` otherwise (see ``linalg.scalar``;
+division goes through ``Fraction(a, b)``, never ``/``).  The two
 supported monomial orders (degrevlex, lex) rank variables by their position in
 the ring's variable list.
 
@@ -27,8 +29,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from . import linalg
+from .linalg import Scalar, scalar
+
+ZERO = 0
+ONE = 1
 
 Monomial = tuple[int, ...]
 
@@ -110,7 +115,7 @@ class PolyRing:
         return Polynomial(self, {self._one_mono: ONE})
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = scalar(c)
         return Polynomial(self, {self._one_mono: c} if c else {})
 
     def var(self, i: int) -> "Polynomial":
@@ -119,7 +124,7 @@ class PolyRing:
         return Polynomial(self, {tuple(e): ONE})
 
     def monomial(self, m: Monomial, c=ONE) -> "Polynomial":
-        c = Fraction(c)
+        c = scalar(c)
         return Polynomial(self, {m: c} if c else {})
 
     def monomials_up_to_degree(self, dmax: int) -> Iterator[Monomial]:
@@ -151,7 +156,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[Monomial, Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[Monomial, Scalar]):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -160,7 +165,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending ring order."""
         key = self.ring.order.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -169,7 +174,7 @@ class Polynomial:
         key = self.ring.order.key
         return max(self.terms, key=key)
 
-    def lead_coeff(self) -> Fraction:
+    def lead_coeff(self) -> Scalar:
         return self.terms[self.lead_monomial()]
 
     def degree(self) -> int:
@@ -196,8 +201,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
-        terms: dict[Monomial, Fraction] = {}
+            return self.scale(scalar(other))
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
@@ -206,12 +211,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "Polynomial":
+    def scale(self, c: Scalar) -> "Polynomial":
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: x * c for m, x in self.terms.items()})
 
-    def mul_term(self, m: Monomial, c: Fraction) -> "Polynomial":
+    def mul_term(self, m: Monomial, c: Scalar) -> "Polynomial":
         if not c:
             return self.ring.zero()
         return Polynomial(
@@ -241,7 +246,7 @@ class Polynomial:
             out = out + t
         return out
 
-    def eval_scalars(self, values: list[Fraction]) -> Fraction:
+    def eval_scalars(self, values: list[Scalar]) -> Scalar:
         """Evaluate at rational values, one per variable."""
         out = ZERO
         for m, c in self.terms.items():
@@ -254,8 +259,6 @@ class Polynomial:
 
     def eval_matrices(self, mats: list) -> list:
         """Evaluate at commuting square matrices (one per variable)."""
-        from . import linalg
-
         dim = len(mats[0]) if mats else 0
         out = linalg.zeros(dim, dim)
         for m, c in self.terms.items():
@@ -433,10 +436,10 @@ def _codec_of(ring: PolyRing) -> _Codec:
 # with every term at position 0.  Elements inside the engine are monic, so
 # lead data carries no coefficient.
 
-_Terms = dict[int, Fraction]
+_Terms = dict[int, Scalar]
 # A monic element as the reducer sees it: (sign * lead key, lead key,
 # fieldwise maximum of the tail's exponents, tail terms).
-_Row = tuple[int, int, int, list[tuple[int, Fraction]]]
+_Row = tuple[int, int, int, list[tuple[int, Scalar]]]
 # Lead position key (lead >> TOP) -> rows of the elements with their lead
 # there, in basis order.
 _LeadTable = dict[int, list[_Row]]
@@ -452,7 +455,7 @@ def _row(terms: _Terms, codec: _Codec) -> _Row:
     c = terms[lead]
     tail = [(t, x) for t, x in terms.items() if t != lead]
     if c != ONE:
-        tail = [(t, x / c) for t, x in tail]
+        tail = [(t, scalar(Fraction(x, c))) for t, x in tail]
     s, emask = codec.sign, codec.emask
     tail_max = 0
     for t, _ in tail:

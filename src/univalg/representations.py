@@ -8,8 +8,6 @@ evaluates to the zero matrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .lie import (
     LieAlgebra,
@@ -19,11 +17,11 @@ from .lie import (
     Violation,
     validate_lie_module,
 )
-from .linalg import Mat
+from .linalg import Mat, scalar
 from .universal_algebra import UniversalAlgebra
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class MatrixARep:
@@ -35,7 +33,7 @@ class MatrixARep:
         self.owner = owner
         self.dim = dim
         self.mats = {
-            key: [[Fraction(x) for x in row] for row in m] for key, m in mats.items()
+            key: [[scalar(x) for x in row] for row in m] for key, m in mats.items()
         }
         self.name = name
         for s in range(1, owner.h.dim + 1):
@@ -65,7 +63,7 @@ class MatrixARep:
         """1-dimensional module from a Lie algebra map g -> h: x_si acts by the
         s-th coordinate of the image of f_i."""
         mats = {
-            (s, i): [[Fraction(images[i - 1][s - 1])]]
+            (s, i): [[images[i - 1][s - 1]]]
             for s in range(1, owner.h.dim + 1)
             for i in range(1, owner.g.dim + 1)
         }
@@ -227,7 +225,7 @@ def induced_g_module_from_scalar_rep(
     subalgebra, f_t acts as the matrix of x_t.
     """
     dim = len(mats[0]) if mats else 0
-    mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
+    mats = [[[scalar(x) for x in row] for row in m] for m in mats]
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
             if not linalg.is_zero_mat(linalg.commutator(mats[a], mats[b])):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import poly
 from .lie import LieAlgebra, Report, Violation, validate_lie_algebra
+from .linalg import Scalar
 from .poly import (
     DEFAULT_PAIR_BUDGET,
     DEGREVLEX,
@@ -25,8 +25,8 @@ from .poly import (
     mono_divides,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def algebra_ring(h: LieAlgebra, g: LieAlgebra, order: MonomialOrder = DEGREVLEX) -> PolyRing:
@@ -249,7 +249,7 @@ class BialgebraStructure:
         img = p.map_coeffs_and_vars(self.tensor_ring, self._delta_images)
         return poly.normal_form(img, self.tensor_gb)
 
-    def epsilon(self, p: Polynomial) -> Fraction:
+    def epsilon(self, p: Polynomial) -> Scalar:
         """Counit: evaluate at X[i,j] = delta_ij."""
         n = self.n
         values = [
@@ -260,7 +260,7 @@ class BialgebraStructure:
         return p.eval_scalars(values)
 
     @functools.cached_property
-    def descent(self) -> tuple[tuple[tuple[int, int, int], Fraction, bool], ...]:
+    def descent(self) -> tuple[tuple[tuple[int, int, int], Scalar, bool], ...]:
         """For each generator P of J: its label, eps(P), and whether Delta(P)
         reduces to zero modulo J' + J''; computed once per structure."""
         return tuple((label, self.epsilon(p), self.delta(p).is_zero())

@@ -18,19 +18,18 @@ polynomial or a PBW element is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
-from .linalg import Mat, Vec
+from .linalg import Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
 from .poly import DEFAULT_PAIR_BUDGET, Polynomial
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +77,8 @@ class UniversalAModule:
         self.rank = U.dim * Z.dim
         self.free = FreeModule(A.ring, self.rank)
         self.relgens, self.rel_labels = self._relations()
+        # The relations as (p, word, c) terms, for evaluation in targets.
+        self.rel_terms = tuple(_words(v) for v in self.relgens)
         self.mgb = modgb.module_buchberger(self.relgens, A.gb, self.free, budget=budget)
 
     # generator ordering (s,r) lexicographic
@@ -244,17 +245,29 @@ def _evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
     return out
 
 
+def _words(v: ModuleVector) -> tuple[tuple[int, tuple[int, ...], Scalar], ...]:
+    """The terms (p, word, c) of a free-module vector: a monomial's word is
+    its variables with multiplicity in ring order."""
+    return tuple(
+        (p, tuple(i for i, e in enumerate(mono) for _ in range(e)), c)
+        for p, q in v.components.items() for mono, c in q.terms.items()
+    )
+
+
 def _arep_images(vectors: list[ModuleVector], images: dict[int, Vec],
                  X: MatrixARep) -> Iterator[Vec]:
     """Images of free-module vectors in the matrix module X, one at a time: a
     monomial acts as the product of its variables' matrices in ring order."""
+    return _term_images(map(_words, vectors), images, X)
+
+
+def _term_images(vectors_terms, images: dict[int, Vec],
+                 X: MatrixARep) -> Iterator[Vec]:
+    """Like ``_arep_images``, for vectors given by their ``_words`` terms; the
+    relations of U(U,Z) keep theirs as ``um.rel_terms``."""
     mats = X.all_matrices()
-    for v in vectors:
-        yield _evaluate(
-            ((p, tuple(i for i, e in enumerate(mono) for _ in range(e)), c)
-             for p, q in v.components.items() for mono, c in q.terms.items()),
-            mats, images, X.dim,
-        )
+    for terms in vectors_terms:
+        yield _evaluate(terms, mats, images, X.dim)
 
 
 def _apply_on_generators(
@@ -280,13 +293,13 @@ def factorize_through_universal(
         for s in range(1, m + 1):
             w[(s, r)] = [col[TX.position(s, t + 1)] for t in range(q)]
     images = {um.pos(s, r): w[(s, r)] for (s, r) in w}
-    witnesses = dict(zip(um.rel_labels, _arep_images(um.relgens, images, X)))
+    witnesses = dict(zip(um.rel_labels, _term_images(um.rel_terms, images, X)))
     commutes = _gamma_matrix(um, X, w) == f.mat()
     return FactorizationResult(w, witnesses, commutes)
 
 
 def _gamma_matrix(um: UniversalAModule, X: MatrixARep,
-                  theta: dict[tuple[int, int], Vec]) -> list[list[Fraction]]:
+                  theta: dict[tuple[int, int], Vec]) -> Mat:
     """Matrix of (Id_U (x) theta) o rho as a map Z -> U (x) X."""
     m, q = um.U.dim, X.dim
     rows = m * q
@@ -304,9 +317,10 @@ def gamma(um: UniversalAModule, X: MatrixARep,
     """The adjunction bijection: a well-defined A-module map theta on the
     generators of U(U,Z) yields the equivariant map (Id_U (x) theta) o rho."""
     images = {um.pos(s, r): v for (s, r), v in theta.items()}
-    for label, img in zip(um.rel_labels, _arep_images(um.relgens, images, X)):
+    for label, img in zip(um.rel_labels, _term_images(um.rel_terms, images, X)):
         if any(img):
-            raise ValueError(f"theta is ill-defined: relation {label} maps to {img}")
+            raise ValueError(f"theta is ill-defined: relation {label}"
+                             f" maps to {linalg.vec_str(img)}")
     f = LinearMap.from_matrix(_gamma_matrix(um, X, theta), um.Z.dim)
     TX = tensor_lie_module(um.U, X, verify=False)
     if not is_module_morphism(f, um.Z, TX.result):
@@ -478,7 +492,7 @@ class PBWVector:
             comps[p] = comps[p] - e if p in comps else -e
         return PBWVector(self.vm, comps)
 
-    def scale(self, c: Fraction) -> "PBWVector":
+    def scale(self, c: Scalar) -> "PBWVector":
         return PBWVector(self.vm, {p: e.scale(c) for p, e in self.components.items()})
 
     def act_generator(self, t: int) -> "PBWVector":
@@ -590,7 +604,7 @@ def factorize_lie(
 
 
 def _gamma_lie_matrix(vm: UniversalLieHModule, Y: LieModule,
-                      theta: dict[tuple[int, int], Vec]) -> list[list[Fraction]]:
+                      theta: dict[tuple[int, int], Vec]) -> Mat:
     """Matrix of (theta (x) Id_V) o tau as a map W -> Y (x) V."""
     l = vm.V.dim
     rows = Y.dim * l
@@ -610,7 +624,8 @@ def gamma_lie(vm: UniversalLieHModule, Y: LieModule,
     images = {vm.pos(r, s): v for (r, s), v in theta.items()}
     for label, img in zip(vm.rel_labels, _lie_images(vm.relgens, images, Y)):
         if any(img):
-            raise ValueError(f"theta is ill-defined: relation {label} maps to {img}")
+            raise ValueError(f"theta is ill-defined: relation {label}"
+                             f" maps to {linalg.vec_str(img)}")
     f = LinearMap.from_matrix(_gamma_lie_matrix(vm, Y, theta), vm.W.dim)
     TY = tensor_lie_module(Y, vm.V, verify=False)
     if not is_module_morphism(f, vm.W, TY.result):

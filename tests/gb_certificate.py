@@ -3,11 +3,12 @@ submodules of free modules.
 
 It trusts nothing of the engine in ``univalg.poly``: no packed terms, no
 reducer, no pair criteria.  Elements are dicts from (position, monomial) to
-Fraction, with tuple monomials and ``MonomialOrder.key`` under
-position-over-term order; an ideal is the rank-1 case, every term at
-position 0.  Division is the naive one, rescanning the whole basis for every
-term.  A reduced basis B of the span of the generators G and the copies C
-passes iff
+an exact scalar (``int`` or ``Fraction``), with tuple monomials and
+``MonomialOrder.key`` under position-over-term order; an ideal is the rank-1
+case, every term at position 0.  Division is the naive one, rescanning the
+whole basis for every term; each quotient is a ``Fraction(a, b)``, so ``int``
+coefficients never turn into floats.  A reduced basis B of the span of the
+generators G and the copies C passes iff
 
 1. every element of G reduces to 0 modulo B;
 2. every element of C reduces to 0 modulo B;
@@ -43,7 +44,7 @@ class _Certifier:
                 if p != t[0] or not _divides(lm, t[1]):
                     continue
                 q = tuple(x - y for x, y in zip(t[1], lm))
-                f = c / b[(p, lm)]
+                f = Fraction(c, b[(p, lm)])
                 for (bp, bm), bc in b.items():
                     if (bp, bm) == (p, lm):
                         continue
@@ -63,7 +64,7 @@ class _Certifier:
         for b, lead, sign in ((self.basis[i], self.leads[i], 1),
                               (self.basis[j], self.leads[j], -1)):
             q = tuple(x - y for x, y in zip(lcm, lead[1]))
-            f = sign / b[lead]
+            f = Fraction(sign, b[lead])
             for (p, m), c in b.items():
                 u = (p, tuple(x + y for x, y in zip(m, q)))
                 out[u] = out.get(u, Fraction(0)) + f * c

@@ -48,3 +48,30 @@ def test_unused_import_is_reported():
     assert unused_imports(src) == ["line 1: linalg"]
     used = "from . import linalg\n\n\ndef f() -> None:\n    linalg.zeros(1, 1)\n"
     assert unused_imports(used) == []
+
+
+def true_divisions(source: str) -> list[str]:
+    """Every ``/`` and ``/=`` in a module.  Scalars are ``int | Fraction``, so
+    ``a / b`` on two ints would be an inexact float; a quotient goes through
+    ``Fraction(a, b)`` instead."""
+    found = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_true_division(path):
+    assert true_divisions(path.read_text()) == []
+
+
+def test_true_division_is_reported():
+    src = "def f(a, b):\n    q = a / b\n    q /= 2\n    return q\n"
+    assert true_divisions(src) == ["line 2: a / b", "line 3: q /= 2"]
+    exact = (
+        "from fractions import Fraction\n\n\n"
+        "def f(a, b):\n    return Fraction(a, b) + a // b + a % b\n"
+    )
+    assert true_divisions(exact) == []

@@ -192,3 +192,26 @@ def test_module_buchberger_order_of_generators_irrelevant(with_ideal):
     expected = module_buchberger(gens, ring_gb, F).generators
     for order in (list(reversed(gens)), shuffled):
         assert module_buchberger(order, ring_gb, F).generators == expected
+
+
+def test_int_coefficients_give_the_module_bases_of_their_fraction_twins():
+    # Rank 1 with the ideal of 3x + y and y^2 + 2 as generators: making 3x + y
+    # monic divides by 3, which must stay exact for int coefficients.
+    F = FreeModule(R2, 1)
+
+    def vectors(c):
+        return [ModuleVector(F, {0: Polynomial(R2, {(1, 0): c(3), (0, 1): c(1)})}),
+                ModuleVector(F, {0: Polynomial(R2, {(0, 2): c(1), (0, 0): c(2)})})]
+
+    mgb = module_buchberger(vectors(int), None, F)
+    twin = module_buchberger(vectors(Fraction), None, F)
+    assert mgb.generators == twin.generators
+    assert mgb.generators[0].components[0] == Polynomial(
+        R2, {(1, 0): 1, (0, 1): Fraction(1, 3)})
+    x2 = ModuleVector(F, {0: Polynomial(R2, {(2, 0): 1})})
+    nf = module_normal_form(x2, mgb)
+    assert nf == module_normal_form(x2, twin) == ModuleVector(
+        F, {0: R2.const(Fraction(-2, 9))})
+    coefficients = [c for v in (*mgb.generators, nf)
+                    for q in v.components.values() for c in q.terms.values()]
+    assert all(type(c) in (int, Fraction) for c in coefficients)

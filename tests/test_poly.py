@@ -256,3 +256,37 @@ def test_lex_s_polynomial_past_the_field_limit_is_an_error():
     x, y, z = (R.var(i) for i in range(3))
     with pytest.raises(ExponentOverflowError):
         groebner([x * y - R.monomial((0, 0, MAX_EXPONENT)), x * z], R)
+
+
+# ---------------------------------------------------------------------------
+# Scalars: int coefficients stay exact
+# ---------------------------------------------------------------------------
+
+
+def _twin(p):
+    """The same polynomial with every coefficient a Fraction."""
+    return Polynomial(p.ring, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+def _exact(polys):
+    return all(type(c) in (int, Fraction) for p in polys for c in p.terms.values())
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+def test_int_coefficients_give_the_bases_of_their_fraction_twins(order):
+    # Making 3x + y monic divides by 3: an int / int quotient would be a float.
+    R = PolyRing(["x", "y"], order)
+    gens = [Polynomial(R, {(1, 0): 3, (0, 1): 1}), Polynomial(R, {(0, 2): 1, (0, 0): 2})]
+    gb = buchberger(gens)
+    twin = buchberger([_twin(g) for g in gens])
+    assert gb.generators == twin.generators
+    assert set(gb.generators) == {
+        Polynomial(R, {(1, 0): 1, (0, 1): Fraction(1, 3)}),
+        Polynomial(R, {(0, 2): 1, (0, 0): 2}),
+    }
+    assert _exact(gb.generators)
+    x2 = Polynomial(R, {(2, 0): 1})
+    nf = normal_form(x2, gb)
+    assert nf == normal_form(_twin(x2), twin) == R.const(Fraction(-2, 9))
+    assert _exact([nf, normal_form(_twin(x2), gb)])
+    assert _exact([s_polynomial(*gens)])
