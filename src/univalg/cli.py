@@ -40,7 +40,7 @@ from .lie import (
 from .modgb import ModuleVector
 from .pbw import render_pbw
 from .poly import DEFAULT_PAIR_BUDGET, DEGREVLEX, LEX, ResourceBudgetError
-from .representations import validate_arep
+from .representations import MatrixARep, validate_arep
 from .universal_algebra import (
     BialgebraStructure,
     build_universal_algebra,
@@ -114,6 +114,15 @@ def _load_rep_data(path: str) -> MatrixRepData:
     if not isinstance(obj, MatrixRepData):
         raise ValidationError(f"{path}: expected a kind assoc-matrix module file")
     return obj
+
+
+def _load_arep(path: str, A) -> MatrixARep:
+    """The A-module in an assoc-matrix file, validated against A."""
+    X = _load_rep_data(path).to_rep(A)
+    rep = validate_arep(X)
+    if not rep.ok:
+        raise ValidationError(f"{path}: not an A-module:\n{rep}")
+    return X
 
 
 def golden_sl2_polynomials(ring) -> list:
@@ -192,10 +201,7 @@ def cmd_univmod(args) -> int:
 
 def cmd_univliemod(args) -> int:
     h, g, A = _universal_algebra(args, args.h_file, args.g_file)
-    V = _load_rep_data(args.v_file).to_rep(A)
-    rep = validate_arep(V)
-    if not rep.ok:
-        raise ValidationError(f"{args.v_file}: not an A-module:\n{rep}")
+    V = _load_arep(args.v_file, A)
     W = _load_lie_module(args.w_file, g)
     vm = build_universal_lie_hmodule(A, V, W)
     lines = [f"universal-lie-module V={V.name} W={W.name} rank={vm.rank}"]
@@ -221,18 +227,12 @@ def cmd_factorize(args) -> int:
     if args.kind == "amod":
         U = _load_lie_module(args.first, h)
         Z = _load_lie_module(args.second, g)
-        X = _load_rep_data(args.target).to_rep(A)
-        rep = validate_arep(X)
-        if not rep.ok:
-            raise ValidationError(f"{args.target}: not an A-module:\n{rep}")
+        X = _load_arep(args.target, A)
         um = build_universal_amodule(A, U, Z, budget=args.budget)
         result = factorize_through_universal(um, X, f)
         round_trip = gamma(um, X, result.images).mat() == f.mat()
     else:
-        V = _load_rep_data(args.first).to_rep(A)
-        rep = validate_arep(V)
-        if not rep.ok:
-            raise ValidationError(f"{args.first}: not an A-module:\n{rep}")
+        V = _load_arep(args.first, A)
         W = _load_lie_module(args.second, g)
         Y = _load_lie_module(args.target, h)
         vm = build_universal_lie_hmodule(A, V, W)
@@ -299,8 +299,8 @@ def cmd_check(args) -> int:
         h, g, A = _universal_algebra(args, args.files[0], args.files[1])
         U = _load_lie_module(args.files[2], h)
         Z = _load_lie_module(args.files[3], g)
-        X = _load_rep_data(args.files[4]).to_rep(A)
         f = parse_morphism(args.files[5])
+        X = _load_arep(args.files[4], A)
         um = build_universal_amodule(A, U, Z, budget=args.budget)
         result = factorize_through_universal(um, X, f)
         ok = result.ok and gamma(um, X, result.images).mat() == f.mat()

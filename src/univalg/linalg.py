@@ -37,6 +37,30 @@ def vec_str(v: Vec) -> str:
     return "[" + ", ".join(str(x) for x in v) + "]"
 
 
+def combination_str(terms) -> str:
+    """A linear combination as report text.  ``terms`` are (basis name,
+    scalar) pairs in the order to print, the unit named "1"; a coefficient
+    of 1 or -1 is not printed before a name, and signs join the terms, so
+    ("x", 1), ("y", -2), ("1", 3) reads "x - 2*y + 3".  No terms read "0"."""
+    parts = []
+    for name, c in terms:
+        if name == "1":
+            body = str(c)
+        elif c == 1:
+            body = name
+        elif c == -1:
+            body = f"-{name}"
+        else:
+            body = f"{c}*{name}"
+        if parts and not body.startswith("-"):
+            parts.append(f" + {body}")
+        elif parts:
+            parts.append(f" - {body[1:]}")
+        else:
+            parts.append(body)
+    return "".join(parts) or "0"
+
+
 def zeros(rows: int, cols: int) -> Mat:
     return [[ZERO] * cols for _ in range(rows)]
 

@@ -9,7 +9,7 @@ because each step either shortens the word or removes an inversion.
 from __future__ import annotations
 
 from .lie import LieAlgebra
-from .linalg import Scalar
+from .linalg import Scalar, combination_str
 
 ZERO = 0
 ONE = 1
@@ -112,23 +112,8 @@ def _normalize(algebra, word, cache):
 
 
 def render_pbw(p: PBWElement) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for w, c in sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0])):
-        mono = "*".join(f"e{t}" for t in w) if w else "1"
-        if mono == "1":
-            body = str(c)
-        elif c == 1:
-            body = mono
-        elif c == -1:
-            body = f"-{mono}"
-        else:
-            body = f"{c}*{mono}"
-        if parts and not body.startswith("-"):
-            parts.append(f" + {body}")
-        elif parts:
-            parts.append(f" - {body[1:]}")
-        else:
-            parts.append(body)
-    return "".join(parts)
+    """Text form: words by length, then lexicographically."""
+    return combination_str(
+        ("*".join(f"e{t}" for t in w) if w else "1", c)
+        for w, c in sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0]))
+    )

@@ -275,26 +275,9 @@ class Polynomial:
 
 def render(p: Polynomial) -> str:
     """Canonical text form: terms descending, rationals as p/q."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in p.sorted_terms():
-        mono = p.ring.render_monomial(m)
-        if mono == "1":
-            body = str(c)
-        elif c == 1:
-            body = mono
-        elif c == -1:
-            body = f"-{mono}"
-        else:
-            body = f"{c}*{mono}"
-        if parts and not body.startswith("-"):
-            parts.append(f" + {body}")
-        elif parts:
-            parts.append(f" - {body[1:]}")
-        else:
-            parts.append(body)
-    return "".join(parts)
+    return linalg.combination_str(
+        (p.ring.render_monomial(m), c) for m, c in p.sorted_terms()
+    )
 
 
 @dataclass(frozen=True)

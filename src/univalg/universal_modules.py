@@ -8,11 +8,13 @@ V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
 normal forms on the free side; it is probed only through finite-dimensional
 factorization targets.
 
-Factorization, the bijections Gamma and ``LiePresentedMap.push_to_module``
-evaluate relation vectors in a target by one path, ``_evaluate``: a term is
-a position p, a word of generators and a coefficient, and word . images[p]
-is computed by matrix-vector steps that skip zeros.  No matrix of a
-polynomial or a PBW element is formed.
+Both adjunctions run one path.  Each universal object keeps its relations
+once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
+tensor-layout table sends each generator to its free position, source column
+and tensor rows: ``_factorize`` reads theta off f and ``_gamma`` writes
+Gamma(theta) through that table.  ``_evaluate`` applies a word to images[p]
+by matrix-vector steps that skip zeros, so no matrix of a polynomial or a
+PBW element is formed.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ class TensorElement:
     def __init__(self, um: "UniversalAModule", components: list[ModuleVector]):
         self.um = um
         self.components = [um.nf(c) for c in components]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.um is other.um
-            and self.components == other.components
-        )
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return TensorElement(
@@ -114,9 +109,6 @@ class UniversalAModule:
     def nf(self, v: ModuleVector) -> ModuleVector:
         return modgb.module_normal_form(v, self.mgb)
 
-    def generator(self, s: int, r: int) -> ModuleVector:
-        return self.nf(self.free.basis_vector(self.pos(s, r)))
-
     def act(self, p: Polynomial, v: ModuleVector) -> ModuleVector:
         return self.nf(v.poly_mul(p))
 
@@ -124,16 +116,13 @@ class UniversalAModule:
         """The structure map: z_r maps to sum_s u_s (x) y_sr."""
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
-        comps = []
-        for s in range(1, self.U.dim + 1):
-            acc = self.free.zero()
-            for r, c in enumerate(z, start=1):
-                if c:
-                    acc = acc + self.free.basis_vector(self.pos(s, r)).mul_term(
-                        self.A.ring._one_mono, c
-                    )
-            comps.append(acc)
-        return TensorElement(self, comps)
+        const = self.A.ring.const
+        return TensorElement(self, [
+            ModuleVector(self.free, {
+                self.pos(s, r): const(c) for r, c in enumerate(z, start=1)
+            })
+            for s in range(1, self.U.dim + 1)
+        ])
 
     def tensor_act(self, j: int, t: TensorElement) -> TensorElement:
         """Action of the j-th basis element of g on U (x) U(U,Z)."""
@@ -174,13 +163,21 @@ class UniversalAModule:
                     bad.append(Violation("rho-equivariance", (j, r), "nonzero"))
         return Report(tuple(bad))
 
+    def _adjunction(self, X: MatrixARep) -> "_Adjunction":
+        """U(U,Z) against X: y_sr sits at rows (s,t) of U (x) X, column r."""
+        T = tensor_lie_module(self.U, X, verify=False)
+        layout = [
+            ((s, r), self.pos(s, r), r - 1,
+             [T.position(s, t) for t in range(1, X.dim + 1)])
+            for r in range(1, self.Z.dim + 1) for s in range(1, self.U.dim + 1)
+        ]
+        return _Adjunction(self.Z, T.result, X.all_matrices(), X.dim,
+                           self.rel_terms, self.rel_labels, layout)
+
     def is_collapsed(self) -> bool:
         """True when every generator reduces to zero (degenerate but legal)."""
-        return all(
-            self.generator(s, r).is_zero()
-            for s in range(1, self.U.dim + 1)
-            for r in range(1, self.Z.dim + 1)
-        )
+        return all(self.nf(self.free.basis_vector(p)).is_zero()
+                   for p in range(self.rank))
 
 
 def build_universal_amodule(
@@ -245,7 +242,10 @@ def _evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
     return out
 
 
-def _words(v: ModuleVector) -> tuple[tuple[int, tuple[int, ...], Scalar], ...]:
+_Terms = tuple[tuple[int, tuple[int, ...], Scalar], ...]
+
+
+def _words(v: ModuleVector) -> _Terms:
     """The terms (p, word, c) of a free-module vector: a monomial's word is
     its variables with multiplicity in ring order."""
     return tuple(
@@ -254,20 +254,13 @@ def _words(v: ModuleVector) -> tuple[tuple[int, tuple[int, ...], Scalar], ...]:
     )
 
 
-def _arep_images(vectors: list[ModuleVector], images: dict[int, Vec],
-                 X: MatrixARep) -> Iterator[Vec]:
-    """Images of free-module vectors in the matrix module X, one at a time: a
-    monomial acts as the product of its variables' matrices in ring order."""
-    return _term_images(map(_words, vectors), images, X)
-
-
-def _term_images(vectors_terms, images: dict[int, Vec],
-                 X: MatrixARep) -> Iterator[Vec]:
-    """Like ``_arep_images``, for vectors given by their ``_words`` terms; the
-    relations of U(U,Z) keep theirs as ``um.rel_terms``."""
-    mats = X.all_matrices()
-    for terms in vectors_terms:
-        yield _evaluate(terms, mats, images, X.dim)
+def _pbw_words(v: "PBWVector") -> _Terms:
+    """The terms (p, word, c) of a free PBW vector: the word (t1, ..., tk)
+    acts as e_t1 after ... after e_tk, so it indexes h's basis from 0."""
+    return tuple(
+        (p, tuple(t - 1 for t in w), c)
+        for p, e in v.components.items() for w, c in e.terms.items()
+    )
 
 
 def _apply_on_generators(
@@ -275,57 +268,79 @@ def _apply_on_generators(
 ) -> Vec:
     """Image of one free-module vector under the A-module map sending position
     p to images[p] in the matrix module X."""
-    return next(_arep_images([v], images, X))
+    return _evaluate(_words(v), X.all_matrices(), images, X.dim)
+
+
+@dataclass(frozen=True)
+class _Adjunction:
+    """A universal object against one target.  ``layout`` holds one (key, free
+    position, source column, tensor rows) per generator, column and rows from
+    0, the rows in the order of the target's basis."""
+
+    source: LieModule      # Z or W
+    tensor: LieModule      # U (x) X or Y (x) V
+    mats: list[Mat]        # the target's action matrices, indexed by word letters
+    dim: int               # the target's dimension
+    terms: tuple[_Terms, ...]
+    labels: list[tuple[int, int, int]]
+    layout: list[tuple[tuple[int, int], int, int, list[int]]]
+
+    def relation_images(self, theta: dict[tuple[int, int], Vec]) -> Iterator[Vec]:
+        """The relations' images, one at a time, under theta on generators."""
+        images = {pos: theta[key] for key, pos, _, _ in self.layout}
+        return (_evaluate(t, self.mats, images, self.dim) for t in self.terms)
+
+    def matrix(self, theta: dict[tuple[int, int], Vec]) -> Mat:
+        """The matrix of the map source -> tensor that theta determines."""
+        mat = linalg.zeros(self.tensor.dim, self.source.dim)
+        for key, _, col, rows in self.layout:
+            for row, x in zip(rows, theta[key]):
+                mat[row][col] = x
+        return mat
+
+
+def _factorize(adj: _Adjunction, f: LinearMap, into: str) -> FactorizationResult:
+    """Read theta off the equivariant f through the layout table and witness
+    that every relation maps to zero."""
+    if not is_module_morphism(f, adj.source, adj.tensor):
+        raise ValueError(f"f is not a morphism of Lie g-modules into {into}")
+    fm = f.mat()
+    theta = {key: [fm[row][col] for row in rows] for key, _, col, rows in adj.layout}
+    witnesses = dict(zip(adj.labels, adj.relation_images(theta)))
+    return FactorizationResult(theta, witnesses, adj.matrix(theta) == fm)
+
+
+def _gamma(adj: _Adjunction, theta: dict[tuple[int, int], Vec], name: str) -> LinearMap:
+    """The map that a well-defined theta on generators determines, checked
+    equivariant."""
+    keys = {key for key, _, _, _ in adj.layout}
+    if theta.keys() != keys:
+        raise ValueError("theta must be given on exactly the generators"
+                         f" {sorted(keys)}")
+    if any(len(v) != adj.dim for v in theta.values()):
+        raise ValueError(f"theta: vector/target dimension mismatch (dim {adj.dim})")
+    for label, img in zip(adj.labels, adj.relation_images(theta)):
+        if any(img):
+            raise ValueError(f"theta is ill-defined: relation {label}"
+                             f" maps to {linalg.vec_str(img)}")
+    f = LinearMap.from_matrix(adj.matrix(theta), adj.source.dim)
+    if not is_module_morphism(f, adj.source, adj.tensor):
+        raise AssertionError(f"{name} produced a non-equivariant map")
+    return f
 
 
 def factorize_through_universal(
     um: UniversalAModule, X: MatrixARep, f: LinearMap
 ) -> FactorizationResult:
     """Factor an equivariant f: Z -> U (x) X through the universal module."""
-    TX = tensor_lie_module(um.U, X, verify=False)
-    if not is_module_morphism(f, um.Z, TX.result):
-        raise ValueError("f is not a morphism of Lie g-modules into U (x) X")
-    m, q = um.U.dim, X.dim
-    # f(z_r) = sum_s u_s (x) w_sr: read w_sr off the (s,t) tensor coordinates.
-    w: dict[tuple[int, int], Vec] = {}
-    for r in range(1, um.Z.dim + 1):
-        col = f.apply(um.Z.basis_vector(r))
-        for s in range(1, m + 1):
-            w[(s, r)] = [col[TX.position(s, t + 1)] for t in range(q)]
-    images = {um.pos(s, r): w[(s, r)] for (s, r) in w}
-    witnesses = dict(zip(um.rel_labels, _term_images(um.rel_terms, images, X)))
-    commutes = _gamma_matrix(um, X, w) == f.mat()
-    return FactorizationResult(w, witnesses, commutes)
-
-
-def _gamma_matrix(um: UniversalAModule, X: MatrixARep,
-                  theta: dict[tuple[int, int], Vec]) -> Mat:
-    """Matrix of (Id_U (x) theta) o rho as a map Z -> U (x) X."""
-    m, q = um.U.dim, X.dim
-    rows = m * q
-    mat = linalg.zeros(rows, um.Z.dim)
-    for r in range(1, um.Z.dim + 1):
-        for s in range(1, m + 1):
-            vec = theta[(s, r)]
-            for t in range(q):
-                mat[(s - 1) * q + t][r - 1] = vec[t]
-    return mat
+    return _factorize(um._adjunction(X), f, "U (x) X")
 
 
 def gamma(um: UniversalAModule, X: MatrixARep,
           theta: dict[tuple[int, int], Vec]) -> LinearMap:
     """The adjunction bijection: a well-defined A-module map theta on the
     generators of U(U,Z) yields the equivariant map (Id_U (x) theta) o rho."""
-    images = {um.pos(s, r): v for (s, r), v in theta.items()}
-    for label, img in zip(um.rel_labels, _term_images(um.rel_terms, images, X)):
-        if any(img):
-            raise ValueError(f"theta is ill-defined: relation {label}"
-                             f" maps to {linalg.vec_str(img)}")
-    f = LinearMap.from_matrix(_gamma_matrix(um, X, theta), um.Z.dim)
-    TX = tensor_lie_module(um.U, X, verify=False)
-    if not is_module_morphism(f, um.Z, TX.result):
-        raise AssertionError("gamma produced a non-equivariant map")
-    return f
+    return _gamma(um._adjunction(X), theta, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +388,14 @@ def identity_presented_map(um: UniversalAModule) -> PresentedMap:
 def _induced_map(
     um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
 ) -> PresentedMap:
-    """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr'."""
-    images: dict[int, ModuleVector] = {}
-    for s in range(1, um_x.U.dim + 1):
-        for r in range(1, um_x.Z.dim + 1):
-            acc = um_y.free.zero()
-            col = f.apply(um_x.Z.basis_vector(r))
-            for rp, c in enumerate(col, start=1):
-                if c:
-                    acc = acc + um_y.free.basis_vector(um_y.pos(s, rp)).mul_term(
-                        um_y.A.ring._one_mono, c
-                    )
-            images[um_x.pos(s, r)] = um_y.nf(acc)
-    return PresentedMap(um_x, um_y, images)
+    """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr',
+    the s-th component of rho_Y(f(x_r))."""
+    rho = [um_y.rho(f.apply(um_x.Z.basis_vector(r))).components
+           for r in range(1, um_x.Z.dim + 1)]
+    return PresentedMap(um_x, um_y, {
+        um_x.pos(s, r): rho[r - 1][s - 1]
+        for s in range(1, um_x.U.dim + 1) for r in range(1, um_x.Z.dim + 1)
+    })
 
 
 def functor_on_morphism_U(
@@ -486,20 +496,6 @@ class PBWVector:
             comps[p] = comps[p] + e if p in comps else e
         return PBWVector(self.vm, comps)
 
-    def __sub__(self, other: "PBWVector") -> "PBWVector":
-        comps = dict(self.components)
-        for p, e in other.components.items():
-            comps[p] = comps[p] - e if p in comps else -e
-        return PBWVector(self.vm, comps)
-
-    def scale(self, c: Scalar) -> "PBWVector":
-        return PBWVector(self.vm, {p: e.scale(c) for p, e in self.components.items()})
-
-    def act_generator(self, t: int) -> "PBWVector":
-        """Left action of the t-th basis element of h."""
-        gen = PBWElement.generator(self.vm.A.h, t)
-        return PBWVector(self.vm, {p: gen * e for p, e in self.components.items()})
-
     def is_zero(self) -> bool:
         return not self.components
 
@@ -522,14 +518,13 @@ class UniversalLieHModule:
         self.W = W
         self.rank = W.dim * V.dim
         self.relgens, self.rel_labels = self._relations()
+        # The relations as (p, word, c) terms, for evaluation in targets.
+        self.rel_terms = tuple(_pbw_words(v) for v in self.relgens)
 
     # generator ordering (r,s) lexicographic
     def pos(self, r: int, s: int) -> int:
         """1-based (W index r, V index s) -> 0-based generator position."""
         return (r - 1) * self.V.dim + (s - 1)
-
-    def generator(self, r: int, s: int) -> PBWVector:
-        return PBWVector(self, {self.pos(r, s): PBWElement.unit(self.A.h)})
 
     def _relations(self) -> tuple[list[PBWVector], list[tuple[int, int, int]]]:
         A, V, W = self.A, self.V, self.W
@@ -538,21 +533,35 @@ class UniversalLieHModule:
         for s in range(1, V.dim + 1):
             for r in range(1, W.dim + 1):
                 for j in range(1, A.g.dim + 1):
-                    acc = PBWVector(self, {})
+                    comps: dict[int, PBWElement] = {}
                     for p in range(1, W.dim + 1):
                         sigma = W.action[j - 1][r - 1][p - 1]
                         if sigma:
-                            acc = acc + self.generator(p, s).scale(sigma)
+                            q, add = self.pos(p, s), PBWElement(A.h, {(): sigma})
+                            comps[q] = comps[q] + add if q in comps else add
                     for k in range(1, V.dim + 1):
                         for t in range(1, A.h.dim + 1):
                             gam = V.matrix(t, j)[s - 1][k - 1]
                             if gam:
-                                acc = acc - self.generator(r, k).act_generator(
-                                    t
-                                ).scale(gam)
-                    gens.append(acc)
+                                q, sub = self.pos(r, k), PBWElement(A.h, {(t,): -gam})
+                                comps[q] = comps[q] + sub if q in comps else sub
+                    gens.append(PBWVector(self, comps))
                     labels.append((s, r, j))
         return gens, labels
+
+    def _adjunction(self, Y: LieModule) -> "_Adjunction":
+        """V(V,W) against Y: y_rs sits at rows (a,s) of Y (x) V, column r."""
+        if Y.algebra != self.A.h:
+            raise ValueError("target must be a Lie module over h")
+        T = tensor_lie_module(Y, self.V, verify=False)
+        layout = [
+            ((r, s), self.pos(r, s), r - 1,
+             [T.position(a, s) for a in range(1, Y.dim + 1)])
+            for r in range(1, self.W.dim + 1) for s in range(1, self.V.dim + 1)
+        ]
+        mats = [Y.action_matrix(t) for t in range(1, Y.algebra.dim + 1)]
+        return _Adjunction(self.W, T.result, mats, Y.dim,
+                           self.rel_terms, self.rel_labels, layout)
 
     def tau_images(self) -> dict[int, list[tuple[int, int]]]:
         """tau(w_r) = sum_s y_rs (x) v_s, recorded as generator index pairs."""
@@ -568,69 +577,19 @@ def build_universal_lie_hmodule(
     return UniversalLieHModule(A, V, W)
 
 
-def _lie_images(vectors: list[PBWVector], images: dict[int, Vec],
-                Y: LieModule) -> Iterator[Vec]:
-    """Images of free PBW vectors in the Lie h-module Y, one at a time: a word
-    (t1, ..., tk) acts as e_t1 after ... after e_tk."""
-    mats = [Y.action_matrix(i) for i in range(1, Y.algebra.dim + 1)]
-    for v in vectors:
-        yield _evaluate(
-            ((p, tuple(t - 1 for t in w), c)
-             for p, e in v.components.items() for w, c in e.terms.items()),
-            mats, images, Y.dim,
-        )
-
-
 def factorize_lie(
     vm: UniversalLieHModule, Y: LieModule, f: LinearMap
 ) -> FactorizationResult:
     """Factor an equivariant f: W -> Y (x) V through the universal Lie
-    h-module."""
-    if Y.algebra != vm.A.h:
-        raise ValueError("target must be a Lie module over h")
-    TY = tensor_lie_module(Y, vm.V, verify=False)
-    if not is_module_morphism(f, vm.W, TY.result):
-        raise ValueError("f is not a morphism of Lie g-modules into Y (x) V")
-    l = vm.V.dim
-    c: dict[tuple[int, int], Vec] = {}
-    for r in range(1, vm.W.dim + 1):
-        col = f.apply(vm.W.basis_vector(r))
-        for s in range(1, l + 1):
-            c[(r, s)] = [col[TY.position(a + 1, s)] for a in range(Y.dim)]
-    images = {vm.pos(r, s): c[(r, s)] for (r, s) in c}
-    witnesses = dict(zip(vm.rel_labels, _lie_images(vm.relgens, images, Y)))
-    commutes = _gamma_lie_matrix(vm, Y, c) == f.mat()
-    return FactorizationResult(c, witnesses, commutes)
-
-
-def _gamma_lie_matrix(vm: UniversalLieHModule, Y: LieModule,
-                      theta: dict[tuple[int, int], Vec]) -> Mat:
-    """Matrix of (theta (x) Id_V) o tau as a map W -> Y (x) V."""
-    l = vm.V.dim
-    rows = Y.dim * l
-    mat = linalg.zeros(rows, vm.W.dim)
-    for r in range(1, vm.W.dim + 1):
-        for s in range(1, l + 1):
-            vec = theta[(r, s)]
-            for a in range(Y.dim):
-                mat[a * l + (s - 1)][r - 1] = vec[a]
-    return mat
+    h-module: f(w_r) = sum_s theta(y_rs) (x) v_s."""
+    return _factorize(vm._adjunction(Y), f, "Y (x) V")
 
 
 def gamma_lie(vm: UniversalLieHModule, Y: LieModule,
               theta: dict[tuple[int, int], Vec]) -> LinearMap:
     """Adjunction bijection for V(V,W): theta on generators, well-defined,
     yields the equivariant map (theta (x) Id_V) o tau."""
-    images = {vm.pos(r, s): v for (r, s), v in theta.items()}
-    for label, img in zip(vm.rel_labels, _lie_images(vm.relgens, images, Y)):
-        if any(img):
-            raise ValueError(f"theta is ill-defined: relation {label}"
-                             f" maps to {linalg.vec_str(img)}")
-    f = LinearMap.from_matrix(_gamma_lie_matrix(vm, Y, theta), vm.W.dim)
-    TY = tensor_lie_module(Y, vm.V, verify=False)
-    if not is_module_morphism(f, vm.W, TY.result):
-        raise AssertionError("gamma_lie produced a non-equivariant map")
-    return f
+    return _gamma(vm._adjunction(Y), theta, "gamma_lie")
 
 
 @dataclass
@@ -654,8 +613,9 @@ class LiePresentedMap:
 
     def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
         """Compose with a factorization target map given on target generators."""
-        pushed = _lie_images(list(self.images.values()), images, Y)
-        return dict(zip(self.images, pushed))
+        mats = [Y.action_matrix(t) for t in range(1, Y.algebra.dim + 1)]
+        return {p: _evaluate(_pbw_words(v), mats, images, Y.dim)
+                for p, v in self.images.items()}
 
 
 def functor_on_morphism_V(
@@ -667,13 +627,12 @@ def functor_on_morphism_V(
         raise ValueError("the A-module argument must coincide")
     if not is_module_morphism(f, vm_x.W, vm_y.W):
         raise ValueError("f is not a morphism of Lie g-modules")
+    h = vm_y.A.h
     images: dict[int, PBWVector] = {}
     for r in range(1, vm_x.W.dim + 1):
         col = f.apply(vm_x.W.basis_vector(r))
         for s in range(1, vm_x.V.dim + 1):
-            acc = PBWVector(vm_y, {})
-            for rp, cc in enumerate(col, start=1):
-                if cc:
-                    acc = acc + vm_y.generator(rp, s).scale(cc)
-            images[vm_x.pos(r, s)] = acc
+            images[vm_x.pos(r, s)] = PBWVector(vm_y, {
+                vm_y.pos(rp, s): PBWElement(h, {(): c}) for rp, c in enumerate(col, 1)
+            })
     return LiePresentedMap(vm_x, vm_y, images)

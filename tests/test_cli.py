@@ -211,6 +211,37 @@ def test_check_adjunction(capsys):
     assert "adjunction-round-trip" in out
 
 
+def test_check_adjunction_rejects_a_file_that_is_not_an_a_module(capsys, tmp_path):
+    # x11 acts as 1 and every other generator as 0: the relation
+    # x11 - x11*x33 + x13*x31 of A(sl2, sl2) evaluates to 1, not 0.
+    bad = tmp_path / "bad.rep"
+    bad.write_text("module bad\nover universal\nkind assoc-matrix\ndim 1\n"
+                   "mat 1 1: 1:1\n")
+    code = main(["check", "adjunction", fx("sl2.alg"), fx("sl2.alg"),
+                 fx("adjoint_sl2.mod"), fx("trivial1_sl2.mod"), str(bad),
+                 fx("zero3x1.mor")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {bad}: not an A-module:\n")
+
+
+@pytest.mark.parametrize("command,files,golden", [
+    ("factorize amod", ["sl2.alg", "sl2.alg", "natural2_sl2.mod", "natural2_sl2.mod",
+                        "counit3.rep", "identity2.mor"],
+     "factorize_amod_sl2_natural2.txt"),
+    ("factorize liemod", ["sl2.alg", "sl2.alg", "counit3.rep", "adjoint_sl2.mod",
+                          "adjoint_sl2.mod", "identity3.mor"],
+     "factorize_liemod_sl2_adjoint.txt"),
+    ("univliemod", ["sl2.alg", "sl2.alg", "counit3.rep", "adjoint_sl2.mod"],
+     "univliemod_sl2_adjoint.txt"),
+])
+def test_adjunction_reports_match_golden(capsys, command, files, golden):
+    # Identity maps, so the images are not all zero as in test_check_adjunction.
+    code, out = run(capsys, *command.split(), *map(fx, files))
+    with open(fx(os.path.join("golden", golden))) as fh:
+        assert (code, out) == (0, fh.read())
+
+
 def test_coalgebra_subcommand(capsys):
     code, out = run(capsys, "coalgebra", fx("abelian1.alg"), fx("scaling1.mod"))
     assert code == 0

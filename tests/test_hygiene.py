@@ -75,3 +75,61 @@ def test_true_division_is_reported():
         "def f(a, b):\n    return Fraction(a, b) + a // b + a % b\n"
     )
     assert true_divisions(exact) == []
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name a syntax tree refers to: variables, attributes, imported
+    names and strings that are identifiers (``__all__``, ``setattr``)."""
+    names: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                names.add(n.value)
+    return names
+
+
+def dead_private_helpers(sources: dict[str, str], users: list[str]) -> list[str]:
+    """Module-level private functions and classes of ``sources`` (file name ->
+    text) that no other top-level statement names, in ``sources`` or in
+    ``users``.  A helper that only names itself, by recursion, is dead."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    statements += [stmt for text in users for stmt in ast.parse(text).body]
+    named = [(stmt, _names(stmt)) for stmt in statements]
+    dead = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(other is not stmt and name in names for other, names in named):
+                dead.append(f"{file} line {stmt.lineno}: {name}")
+    return dead
+
+
+def test_no_dead_private_helpers():
+    tests = Path(__file__).resolve().parent
+    assert dead_private_helpers(
+        {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))},
+        [path.read_text() for path in sorted(tests.rglob("*.py"))],
+    ) == []
+
+
+def test_dead_private_helper_is_reported():
+    src = (
+        "def _used():\n    return 1\n\n\n"
+        "def _dead(n):\n    return _dead(n - 1) if n else 0\n\n\n"
+        "class _Dead:\n    pass\n\n\n"
+        "x = _used()\n"
+    )
+    assert dead_private_helpers({"m.py": src}, []) == [
+        "m.py line 5: _dead", "m.py line 9: _Dead"]
+    assert dead_private_helpers({"m.py": src}, ["from m import _dead, _Dead\n"]) == []

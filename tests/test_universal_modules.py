@@ -17,8 +17,7 @@ from univalg.pbw import PBWElement
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
-    _arep_images,
-    _lie_images,
+    _evaluate,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -248,7 +247,7 @@ def test_relation_images_match_dense_formula_U(A_sl2, sl2_alg, U_name, Z_name, s
     keys = [(s, i) for s in range(1, 4) for i in range(1, 4)]
     X = MatrixARep(A_sl2, 2, dict(zip(keys, _seeded_matrices(rng, len(keys)))))
     images = _seeded_images(rng, um.rank)
-    got = list(_arep_images(um.relgens, images, X))
+    got = [_evaluate(terms, X.all_matrices(), images, X.dim) for terms in um.rel_terms]
     assert got == [_dense_arep_image(gen, images, X) for gen in um.relgens]
     assert any(any(v) for v in got)  # the comparison is not between zeros
 
@@ -259,7 +258,8 @@ def test_relation_images_match_dense_formula_V(A_sl2, sl2_alg, seed):
     rng = Random(seed)
     Y = LieModule.from_matrices(sl2_alg, _seeded_matrices(rng, 3), name="seeded2")
     images = _seeded_images(rng, vm.rank)
-    got = list(_lie_images(vm.relgens, images, Y))
+    mats = [Y.action_matrix(t) for t in range(1, sl2_alg.dim + 1)]
+    got = [_evaluate(terms, mats, images, Y.dim) for terms in vm.rel_terms]
     assert got == [_dense_lie_image(gen, images, Y) for gen in vm.relgens]
     assert any(any(v) for v in got)
 
@@ -310,6 +310,29 @@ def test_gamma_rejects_theta_of_wrong_length(A_sl2, sl2_alg):
             for wrong in (vec + [ONE], vec[:-1]):
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     bijection(*target, {**theta, key: wrong})
+
+
+@pytest.mark.parametrize("theta", [
+    {(1, 1): [ONE, Fraction(5)]},         # one coordinate too many
+    {(1, 1): [ONE], (2, 2): [ONE]},       # a key that names no generator
+    {},                                   # no generator given
+    {(1, 1): []},                         # an empty vector
+], ids=["long", "stray-key", "empty", "short"])
+@pytest.mark.parametrize("side", ["U", "V"])
+def test_gamma_rejects_malformed_theta(A_sl2, sl2_alg, side, theta):
+    # Every relation maps to zero here whatever theta is (U(trivial1, trivial1)
+    # has no nonzero relation at all), so only a check of theta's shape can
+    # catch a malformed one.
+    t1 = LieModule.trivial(sl2_alg, 1)
+    counit = MatrixARep.counit(A_sl2)
+    if side == "U":
+        obj, target, bijection = build_universal_amodule(A_sl2, t1, t1), counit, gamma
+    else:
+        obj, target = build_universal_lie_hmodule(A_sl2, counit, t1), t1
+        bijection = gamma_lie
+    assert bijection(obj, target, {(1, 1): [ONE]}).mat() == [[ONE]]
+    with pytest.raises(ValueError, match="^theta"):
+        bijection(obj, target, theta)
 
 
 # ---------------------------------------------------------------------------
