@@ -103,10 +103,6 @@ class UniversalAlgebra:
         """1-based (s,i) -> 0-based variable index."""
         return (s - 1) * self.g.dim + (i - 1)
 
-    def x(self, s: int, i: int) -> Polynomial:
-        """The generator x_si as a (normal form) polynomial."""
-        return self.reduce(self.ring.var(self.var_index(s, i))).value
-
     def reduce(self, p: Polynomial) -> "AlgebraElement":
         if p.ring != self.ring:
             raise ValueError("polynomial from a different variable set")

@@ -490,15 +490,6 @@ class PBWVector:
         self.vm = vm
         self.components = {p: e for p, e in components.items() if not e.is_zero()}
 
-    def __add__(self, other: "PBWVector") -> "PBWVector":
-        comps = dict(self.components)
-        for p, e in other.components.items():
-            comps[p] = comps[p] + e if p in comps else e
-        return PBWVector(self.vm, comps)
-
-    def is_zero(self) -> bool:
-        return not self.components
-
     def __eq__(self, other):
         return isinstance(other, PBWVector) and self.components == other.components
 
@@ -600,16 +591,6 @@ class LiePresentedMap:
     source: UniversalLieHModule
     target: UniversalLieHModule
     images: dict[int, PBWVector]
-
-    def apply(self, v: PBWVector) -> PBWVector:
-        out = PBWVector(self.target, {})
-        for p, e in v.components.items():
-            img = self.images[p]
-            moved = {
-                tp: e * te for tp, te in img.components.items()
-            }
-            out = out + PBWVector(self.target, moved)
-        return out
 
     def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
         """Compose with a factorization target map given on target generators."""

@@ -6,6 +6,8 @@ from random import Random
 
 from univalg import linalg
 from univalg.lie import LieAlgebra, LieModule, LinearMap, direct_sum, sl2
+from univalg.modgb import ModuleVector
+from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
 
 ZERO = Fraction(0)
@@ -156,3 +158,67 @@ def random_arep_morphism(rng: Random, V: MatrixARep, W: MatrixARep) -> LinearMap
             flat = [x + c * y for x, y in zip(flat, b)]
     mat = [[flat[t * src + s] for s in range(src)] for t in range(tgt)]
     return LinearMap.from_matrix(mat, src)
+
+
+def reference_delta_of_vector(sq, v):
+    """TensorSquare.delta_of_vector through the ring map Delta of B, applied
+    to each coefficient polynomial as a whole."""
+    um = sq.um
+    out = {}
+    for p, q in v.components.items():
+        l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
+        dq = q.map_coeffs_and_vars(sq.ring2, sq.bial._delta_images)
+        for s in range(1, um.U.dim + 1):
+            sq.add_term(out, (um.pos(l, s), um.pos(s, t)), dq)
+    return out
+
+
+def reference_tensor_normal_form(sq, elem, rows):
+    """TensorSquare.normal_form as a loop over exact scalars: the rows are the
+    module normal forms of x^m e_p, memoised in ``rows``, and every product
+    and sum is a Fraction operation."""
+    um = sq.um
+    n2 = um.A.ring.nvars
+
+    def row(pos, m):
+        if (pos, m) not in rows:
+            v = um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
+            rows[(pos, m)] = {q: p.terms for q, p in v.components.items()}
+        return rows[(pos, m)]
+
+    acc = {}
+    for (p1, p2), q in elem.items():
+        for m, c in q.terms.items():
+            row2 = row(p2, m[n2:])
+            for q1, f1 in row(p1, m[:n2]).items():
+                for q2, f2 in row2.items():
+                    terms = acc.setdefault((q1, q2), {})
+                    for m1, c1 in f1.items():
+                        c1 = Fraction(c1) * c
+                        for m2, c2 in f2.items():
+                            m12 = m1 + m2
+                            terms[m12] = terms.get(m12, ZERO) + c1 * c2
+    out = {}
+    for key, terms in acc.items():
+        p = Polynomial(sq.ring2, terms)
+        if not p.is_zero():
+            out[key] = p
+    return out
+
+
+def tensor_square_inputs(um, sq):
+    """What the coalgebra certificates give TensorSquare: the vectors whose
+    Delta they take (every relation, every generator y_lt and every
+    x_ab . y_lt), and the tensor elements x_ab . Delta(y_lt)."""
+    n, m = um.A.h.dim, um.U.dim
+    gens = [um.free.basis_vector(um.pos(l, t))
+            for l in range(1, m + 1) for t in range(1, m + 1)]
+    vectors = list(um.relgens) + gens
+    acted = []
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            xab = um.A.ring.var(um.A.var_index(a, b))
+            for y in gens:
+                vectors.append(um.act(xab, y))
+                acted.append(sq.bmodule_act(a, b, sq.delta_of_vector(y)))
+    return vectors, acted

@@ -93,6 +93,22 @@ def test_univalg_golden_pass(capsys):
     assert "golden-ideal-match pass" in out
 
 
+golden = cli.golden_sl2_polynomials
+
+
+@pytest.mark.parametrize("wrong_golden", [
+    lambda ring: golden(ring)[1:],
+    lambda ring: golden(ring) + [ring.var(0)],
+], ids=["one-polynomial-dropped", "x11-added"])
+def test_univalg_golden_fail(capsys, monkeypatch, wrong_golden):
+    # Dropping a polynomial leaves A's ideal outside the golden one; adding
+    # X[1,1] (1 at the identity of sl2) leaves the golden ideal outside A's.
+    monkeypatch.setattr(cli, "golden_sl2_polynomials", wrong_golden)
+    code, out = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), "--golden")
+    assert code == 1
+    assert "golden-ideal-match fail" in out
+
+
 def test_univalg_deterministic_output(capsys, tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["univalg", fx("sl2.alg"), fx("sl2.alg"), "--golden",

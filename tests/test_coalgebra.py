@@ -1,7 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (
+    reference_delta_of_vector,
+    reference_tensor_normal_form,
+    tensor_square_inputs,
+)
 from univalg.coalgebra import (
     CoalgebraOnU,
     FiniteCoalgebraModule,
@@ -13,6 +20,7 @@ from univalg.coalgebra import (
 )
 from univalg import linalg, modgb
 from univalg.lie import LieAlgebra, LieModule, LinearMap
+from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import build_universal_amodule
@@ -196,3 +204,71 @@ def test_wrong_bmodule_action_fails_certificate(um_adjoint, coalg_adjoint,
     sq = coalg_adjoint.square
     monkeypatch.setattr(sq, "bmodule_act", wrong_action(sq.bmodule_act))
     assert not verify_bmodule_coalgebra(um_adjoint, coalg_adjoint).ok
+
+
+@pytest.mark.parametrize("which", ["um_natural2", "um_adjoint"])
+def test_tensor_square_matches_fraction_reference(request, B_sl2, which):
+    um = request.getfixturevalue(which)
+    sq = CoalgebraOnU(um, B_sl2).square
+    vectors, acted = tensor_square_inputs(um, sq)
+    rows = {}
+    nonzero = 0
+    for v in vectors:
+        elem = sq.delta_of_vector(v)
+        assert elem == reference_delta_of_vector(sq, v)
+        got = sq.normal_form(elem)
+        assert got == reference_tensor_normal_form(sq, elem, rows)
+        nonzero += bool(got)
+    for elem in acted:
+        assert sq.normal_form(elem) == reference_tensor_normal_form(sq, elem, rows)
+    assert nonzero
+
+
+# Terms of the doubled ring of A(sl2, sl2): exponents of at most two of the 18
+# variables, coefficients with denominators 1 to 12 and either sign.
+doubled_terms = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.dictionaries(st.integers(0, 17), st.integers(1, 2), max_size=2),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@given(doubled_terms)
+@settings(max_examples=60, deadline=None)
+def test_tensor_normal_form_matches_reference_on_random_terms(um_natural2, B_sl2,
+                                                              terms):
+    sq = CoalgebraOnU(um_natural2, B_sl2).square
+    elem = {}
+    for key, exps, c in terms:
+        m = tuple(exps.get(k, 0) for k in range(18))
+        sq.add_term(elem, key, Polynomial(sq.ring2, {m: linalg.scalar(c)}))
+    assert sq.normal_form(elem) == reference_tensor_normal_form(sq, elem, {})
+
+
+@pytest.mark.parametrize("certificate", [
+    lambda um, C: C.verify(),
+    lambda um, C: verify_bmodule_coalgebra(um, C),
+], ids=["verify", "bmodule-coalgebra"])
+@pytest.mark.parametrize("which", ["um_natural2", "um_adjoint"])
+def test_doubled_row_denominator_fails_certificates(request, B_sl2, monkeypatch,
+                                                    which, certificate):
+    # The first nonzero integer row a certificate builds gets twice its
+    # denominator, i.e. half its value.
+    um = request.getfixturevalue(which)
+    C = CoalgebraOnU(um, B_sl2)
+    build = C.square._row
+    doubled = []
+
+    def wrong_row(pos, m):
+        den, nums = build(pos, m)
+        if nums and not doubled:
+            doubled.append((pos, m))
+            den *= 2
+        return den, nums
+
+    monkeypatch.setattr(C.square, "_row", wrong_row)
+    assert not certificate(um, C).ok
+    assert doubled

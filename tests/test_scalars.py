@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_equivariant_map
+from helpers import random_equivariant_map, tensor_square_inputs
 from univalg import linalg
+from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import parse_algebra_text
 from univalg.lie import LieModule, LinearMap, is_module_morphism, validate_lie_module
 from univalg.linalg import scalar
@@ -268,3 +269,17 @@ def test_adjunction_on_scaled_tables_stays_exact(universal, A_sl2, t, seed):
     back = gamma(um, X, res.images)
     assert back == f
     assert exact(res.images, res.witnesses, back)
+
+
+@pytest.mark.parametrize("which", ["um_natural2", "um_adjoint"])
+def test_tensor_square_scalars_follow_the_rule(request, B_sl2, which):
+    # Delta and the integer normal form over one common denominator store an
+    # integral coefficient as an int and only a genuine fraction as Fraction.
+    um = request.getfixturevalue(which)
+    sq = CoalgebraOnU(um, B_sl2).square
+    vectors, acted = tensor_square_inputs(um, sq)
+    elems = [sq.delta_of_vector(v) for v in vectors] + acted
+    out = [c for e in elems for c in scalars([e, sq.normal_form(e)])]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in out)
+    assert {type(c) for c in out} == {int, Fraction}
