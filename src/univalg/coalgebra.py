@@ -177,7 +177,9 @@ class TensorSquare:
 class CoalgebraOnU:
     """Delta and epsilon on U(U), with their well-definedness certificates."""
 
-    laws: Report  # the verify() report, kept by build_coalgebra
+    # The verify() and verify_comodule reports, kept by build_coalgebra.
+    laws: Report
+    comodule: Report
 
     def __init__(self, um: UniversalAModule, bial: BialgebraStructure | None = None):
         if not um.A.is_same_hg():
@@ -227,18 +229,6 @@ class CoalgebraOnU:
         f = LinearMap.from_matrix(linalg.identity(um.U.dim))  # U -> U (x) k
         return factorize_through_universal(um, X, f)
 
-    def delta_by_factorization(self) -> Report:
-        """Recover Delta as the factorization of (rho (x) id) o rho and confirm
-        it coincides with the closed formula; verify covers well-definedness."""
-        m = self.um.U.dim
-        bad = tuple(
-            Violation("delta-uniqueness", (l, r), "differs")
-            for l in range(1, m + 1)
-            for r in range(1, m + 1)
-            if not self._delta_matches_coaction(l, r)
-        )
-        return Report(bad)
-
 
 def bmodule_on_tensor_square(um: UniversalAModule,
                              bial: BialgebraStructure | None = None) -> Report:
@@ -263,7 +253,8 @@ def bmodule_on_tensor_square(um: UniversalAModule,
 
 def build_coalgebra(um: UniversalAModule,
                     bial: BialgebraStructure | None = None) -> CoalgebraOnU:
-    """Build and certify the coalgebra structure on U(U); raises on failure."""
+    """Build and certify the coalgebra structure on U(U), keeping the reports
+    of the laws and of the comodule axioms; raises on failure."""
     C = CoalgebraOnU(um, bial)
     C.laws = C.verify()
     if not C.laws.ok:
@@ -275,35 +266,25 @@ def build_coalgebra(um: UniversalAModule,
         expect = ONE if s == r else ZERO
         if vec != [expect]:
             raise AssertionError("epsilon factorization does not give delta_lt")
-    rep = C.delta_by_factorization()
+    C.comodule = rep = verify_comodule(um, C)
     if not rep.ok:
-        raise AssertionError(f"Delta uniqueness check failed:\n{rep}")
+        raise AssertionError(f"comodule axioms fail:\n{rep}")
     return C
 
 
-@dataclass(frozen=True)
-class ComoduleCertificate:
-    coassoc_witnesses: tuple[bool, ...]
-    counit_witnesses: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.coassoc_witnesses) and all(self.counit_witnesses)
-
-
-def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> ComoduleCertificate:
-    """Both right-comodule axioms for (U, rho) on every basis vector of U."""
+def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> Report:
+    """Both right-comodule axioms for (U, rho) on every basis vector u_r of U:
+    Delta matches the coaction (so Delta is the factorization of
+    (rho (x) id) o rho) and epsilon(y_lr) = delta_lr."""
     m = um.U.dim
-    coassoc = []
-    counit = []
-    for r in range(1, m + 1):
-        coassoc.append(all(C._delta_matches_coaction(l, r) for l in range(1, m + 1)))
-        counit.append(all(
-            C.epsilon(um.nf(um.free.basis_vector(um.pos(l, r))))
-            == (ONE if l == r else ZERO)
-            for l in range(1, m + 1)
-        ))
-    return ComoduleCertificate(tuple(coassoc), tuple(counit))
+    return Report(tuple(
+        Violation("comodule-axiom", (r,), "fails")
+        for r in range(1, m + 1)
+        if not all(C._delta_matches_coaction(l, r)
+                   and C.epsilon(um.nf(um.free.basis_vector(um.pos(l, r))))
+                   == (ONE if l == r else ZERO)
+                   for l in range(1, m + 1))
+    ))
 
 
 def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:

@@ -8,6 +8,7 @@ deterministic text so parse(render(x)) == x.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .lie import LieAlgebra, LieModule, LinearMap, Report, validate_lie_algebra
@@ -31,11 +32,15 @@ class ValidationError(Exception):
     """Well-formed file describing an invalid object."""
 
 
+# A rational is "p" or "p/q", q nonzero, in ASCII digits: no float syntax,
+# whose exponent Fraction would expand, no underscores and no other digits.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _rat(path: str, line_no: int, text: str) -> Scalar:
-    try:
-        return scalar(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(path, line_no, f"bad rational {text!r}") from None
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(path, line_no, f"bad rational {text!r}")
+    return scalar(text)
 
 
 def _int(path: str, line_no: int, text: str) -> int:

@@ -157,8 +157,10 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, Scalar]):
+        # An integral Fraction is stored as its int numerator (linalg.scalar).
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: c if type(c) is int or c.denominator != 1 else c.numerator
+                      for m, c in terms.items() if c}
 
     # -- structure ---------------------------------------------------------
 

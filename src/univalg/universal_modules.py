@@ -60,6 +60,11 @@ class UniversalAModule:
     """U(U,Z) presented over the polynomial ring of A by the relation vectors
     of its defining family, with the ideal of A folded into the module basis."""
 
+    # The check_relations and check_rho_equivariance reports, kept by
+    # build_universal_amodule.
+    relation_report: Report
+    equivariance_report: Report
+
     def __init__(self, A: UniversalAlgebra, U: LieModule, Z: LieModule,
                  budget: int = DEFAULT_PAIR_BUDGET):
         if U.algebra != A.h:
@@ -185,12 +190,12 @@ def build_universal_amodule(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> UniversalAModule:
     """Construct U(U,Z) and verify its defining relations and the equivariance
-    of the structure map."""
+    of the structure map, keeping both reports; raises on failure."""
     um = UniversalAModule(A, U, Z, budget=budget)
-    rep = um.check_relations()
+    um.relation_report = rep = um.check_relations()
     if not rep.ok:
         raise AssertionError(f"defining relations fail in U(U,Z):\n{rep}")
-    rep = um.check_rho_equivariance()
+    um.equivariance_report = rep = um.check_rho_equivariance()
     if not rep.ok:
         raise AssertionError(f"structure map is not equivariant:\n{rep}")
     return um
@@ -203,23 +208,17 @@ def build_universal_amodule(
 
 @dataclass
 class FactorizationResult:
-    """Unique factoring map given on generators, with zero-reduction witnesses
-    per relation and the diagram-commutes flag."""
+    """The factoring map theta on generators, with the image of every relation
+    under theta as its witness.  theta is unique because the generators
+    generate the universal object; it is well defined when every witness is
+    zero, and then Gamma(theta) = f is the commuting diagram."""
 
     images: dict[tuple[int, int], Vec]  # generator (1-based pair) -> target vector
     witnesses: dict[tuple[int, int, int], Vec]
-    commutes: bool
-
-    @property
-    def unique(self) -> bool:
-        """Always true, by construction of the presentation: the generators
-        y_sr generate the universal module, and the diagram fixes each
-        generator image theta(y_sr) coordinate by coordinate."""
-        return True
 
     @property
     def ok(self) -> bool:
-        return self.commutes and all(not any(w) for w in self.witnesses.values())
+        return all(not any(w) for w in self.witnesses.values())
 
 
 def _evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
@@ -306,8 +305,7 @@ def _factorize(adj: _Adjunction, f: LinearMap, into: str) -> FactorizationResult
         raise ValueError(f"f is not a morphism of Lie g-modules into {into}")
     fm = f.mat()
     theta = {key: [fm[row][col] for row in rows] for key, _, col, rows in adj.layout}
-    witnesses = dict(zip(adj.labels, adj.relation_images(theta)))
-    return FactorizationResult(theta, witnesses, adj.matrix(theta) == fm)
+    return FactorizationResult(theta, dict(zip(adj.labels, adj.relation_images(theta))))
 
 
 def _gamma(adj: _Adjunction, theta: dict[tuple[int, int], Vec], name: str) -> LinearMap:
@@ -427,24 +425,14 @@ def functor_on_morphism_U(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DirectSumCertificate:
-    """Mutually inverse generator-level maps between U(U, W1 (+) W2) and
-    U(U,W1) (+) U(U,W2), with relation-preservation witnesses both ways."""
-
-    forward_ok: bool      # relations of the sum map to zero in the summands
-    backward_ok: bool     # relations of each summand map to zero in the sum
-    round_trip_ok: bool   # both composites are the identity on generators
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_ok and self.backward_ok and self.round_trip_ok
-
-
 def direct_sum_check(
     A: UniversalAlgebra, U: LieModule, W1: LieModule, W2: LieModule,
     budget: int = DEFAULT_PAIR_BUDGET,
-) -> DirectSumCertificate:
+) -> Report:
+    """Mutually inverse generator-level maps between U(U, W1 (+) W2) and
+    U(U,W1) (+) U(U,W2): the relations of the sum map to zero in the summands
+    (forward) and those of each summand to zero in the sum (backward), and
+    both composites are the identity on generators (round trip)."""
     ds = direct_sum(W1, W2)
     um_sum = build_universal_amodule(A, U, ds.module, budget=budget)
     um_1 = build_universal_amodule(A, U, W1, budget=budget)
@@ -454,25 +442,25 @@ def direct_sum_check(
     p2 = _induced_map(um_sum, um_2, ds.proj2)
     i1 = _induced_map(um_1, um_sum, ds.inj1)
     i2 = _induced_map(um_2, um_sum, ds.inj2)
-    forward_ok = all(
-        p1.apply(gen).is_zero() and p2.apply(gen).is_zero() for gen in um_sum.relgens
-    )
-    backward_ok = all(i1.apply(gen).is_zero() for gen in um_1.relgens) and all(
-        i2.apply(gen).is_zero() for gen in um_2.relgens
-    )
+    bad: list[Violation] = []
+    if not all(p1.apply(gen).is_zero() and p2.apply(gen).is_zero()
+               for gen in um_sum.relgens):
+        bad.append(Violation("direct-sum-forward", (), "relations not preserved"))
+    if not (all(i1.apply(gen).is_zero() for gen in um_1.relgens)
+            and all(i2.apply(gen).is_zero() for gen in um_2.relgens)):
+        bad.append(Violation("direct-sum-backward", (), "relations not preserved"))
     # i1 p1 + i2 p2 = id on the sum, and p_a i_b = delta_ab id on the summands.
     c1, c2 = i1.compose(p1), i2.compose(p2)
     both = PresentedMap(
         um_sum, um_sum, {p: c1.images[p] + c2.images[p] for p in c1.images}
     )
-    round_trip_ok = (
-        both.equals_on_generators(identity_presented_map(um_sum))
-        and p1.compose(i1).equals_on_generators(identity_presented_map(um_1))
-        and p2.compose(i2).equals_on_generators(identity_presented_map(um_2))
-        and all(v.is_zero() for v in p2.compose(i1).images.values())
-        and all(v.is_zero() for v in p1.compose(i2).images.values())
-    )
-    return DirectSumCertificate(forward_ok, backward_ok, round_trip_ok)
+    if not (both.equals_on_generators(identity_presented_map(um_sum))
+            and p1.compose(i1).equals_on_generators(identity_presented_map(um_1))
+            and p2.compose(i2).equals_on_generators(identity_presented_map(um_2))
+            and all(v.is_zero() for v in p2.compose(i1).images.values())
+            and all(v.is_zero() for v in p1.compose(i2).images.values())):
+        bad.append(Violation("direct-sum-round-trip", (), "not identity"))
+    return Report(tuple(bad))
 
 
 # ---------------------------------------------------------------------------

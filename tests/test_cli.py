@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from univalg import cli
+from univalg import cli, universal_modules
 from univalg.cli import main
-from univalg.coalgebra import CoalgebraOnU
+from univalg.coalgebra import CoalgebraOnU, TensorSquare
 from univalg.formats import (
     ParseError,
     parse_algebra_text,
@@ -18,6 +18,7 @@ from univalg.formats import (
 )
 from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2
 from univalg.poly import LEX
+from univalg.universal_modules import UniversalAModule
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 ONE = Fraction(1)
@@ -250,6 +251,13 @@ def test_check_adjunction_rejects_a_file_that_is_not_an_a_module(capsys, tmp_pat
      "factorize_liemod_sl2_adjoint.txt"),
     ("univliemod", ["sl2.alg", "sl2.alg", "counit3.rep", "adjoint_sl2.mod"],
      "univliemod_sl2_adjoint.txt"),
+    ("univmod", ["sl2.alg", "sl2.alg", "natural2_sl2.mod", "natural2_sl2.mod"],
+     "univmod_sl2_natural2.txt"),
+    ("check comodule", ["sl2.alg", "natural2_sl2.mod"],
+     "check_comodule_sl2_natural2.txt"),
+    ("check direct-sum", ["sl2.alg", "sl2.alg", "adjoint_sl2.mod", "adjoint_sl2.mod",
+                          "trivial1_sl2.mod"],
+     "check_direct-sum_sl2_adjoint.txt"),
 ])
 def test_adjunction_reports_match_golden(capsys, command, files, golden):
     # Identity maps, so the images are not all zero as in test_check_adjunction.
@@ -286,6 +294,74 @@ def test_check_coalgebra_verifies_laws_once(capsys, monkeypatch):
     code, out = run(capsys, "check", "coalgebra", fx("abelian1.alg"), fx("scaling1.mod"))
     assert code == 0 and "check coalgebra-laws\nstatus pass" in out
     assert len(calls) == 1
+
+
+def test_univmod_runs_each_check_once(capsys, monkeypatch):
+    calls = []
+    for name in ("check_relations", "check_rho_equivariance"):
+        check = getattr(UniversalAModule, name)
+
+        def counted(self, name=name, check=check):
+            calls.append(name)
+            return check(self)
+
+        monkeypatch.setattr(UniversalAModule, name, counted)
+    code, out = run(capsys, "univmod", fx("abelian1.alg"), fx("abelian1.alg"),
+                    fx("scaling1.mod"), fx("scaling1.mod"))
+    assert code == 0 and "check structure-map-equivariance\nstatus pass" in out
+    assert sorted(calls) == ["check_relations", "check_rho_equivariance"]
+
+
+@pytest.mark.parametrize("command", ["coalgebra", "check coalgebra", "check comodule"])
+def test_coalgebra_compares_delta_with_coaction_once(capsys, monkeypatch, command):
+    calls = []
+    matches = CoalgebraOnU._delta_matches_coaction
+
+    def counted(self, l, r):
+        calls.append((l, r))
+        return matches(self, l, r)
+
+    monkeypatch.setattr(CoalgebraOnU, "_delta_matches_coaction", counted)
+    code, _ = run(capsys, *command.split(), fx("sl2.alg"), fx("natural2_sl2.mod"))
+    assert code == 0
+    assert sorted(calls) == [(l, r) for l in (1, 2) for r in (1, 2)]
+
+
+@pytest.mark.parametrize("command", ["check coalgebra", "check comodule", "coalgebra"])
+def test_swapped_delta_exits_1(capsys, monkeypatch, command):
+    # Delta(y_lr) = sum_s y_sr (x) y_ls, the two tensor factors exchanged.
+    right_way = TensorSquare.delta_of_vector
+
+    def swapped(sq, v):
+        n2 = sq.um.A.ring.nvars
+        xs = [sq.ring2.var(k) for k in range(2 * n2)]
+        flip = xs[n2:] + xs[:n2]
+        return {(b, a): p.map_coeffs_and_vars(sq.ring2, flip)
+                for (a, b), p in right_way(sq, v).items()}
+
+    monkeypatch.setattr(TensorSquare, "delta_of_vector", swapped)
+    code = main([*command.split(), fx("sl2.alg"), fx("natural2_sl2.mod")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ")
+
+
+def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
+    # Every induced map sends y_sr to twice its image, so no composite is the
+    # identity.
+    induced = universal_modules._induced_map
+
+    def doubled(um_x, um_y, f):
+        fbar = induced(um_x, um_y, f)
+        fbar.images = {p: v.scale(2) for p, v in fbar.images.items()}
+        return fbar
+
+    monkeypatch.setattr(universal_modules, "_induced_map", doubled)
+    code, out = run(capsys, "check", "direct-sum", fx("sl2.alg"), fx("sl2.alg"),
+                    fx("adjoint_sl2.mod"), fx("adjoint_sl2.mod"), fx("trivial1_sl2.mod"))
+    assert code == 1
+    assert out == ("check direct-sum\nstatus fail\n"
+                   "item direct-sum-round-trip (): not identity\n")
 
 
 @pytest.mark.parametrize("files", [
@@ -365,6 +441,31 @@ def test_bare_size_line_is_parse_error(parse, text):
     with pytest.raises(ParseError, match="takes one integer|repeated") as exc:
         parse(text)
     assert exc.value.line_no == text.count("\n")
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5", "1e10000000", "1_0", "\u0663", "1/2/3", "/2",
+                                  "1/0", "3/00"])
+def test_rational_outside_p_or_p_over_q_is_parse_error(text):
+    # Only [+-]digits(/digits) is a rational; float syntax such as 1e10000000
+    # would otherwise reach Fraction, which expands the exponent.
+    with pytest.raises(ParseError, match="bad rational") as exc:
+        parse_morphism_text(f"rows 1\ncols 1\nrow 1: {text}\n")
+    assert exc.value.line_no == 3
+
+
+def test_rational_forms_parse():
+    f = parse_morphism_text("rows 1\ncols 5\nrow 1: 3 -2/4 +7 0/5 1/010\n")
+    assert f.mat() == [[3, Fraction(-1, 2), 7, 0, Fraction(1, 10)]]
+
+
+@pytest.mark.parametrize("text", ["1e5", "0.5"])
+def test_float_syntax_exit_2(capsys, tmp_path, text):
+    bad = tmp_path / "f.mor"
+    bad.write_text(f"morphism f\nrows 1\ncols 1\nrow 1: {text}\n")
+    code = main(["factorize", "amod", fx("abelian1.alg"), fx("abelian1.alg"),
+                 fx("scaling1.mod"), fx("scaling1.mod"), fx("counit1.rep"), str(bad)])
+    assert code == 2
+    assert f"f.mor:4: bad rational {text!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", ["0", "-2"])

@@ -19,7 +19,7 @@ from univalg.coalgebra import (
     verify_comodule,
 )
 from univalg import linalg, modgb
-from univalg.lie import LieAlgebra, LieModule, LinearMap
+from univalg.lie import LieAlgebra, LieModule, LinearMap, Report
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import build_universal_algebra
@@ -65,9 +65,8 @@ def test_abelian_grouplike(abelian_setup):
 
 def test_sl2_coalgebra_certificates(um_adjoint, coalg_adjoint):
     assert coalg_adjoint.verify().ok
-    cert = verify_comodule(um_adjoint, coalg_adjoint)
-    assert len(cert.coassoc_witnesses) == 3 and len(cert.counit_witnesses) == 3
-    assert cert.ok
+    assert verify_comodule(um_adjoint, coalg_adjoint) == Report()
+    assert coalg_adjoint.comodule == Report()
 
 
 def test_sl2_relations_vanish_in_tensor_square(um_adjoint, coalg_adjoint):
@@ -87,10 +86,6 @@ def test_epsilon_factorization_reproduces_delta(um_adjoint, coalg_adjoint):
     assert result.ok
     for (s, r), vec in result.images.items():
         assert vec == [ONE if s == r else ZERO]
-
-
-def test_delta_uniqueness_via_factorization(um_adjoint, coalg_adjoint):
-    assert coalg_adjoint.delta_by_factorization().ok
 
 
 def test_grouplike_to_grouplike_theta(abelian_setup):
@@ -173,8 +168,8 @@ def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
                 for (a, b), p in right_way(v).items()}
 
     sq.delta_of_vector = swapped
-    assert not verify_comodule(um_adjoint, C).ok
-    assert not C.delta_by_factorization().ok
+    rep = verify_comodule(um_adjoint, C)
+    assert rep.violations and {v.check for v in rep.violations} == {"comodule-axiom"}
 
 
 def test_delta_reuses_reduced_basis_vectors(um_adjoint, B_sl2, monkeypatch):

@@ -94,33 +94,78 @@ def _names(node: ast.AST) -> set[str]:
     return names
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _parse(sources: dict[str, str], users: list[str]):
+    """The trees of ``sources`` (file name -> text), and every top-level
+    statement of ``sources`` and ``users`` with the names it refers to."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    statements += [stmt for text in users for stmt in ast.parse(text).body]
+    return trees, [(stmt, _names(stmt)) for stmt in statements]
+
+
+def _named_elsewhere(name: str, stmt: ast.stmt, named) -> bool:
+    return any(other is not stmt and name in names for other, names in named)
+
+
 def dead_private_helpers(sources: dict[str, str], users: list[str]) -> list[str]:
     """Module-level private functions and classes of ``sources`` (file name ->
     text) that no other top-level statement names, in ``sources`` or in
     ``users``.  A helper that only names itself, by recursion, is dead."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    statements = [stmt for tree in trees.values() for stmt in tree.body]
-    statements += [stmt for text in users for stmt in ast.parse(text).body]
-    named = [(stmt, _names(stmt)) for stmt in statements]
+    trees, named = _parse(sources, users)
     dead = []
     for file, tree in trees.items():
         for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(stmt, _DEFS):
                 continue
             name = stmt.name
             if not name.startswith("_") or name.startswith("__"):
                 continue
-            if not any(other is not stmt and name in names for other, names in named):
+            if not _named_elsewhere(name, stmt, named):
                 dead.append(f"{file} line {stmt.lineno}: {name}")
     return dead
 
 
+def dead_public_api(sources: dict[str, str], users: list[str]) -> list[str]:
+    """Public module-level functions and classes of ``sources``, and public
+    methods of their module-level classes, that nothing outside their own
+    definition names, in ``sources`` or in ``users``.  Names are matched, not
+    resolved: a method counts as used wherever any attribute of its name is
+    read, and a re-export from a package's ``__init__`` counts as a use."""
+    trees, named = _parse(sources, users)
+    dead = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, _DEFS):
+                continue
+            if not stmt.name.startswith("_") and not _named_elsewhere(
+                    stmt.name, stmt, named):
+                dead.append(f"{file} line {stmt.lineno}: {stmt.name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for meth in stmt.body:
+                if not isinstance(meth, _DEFS) or meth.name.startswith("_"):
+                    continue
+                rest = [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                        *(node for node in stmt.body if node is not meth)]
+                if not any(meth.name in _names(node) for node in rest) and \
+                        not _named_elsewhere(meth.name, stmt, named):
+                    dead.append(f"{file} line {meth.lineno}: {stmt.name}.{meth.name}")
+    return dead
+
+
+def _sources_and_users(*dirs: str) -> tuple[dict[str, str], list[str]]:
+    """univalg's modules, and the code under ``dirs`` of the repository."""
+    root = SRC.parent.parent
+    users = [path for d in dirs for path in sorted((root / d).rglob("*.py"))]
+    return ({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))},
+            [path.read_text() for path in users])
+
+
 def test_no_dead_private_helpers():
-    tests = Path(__file__).resolve().parent
-    assert dead_private_helpers(
-        {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))},
-        [path.read_text() for path in sorted(tests.rglob("*.py"))],
-    ) == []
+    assert dead_private_helpers(*_sources_and_users("tests")) == []
 
 
 def test_dead_private_helper_is_reported():
@@ -133,3 +178,25 @@ def test_dead_private_helper_is_reported():
     assert dead_private_helpers({"m.py": src}, []) == [
         "m.py line 5: _dead", "m.py line 9: _Dead"]
     assert dead_private_helpers({"m.py": src}, ["from m import _dead, _Dead\n"]) == []
+
+
+def test_no_dead_public_api():
+    assert dead_public_api(*_sources_and_users("tests", "bench")) == []
+
+
+def test_dead_public_api_is_reported():
+    src = (
+        "def used():\n    return Box().get()\n\n\n"
+        "def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
+        "class Box:\n"
+        "    def get(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def spare(self):\n        return self.spare()\n\n"
+        "    def _private(self):\n        return 0\n\n\n"
+        "class Unused:\n    pass\n"
+    )
+    assert dead_public_api({"m.py": src}, []) == [
+        "m.py line 1: used", "m.py line 5: dead", "m.py line 16: Box.spare",
+        "m.py line 23: Unused"]
+    users = ["from m import used, dead, Unused\n\nused().spare()\n"]
+    assert dead_public_api({"m.py": src}, users) == []

@@ -283,3 +283,31 @@ def test_tensor_square_scalars_follow_the_rule(request, B_sl2, which):
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in out)
     assert {type(c) for c in out} == {int, Fraction}
+
+
+def integral_as_int(*outputs) -> bool:
+    """Every scalar inside the outputs is an int, or a Fraction that is not
+    integral."""
+    found = list(scalars(outputs))
+    return bool(found) and all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in found)
+
+
+def test_polynomial_arithmetic_stores_integral_results_as_int():
+    R = PolyRing(["x", "y"])
+    half = R.const(Fraction(1, 2))
+    for p in (half * R.const(2), half + half, half.scale(2), half.mul_term((1, 0), 2),
+              R.const(Fraction(3, 2)) - half,
+              Polynomial(R, {(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 3)})):
+        assert integral_as_int(p)
+
+
+def test_module_basis_and_normal_forms_store_integral_results_as_int(um_natural2):
+    # The basis of U(natural2, natural2) and the normal forms of
+    # x_i x_(i+4) e_p hold genuine halves and quarters beside integers.
+    um = um_natural2
+    ring = um.A.ring
+    forms = [um.nf(ModuleVector(um.free, {p: ring.var(i) * ring.var(i + 4)}))
+             for i in range(ring.nvars - 4) for p in range(um.rank)]
+    assert integral_as_int(um.mgb.generators, forms)
+    assert any(type(c) is Fraction for c in scalars([um.mgb.generators, forms]))
