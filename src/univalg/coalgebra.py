@@ -223,7 +223,9 @@ class CoalgebraOnU:
 
     def epsilon_by_factorization(self) -> FactorizationResult:
         """Recover epsilon as the factorization of can_U through the counit
-        representation of B."""
+        representation of B.  build_coalgebra does not run it: the counit
+        axiom of verify_comodule checks epsilon(y_lr) = delta_lr on the
+        epsilon that C uses."""
         um = self.um
         X = MatrixARep.counit(um.A)
         f = LinearMap.from_matrix(linalg.identity(um.U.dim))  # U -> U (x) k
@@ -259,13 +261,6 @@ def build_coalgebra(um: UniversalAModule,
     C.laws = C.verify()
     if not C.laws.ok:
         raise AssertionError(f"coalgebra verification failed:\n{C.laws}")
-    eps = C.epsilon_by_factorization()
-    if not eps.ok:
-        raise AssertionError("epsilon factorization failed")
-    for (s, r), vec in eps.images.items():
-        expect = ONE if s == r else ZERO
-        if vec != [expect]:
-            raise AssertionError("epsilon factorization does not give delta_lt")
     C.comodule = rep = verify_comodule(um, C)
     if not rep.ok:
         raise AssertionError(f"comodule axioms fail:\n{rep}")
@@ -367,7 +362,7 @@ def universal_coalgebra_map(
     if not rep.ok:
         raise ValueError(f"X is not a coalgebra:\n{rep}")
     m, q = um.U.dim, X.rep.dim
-    T = tensor_lie_module(um.U, X.rep, verify=False)
+    T = tensor_lie_module(um.U, X.rep)
     if not is_module_morphism(psi, um.U, T.result):
         raise ValueError("psi is not a morphism of Lie h-modules")
     psi_m = psi.mat()

@@ -11,7 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .lie import LieAlgebra, LieModule, LinearMap, Report, validate_lie_algebra
+from .lie import (
+    LieAlgebra,
+    LieModule,
+    LinearMap,
+    Report,
+    validate_lie_algebra,
+    validate_lie_module,
+)
 from .linalg import Mat, Scalar, scalar
 from .representations import MatrixARep
 from .universal_algebra import UniversalAlgebra
@@ -284,8 +291,6 @@ def parse_module_text(text: str, path: str = "<string>",
         for s, c in pairs:
             action[i - 1][j - 1][s - 1] = c
     M = LieModule(algebra, dim, action, name=name)
-    from .lie import validate_lie_module
-
     rep = validate_lie_module(M)
     if not rep.ok:
         raise ValidationError(f"{path}: not a Lie module:\n{rep}")

@@ -48,6 +48,23 @@ def _table(dim1: int, dim2: int, dim3: int) -> list[list[list[Scalar]]]:
     return [[[ZERO] * dim3 for _ in range(dim2)] for _ in range(dim1)]
 
 
+def _bilinear(table: list[list[list[Scalar]]], x: Vec, y: Vec, dim: int) -> Vec:
+    """The bilinear map of a structure-constant table: sum over i, j of
+    x_i y_j table[i][j], a vector of length ``dim``."""
+    out = [ZERO] * dim
+    for xi, plane in zip(x, table):
+        if not xi:
+            continue
+        for yj, row in zip(y, plane):
+            if not yj:
+                continue
+            c = xi * yj
+            for s, t in enumerate(row):
+                if t:
+                    out[s] += c * t
+    return out
+
+
 class LieAlgebra:
     """Lie algebra given by its bracket table c[i][j][s] with
     [b_i, b_j] = sum_s c[i][j][s] b_s (0-based internally)."""
@@ -86,18 +103,7 @@ class LieAlgebra:
     def bracket(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                if not y[j]:
-                    continue
-                c = x[i] * y[j]
-                for s in range(self.dim):
-                    if self.table[i][j][s]:
-                        out[s] += c * self.table[i][j][s]
-        return out
+        return _bilinear(self.table, x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vec:
         """1-based basis vector."""
@@ -209,18 +215,7 @@ class LieModule:
     def act(self, x: Vec, v: Vec) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.dim:
             raise ValueError("vector length mismatch in module action")
-        out = [ZERO] * self.dim
-        for i in range(self.algebra.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                if not v[j]:
-                    continue
-                c = x[i] * v[j]
-                for s in range(self.dim):
-                    if self.action[i][j][s]:
-                        out[s] += c * self.action[i][j][s]
-        return out
+        return _bilinear(self.action, x, v, self.dim)
 
     def basis_vector(self, j: int) -> Vec:
         v = [ZERO] * self.dim
@@ -317,11 +312,9 @@ def is_module_morphism(f: LinearMap, M: LieModule, N: LieModule) -> bool:
         raise ValueError("modules over different algebras")
     if f.source_dim != M.dim or f.target_dim != N.dim:
         raise ValueError("map dimensions do not match the modules")
-    fm = f.matrix
-    return all(
-        linalg.mat_mul(fm, M.action_matrix(i)) == linalg.mat_mul(N.action_matrix(i), fm)
-        for i in range(1, M.algebra.dim + 1)
-    )
+    gens = range(1, M.algebra.dim + 1)
+    return linalg.intertwines(f.matrix, map(M.action_matrix, gens),
+                              map(N.action_matrix, gens))
 
 
 @dataclass(frozen=True)
@@ -337,25 +330,16 @@ def direct_sum(M1: LieModule, M2: LieModule) -> DirectSum:
     """Block-diagonal direct sum with injections and projections."""
     if M1.algebra != M2.algebra:
         raise ValueError("direct sum requires modules over the same algebra")
-    n = M1.algebra.dim
-    d1, d2 = M1.dim, M2.dim
-    action = _table(n, d1 + d2, d1 + d2)
-    for i in range(n):
-        for j in range(d1):
-            for s in range(d1):
-                action[i][j][s] = M1.action[i][j][s]
-        for j in range(d2):
-            for s in range(d2):
-                action[i][d1 + j][d1 + s] = M2.action[i][j][s]
-    M = LieModule(M1.algebra, d1 + d2, action,
+    d1, d = M1.dim, M1.dim + M2.dim
+    action = [linalg.block_diag(a1, a2) for a1, a2 in zip(M1.action, M2.action)]
+    M = LieModule(M1.algebra, d, action,
                   name=f"{M1.name or '?'}(+){M2.name or '?'}")
-    i1 = LinearMap.from_matrix(
-        [[ONE if r == c else ZERO for c in range(d1)] for r in range(d1 + d2)], d1)
-    i2 = LinearMap.from_matrix(
-        [[ONE if r == d1 + c else ZERO for c in range(d2)] for r in range(d1 + d2)], d2)
-    p1 = LinearMap.from_matrix(
-        [[ONE if c == r else ZERO for c in range(d1 + d2)] for r in range(d1)], d1 + d2)
-    p2 = LinearMap.from_matrix(
-        [[ONE if c == d1 + r else ZERO for c in range(d1 + d2)] for r in range(d2)],
-        d1 + d2)
-    return DirectSum(M, i1, i2, p1, p2)
+    # The injections are column blocks, the projections row blocks, of 1_d.
+    one = linalg.identity(d)
+    return DirectSum(
+        M,
+        LinearMap.from_matrix([row[:d1] for row in one], d1),
+        LinearMap.from_matrix([row[d1:] for row in one], d - d1),
+        LinearMap.from_matrix(one[:d1], d),
+        LinearMap.from_matrix(one[d1:], d),
+    )

@@ -7,11 +7,19 @@ integer-only work runs on machine-size ints, and a genuine fraction stays a
 ``scalar(Fraction(a, b))``, which keeps it exact for ``int`` operands too.
 Everything here works on row-major lists of lists of scalars.  Dimensions are
 desk scale (tens), so sparsity goes no further than skipping zero entries.
+
+The constructions that several modules share live here once: the block sum
+of two matrices (``block_diag``, for direct sums of Lie modules and of
+A-modules), the intertwining test F M_i = N_i F (``intertwines``, for maps of
+Lie modules and of A-modules), the pairs of non-commuting matrices
+(``noncommuting_pairs``) and the image of a free vector given by words in
+matrices (``evaluate``, for the relations of A, of U(U,Z) and of V(V,W)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 Scalar = int | Fraction
 Vec = list[Scalar]
@@ -112,6 +120,48 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 def is_zero_mat(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
+
+
+def noncommuting_pairs(mats: list[Mat]) -> Iterator[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of the matrices with a nonzero
+    commutator, in lexicographic order."""
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            if not is_zero_mat(commutator(mats[a], mats[b])):
+                yield a, b
+
+
+def intertwines(f: Mat, ms: Iterable[Mat], ns: Iterable[Mat]) -> bool:
+    """True iff F M_i = N_i F for each pair (M_i, N_i) of ``zip(ms, ns)``;
+    the pairs are tested in order, up to the first that fails."""
+    return all(mat_mul(f, m) == mat_mul(n, f) for m, n in zip(ms, ns))
+
+
+def block_diag(a: Mat, b: Mat) -> Mat:
+    """The square block-diagonal matrix with the square ``a`` above ``b``."""
+    d1, d2 = len(a), len(b)
+    return ([list(row) + [ZERO] * d2 for row in a]
+            + [[ZERO] * d1 + list(row) for row in b])
+
+
+def evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
+    """Image of one free vector under the module map sending position p to
+    images[p].
+
+    The vector is given as terms (p, word, c).  A word is a tuple of indices
+    into ``mats`` and acts right to left: (a, b) sends v to a(b(v)).
+    """
+    out = [ZERO] * dim
+    for p, word, c in terms:
+        v = images[p]
+        if dim and len(v) != dim:
+            raise ValueError("matrix/vector dimension mismatch")
+        for a in reversed(word):
+            v = mat_vec(mats[a], v)
+        for i, x in enumerate(v):
+            if x:
+                out[i] += c * x
+    return out
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -8,9 +8,9 @@ canonical representatives over the quotient ring.
 The Groebner work is done by the engine in :mod:`univalg.poly`, of which an
 ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
-a larger int.  ``module_buchberger``, ``module_normal_form`` and the lead
-table a ``ModuleGroebnerBasis`` caches are the only places here that pack
-vectors into such terms or unpack them.
+a larger int.  This module packs and unpacks nothing itself: its fronts call
+``poly._pack``, ``poly._unpack`` and ``poly._basis_table``, which serve ideals
+and modules alike.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from .poly import (
     Monomial,
     PolyRing,
     Polynomial,
+    _basis_table,
     _buchberger,
-    _Codec,
     _codec_of,
-    _lead_table,
     _LeadTable,
+    _pack,
     _reduce,
-    _row,
-    _Terms,
+    _unpack,
+    render,
 )
 
 
@@ -114,8 +114,6 @@ class ModuleVector:
         )))
 
     def __repr__(self):
-        from .poly import render
-
         if self.is_zero():
             return "ModuleVector(0)"
         parts = [f"({render(q)})*e{p + 1}" for p, q in sorted(self.components.items())]
@@ -136,39 +134,15 @@ class ModuleGroebnerBasis:
     @cached_property
     def _table(self) -> _LeadTable:
         """Lead table of the generators, built on first use for the reducer."""
-        codec = _codec_of(self.module.ring)
-        return _lead_table(
-            (_row(_terms(g.components, codec), codec) for g in self.generators),
-            codec,
-        )
-
-
-def _terms(components: dict[int, Polynomial], codec: _Codec) -> _Terms:
-    """Packed terms of a vector given by its components."""
-    terms: _Terms = {}
-    for p, q in components.items():
-        shift = p << codec.top
-        for m, c in q.terms.items():
-            terms[codec.monomial(m) - shift] = c
-    return terms
-
-
-def _vector(module: FreeModule, terms: _Terms, codec: _Codec) -> ModuleVector:
-    comps: dict[int, dict[Monomial, Scalar]] = {}
-    for t, c in terms.items():
-        p, m = codec.unpack(t)
-        comps.setdefault(p, {})[m] = c
-    ring = module.ring
-    return ModuleVector(module, {p: Polynomial(ring, ts) for p, ts in comps.items()})
+        return _basis_table(self.module.ring, (g.components for g in self.generators))
 
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
     codec = _codec_of(v.module.ring)
-    return _vector(
-        v.module, _reduce(_terms(v.components, codec), mgb._table, codec), codec
-    )
+    terms = _reduce(_pack(v.components, codec), mgb._table, codec)
+    return ModuleVector(v.module, _unpack(terms, v.module.ring, codec))
 
 
 def module_buchberger(
@@ -185,19 +159,20 @@ def module_buchberger(
     ResourceBudgetError once more than ``budget`` S-pairs have been taken from
     the queue.
     """
-    codec = _codec_of(module.ring)
+    ring = module.ring
+    codec = _codec_of(ring)
     copies = [] if ring_ideal is None else [
-        _terms({p: j}, codec)
+        _pack({p: j}, codec)
         for j in ring_ideal.generators
         for p in range(module.rank)
     ]
     basis = _buchberger(
-        (_terms(g.components, codec) for g in gens),
+        (_pack(g.components, codec) for g in gens),
         copies,
         codec,
         budget,
         "module_buchberger",
     )
     return ModuleGroebnerBasis(
-        module, tuple(_vector(module, t, codec) for t in basis)
+        module, tuple(ModuleVector(module, _unpack(t, ring, codec)) for t in basis)
     )

@@ -12,10 +12,11 @@ The Buchberger engine here serves both ideals and submodules of free modules
 position-over-term order; an ideal is the rank-1 case, with every term at
 position 0.  Inside the engine each term is one packed int whose integer
 order is the term order: multiplying by a monomial is an addition and a
-divisibility test is one mask (see "packed terms" below).  Tuple monomials are
-packed and unpacked only at the fronts: ``buchberger``/``groebner``,
-``normal_form``, ``s_polynomial`` and the lead table a ``GroebnerBasis``
-caches; exponents above ``MAX_EXPONENT`` raise ``ExponentOverflowError``.
+divisibility test is one mask (see "packed terms" below).  ``_pack`` and
+``_unpack`` are the one packer and unpacker of terms and ``_basis_table`` the
+one builder of a basis's cached lead table, for ideals and modules alike: a
+polynomial p is the vector {0: p}.  Exponents above ``MAX_EXPONENT`` raise
+``ExponentOverflowError``.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(m)
+
+
+def mono_word(m: Monomial) -> tuple[int, ...]:
+    """The variables of ``m`` with multiplicity, in ring order: the word of
+    (2, 0, 1) is (0, 0, 2)."""
+    return tuple(i for i, e in enumerate(m) for _ in range(e))
 
 
 class PolyRing:
@@ -259,18 +266,6 @@ class Polynomial:
             out += v
         return out
 
-    def eval_matrices(self, mats: list) -> list:
-        """Evaluate at commuting square matrices (one per variable)."""
-        dim = len(mats[0]) if mats else 0
-        out = linalg.zeros(dim, dim)
-        for m, c in self.terms.items():
-            acc = linalg.identity(dim)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    acc = linalg.mat_mul(acc, mats[i])
-            out = linalg.mat_add(out, linalg.mat_scale(c, acc))
-        return out
-
     def __repr__(self):
         return f"Polynomial({render(self)})"
 
@@ -298,10 +293,7 @@ class GroebnerBasis:
     @cached_property
     def _table(self) -> "_LeadTable":
         """Lead table of the generators, built on first use for the reducer."""
-        codec = _codec_of(self.ring)
-        return _lead_table(
-            (_row(_terms(g, codec), codec) for g in self.generators), codec
-        )
+        return _basis_table(self.ring, ({0: g} for g in self.generators))
 
     def lead_monomials(self) -> list[Monomial]:
         return [g.lead_monomial() for g in self.generators]
@@ -329,9 +321,8 @@ class GroebnerBasis:
 # position is a difference of keys.  ``sign * key`` (sign -1 for degrevlex,
 # +1 for lex) carries E in its low BN bits, so a lead l divides a term t at
 # its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
-# negative borrows and sets its guard bit.  The fronts (``buchberger``,
-# ``normal_form``, ``s_polynomial``, the module fronts in modgb and the cached
-# ``_table`` of a basis) are the only places that pack or unpack.
+# negative borrows and sets its guard bit.  Only ``_pack`` and ``_unpack``
+# convert between vectors and packed terms.
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -430,8 +421,31 @@ _Row = tuple[int, int, int, list[tuple[int, Scalar]]]
 _LeadTable = dict[int, list[_Row]]
 
 
-def _terms(p: Polynomial, codec: _Codec) -> _Terms:
-    return {codec.monomial(m): c for m, c in p.terms.items()}
+def _pack(vector: dict[int, Polynomial], codec: _Codec) -> _Terms:
+    """Packed terms of a vector given by its components, position -> nonzero
+    polynomial; a polynomial p is the vector {0: p}."""
+    terms: _Terms = {}
+    for p, q in vector.items():
+        shift = p << codec.top
+        for m, c in q.terms.items():
+            terms[codec.monomial(m) - shift] = c
+    return terms
+
+
+def _unpack(terms: _Terms, ring: PolyRing, codec: _Codec) -> dict[int, Polynomial]:
+    """The components, position -> polynomial, of the vector with packed
+    ``terms``: the inverse of ``_pack``."""
+    comps: dict[int, dict[Monomial, Scalar]] = {}
+    for t, c in terms.items():
+        p, m = codec.unpack(t)
+        comps.setdefault(p, {})[m] = c
+    return {p: Polynomial(ring, ts) for p, ts in comps.items()}
+
+
+def _basis_table(ring: PolyRing, vectors: Iterable[dict[int, Polynomial]]) -> _LeadTable:
+    """Lead table of the monic multiples of nonzero ``vectors``, in order."""
+    codec = _codec_of(ring)
+    return _lead_table((_row(_pack(v, codec), codec) for v in vectors), codec)
 
 
 def _row(terms: _Terms, codec: _Codec) -> _Row:
@@ -613,25 +627,19 @@ def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
     return [{row[1]: ONE, **_reduce(dict(row[3]), table, codec)} for row in kept]
 
 
-def _poly(ring: PolyRing, terms: _Terms, codec: _Codec) -> Polynomial:
-    return Polynomial(ring, {codec.unpack(t)[1]: c for t, c in terms.items()})
-
-
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
     codec = _codec_of(p.ring)
-    return _poly(p.ring, _reduce(_terms(p, codec), gb._table, codec), codec)
+    nf = _unpack(_reduce(_pack({0: p}, codec), gb._table, codec), p.ring, codec)
+    return nf.get(0, p.ring.zero())
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     codec = _codec_of(f.ring)
-    return _poly(
-        f.ring,
-        _s_terms(_row(_terms(f, codec), codec), _row(_terms(g, codec), codec), codec),
-        codec,
-    )
+    a, b = (_row(_pack({0: q}, codec), codec) for q in (f, g))
+    return _unpack(_s_terms(a, b, codec), f.ring, codec).get(0, f.ring.zero())
 
 
 def buchberger(
@@ -659,9 +667,9 @@ def buchberger(
         raise ValueError("generators live in different rings")
     codec = _codec_of(ring)
     basis = _buchberger(
-        (_terms(g, codec) for g in gens), (), codec, budget, "buchberger"
+        (_pack({0: g}, codec) for g in gens), (), codec, budget, "buchberger"
     )
-    return GroebnerBasis(ring, tuple(_poly(ring, t, codec) for t in basis))
+    return GroebnerBasis(ring, tuple(_unpack(t, ring, codec)[0] for t in basis))
 
 
 def empty_basis(ring: PolyRing) -> GroebnerBasis:

@@ -3,7 +3,10 @@ the tensor-product Lie module construction they induce.
 
 A matrix representation assigns a square matrix to each generator x_si; it is
 valid when the matrices commute pairwise and every defining relation of A
-evaluates to the zero matrix.
+evaluates to the zero matrix.  Direct sums, the intertwining test, the
+commutators and the evaluation of relations are the shared ``linalg``
+helpers ``block_diag``, ``intertwines``, ``noncommuting_pairs`` and
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from .lie import (
     LinearMap,
     Report,
     Violation,
+    is_module_morphism,
     validate_lie_module,
 )
 from .linalg import Mat, scalar
+from .poly import mono_word
 from .universal_algebra import UniversalAlgebra
 
 ZERO = 0
@@ -83,26 +88,16 @@ class MatrixARep:
     def direct_sum(self, other: "MatrixARep") -> "MatrixARep":
         if self.owner is not other.owner and self.owner.ring != other.owner.ring:
             raise ValueError("representations of different universal algebras")
-        mats = {}
-        for key, m1 in self.mats.items():
-            m2 = other.mats[key]
-            d1, d2 = self.dim, other.dim
-            blk = linalg.zeros(d1 + d2, d1 + d2)
-            for r in range(d1):
-                for c in range(d1):
-                    blk[r][c] = m1[r][c]
-            for r in range(d2):
-                for c in range(d2):
-                    blk[d1 + r][d1 + c] = m2[r][c]
-            mats[key] = blk
+        mats = {key: linalg.block_diag(m, other.mats[key]) for key, m in self.mats.items()}
         return MatrixARep(self.owner, self.dim + other.dim, mats,
                           name=f"{self.name}(+){other.name}")
 
 
 def validate_arep(R: MatrixARep) -> Report:
     """Empty report iff all relation evaluations vanish and the generator
-    matrices commute pairwise."""
-    bad: list[Violation] = []
+    matrices commute pairwise.  A relation is evaluated on each basis column,
+    its monomials as the products M_0^e0 ... M_k^ek of the generator matrices
+    in ring order."""
     if R.dim == 0:
         return Report()
     mats = R.all_matrices()
@@ -110,18 +105,12 @@ def validate_arep(R: MatrixARep) -> Report:
         if len(m) != R.dim or any(len(row) != R.dim for row in m):
             return Report((Violation("shape", (), "matrices must be dim x dim"),))
     keys = list(R.mats)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            if not linalg.is_zero_mat(
-                linalg.commutator(R.mats[keys[a]], R.mats[keys[b]])
-            ):
-                bad.append(
-                    Violation("commutativity", keys[a] + keys[b], "nonzero commutator")
-                )
+    bad = [Violation("commutativity", keys[a] + keys[b], "nonzero commutator")
+           for a, b in linalg.noncommuting_pairs([R.mats[key] for key in keys])]
+    columns = linalg.identity(R.dim)
     for label, gen in zip(R.owner.labels, R.owner.jgens):
-        if gen.is_zero():
-            continue
-        if not linalg.is_zero_mat(gen.eval_matrices(mats)):
+        terms = [(0, mono_word(m), c) for m, c in gen.terms.items()]
+        if any(any(linalg.evaluate(terms, mats, {0: e}, R.dim)) for e in columns):
             bad.append(Violation("relation", label, "relation matrix nonzero"))
     return Report(tuple(bad))
 
@@ -173,63 +162,46 @@ class TensorGModule:
         return (l - 1) * self.V.dim + (t - 1)
 
 
-def tensor_lie_module(U: LieModule, V: MatrixARep, verify: bool = True) -> TensorGModule:
-    """Endow U (x) V with its Lie g-module structure; optionally re-verify the
-    Lie module axiom on all basis data."""
-    T = TensorGModule(U, V)
-    if verify:
-        rep = validate_lie_module(T.result)
-        if not rep.ok:
-            raise AssertionError(f"tensor module fails the Lie axiom:\n{rep}")
-    return T
+def tensor_lie_module(U: LieModule, V: MatrixARep) -> TensorGModule:
+    """Endow U (x) V with its Lie g-module structure."""
+    return TensorGModule(U, V)
 
 
 def is_arep_morphism(f: LinearMap, V: MatrixARep, W: MatrixARep) -> bool:
     """True iff f intertwines the generator matrices of V and W."""
     if f.source_dim != V.dim or f.target_dim != W.dim:
         raise ValueError("map dimensions do not match the representations")
-    fm = f.mat()
-    for key in V.mats:
-        lhs = linalg.mat_mul(fm, V.mats[key]) if fm else []
-        rhs = linalg.mat_mul(W.mats[key], fm) if fm else []
-        if lhs != rhs:
-            return False
-    return True
+    return linalg.intertwines(f.matrix, V.mats.values(), (W.mats[key] for key in V.mats))
 
 
-def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep, W: MatrixARep,
-                       verify: bool = True) -> LinearMap:
-    """id_U (x) g as a map between the two tensor Lie modules."""
+def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep,
+                       W: MatrixARep) -> LinearMap:
+    """id_U (x) g as a map between the two tensor Lie modules, checked
+    equivariant."""
     if not is_arep_morphism(g, V, W):
         raise ValueError("g is not an A-module map")
     out = LinearMap.from_matrix(
         linalg.kron(linalg.identity(U.dim), g.mat()), U.dim * V.dim
     ) if U.dim and g.matrix else LinearMap.zero(U.dim * V.dim, U.dim * W.dim)
-    if verify:
-        TV = tensor_lie_module(U, V, verify=False).result
-        TW = tensor_lie_module(U, W, verify=False).result
-        from .lie import is_module_morphism
-
-        if not is_module_morphism(out, TV, TW):
-            raise AssertionError("id (x) g failed the equivariance check")
+    if not is_module_morphism(out, tensor_lie_module(U, V).result,
+                              tensor_lie_module(U, W).result):
+        raise AssertionError("id (x) g failed the equivariance check")
     return out
 
 
-def induced_g_module_from_scalar_rep(
-    g: LieAlgebra, mats: list[Mat], verify: bool = True
-) -> LieModule:
+def induced_g_module_from_scalar_rep(g: LieAlgebra, mats: list[Mat]) -> LieModule:
     """Lie g-module from commuting matrices (one per basis element of g)
-    satisfying the bracket relations sum_u beta^u_{ij} M_u = 0.
+    satisfying the bracket relations sum_u beta^u_{ij} M_u = 0, checked
+    against the Lie module axiom.
 
     This is the h = Q case: A is the symmetric algebra of g modulo its derived
     subalgebra, f_t acts as the matrix of x_t.
     """
     dim = len(mats[0]) if mats else 0
     mats = [[[scalar(x) for x in row] for row in m] for m in mats]
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if not linalg.is_zero_mat(linalg.commutator(mats[a], mats[b])):
-                raise ValueError(f"matrices {a + 1} and {b + 1} do not commute")
+    pair = next(linalg.noncommuting_pairs(mats), None)
+    if pair is not None:
+        raise ValueError(f"matrices {pair[0] + 1} and {pair[1] + 1} do not commute")
     for i in range(g.dim):
         for j in range(g.dim):
             acc = linalg.zeros(dim, dim)
@@ -242,8 +214,7 @@ def induced_g_module_from_scalar_rep(
                     f"bracket relation violated at (i,j)=({i + 1},{j + 1})"
                 )
     M = LieModule.from_matrices(g, mats, name="induced")
-    if verify:
-        rep = validate_lie_module(M)
-        if not rep.ok:
-            raise AssertionError(f"induced module fails the Lie axiom:\n{rep}")
+    rep = validate_lie_module(M)
+    if not rep.ok:
+        raise AssertionError(f"induced module fails the Lie axiom:\n{rep}")
     return M

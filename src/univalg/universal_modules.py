@@ -12,9 +12,9 @@ Both adjunctions run one path.  Each universal object keeps its relations
 once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
 tensor-layout table sends each generator to its free position, source column
 and tensor rows: ``_factorize`` reads theta off f and ``_gamma`` writes
-Gamma(theta) through that table.  ``_evaluate`` applies a word to images[p]
-by matrix-vector steps that skip zeros, so no matrix of a polynomial or a
-PBW element is formed.
+Gamma(theta) through that table.  ``linalg.evaluate`` applies a word to
+images[p] by matrix-vector steps that skip zeros, so no matrix of a
+polynomial or a PBW element is formed.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_
 from .linalg import Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, Polynomial
+from .poly import DEFAULT_PAIR_BUDGET, Polynomial, mono_word
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
-
-ZERO = 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ class UniversalAModule:
 
     def _adjunction(self, X: MatrixARep) -> "_Adjunction":
         """U(U,Z) against X: y_sr sits at rows (s,t) of U (x) X, column r."""
-        T = tensor_lie_module(self.U, X, verify=False)
+        T = tensor_lie_module(self.U, X)
         layout = [
             ((s, r), self.pos(s, r), r - 1,
              [T.position(s, t) for t in range(1, X.dim + 1)])
@@ -221,26 +219,6 @@ class FactorizationResult:
         return all(not any(w) for w in self.witnesses.values())
 
 
-def _evaluate(terms, mats: list[Mat], images: dict[int, Vec], dim: int) -> Vec:
-    """Image of one free vector under the module map sending position p to
-    images[p].
-
-    The vector is given as terms (p, word, c).  A word is a tuple of indices
-    into ``mats`` and acts right to left: (a, b) sends v to a(b(v)).
-    """
-    out = [ZERO] * dim
-    for p, word, c in terms:
-        v = images[p]
-        if dim and len(v) != dim:
-            raise ValueError("matrix/vector dimension mismatch")
-        for a in reversed(word):
-            v = linalg.mat_vec(mats[a], v)
-        for i, x in enumerate(v):
-            if x:
-                out[i] += c * x
-    return out
-
-
 _Terms = tuple[tuple[int, tuple[int, ...], Scalar], ...]
 
 
@@ -248,7 +226,7 @@ def _words(v: ModuleVector) -> _Terms:
     """The terms (p, word, c) of a free-module vector: a monomial's word is
     its variables with multiplicity in ring order."""
     return tuple(
-        (p, tuple(i for i, e in enumerate(mono) for _ in range(e)), c)
+        (p, mono_word(mono), c)
         for p, q in v.components.items() for mono, c in q.terms.items()
     )
 
@@ -267,7 +245,7 @@ def _apply_on_generators(
 ) -> Vec:
     """Image of one free-module vector under the A-module map sending position
     p to images[p] in the matrix module X."""
-    return _evaluate(_words(v), X.all_matrices(), images, X.dim)
+    return linalg.evaluate(_words(v), X.all_matrices(), images, X.dim)
 
 
 @dataclass(frozen=True)
@@ -287,7 +265,7 @@ class _Adjunction:
     def relation_images(self, theta: dict[tuple[int, int], Vec]) -> Iterator[Vec]:
         """The relations' images, one at a time, under theta on generators."""
         images = {pos: theta[key] for key, pos, _, _ in self.layout}
-        return (_evaluate(t, self.mats, images, self.dim) for t in self.terms)
+        return (linalg.evaluate(t, self.mats, images, self.dim) for t in self.terms)
 
     def matrix(self, theta: dict[tuple[int, int], Vec]) -> Mat:
         """The matrix of the map source -> tensor that theta determines."""
@@ -532,7 +510,7 @@ class UniversalLieHModule:
         """V(V,W) against Y: y_rs sits at rows (a,s) of Y (x) V, column r."""
         if Y.algebra != self.A.h:
             raise ValueError("target must be a Lie module over h")
-        T = tensor_lie_module(Y, self.V, verify=False)
+        T = tensor_lie_module(Y, self.V)
         layout = [
             ((r, s), self.pos(r, s), r - 1,
              [T.position(a, s) for a in range(1, Y.dim + 1)])
@@ -583,7 +561,7 @@ class LiePresentedMap:
     def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
         """Compose with a factorization target map given on target generators."""
         mats = [Y.action_matrix(t) for t in range(1, Y.algebra.dim + 1)]
-        return {p: _evaluate(_pbw_words(v), mats, images, Y.dim)
+        return {p: linalg.evaluate(_pbw_words(v), mats, images, Y.dim)
                 for p, v in self.images.items()}
 
 

@@ -222,3 +222,35 @@ def tensor_square_inputs(um, sq):
                 vectors.append(um.act(xab, y))
                 acted.append(sq.bmodule_act(a, b, sq.delta_of_vector(y)))
     return vectors, acted
+
+
+def reference_eval_matrices(p: Polynomial, mats: list) -> list:
+    """p at square matrices, one per variable, as a loop over matrix
+    products: each monomial is M_0^e0 ... M_k^ek with the factors in ring
+    order, so the matrices need not commute."""
+    dim = len(mats[0]) if mats else 0
+    out = linalg.zeros(dim, dim)
+    for m, c in p.terms.items():
+        acc = linalg.identity(dim)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                acc = linalg.mat_mul(acc, mats[i])
+        out = linalg.mat_add(out, linalg.mat_scale(c, acc))
+    return out
+
+
+def reference_validate_arep(R: MatrixARep) -> tuple:
+    """The violations of ``validate_arep`` on a rep of positive dimension, as
+    (check, location) pairs: a nonzero commutator for each pair of keys in
+    ``R.mats`` order, then each relation of A with a nonzero matrix under
+    ``reference_eval_matrices``."""
+    keys = list(R.mats)
+    out = [("commutativity", keys[a] + keys[b])
+           for a in range(len(keys)) for b in range(a + 1, len(keys))
+           if linalg.mat_mul(R.mats[keys[a]], R.mats[keys[b]])
+           != linalg.mat_mul(R.mats[keys[b]], R.mats[keys[a]])]
+    mats = R.all_matrices()
+    out += [("relation", label)
+            for label, gen in zip(R.owner.labels, R.owner.jgens)
+            if any(any(row) for row in reference_eval_matrices(gen, mats))]
+    return tuple(out)

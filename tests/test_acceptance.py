@@ -187,7 +187,7 @@ def test_criterion_6_factorization_gamma_suite(capsys, algebra_cache):
         Z = module_pool(g, rng, max_dim=2)
         um = build_universal_amodule(A, U, Z)
         X = rep_pool(A, rng)
-        T = tensor_lie_module(U, X, verify=False)
+        T = tensor_lie_module(U, X)
         f = random_equivariant_map(rng, Z, T.result)
         result = factorize_through_universal(um, X, f)
         if not result.ok:
@@ -213,7 +213,7 @@ def test_criterion_6_factorization_gamma_suite(capsys, algebra_cache):
         Xp = rep_pool(A, rng, max_dim=2)
         u = random_equivariant_map(rng, Z, Zp)
         ubar = functor_on_morphism_U(um_z, um_zp, u)
-        T = tensor_lie_module(U, X, verify=False)
+        T = tensor_lie_module(U, X)
         fp = random_equivariant_map(rng, Zp, T.result)
         theta = factorize_through_universal(um_zp, X, fp).images
         # naturality in Z: Gamma_{Z,X}(theta o ubar) = Gamma_{Z',X}(theta) o u
@@ -233,7 +233,7 @@ def test_criterion_6_factorization_gamma_suite(capsys, algebra_cache):
         v = random_arep_morphism(rng, X, Xp)
         vtheta = {key: v.apply(w) for key, w in theta.items()}
         lhs2 = gamma(um_zp, Xp, vtheta).mat()
-        idv = tensor_on_morphism(U, v, X, Xp, verify=False)
+        idv = tensor_on_morphism(U, v, X, Xp)
         rhs2 = linalg.mat_mul(idv.mat(), gamma(um_zp, X, theta).mat())
         if lhs2 != rhs2:
             ok = False
@@ -277,7 +277,7 @@ def test_criterion_9_lie_module_suite(capsys, A_sl2, adjoint_sl2, sl2_alg):
     targets = 0
     for _ in range(8):
         Y = rng.choice(pool)
-        TY = tensor_lie_module(Y, V, verify=False)
+        TY = tensor_lie_module(Y, V)
         f = random_equivariant_map(rng, adjoint_sl2, TY.result)
         result = factorize_lie(vm, Y, f)
         if not result.ok:
@@ -290,7 +290,7 @@ def test_criterion_9_lie_module_suite(capsys, A_sl2, adjoint_sl2, sl2_alg):
     for _ in range(4):
         lam = Fraction(rng.randint(1, 4))
         Y = LieModule.from_matrices(ab, [[[Fraction(3) * lam]]], name="tgt")
-        TY = tensor_lie_module(Y, Vab, verify=False)
+        TY = tensor_lie_module(Y, Vab)
         f = random_equivariant_map(rng, Wab, TY.result)
         result = factorize_lie(vm_ab, Y, f)
         if not result.ok or any(any(w) for w in result.witnesses.values()):

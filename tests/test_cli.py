@@ -346,6 +346,22 @@ def test_swapped_delta_exits_1(capsys, monkeypatch, command):
     assert captured.err.startswith("error: ")
 
 
+def test_epsilon_killing_y11_exits_1(capsys, monkeypatch):
+    # epsilon(y_11) = 0 instead of 1 breaks the counit axiom of the comodule.
+    right_way = TensorSquare.epsilon_of_vector
+
+    def wrong(sq, v):
+        um = sq.um
+        y11 = um.nf(um.free.basis_vector(um.pos(1, 1)))
+        return 0 if v == y11 else right_way(sq, v)
+
+    monkeypatch.setattr(TensorSquare, "epsilon_of_vector", wrong)
+    code = main(["check", "comodule", fx("sl2.alg"), fx("natural2_sl2.mod")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: comodule axioms fail:\n")
+
+
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
     # Every induced map sends y_sr to twice its image, so no composite is the
     # identity.

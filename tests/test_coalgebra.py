@@ -12,6 +12,7 @@ from helpers import (
 from univalg.coalgebra import (
     CoalgebraOnU,
     FiniteCoalgebraModule,
+    TensorSquare,
     bmodule_on_tensor_square,
     build_coalgebra,
     universal_coalgebra_map,
@@ -19,7 +20,7 @@ from univalg.coalgebra import (
     verify_comodule,
 )
 from univalg import linalg, modgb
-from univalg.lie import LieAlgebra, LieModule, LinearMap, Report
+from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import build_universal_algebra
@@ -170,6 +171,22 @@ def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
     sq.delta_of_vector = swapped
     rep = verify_comodule(um_adjoint, C)
     assert rep.violations and {v.check for v in rep.violations} == {"comodule-axiom"}
+
+
+def test_epsilon_killing_y11_fails_comodule(um_natural2, B_sl2, monkeypatch):
+    # epsilon(y_11) = 0 instead of 1: the counit axiom of verify_comodule is
+    # the check of epsilon that the coalgebra keeps, so it must fail at u_1.
+    C = CoalgebraOnU(um_natural2, B_sl2)
+    right_way = TensorSquare.epsilon_of_vector
+    y11 = um_natural2.nf(um_natural2.free.basis_vector(um_natural2.pos(1, 1)))
+
+    def wrong(sq, v):
+        return ZERO if v == y11 else right_way(sq, v)
+
+    monkeypatch.setattr(TensorSquare, "epsilon_of_vector", wrong)
+    assert C.verify().ok  # no relation is y_11, so the laws still hold
+    assert verify_comodule(um_natural2, C).violations == (
+        Violation("comodule-axiom", (1,), "fails"),)
 
 
 def test_delta_reuses_reduced_basis_vectors(um_adjoint, B_sl2, monkeypatch):

@@ -77,6 +77,37 @@ def test_true_division_is_reported():
     assert true_divisions(exact) == []
 
 
+def function_local_imports(source: str) -> list[str]:
+    """Every import statement inside a function or method.  univalg's modules
+    import one another without a cycle that would need one, so each import
+    stands at the top of its module, where a reader sees what it depends on."""
+    found = {
+        inner for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text()) == []
+
+
+def test_function_local_import_is_reported():
+    src = (
+        "import re\n\n\n"
+        "def f():\n    from .poly import render\n\n"
+        "    def g():\n        import os\n        return os\n\n"
+        "    return render, g\n\n\n"
+        "class C:\n    def m(self):\n        import sys\n        return sys\n"
+    )
+    assert function_local_imports(src) == [
+        "line 5: from .poly import render", "line 8: import os", "line 16: import sys"]
+    assert function_local_imports("import re\n\n\ndef f():\n    return re\n") == []
+
+
 def _names(node: ast.AST) -> set[str]:
     """Every name a syntax tree refers to: variables, attributes, imported
     names and strings that are identifiers (``__all__``, ``setattr``)."""

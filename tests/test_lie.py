@@ -151,6 +151,20 @@ def test_direct_sum_block_oracle():
     assert ds.proj2.compose(ds.inj1).mat() == linalg.zeros(1, 3)
 
 
+def test_direct_sum_with_zero_dimensional_summand():
+    L = sl2()
+    M, Z = natural2(L), LieModule.trivial(L, 0)
+    identity = LinearMap(2, 2, ((1, 0), (0, 1)))
+    ds = direct_sum(M, Z)
+    assert (ds.module.dim, ds.module.action) == (2, M.action)
+    assert (ds.inj1, ds.inj2) == (identity, LinearMap(0, 2, ((), ())))
+    assert (ds.proj1, ds.proj2) == (identity, LinearMap(2, 0, ()))
+    ds = direct_sum(Z, M)
+    assert (ds.module.dim, ds.module.action) == (2, M.action)
+    assert (ds.inj1, ds.inj2) == (LinearMap(0, 2, ((), ())), identity)
+    assert (ds.proj1, ds.proj2) == (LinearMap(2, 0, ()), identity)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
 def test_random_equivariant_maps_are_morphisms(seed):

@@ -75,14 +75,12 @@ def test_ring_constructors_and_render():
     assert (p - p).is_zero()
 
 
-def test_eval_scalars_and_matrices():
+def test_eval_scalars():
+    # Evaluation at matrices is tested against a reference in
+    # test_representations.test_validate_arep_matches_reference_evaluator.
     R = ring3()
     p = R.var(0) * R.var(1) + R.const(2)
     assert p.eval_scalars([Fraction(3), Fraction(4), Fraction(0)]) == 14
-    eye = [[ONE, Fraction(0)], [Fraction(0), ONE]]
-    zero = [[Fraction(0)] * 2 for _ in range(2)]
-    m = p.eval_matrices([eye, eye, zero])
-    assert m == [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]]
 
 
 @st.composite

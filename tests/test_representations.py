@@ -3,9 +3,16 @@ from random import Random
 
 import pytest
 
-from helpers import natural2, rep_pool, solvable2
+from helpers import (
+    natural2,
+    reference_eval_matrices,
+    reference_validate_arep,
+    rep_pool,
+    solvable2,
+)
 from univalg import linalg
 from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2, validate_lie_module
+from univalg.poly import mono_word
 from univalg.representations import (
     MatrixARep,
     induced_g_module_from_scalar_rep,
@@ -64,6 +71,42 @@ def test_direct_sum_rep(A_sl2):
     S = X.direct_sum(X)
     assert S.dim == 2
     assert validate_arep(S).ok
+
+
+def test_direct_sum_rep_matches_hand_built_blocks(A_sl2):
+    X = MatrixARep.counit(A_sl2)
+    Z = MatrixARep.zero_dimensional(A_sl2)
+    for S in (X.direct_sum(Z), Z.direct_sum(X)):
+        assert (S.dim, S.mats) == (1, X.mats)
+    S = Z.direct_sum(Z)
+    assert S.dim == 0 and all(m == [] for m in S.mats.values())
+    Y = MatrixARep(A_sl2, 2, {(1, 2): [[1, 2], [3, 4]]})
+    S = X.direct_sum(Y)
+    assert S.mats[(1, 1)] == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert S.mats[(1, 2)] == [[0, 0, 0], [0, 1, 2], [0, 3, 4]]
+    assert Y.direct_sum(X).mats[(1, 2)] == [[1, 2, 0], [3, 4, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_arep_matches_reference_evaluator(A_sl2, seed):
+    # 2-dimensional matrices that do not commute, so the order of the
+    # factors of a monomial matters, and most relations do not vanish.
+    rng = Random(seed)
+    mats = {(s, i): [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+            for s in range(1, 4) for i in range(1, 4)}
+    mats[(1, 1)] = [[ZERO, ONE], [ZERO, ZERO]]
+    mats[(2, 2)] = [[ZERO, ZERO], [ONE, ZERO]]
+    R = MatrixARep(A_sl2, 2, mats)
+    violations = validate_arep(R).violations
+    assert tuple((v.check, v.location) for v in violations) == reference_validate_arep(R)
+    assert {(v.check, v.witness) for v in violations} == {
+        ("commutativity", "nonzero commutator"), ("relation", "relation matrix nonzero")}
+    # Column by column, the evaluator gives the reference matrix.
+    ordered = R.all_matrices()
+    for gen in A_sl2.jgens:
+        terms = [(0, mono_word(m), c) for m, c in gen.terms.items()]
+        columns = [linalg.evaluate(terms, ordered, {0: e}, 2) for e in linalg.identity(2)]
+        assert [list(row) for row in zip(*columns)] == reference_eval_matrices(gen, ordered)
 
 
 def test_tensor_with_counit_recovers_module_oracle(A_sl2, adjoint_sl2):

@@ -229,7 +229,7 @@ def test_adjunction_does_not_depend_on_the_scalar_type(universal, A_sl2, t, seed
     for name, kind in KINDS.items():
         um = universal[name]
         X = _point(A_sl2, t, kind)
-        TX = tensor_lie_module(um.U, X, verify=False).result
+        TX = tensor_lie_module(um.U, X).result
         f = random_equivariant_map(Random(seed), um.Z, TX)
         if name == "Fraction":
             f = _twin_map(f)
@@ -262,7 +262,7 @@ def test_adjunction_does_not_depend_on_the_scalar_type(universal, A_sl2, t, seed
 def test_adjunction_on_scaled_tables_stays_exact(universal, A_sl2, t, seed):
     um = universal["scaled"]
     X = _point(A_sl2, t, int)
-    TX = tensor_lie_module(um.U, X, verify=False).result
+    TX = tensor_lie_module(um.U, X).result
     f = random_equivariant_map(Random(seed), um.Z, TX)
     res = factorize_through_universal(um, X, f)
     assert res.ok

@@ -17,7 +17,6 @@ from univalg.pbw import PBWElement
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
-    _evaluate,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -116,7 +115,7 @@ def test_factorization_dense_solve_oracle(ab1):
     # f: Z -> U (x) X = X must satisfy f(e1 z) = e1 f(z):
     # lam * f = M11 f, so f lands in the lam-eigenspace of M11.
     f = LinearMap.from_matrix([[Fraction(2)], [ZERO]], 1)
-    T = tensor_lie_module(U, X, verify=False)
+    T = tensor_lie_module(U, X)
     assert is_module_morphism(f, Z, T.result)
     # Oracle solve: w with u_1 (x) w = f(z_1) and (lam - x11) w = 0.
     aug_rows = [[ONE], [ONE]]  # identity constraints from reading coordinates
@@ -179,7 +178,7 @@ def test_random_round_trips_abelian():
         Z = LieModule.trivial(L, rng.randint(1, 2))
         um = build_universal_amodule(A, U, Z)
         X = rep_pool(A, rng)
-        T = tensor_lie_module(U, X, verify=False)
+        T = tensor_lie_module(U, X)
         f = random_equivariant_map(rng, Z, T.result)
         result = factorize_through_universal(um, X, f)
         assert result.ok
@@ -247,7 +246,7 @@ def test_relation_images_match_dense_formula_U(A_sl2, sl2_alg, U_name, Z_name, s
     keys = [(s, i) for s in range(1, 4) for i in range(1, 4)]
     X = MatrixARep(A_sl2, 2, dict(zip(keys, _seeded_matrices(rng, len(keys)))))
     images = _seeded_images(rng, um.rank)
-    got = [_evaluate(terms, X.all_matrices(), images, X.dim) for terms in um.rel_terms]
+    got = [linalg.evaluate(terms, X.all_matrices(), images, X.dim) for terms in um.rel_terms]
     assert got == [_dense_arep_image(gen, images, X) for gen in um.relgens]
     assert any(any(v) for v in got)  # the comparison is not between zeros
 
@@ -259,7 +258,7 @@ def test_relation_images_match_dense_formula_V(A_sl2, sl2_alg, seed):
     Y = LieModule.from_matrices(sl2_alg, _seeded_matrices(rng, 3), name="seeded2")
     images = _seeded_images(rng, vm.rank)
     mats = [Y.action_matrix(t) for t in range(1, sl2_alg.dim + 1)]
-    got = [_evaluate(terms, mats, images, Y.dim) for terms in vm.rel_terms]
+    got = [linalg.evaluate(terms, mats, images, Y.dim) for terms in vm.rel_terms]
     assert got == [_dense_lie_image(gen, images, Y) for gen in vm.relgens]
     assert any(any(v) for v in got)
 
@@ -420,7 +419,7 @@ def test_lie_random_round_trips(A_sl2, adjoint_sl2, sl2_alg):
     pool = [adjoint_sl2, LieModule.trivial(sl2_alg, 2), natural2(sl2_alg)]
     for trial in range(6):
         Y = rng.choice(pool)
-        TY = tensor_lie_module(Y, V, verify=False)
+        TY = tensor_lie_module(Y, V)
         f = random_equivariant_map(rng, adjoint_sl2, TY.result)
         result = factorize_lie(vm, Y, f)
         assert result.ok
@@ -440,7 +439,7 @@ def test_functor_on_morphism_V_composition(ab1):
     fbar = functor_on_morphism_V(vm1, vm2, f)
     # Probe: factor a morphism out of vm2 and pull it back through fbar.
     Y = scaling_module(L, 1)
-    TY = tensor_lie_module(Y, V, verify=False)
+    TY = tensor_lie_module(Y, V)
     g = random_equivariant_map(rng, W2, TY.result)
     res2 = factorize_lie(vm2, Y, g)
     assert res2.ok
