@@ -13,7 +13,12 @@ import os
 import sys
 
 from . import poly
-from .coalgebra import build_coalgebra, bmodule_on_tensor_square, verify_bmodule_coalgebra
+from .coalgebra import (
+    CoalgebraOnU,
+    bmodule_on_tensor_square,
+    verify_bmodule_coalgebra,
+    verify_comodule,
+)
 from .formats import (
     MatrixRepData,
     ParseError,
@@ -42,6 +47,7 @@ from .universal_algebra import (
     monomial_basis_up_to_degree,
 )
 from .universal_modules import (
+    UniversalAModule,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -114,9 +120,7 @@ def _load_rep_data(path: str) -> MatrixRepData:
 def _load_arep(path: str, A) -> MatrixARep:
     """The A-module in an assoc-matrix file, validated against A."""
     X = _load_rep_data(path).to_rep(A)
-    rep = validate_arep(X)
-    if not rep.ok:
-        raise ValidationError(f"{path}: not an A-module:\n{rep}")
+    validate_arep(X).require(ValidationError, f"{path}: not an A-module")
     return X
 
 
@@ -179,7 +183,7 @@ def cmd_univmod(args) -> int:
     h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     U = _load_lie_module(args.u_file, h)
     Z = _load_lie_module(args.z_file, g)
-    um = build_universal_amodule(A, U, Z, budget=args.budget)
+    um = UniversalAModule(A, U, Z, budget=args.budget)
     lines = [f"universal-amodule U={U.name} Z={Z.name} rank={um.rank}"]
     for s in range(1, U.dim + 1):
         for r in range(1, Z.dim + 1):
@@ -190,12 +194,10 @@ def cmd_univmod(args) -> int:
         )
     for gvec in um.mgb.generators:
         lines.append(f"module-groebner: {_render_module_vector(gvec)}")
-    lines.append(render_report("module-relations", um.relation_report).rstrip())
-    lines.append(
-        render_report("structure-map-equivariance", um.equivariance_report).rstrip()
-    )
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_PASS
+    return _emit_reports("\n".join(lines) + "\n", [
+        ("module-relations", um.check_relations()),
+        ("structure-map-equivariance", um.check_rho_equivariance()),
+    ], args.out)
 
 
 def cmd_univliemod(args) -> int:
@@ -292,10 +294,12 @@ def cmd_check(args) -> int:
         reports.append(("bialgebra-laws", B.verify()))
     elif args.kind == "coalgebra":
         um, C = _coalgebra_on(args, args.files[0], args.files[1])
-        reports += _coalgebra_reports(um, C)
+        verify_comodule(um, C).require(AssertionError, "comodule axioms fail")
+        reports += _coalgebra_reports(um, C, ("coalgebra-laws", C.verify()))
     elif args.kind == "comodule":
         um, C = _coalgebra_on(args, args.files[0], args.files[1])
-        reports.append(("comodule-axioms", C.comodule))
+        C.verify().require(AssertionError, "coalgebra verification failed")
+        reports.append(("comodule-axioms", verify_comodule(um, C)))
     elif args.kind == "adjunction":
         h, g, A = _universal_algebra(args, args.files[0], args.files[1])
         U = _load_lie_module(args.files[2], h)
@@ -324,18 +328,19 @@ def _emit_reports(head: str, reports: list[tuple[str, Report]],
 
 
 def _coalgebra_on(args, h_file: str, u_file: str):
-    """U(U) over A(h,h) with its certified coalgebra structure."""
+    """U(U) over A(h,h) with its coalgebra structure, not yet certified: each
+    command computes the laws and the comodule axioms itself."""
     h, _, A = _universal_algebra(args, h_file)
     U = _load_lie_module(u_file, h)
     um = build_universal_amodule(A, U, U, budget=args.budget)
-    return um, build_coalgebra(um)
+    return um, CoalgebraOnU(um)
 
 
-def _coalgebra_reports(um, C) -> list[tuple[str, Report]]:
-    """The reports shared by `check coalgebra` and `coalgebra`; the laws are
-    the ones build_coalgebra kept."""
+def _coalgebra_reports(um, C, *first: tuple[str, Report]) -> list[tuple[str, Report]]:
+    """The reports that the command computed itself, then the two shared by
+    `check coalgebra` and `coalgebra`."""
     return [
-        ("coalgebra-laws", C.laws),
+        *first,
         ("bmodule-coalgebra", verify_bmodule_coalgebra(um, C)),
         ("tensor-square-action", bmodule_on_tensor_square(um, C.bial)),
     ]
@@ -353,8 +358,8 @@ def cmd_coalgebra(args) -> int:
             )
             lines.append(f"delta y[{l},{t}]: {pairs}")
             lines.append(f"epsilon y[{l},{t}]: {1 if l == t else 0}")
-    reports = _coalgebra_reports(um, C)
-    reports.insert(1, ("comodule-axioms", C.comodule))
+    reports = _coalgebra_reports(um, C, ("coalgebra-laws", C.verify()),
+                                 ("comodule-axioms", verify_comodule(um, C)))
     return _emit_reports("\n".join(lines) + "\n", reports, args.out)
 
 

@@ -39,9 +39,11 @@ class ValidationError(Exception):
     """Well-formed file describing an invalid object."""
 
 
-# A rational is "p" or "p/q", q nonzero, in ASCII digits: no float syntax,
-# whose exponent Fraction would expand, no underscores and no other digits.
+# A rational is "p" or "p/q", q nonzero, and an integer is "p", in ASCII
+# digits: no float syntax, whose exponent Fraction would expand, no
+# underscores and no other digits.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _rat(path: str, line_no: int, text: str) -> Scalar:
@@ -51,10 +53,9 @@ def _rat(path: str, line_no: int, text: str) -> Scalar:
 
 
 def _int(path: str, line_no: int, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(path, line_no, f"bad integer {text!r}") from None
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(path, line_no, f"bad integer {text!r}")
+    return int(text)
 
 
 def _size(path: str, line_no: int, parts: list[str], seen: int | None,
@@ -113,9 +114,7 @@ def parse_algebra_text(text: str, path: str = "<string>") -> LieAlgebra:
     rejected.
     """
     L = _read_algebra_text(text, path)
-    rep = validate_lie_algebra(L)
-    if not rep.ok:
-        raise ValidationError(f"{path}: not a Lie algebra:\n{rep}")
+    validate_lie_algebra(L).require(ValidationError, f"{path}: not a Lie algebra")
     return L
 
 
@@ -217,7 +216,8 @@ def parse_module_text(text: str, path: str = "<string>",
         mat <s> <i>: <k>:<p/q> ...          # matrix of x_si, k = (row-1)*dim+col
 
     For kind lie an ``algebra`` must be supplied to resolve the action table;
-    the result is validated as a Lie module.
+    the result is validated as a Lie module.  An entry line of the other kind
+    is an error, wherever the kind line stands.
     """
     name = ""
     over = ""
@@ -226,8 +226,10 @@ def parse_module_text(text: str, path: str = "<string>",
     lie_entries: list[tuple[int, int, int, list[tuple[int, Scalar]]]] = []
     mat_entries: dict[tuple[int, int], dict[int, Scalar]] = {}
     seen: set[tuple] = set()
+    first: dict[str, int] = {}  # directive -> the first line using it
     for no, line in _lines(path, text):
         parts = line.split()
+        first.setdefault(parts[0], no)
         if parts[0] == "module":
             name = parts[1] if len(parts) > 1 else ""
         elif parts[0] == "over":
@@ -274,6 +276,9 @@ def parse_module_text(text: str, path: str = "<string>",
             raise ParseError(path, no, f"unknown directive {parts[0]!r}")
     if dim is None:
         raise ParseError(path, 1, "missing dim")
+    other = "mat" if kind == "lie" else "action"
+    if other in first:
+        raise ParseError(path, first[other], f"{other} line in a kind {kind} file")
     if kind == "assoc-matrix":
         entries = {}
         for (s, i), flat in mat_entries.items():
@@ -291,9 +296,7 @@ def parse_module_text(text: str, path: str = "<string>",
         for s, c in pairs:
             action[i - 1][j - 1][s - 1] = c
     M = LieModule(algebra, dim, action, name=name)
-    rep = validate_lie_module(M)
-    if not rep.ok:
-        raise ValidationError(f"{path}: not a Lie module:\n{rep}")
+    validate_lie_module(M).require(ValidationError, f"{path}: not a Lie module")
     return M
 
 

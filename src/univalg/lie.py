@@ -38,6 +38,12 @@ class Report:
     def __bool__(self):
         return self.ok
 
+    def require(self, error: type[Exception], what: str) -> None:
+        """The one gate from a certificate to an exception: raise
+        ``error(f"{what}:\\n{self}")`` unless the report passes."""
+        if not self.ok:
+            raise error(f"{what}:\n{self}")
+
     def __str__(self):
         if self.ok:
             return "pass"

@@ -642,48 +642,24 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _unpack(_s_terms(a, b, codec), f.ring, codec).get(0, f.ring.zero())
 
 
-def buchberger(
-    gens: Iterable[Polynomial],
-    order: MonomialOrder | None = None,
-    budget: int = DEFAULT_PAIR_BUDGET,
+def groebner(
+    gens: Iterable[Polynomial], ring: PolyRing, budget: int = DEFAULT_PAIR_BUDGET
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced Groebner basis in ``ring`` of the ideal generated by ``gens``;
+    the empty basis when every generator is zero.
 
     Runs the shared engine on rank 1, every term at position 0: normal pair
     selection with the product and chain criteria.  Raises
     ResourceBudgetError once more than ``budget`` S-pairs have been taken
     from the queue.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise ValueError(
-            "cannot infer the ring from an empty generator list; use groebner()"
-        )
-    ring = gens[0].ring
-    if order is not None and order != ring.order:
-        ring = PolyRing(ring.names, order)
-        gens = [Polynomial(ring, g.terms) for g in gens]
+    gens = list(gens)
     if any(g.ring != ring for g in gens):
         raise ValueError("generators live in different rings")
     codec = _codec_of(ring)
-    basis = _buchberger(
-        (_pack({0: g}, codec) for g in gens), (), codec, budget, "buchberger"
-    )
+    terms = (_pack({0: g}, codec) for g in gens if not g.is_zero())
+    basis = _buchberger(terms, (), codec, budget, "buchberger")
     return GroebnerBasis(ring, tuple(_unpack(t, ring, codec)[0] for t in basis))
-
-
-def empty_basis(ring: PolyRing) -> GroebnerBasis:
-    return GroebnerBasis(ring, ())
-
-
-def groebner(
-    gens: Iterable[Polynomial], ring: PolyRing, budget: int = DEFAULT_PAIR_BUDGET
-) -> GroebnerBasis:
-    """Like :func:`buchberger` but usable with an empty generator list."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return empty_basis(ring)
-    return buchberger(gens, budget=budget)
 
 
 def ideal_contains(gb: GroebnerBasis, p: Polynomial) -> bool:

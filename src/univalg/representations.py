@@ -214,7 +214,5 @@ def induced_g_module_from_scalar_rep(g: LieAlgebra, mats: list[Mat]) -> LieModul
                     f"bracket relation violated at (i,j)=({i + 1},{j + 1})"
                 )
     M = LieModule.from_matrices(g, mats, name="induced")
-    rep = validate_lie_module(M)
-    if not rep.ok:
-        raise AssertionError(f"induced module fails the Lie axiom:\n{rep}")
+    validate_lie_module(M).require(AssertionError, "induced module fails the Lie axiom")
     return M

@@ -147,16 +147,13 @@ def build_universal_algebra(
 ) -> UniversalAlgebra:
     """Construct A(h,g) and verify the defining relations hold in it."""
     for L, which in ((h, "h"), (g, "g")):
-        rep = validate_lie_algebra(L)
-        if not rep.ok:
-            raise ValueError(f"{which} is not a Lie algebra:\n{rep}")
+        validate_lie_algebra(L).require(ValueError, f"{which} is not a Lie algebra")
     ring = algebra_ring(h, g, order)
     jgens = universal_polynomials(h, g, ring)
     gb = poly.groebner(jgens, ring, budget=budget)
     A = UniversalAlgebra(h, g, ring, jgens, gb)
-    rep = check_defining_relations(A)
-    if not rep.ok:
-        raise AssertionError(f"defining relations fail in A(h,g):\n{rep}")
+    check_defining_relations(A).require(AssertionError,
+                                        "defining relations fail in A(h,g)")
     return A
 
 
@@ -307,7 +304,5 @@ def bialgebra_structure(A: UniversalAlgebra) -> BialgebraStructure:
     """Equip B = A(h,h) with its comultiplication/counit and verify the
     bialgebra laws; raises on verification failure."""
     B = BialgebraStructure(A)
-    rep = B.verify()
-    if not rep.ok:
-        raise AssertionError(f"bialgebra verification failed:\n{rep}")
+    B.verify().require(AssertionError, "bialgebra verification failed")
     return B

@@ -58,11 +58,6 @@ class UniversalAModule:
     """U(U,Z) presented over the polynomial ring of A by the relation vectors
     of its defining family, with the ideal of A folded into the module basis."""
 
-    # The check_relations and check_rho_equivariance reports, kept by
-    # build_universal_amodule.
-    relation_report: Report
-    equivariance_report: Report
-
     def __init__(self, A: UniversalAlgebra, U: LieModule, Z: LieModule,
                  budget: int = DEFAULT_PAIR_BUDGET):
         if U.algebra != A.h:
@@ -188,14 +183,11 @@ def build_universal_amodule(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> UniversalAModule:
     """Construct U(U,Z) and verify its defining relations and the equivariance
-    of the structure map, keeping both reports; raises on failure."""
+    of the structure map; raises on failure."""
     um = UniversalAModule(A, U, Z, budget=budget)
-    um.relation_report = rep = um.check_relations()
-    if not rep.ok:
-        raise AssertionError(f"defining relations fail in U(U,Z):\n{rep}")
-    um.equivariance_report = rep = um.check_rho_equivariance()
-    if not rep.ok:
-        raise AssertionError(f"structure map is not equivariant:\n{rep}")
+    um.check_relations().require(AssertionError, "defining relations fail in U(U,Z)")
+    um.check_rho_equivariance().require(AssertionError,
+                                        "structure map is not equivariant")
     return um
 
 

@@ -16,7 +16,7 @@ from univalg.formats import (
     render_module,
     render_morphism,
 )
-from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2
+from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation, sl2
 from univalg.poly import LEX
 from univalg.universal_modules import UniversalAModule
 
@@ -76,6 +76,19 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra_text("algebra x\nbracket 1 2: 1:1\n")  # dim missing
     with pytest.raises(ParseError):
         parse_morphism_text("morphism f\nrows 1\ncols 2\nrow 1: 1\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("kind lie\ndim 1\nmat 7 7: 1:5", 3),
+    ("kind assoc-matrix\ndim 1\naction 9 1: 1:5", 3),
+    ("dim 1\nmat 1 1: 1:1\nkind lie\n", 2),
+    ("dim 1\naction 1 1: 1:1\nkind assoc-matrix\n", 2),
+])
+def test_module_entry_of_the_other_kind_is_parse_error(text, line):
+    # An entry of the other kind is an error wherever the kind line stands.
+    with pytest.raises(ParseError, match="line in a kind") as exc:
+        parse_module_text(text, algebra=sl2())
+    assert exc.value.line_no == line
 
 
 def test_duplicate_bracket_entry_rejected():
@@ -342,8 +355,16 @@ def test_swapped_delta_exits_1(capsys, monkeypatch, command):
     monkeypatch.setattr(TensorSquare, "delta_of_vector", swapped)
     code = main([*command.split(), fx("sl2.alg"), fx("natural2_sl2.mod")])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("error: ")
+    assert code == 1
+    if command == "check coalgebra":
+        # It prints the laws and requires the comodule axioms.
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    else:
+        assert ("check comodule-axioms\nstatus fail\n"
+                "item comodule-axiom (1): fails\nitem comodule-axiom (2): fails\n"
+                ) in captured.out
+        assert captured.err == ""
 
 
 def test_epsilon_killing_y11_exits_1(capsys, monkeypatch):
@@ -358,8 +379,33 @@ def test_epsilon_killing_y11_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(TensorSquare, "epsilon_of_vector", wrong)
     code = main(["check", "comodule", fx("sl2.alg"), fx("natural2_sl2.mod")])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("error: comodule axioms fail:\n")
+    assert (code, captured.err) == (1, "")
+    assert captured.out == ("check comodule-axioms\nstatus fail\n"
+                            "item comodule-axiom (1): fails\n")
+
+
+@pytest.mark.parametrize("command, files, patched, report", [
+    ("univmod", "abelian1.alg abelian1.alg scaling1.mod scaling1.mod",
+     (UniversalAModule, "check_rho_equivariance",
+      Violation("rho-equivariance", (1, 1), "nonzero")),
+     "check structure-map-equivariance\nstatus fail\n"
+     "item rho-equivariance (1,1): nonzero\n"),
+    ("check coalgebra", "abelian1.alg scaling1.mod",
+     (CoalgebraOnU, "verify",
+      Violation("comult-descends", (1, 1, 1), "nonzero normal form")),
+     "check coalgebra-laws\nstatus fail\n"
+     "item comult-descends (1,1,1): nonzero normal form\n"),
+], ids=["univmod", "check-coalgebra"])
+def test_failing_printed_certificate_reaches_stdout(capsys, monkeypatch, command,
+                                                    files, patched, report):
+    # A command prints the reports it computes, so a failing one shows its
+    # items on stdout instead of ending as an error on stderr.
+    cls, name, violation = patched
+    monkeypatch.setattr(cls, name, lambda self: Report((violation,)))
+    code = main([*command.split(), *map(fx, files.split())])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert report in captured.out
 
 
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
@@ -428,6 +474,14 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_mat_line_in_a_lie_module_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.mod"
+    bad.write_text("module bad\nkind lie\ndim 1\nmat 1 1: 1:1\n")
+    code = main(["check", "module", fx("sl2.alg"), str(bad)])
+    assert code == 2
+    assert "bad.mod:4: mat line in a kind lie file" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sizes, line", [
     ("rows\ncols 1\n", 2),
     ("rows 1\ncols\n", 3),
@@ -450,11 +504,14 @@ def test_bare_rows_cols_exit_2(capsys, tmp_path, sizes, line):
     (parse_algebra_text, "dim 3\nbracket 1 2: 3:1\ndim 2\n"),
     (parse_module_text, "kind assoc-matrix\ndim 2\ndim 1\n"),
     (parse_morphism_text, "rows 2\ncols 1\nrow 1: 0\nrow 2: 0\nrows 1\n"),
+    (parse_algebra_text, "dim 1_0\n"),
+    (parse_morphism_text, "rows \u0662\n"),
 ])
 def test_bare_size_line_is_parse_error(parse, text):
-    # A size line without its integer, or a second one, is an error on
-    # the last line of the text.
-    with pytest.raises(ParseError, match="takes one integer|repeated") as exc:
+    # A size line without its integer, with an integer outside ASCII
+    # [+-]digits, or a second one, is an error on the last line of the text.
+    with pytest.raises(ParseError,
+                       match="takes one integer|repeated|bad integer") as exc:
         parse(text)
     assert exc.value.line_no == text.count("\n")
 

@@ -11,6 +11,8 @@ from univalg.lie import (
     LieAlgebra,
     LieModule,
     LinearMap,
+    Report,
+    Violation,
     direct_sum,
     is_module_morphism,
     sl2,
@@ -47,6 +49,18 @@ def test_antisymmetry_violation_reported():
     rep = validate_lie_algebra(L)
     assert not rep.ok
     assert any(v.check == "antisymmetry" for v in rep.violations)
+
+
+def test_report_require_raises_only_on_failure():
+    assert Report().require(AssertionError, "unused") is None
+    bad = Report((Violation("jacobi", (1, 2, 3), "nonzero"),
+                  Violation("antisymmetry", (2, 1), "x")))
+    with pytest.raises(ValueError) as exc:
+        bad.require(ValueError, "g is not a Lie algebra")
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == ("g is not a Lie algebra:\nfail\n"
+                              "  jacobi at (1, 2, 3): nonzero\n"
+                              "  antisymmetry at (2, 1): x")
 
 
 def test_jacobi_violation_reported():

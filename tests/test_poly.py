@@ -13,7 +13,6 @@ from univalg.poly import (
     PolyRing,
     Polynomial,
     ResourceBudgetError,
-    buchberger,
     groebner,
     ideal_contains,
     ideal_equal,
@@ -117,7 +116,7 @@ def test_reduced_basis_hand_oracle():
     g1 = x * x - R.const(1)
     g2 = x * x * x - x
     assert (g2 - x * g1).is_zero()  # the oracle computation itself
-    gb = buchberger([g2, g1])
+    gb = groebner([g2, g1], R)
     assert list(gb.generators) == [g1]
 
 
@@ -201,6 +200,15 @@ def test_empty_ideal():
     assert normal_form(p, gb) == p
 
 
+def test_groebner_of_zeros_and_of_another_ring():
+    R = ring3()
+    assert len(groebner([R.zero(), R.zero()], R)) == 0
+    other = PolyRing(["x", "y", "z"], LEX)
+    for gens in ([R.var(0), other.var(1)], [other.zero()]):
+        with pytest.raises(ValueError, match="generators live in different rings"):
+            groebner(gens, R)
+
+
 # ---------------------------------------------------------------------------
 # Exponent limit of the packed terms
 # ---------------------------------------------------------------------------
@@ -275,8 +283,8 @@ def test_int_coefficients_give_the_bases_of_their_fraction_twins(order):
     # Making 3x + y monic divides by 3: an int / int quotient would be a float.
     R = PolyRing(["x", "y"], order)
     gens = [Polynomial(R, {(1, 0): 3, (0, 1): 1}), Polynomial(R, {(0, 2): 1, (0, 0): 2})]
-    gb = buchberger(gens)
-    twin = buchberger([_twin(g) for g in gens])
+    gb = groebner(gens, R)
+    twin = groebner([_twin(g) for g in gens], R)
     assert gb.generators == twin.generators
     assert set(gb.generators) == {
         Polynomial(R, {(1, 0): 1, (0, 1): Fraction(1, 3)}),
