@@ -76,14 +76,19 @@ def _universal_algebra(args, h_file: str, g_file: str | None = None):
     return h, g, build_universal_algebra(h, g, order=order, budget=args.budget)
 
 
-def _default_budget() -> int:
-    env = os.environ.get("UNIVALG_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"UNIVALG_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_PAIR_BUDGET
+def _budget(args) -> int:
+    """The S-pair budget: --budget, else UNIVALG_BUDGET, else the default; a
+    usage error unless it is an integer of at least 0."""
+    source, text = "--budget", args.budget
+    if text is None:
+        source, text = "UNIVALG_BUDGET", os.environ.get("UNIVALG_BUDGET", DEFAULT_PAIR_BUDGET)
+    try:
+        budget = int(text)
+    except ValueError:
+        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+    if budget < 0:
+        raise UsageError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -153,6 +158,8 @@ def golden_sl2_polynomials(ring) -> list:
 
 
 def cmd_univalg(args) -> int:
+    if args.degree_probe is not None and args.degree_probe < 0:
+        raise UsageError(f"--degree-probe must be at least 0, got {args.degree_probe}")
     h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     lines = [f"universal-algebra h={h.name} g={g.name}"]
     lines.append("variables " + " ".join(A.ring.names))
@@ -298,6 +305,7 @@ def cmd_check(args) -> int:
         reports += _coalgebra_reports(um, C, ("coalgebra-laws", C.verify()))
     elif args.kind == "comodule":
         um, C = _coalgebra_on(args, args.files[0], args.files[1])
+        C.bial.descent.require(AssertionError, "bialgebra verification failed")
         C.verify().require(AssertionError, "coalgebra verification failed")
         reports.append(("comodule-axioms", verify_comodule(um, C)))
     elif args.kind == "adjunction":
@@ -328,12 +336,14 @@ def _emit_reports(head: str, reports: list[tuple[str, Report]],
 
 
 def _coalgebra_on(args, h_file: str, u_file: str):
-    """U(U) over A(h,h) with its coalgebra structure, not yet certified: each
-    command computes the laws and the comodule axioms itself."""
+    """U(U) over A(h,h) with its coalgebra structure, not yet certified past
+    B's laws: each command computes the rest itself."""
     h, _, A = _universal_algebra(args, h_file)
     U = _load_lie_module(u_file, h)
     um = build_universal_amodule(A, U, U, budget=args.budget)
-    return um, CoalgebraOnU(um)
+    B = BialgebraStructure(A)
+    B.laws().require(AssertionError, "bialgebra verification failed")
+    return um, CoalgebraOnU(um, B)
 
 
 def _coalgebra_reports(um, C, *first: tuple[str, Report]) -> list[tuple[str, Report]]:
@@ -440,8 +450,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget is None:
-            args.budget = _default_budget()
+        args.budget = _budget(args)
         return args.func(args)
     except (ParseError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,30 +2,32 @@
 B-module-coalgebra certificates, and the universal coalgebra map.
 
 Elements of the tensor square U(U) (x) U(U) are handled as vectors over the
-doubled variable ring of the bialgebra.  Their canonical form reduces each
-factor with the module normal form, which decides equality in the quotient
-tensor square without a second Groebner computation.  Each TensorSquare
-reduces a basis vector x^m e_p of a factor at most once and keeps the result
-as an integer row: one positive denominator and integer numerators.  A normal
-form multiplies those rows on Python ints over one common denominator for the
-whole call and divides it out once per output coefficient.  Delta of B is
-likewise applied to each monomial x^m once per TensorSquare, and kept as the
-integer terms of Delta(x^m).
+doubled variable ring of the bialgebra.  Their canonical form is
+universal_algebra.tensor_normal_form, the one that B (x) B uses at rank 1: it
+reduces each factor with the module normal form, which decides equality in
+the quotient tensor square without a second Groebner computation.  Each
+TensorSquare reduces a basis vector x^m e_p of a factor at most once and keeps
+the result as an integer row.  Delta of B on each monomial is B's own table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .lie import LinearMap, Report, Violation
-from .linalg import Scalar, Vec, scalar
+from .linalg import Scalar, Vec
 from .modgb import ModuleVector
 from .poly import Monomial, Polynomial
 from .representations import MatrixARep
-from .universal_algebra import BialgebraStructure, bialgebra_structure
+from .universal_algebra import (
+    BialgebraStructure,
+    Row,
+    TensorSquareElement,
+    bialgebra_structure,
+    integer_row,
+    tensor_normal_form,
+)
 from .universal_modules import (
     FactorizationResult,
     UniversalAModule,
@@ -34,13 +36,6 @@ from .universal_modules import (
 
 ZERO = 0
 ONE = 1
-
-# A tensor-square element: position pair -> polynomial in the doubled ring.
-TensorSquareElement = dict[tuple[int, int], Polynomial]
-
-# A normal form in U(U) on integers: one positive denominator, the lcm of its
-# coefficients' denominators, and the integer numerators by position.
-Row = tuple[int, tuple[tuple[int, tuple[tuple[Monomial, int], ...]], ...]]
 
 
 class TensorSquare:
@@ -51,13 +46,8 @@ class TensorSquare:
         self.um = um
         self.bial = bial
         self.ring2 = bial.tensor_ring
-        self.n = bial.n
         # (position, monomial) -> the Row of x^m e_p
         self._rows: dict[tuple[int, Monomial], Row] = {}
-        # monomial of A's ring -> integer terms of Delta(x^m) in the doubled ring
-        n2 = um.A.ring.nvars
-        self._deltas: dict[Monomial, dict[Monomial, int]] = {
-            (0,) * n2: {(0,) * (2 * n2): ONE}}
 
     def add_term(self, elem: TensorSquareElement, key: tuple[int, int],
                  p: Polynomial) -> None:
@@ -69,80 +59,20 @@ class TensorSquare:
             del elem[key]
 
     def _row(self, pos: int, m: Monomial) -> Row:
-        """The normal form of x^m e_pos in U(U) as a Row (den, ((q, ((m', n),
-        ...)), ...)), which stands for the sum of n/den x^m' e_q."""
         um = self.um
-        v = um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
-        den = lcm(*(c.denominator for p in v.components.values()
-                    for c in p.terms.values()))
-        return (den, tuple(
-            (q, tuple((mq, c.numerator * (den // c.denominator))
-                      for mq, c in p.terms.items()))
-            for q, p in v.components.items()))
+        return integer_row(um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
+                           .components)
 
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
-        """Factor-wise canonical form: each separable term is reduced in the
-        first and second factor independently.  The factors live in disjoint
-        variable blocks, so a product of their terms is the concatenation of
-        the two exponent tuples.  All products and sums run on integers over
-        one common denominator, divided out once per output coefficient."""
-        n2 = self.um.A.ring.nvars
-        rows = self._rows
-        gathered = []
-        den = ONE
-        for (p1, p2), q in elem.items():
-            for m, c in q.terms.items():
-                k1, k2 = (p1, m[:n2]), (p2, m[n2:])
-                r1, r2 = rows.get(k1), rows.get(k2)
-                if r1 is None:
-                    r1 = rows[k1] = self._row(*k1)
-                if r2 is None:
-                    r2 = rows[k2] = self._row(*k2)
-                (d1, f1), (d2, f2) = r1, r2
-                if f1 and f2:
-                    d = c.denominator * d1 * d2
-                    den = lcm(den, d)
-                    gathered.append((c.numerator, d, f1, f2))
-        acc: dict[tuple[int, int], dict[Monomial, int]] = {}
-        for c, d, f1, f2 in gathered:
-            c *= den // d
-            for q1, t1 in f1:
-                for q2, t2 in f2:
-                    terms = acc.setdefault((q1, q2), {})
-                    for m1, c1 in t1:
-                        c1 *= c
-                        for m2, c2 in t2:
-                            m12 = m1 + m2
-                            terms[m12] = terms.get(m12, ZERO) + c1 * c2
-        out: TensorSquareElement = {}
-        for key, terms in acc.items():
-            if den != ONE:
-                for m, c in terms.items():
-                    q, r = divmod(c, den)
-                    terms[m] = Fraction(c, den) if r else q
-            p = Polynomial(self.ring2, terms)
-            if not p.is_zero():
-                out[key] = p
-        return out
+        """Factor-wise canonical form, with rows from the module normal form."""
+        return tensor_normal_form(elem, self.ring2, self._rows, self._row)
 
     def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
                     ) -> TensorSquareElement:
         """x_ij * (y (x) t) = sum_s (x_is . y) (x) (x_sj . t): multiplication
         by the Delta-image of the variable."""
-        factor = self.bial._delta_images[(i - 1) * self.n + (j - 1)]
+        factor = self.bial._delta_images[(i - 1) * self.bial.n + (j - 1)]
         return {key: p * factor for key, p in elem.items()}
-
-    def _delta_of_monomial(self, m: Monomial) -> dict[Monomial, int]:
-        """Delta(x^m) = Delta(x^(m - e_i)) * Delta(x_i) for the first variable
-        x_i of m, as integer terms, computed once per monomial."""
-        d = self._deltas.get(m)
-        if d is None:
-            i = next(k for k, e in enumerate(m) if e)
-            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
-            d = (Polynomial(self.ring2, self._delta_of_monomial(rest))
-                 * self.bial._delta_images[i]).terms
-            self._deltas[m] = d
-        return d
 
     def delta_of_vector(self, v: ModuleVector) -> TensorSquareElement:
         """Comultiplication of an element of U(U): generator rule
@@ -153,11 +83,7 @@ class TensorSquare:
         for p, q in v.components.items():
             l = p // um.Z.dim + 1
             t = p % um.Z.dim + 1
-            terms: dict[Monomial, Scalar] = {}
-            for mq, c in q.terms.items():
-                for m2, d in self._delta_of_monomial(mq).items():
-                    terms[m2] = terms.get(m2, ZERO) + c * d
-            dq = Polynomial(self.ring2, {m2: scalar(c) for m2, c in terms.items()})
+            dq = self.bial.delta_image(q)
             for s in range(1, m + 1):
                 self.add_term(out, (um.pos(l, s), um.pos(s, t)), dq)
         return out
@@ -230,23 +156,13 @@ class CoalgebraOnU:
 
 def bmodule_on_tensor_square(um: UniversalAModule,
                              bial: BialgebraStructure | None = None) -> Report:
-    """Verify that the comultiplication/counit actions of B on the tensor
-    square and on k satisfy the defining relations of B."""
+    """The actions of B on the tensor square (x_ij by Delta(x_ij)) and on k
+    (x_ij by eps(x_ij) = delta_ij) kill a relation P iff Delta(P) lies in the
+    tensor ideal and eps(P) = 0: that is B's descent report."""
     if not um.A.is_same_hg():
         raise ValueError("the B-module structures require h = g")
     bial = bial if bial is not None else bialgebra_structure(um.A)
-    bad: list[Violation] = []
-    # The action of x_ij on the tensor square is multiplication by
-    # Delta(x_ij); a relation acts as zero iff its Delta-image lies in the
-    # tensor ideal.  On k, x_ij acts by epsilon(x_ij) = delta_ij.
-    for label, eps, descends in bial.descent:
-        if not descends:
-            bad.append(Violation("tensor-square-action", label,
-                                 "relation acts nontrivially"))
-        if eps != 0:
-            bad.append(Violation("counit-action", label,
-                                 "relation acts nontrivially on k"))
-    return Report(tuple(bad))
+    return bial.descent
 
 
 def build_coalgebra(um: UniversalAModule,

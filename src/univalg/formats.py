@@ -58,10 +58,17 @@ def _int(path: str, line_no: int, text: str) -> int:
     return int(text)
 
 
+# The largest size a ``dim``, ``rows`` or ``cols`` line may give: tables are
+# allocated from these sizes (an algebra's bracket table has dim**3 entries)
+# before anything else is checked.
+MAX_SIZE = 64
+
+
 def _size(path: str, line_no: int, parts: list[str], seen: int | None,
           least: int = 0) -> int:
-    """The integer argument of a ``<directive> <n>`` line, at least ``least``;
-    ``seen`` is the value of an earlier line of the same directive, if any."""
+    """The integer argument of a ``<directive> <n>`` line, at least ``least``
+    and at most MAX_SIZE; ``seen`` is the value of an earlier line of the same
+    directive, if any."""
     if seen is not None:
         raise ParseError(path, line_no, f"repeated {parts[0]} line")
     if len(parts) != 2:
@@ -69,6 +76,8 @@ def _size(path: str, line_no: int, parts: list[str], seen: int | None,
     n = _int(path, line_no, parts[1])
     if n < least:
         raise ParseError(path, line_no, f"{parts[0]} must be at least {least}")
+    if n > MAX_SIZE:
+        raise ParseError(path, line_no, f"{parts[0]} must be at most {MAX_SIZE}")
     return n
 
 

@@ -1,4 +1,5 @@
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from univalg import cli, universal_modules
 from univalg.cli import main
 from univalg.coalgebra import CoalgebraOnU, TensorSquare
 from univalg.formats import (
+    MAX_SIZE,
     ParseError,
     parse_algebra_text,
     parse_module_text,
@@ -18,6 +20,7 @@ from univalg.formats import (
 )
 from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation, sl2
 from univalg.poly import LEX
+from univalg.universal_algebra import BialgebraStructure
 from univalg.universal_modules import UniversalAModule
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -408,6 +411,30 @@ def test_failing_printed_certificate_reaches_stdout(capsys, monkeypatch, command
     assert report in captured.out
 
 
+@pytest.mark.parametrize("command", ["coalgebra", "check coalgebra", "check comodule"])
+def test_failing_descent_is_reported(capsys, monkeypatch, command):
+    # The coalgebra commands require B's laws and print B's descent, so a
+    # relation that Delta does not carry into the tensor ideal shows there;
+    # check comodule prints no descent, so it requires it.
+    violation = Violation("comult-descends", (1, 1, 2), "Delta(P) not in tensor ideal")
+    monkeypatch.setattr(BialgebraStructure, "descent",
+                        property(lambda self: Report((violation,))))
+    code = main([*command.split(), fx("sl2.alg"), fx("natural2_sl2.mod")])
+    captured = capsys.readouterr()
+    assert code == 1
+    if command == "check comodule":
+        assert captured.out == ""
+        assert captured.err.startswith("error: bialgebra verification failed:\n")
+    else:
+        assert captured.err == ""
+        assert ("check tensor-square-action\nstatus fail\n"
+                "item comult-descends (1,1,2): Delta(P) not in tensor ideal\n"
+                ) in captured.out
+        assert [line for line in captured.out.splitlines()
+                if line.startswith("item ")] == [
+            "item comult-descends (1,1,2): Delta(P) not in tensor ideal"]
+
+
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
     # Every induced map sends y_sr to twice its image, so no composite is the
     # identity.
@@ -559,6 +586,71 @@ def test_budget_exit_3_env(capsys, monkeypatch):
     monkeypatch.setenv("UNIVALG_BUDGET", "1")
     code, _ = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"))
     assert code == 3
+
+
+def test_negative_budget_flag_exit_2(capsys):
+    code = main(["univalg", fx("abelian1.alg"), fx("abelian1.alg"), "--budget", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --budget must be at least 0, got -1\n"
+
+
+def test_negative_budget_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("UNIVALG_BUDGET", "-1")
+    code = main(["univalg", fx("abelian1.alg"), fx("abelian1.alg")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: UNIVALG_BUDGET must be at least 0, got -1\n"
+
+
+def test_non_integer_budget_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("UNIVALG_BUDGET", "abc")
+    code = main(["univalg", fx("abelian1.alg"), fx("abelian1.alg")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: UNIVALG_BUDGET must be an integer, got 'abc'\n")
+
+
+def test_negative_degree_probe_exit_2(capsys):
+    code = main(["univalg", fx("abelian1.alg"), fx("abelian1.alg"), "--degree-probe", "-2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --degree-probe must be at least 0, got -2\n"
+
+
+def test_zero_budget_is_valid(capsys, monkeypatch):
+    # A budget of 0 pairs is a budget, not a usage error: A(ab1,ab1) needs no
+    # pair and A(sl2,sl2) runs out.
+    assert run(capsys, "univalg", fx("abelian1.alg"), fx("abelian1.alg"),
+               "--budget", "0")[0] == 0
+    monkeypatch.setenv("UNIVALG_BUDGET", "0")
+    assert run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"))[0] == 3
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("big.alg", "algebra big\ndim 1000000\n", ["univalg", "{f}", "{f}"]),
+    ("big.mod", "kind lie\ndim 1000000\n", ["check", "module", "abelian1.alg", "{f}"]),
+    ("big.mor", "morphism big\nrows 1000000\ncols 1\n",
+     ["factorize", "amod", "abelian1.alg", "abelian1.alg", "scaling1.mod",
+      "scaling1.mod", "counit1.rep", "{f}"]),
+], ids=["alg-dim", "mod-dim", "mor-rows"])
+def test_huge_size_exit_2_quickly(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    args = [str(path) if a == "{f}" else fx(a) if "." in a else a for a in argv]
+    start = time.perf_counter()
+    code = main(args)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    directive = text.splitlines()[1].split()[0]
+    assert f"{name}:2: {directive} must be at most {MAX_SIZE}" in err
+    assert elapsed < 1.0
+
+
+def test_size_cap_is_64():
+    assert MAX_SIZE == 64
+    assert parse_morphism_text("morphism m\nrows 64\ncols 1\n").mat() == [[0]] * 64
+    with pytest.raises(ParseError, match="rows must be at most 64"):
+        parse_morphism_text("morphism m\nrows 65\ncols 1\n")
 
 
 def test_calls_in_sequence_share_no_state(capsys, monkeypatch):

@@ -231,3 +231,50 @@ def test_dead_public_api_is_reported():
         "m.py line 23: Unused"]
     users = ["from m import used, dead, Unused\n\nused().spare()\n"]
     assert dead_public_api({"m.py": src}, users) == []
+
+
+# The one function that may construct each Groebner basis type, as (file,
+# function): a basis is always computed by the engine, never assembled by hand.
+BASIS_BUILDERS = {
+    "GroebnerBasis": ("poly.py", "groebner"),
+    "ModuleGroebnerBasis": ("modgb.py", "module_buchberger"),
+}
+
+
+def hand_built_bases(sources: dict[str, str]) -> list[str]:
+    """Every call constructing a Groebner basis type in ``sources`` (file name
+    -> text) outside its builder, with the innermost enclosing function."""
+    found = []
+
+    def visit(file: str, node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+            inner = child.name if isinstance(child, functions) else owner
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None)
+                if name in BASIS_BUILDERS and BASIS_BUILDERS[name] != (file, owner):
+                    found.append(f"{file} line {child.lineno}: {name} in {owner}")
+            visit(file, child, inner)
+
+    for file, text in sources.items():
+        visit(file, ast.parse(text), None)
+    return found
+
+
+def test_no_hand_built_bases():
+    assert hand_built_bases(_sources_and_users()[0]) == []
+
+
+def test_hand_built_basis_is_reported():
+    src = (
+        "from . import poly\n\n\n"
+        "def groebner(gens, ring):\n    return GroebnerBasis(ring, tuple(gens))\n\n\n"
+        "class B:\n    def basis(self):\n        return poly.GroebnerBasis(self.ring, ())\n\n\n"
+        "EMPTY = ModuleGroebnerBasis(None, ())\n"
+    )
+    assert hand_built_bases({"poly.py": src}) == [
+        "poly.py line 10: GroebnerBasis in basis",
+        "poly.py line 13: ModuleGroebnerBasis in None"]
+    assert hand_built_bases({"other.py": src})[0] == "other.py line 5: GroebnerBasis in groebner"

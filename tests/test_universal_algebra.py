@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
@@ -164,6 +166,25 @@ def test_bialgebra_requires_same_hg():
         BialgebraStructure(A)
 
 
+def engine_tensor_basis(A, B):
+    """J' + J'' computed by the engine: poly.groebner of the two block images
+    of A's generators in the doubled ring."""
+    n2 = A.ring.nvars
+    xs = [B.tensor_ring.var(k) for k in range(2 * n2)]
+    gens = [p.map_coeffs_and_vars(B.tensor_ring, xs[b * n2:(b + 1) * n2])
+            for b in (0, 1) for p in A.jgens]
+    return poly.groebner(gens, B.tensor_ring)
+
+
+@pytest.fixture(scope="module", params=[DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def sl2_bialgebra(request, sl2_alg):
+    """A(sl2,sl2) under each order, its bialgebra and the engine's basis of
+    J' + J''."""
+    A = build_universal_algebra(sl2_alg, sl2_alg, order=request.param)
+    B = BialgebraStructure(A)
+    return A, B, engine_tensor_basis(A, B)
+
+
 def test_delta_on_generator_matrix_coproduct(A_sl2, B_sl2):
     # Delta(x_12) = sum_s x'_1s x''_s2 before reduction; after reduction it
     # must still be congruent to the same element.
@@ -172,7 +193,51 @@ def test_delta_on_generator_matrix_coproduct(A_sl2, B_sl2):
     expected = B_sl2.tensor_ring.zero()
     for s in range(1, 4):
         expected = expected + B_sl2._block_var(0, 1, s) * B_sl2._block_var(1, s, 2)
-    assert poly.normal_form(expected - d, B_sl2.tensor_gb).is_zero()
+    assert poly.normal_form(expected - d, engine_tensor_basis(A_sl2, B_sl2)).is_zero()
+
+
+# Polynomials of degree <= 3 in the nine variables of A(sl2,sl2): up to four
+# terms, each a product of up to three variables with a rational coefficient.
+sl2_cubics = st.lists(
+    st.tuples(st.lists(st.integers(0, 8), max_size=3),
+              st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+    max_size=4,
+)
+
+
+@given(sl2_cubics)
+@settings(max_examples=40, deadline=None)
+def test_delta_matches_ring_map_reduced_by_engine_basis(sl2_bialgebra, terms):
+    # Oracle: Delta as the ring map of the delta images, reduced modulo the
+    # engine's basis of J' + J'' instead of factor-wise.
+    A, B, gb = sl2_bialgebra
+    p = A.ring.zero()
+    for variables, c in terms:
+        m = [0] * 9
+        for k in variables:
+            m[k] += 1
+        p = p + A.ring.monomial(tuple(m), linalg.scalar(c))
+    ring_map = p.map_coeffs_and_vars(B.tensor_ring, B._delta_images)
+    assert B.delta(p) == poly.normal_form(ring_map, gb)
+
+
+def test_doubled_row_denominator_fails_descent(A_sl2, monkeypatch):
+    # The first nonzero row of A's normal forms that Delta builds gets twice
+    # its denominator, i.e. half its value.
+    B = BialgebraStructure(A_sl2)
+    build = B._row
+    doubled = []
+
+    def wrong_row(pos, m):
+        den, nums = build(pos, m)
+        if nums and not doubled:
+            doubled.append((pos, m))
+            den *= 2
+        return den, nums
+
+    monkeypatch.setattr(B, "_row", wrong_row)
+    assert "comult-descends" in _violated_checks(B)
+    assert doubled
 
 
 def _violated_checks(B):
