@@ -23,6 +23,7 @@ from .formats import (
     MatrixRepData,
     ParseError,
     ValidationError,
+    _INTEGER,
     _read_algebra_text,
     parse_algebra,
     parse_module,
@@ -78,14 +79,15 @@ def _universal_algebra(args, h_file: str, g_file: str | None = None):
 
 def _budget(args) -> int:
     """The S-pair budget: --budget, else UNIVALG_BUDGET, else the default; a
-    usage error unless it is an integer of at least 0."""
+    usage error unless it is an integer of at least 0, written as in files
+    (``formats._INTEGER``: ASCII digits with an optional sign)."""
     source, text = "--budget", args.budget
     if text is None:
-        source, text = "UNIVALG_BUDGET", os.environ.get("UNIVALG_BUDGET", DEFAULT_PAIR_BUDGET)
-    try:
-        budget = int(text)
-    except ValueError:
-        raise UsageError(f"{source} must be an integer, got {text!r}") from None
+        source, text = "UNIVALG_BUDGET", os.environ.get("UNIVALG_BUDGET",
+                                                        str(DEFAULT_PAIR_BUDGET))
+    if not _INTEGER.fullmatch(text):
+        raise UsageError(f"{source} must be an integer, got {text!r}")
+    budget = int(text)
     if budget < 0:
         raise UsageError(f"{source} must be at least 0, got {budget}")
     return budget
@@ -380,7 +382,7 @@ def cmd_coalgebra(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", choices=["degrevlex", "lex"], default="degrevlex")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", default=None,
                    help="S-pair budget (default from UNIVALG_BUDGET or 100000)")
     p.add_argument("--out", default=None, help="write output to a file")
 

@@ -5,9 +5,12 @@ Elements of the tensor square U(U) (x) U(U) are handled as vectors over the
 doubled variable ring of the bialgebra.  Their canonical form is
 universal_algebra.tensor_normal_form, the one that B (x) B uses at rank 1: it
 reduces each factor with the module normal form, which decides equality in
-the quotient tensor square without a second Groebner computation.  Each
-TensorSquare reduces a basis vector x^m e_p of a factor at most once and keeps
-the result as an integer row.  Delta of B on each monomial is B's own table.
+the quotient tensor square without a second Groebner computation.  The rows
+of the factors, nf(x^m e_p) as integer Rows, come from U(U)'s own
+multiplication table, so every TensorSquare over one U(U) shares them.  Delta
+of B on each monomial is B's own table.  A certificate equation is decided by
+one normal form of the difference of its sides, since that normal form is
+linear.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from . import linalg
 from .lie import LinearMap, Report, Violation
 from .linalg import Scalar, Vec
 from .modgb import ModuleVector
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 from .representations import MatrixARep
 from .universal_algebra import (
     BialgebraStructure,
-    Row,
     TensorSquareElement,
     bialgebra_structure,
-    integer_row,
     tensor_normal_form,
 )
 from .universal_modules import (
@@ -46,8 +47,6 @@ class TensorSquare:
         self.um = um
         self.bial = bial
         self.ring2 = bial.tensor_ring
-        # (position, monomial) -> the Row of x^m e_p
-        self._rows: dict[tuple[int, Monomial], Row] = {}
 
     def add_term(self, elem: TensorSquareElement, key: tuple[int, int],
                  p: Polynomial) -> None:
@@ -58,14 +57,10 @@ class TensorSquare:
         if elem[key].is_zero():
             del elem[key]
 
-    def _row(self, pos: int, m: Monomial) -> Row:
-        um = self.um
-        return integer_row(um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
-                           .components)
-
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
-        """Factor-wise canonical form, with rows from the module normal form."""
-        return tensor_normal_form(elem, self.ring2, self._rows, self._row)
+        """Factor-wise canonical form, with rows from U(U)'s multiplication
+        table."""
+        return tensor_normal_form(elem, self.ring2, self.um.rows, self.um.row)
 
     def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
                     ) -> TensorSquareElement:
@@ -133,15 +128,14 @@ class CoalgebraOnU:
         return Report(tuple(bad))
 
     def _delta_matches_coaction(self, l: int, r: int) -> bool:
-        """Delta(y_lr) equals the normal form of sum_s y_ls (x) y_sr, the u_l
-        coordinate of (rho (x) id) o rho (u_r)."""
-        um = self.um
-        w: TensorSquareElement = {}
+        """Delta(y_lr) equals sum_s y_ls (x) y_sr, the u_l coordinate of
+        (rho (x) id) o rho (u_r): their difference has normal form zero."""
+        um, sq = self.um, self.square
+        w = sq.delta_of_vector(um.free.basis_vector(um.pos(l, r)))
+        minus_one = -sq.ring2.one()
         for s in range(1, um.U.dim + 1):
-            self.square.add_term(w, (um.pos(l, s), um.pos(s, r)),
-                                 self.square.ring2.one())
-        closed = self.delta(um.free.basis_vector(um.pos(l, r)))
-        return self.square.normal_form(w) == closed
+            sq.add_term(w, (um.pos(l, s), um.pos(s, r)), minus_one)
+        return not sq.normal_form(w)
 
     def epsilon_by_factorization(self) -> FactorizationResult:
         """Recover epsilon as the factorization of can_U through the counit
@@ -193,7 +187,8 @@ def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> Report:
 def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:
     """Delta(x_ab . y_lt) = x_ab . Delta(y_lt), with B acting on the tensor
     square through Delta of B, and eps(x_ab . y_lt) = delta_ab delta_lt, on
-    all generator pairs."""
+    all generator pairs.  Each Delta equation is one normal form, of
+    x_ab . Delta(y_lt) - Delta(x_ab . y_lt)."""
     bad: list[Violation] = []
     um = C.um
     n = um.A.h.dim
@@ -206,8 +201,10 @@ def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:
                 for t in range(1, m + 1):
                     y = um.free.basis_vector(um.pos(l, t))
                     acted = um.act(xab, y)
-                    rhs = sq.bmodule_act(a, b, sq.delta_of_vector(y))
-                    if sq.normal_form(rhs) != C.delta(acted):
+                    diff = sq.bmodule_act(a, b, sq.delta_of_vector(y))
+                    for key, p in sq.delta_of_vector(acted).items():
+                        sq.add_term(diff, key, -p)
+                    if sq.normal_form(diff):
                         bad.append(Violation("bmodule-coalgebra-delta",
                                              (a, b, l, t), "sides differ"))
                     eps = C.epsilon(acted)

@@ -189,6 +189,11 @@ class LieModule:
         self.dim = dim
         self.action = [[[scalar(x) for x in row] for row in plane] for plane in action]
         self.name = name
+        # The matrix of each b_i (column convention), built once, immutable.
+        self._matrices = tuple(
+            tuple(tuple(plane[j][s] for j in range(dim)) for s in range(dim))
+            for plane in self.action
+        )
 
     @classmethod
     def trivial(cls, algebra: LieAlgebra, dim: int, name: str = "") -> "LieModule":
@@ -211,12 +216,10 @@ class LieModule:
                     action[i][j][s] = m[s][j]
         return cls(algebra, dim, action, name)
 
-    def action_matrix(self, i: int) -> Mat:
-        """Matrix of the 1-based basis element b_i (column convention)."""
-        return [
-            [self.action[i - 1][j][s] for j in range(self.dim)]
-            for s in range(self.dim)
-        ]
+    def action_matrix(self, i: int) -> tuple[tuple[Scalar, ...], ...]:
+        """Matrix of the 1-based basis element b_i (column convention), as
+        the immutable tuple built with the module."""
+        return self._matrices[i - 1]
 
     def act(self, x: Vec, v: Vec) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.dim:

@@ -136,13 +136,18 @@ class ModuleGroebnerBasis:
         """Lead table of the generators, built on first use for the reducer."""
         return _basis_table(self.module.ring, (g.components for g in self.generators))
 
+    def reduce(self, components: dict[int, Polynomial]) -> dict[int, Polynomial]:
+        """The components of the normal form of the vector with ``components``
+        (position -> nonzero polynomial)."""
+        ring = self.module.ring
+        codec = _codec_of(ring)
+        return _unpack(_reduce(_pack(components, codec), self._table, codec), ring, codec)
+
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    codec = _codec_of(v.module.ring)
-    terms = _reduce(_pack(v.components, codec), mgb._table, codec)
-    return ModuleVector(v.module, _unpack(terms, v.module.ring, codec))
+    return ModuleVector(v.module, mgb.reduce(v.components))
 
 
 def module_buchberger(

@@ -117,7 +117,8 @@ def validate_arep(R: MatrixARep) -> Report:
 
 class TensorGModule:
     """The Lie g-module on U (x) V: the action of f_i sends u_l (x) v_t to
-    sum_j (e_j act u_l) (x) (x_ji . v_t).
+    sum_j (e_j act u_l) (x) (x_ji . v_t), so its matrix is the Kronecker sum
+    sum_j rho_U(e_j) (x) V(x_ji).
 
     Basis ordering is (l,t) lexicographic: u_l (x) v_t sits at position
     (l-1)*dim(V) + t.
@@ -132,30 +133,24 @@ class TensorGModule:
         self.result = self._build()
 
     def _build(self) -> LieModule:
-        A = self.V.owner
-        m, l = self.U.dim, self.V.dim
-        g = A.g
-        dim = m * l
-        action = [
-            [[ZERO] * dim for _ in range(dim)] for _ in range(g.dim)
-        ]
-        for i in range(1, g.dim + 1):
-            for lidx in range(1, m + 1):
-                for t in range(1, l + 1):
-                    col = (lidx - 1) * l + (t - 1)
-                    for j in range(1, A.h.dim + 1):
-                        mat = self.V.matrix(j, i)
-                        for s in range(1, m + 1):
-                            w = self.U.action[j - 1][lidx - 1][s - 1]
-                            if not w:
-                                continue
-                            for p in range(1, l + 1):
-                                c = mat[p - 1][t - 1]
+        """The Kronecker sums, written into the action table: entry
+        (s,p),(l,t) of rho_U(e_j) (x) V(x_ji) is rho_U(e_j)[s][l] V(x_ji)[p][t]."""
+        A, U, V = self.V.owner, self.U, self.V
+        q = V.dim
+        dim = U.dim * q
+        action = [linalg.zeros(dim, dim) for _ in range(A.g.dim)]
+        for i, plane in enumerate(action, start=1):
+            for j in range(1, A.h.dim + 1):
+                x = V.matrix(j, i)
+                for s, urow in enumerate(U.action_matrix(j)):
+                    for l, w in enumerate(urow):
+                        if not w:
+                            continue
+                        for p, xrow in enumerate(x):
+                            for t, c in enumerate(xrow):
                                 if c:
-                                    row = (s - 1) * l + (p - 1)
-                                    action[i - 1][col][row] += w * c
-        return LieModule(g, dim, action,
-                         name=f"{self.U.name or 'U'}(x){self.V.name or 'V'}")
+                                    plane[l * q + t][s * q + p] += w * c
+        return LieModule(A.g, dim, action, name=f"{U.name or 'U'}(x){V.name or 'V'}")
 
     def position(self, l: int, t: int) -> int:
         """1-based (l,t) -> 0-based tensor basis position."""

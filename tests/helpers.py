@@ -9,6 +9,7 @@ from univalg.lie import LieAlgebra, LieModule, LinearMap, direct_sum, sl2
 from univalg.modgb import ModuleVector
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
+from univalg.universal_algebra import integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -158,6 +159,20 @@ def random_arep_morphism(rng: Random, V: MatrixARep, W: MatrixARep) -> LinearMap
             flat = [x + c * y for x, y in zip(flat, b)]
     mat = [[flat[t * src + s] for s in range(src)] for t in range(tgt)]
     return LinearMap.from_matrix(mat, src)
+
+
+def reference_row(um, pos, m):
+    """The Row of nf(x^m e_pos) by one module_normal_form reduction of that
+    basis vector, the oracle for U(U,Z)'s multiplication table."""
+    return integer_row(um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
+                       .components)
+
+
+def row_entries(row):
+    """A Row as its denominator and a dict (position, monomial) -> numerator,
+    so that two Rows compare whatever the order of their terms."""
+    den, nums = row
+    return den, {(q, m): n for q, terms in nums for m, n in terms}
 
 
 def reference_delta_of_vector(sq, v):

@@ -609,6 +609,23 @@ def test_non_integer_budget_env_exit_2(capsys, monkeypatch):
         "error: UNIVALG_BUDGET must be an integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("text", ["1_0", " 5 ", "\u0662"],
+                         ids=["underscore", "blanks", "arabic-indic-two"])
+@pytest.mark.parametrize("source", ["--budget", "UNIVALG_BUDGET"])
+def test_budget_takes_only_ascii_integers(capsys, monkeypatch, source, text):
+    # A budget is an integer as the input files write one; int() would also
+    # take these three, as 10, 5 and 2.
+    argv = ["univalg", fx("abelian1.alg"), fx("abelian1.alg")]
+    if source == "--budget":
+        argv += ["--budget", text]
+    else:
+        monkeypatch.setenv("UNIVALG_BUDGET", text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {source} must be an integer, got {text!r}\n"
+
+
 def test_negative_degree_probe_exit_2(capsys):
     code = main(["univalg", fx("abelian1.alg"), fx("abelian1.alg"), "--degree-probe", "-2"])
     captured = capsys.readouterr()

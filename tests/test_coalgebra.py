@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    natural2,
     reference_delta_of_vector,
     reference_tensor_normal_form,
     tensor_square_inputs,
@@ -188,22 +189,50 @@ def test_epsilon_killing_y11_fails_comodule(um_natural2, B_sl2, monkeypatch):
         Violation("comodule-axiom", (1,), "fails"),)
 
 
-def test_delta_reuses_reduced_basis_vectors(um_adjoint, B_sl2, monkeypatch):
-    C = CoalgebraOnU(um_adjoint, B_sl2)
-    v = um_adjoint.relgens[0]
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` while the test runs."""
     calls = []
-    nf = modgb.module_normal_form
+    fn = getattr(owner, name)
 
-    def counted(vec, mgb):
-        calls.append(vec)
-        return nf(vec, mgb)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(modgb, "module_normal_form", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_delta_reuses_reduced_basis_vectors(A_sl2, adjoint_sl2, B_sl2, monkeypatch):
+    # A fresh module, so that its multiplication table starts empty.
+    um = build_universal_amodule(A_sl2, adjoint_sl2, adjoint_sl2)
+    C = CoalgebraOnU(um, B_sl2)
+    v = um.relgens[0]
+    calls = _count_calls(monkeypatch, modgb.ModuleGroebnerBasis, "reduce")
     first = C.delta(v)
     assert calls
     calls.clear()
     assert C.delta(v) == first
     assert calls == []
+
+
+def test_second_coalgebra_over_one_module_reduces_nothing(A_sl2, B_sl2, sl2_alg,
+                                                          monkeypatch):
+    # The rows live in U(U)'s table: a second CoalgebraOnU over the same module
+    # reads them, so its certificates make no reduction of a basis vector.
+    N = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, N, N)
+    reduced = _count_calls(monkeypatch, modgb.ModuleGroebnerBasis, "reduce")
+    nf_calls = _count_calls(monkeypatch, modgb, "module_normal_form")
+    first = CoalgebraOnU(um, B_sl2)
+    assert first.verify().ok and verify_bmodule_coalgebra(um, first).ok
+    assert reduced and um.rows
+    reduced.clear()
+    nf_calls.clear()
+    rows = dict(um.rows)
+    second = CoalgebraOnU(um, B_sl2)
+    assert second.verify().ok and verify_bmodule_coalgebra(um, second).ok
+    assert (reduced, nf_calls) == ([], [])
+    assert um.rows == rows
 
 
 @pytest.mark.parametrize("wrong_action", [
@@ -264,13 +293,15 @@ def test_tensor_normal_form_matches_reference_on_random_terms(um_natural2, B_sl2
     lambda um, C: verify_bmodule_coalgebra(um, C),
 ], ids=["verify", "bmodule-coalgebra"])
 @pytest.mark.parametrize("which", ["um_natural2", "um_adjoint"])
-def test_doubled_row_denominator_fails_certificates(request, B_sl2, monkeypatch,
+def test_doubled_row_denominator_fails_certificates(A_sl2, B_sl2, sl2_alg, monkeypatch,
                                                     which, certificate):
-    # The first nonzero integer row a certificate builds gets twice its
-    # denominator, i.e. half its value.
-    um = request.getfixturevalue(which)
+    # The first nonzero row of U(U)'s table that a certificate reads gets twice
+    # its denominator, i.e. half its value.  The module is built here, so that
+    # the wrong row stays out of the shared modules' tables.
+    M = natural2(sl2_alg) if which == "um_natural2" else LieModule.adjoint(sl2_alg)
+    um = build_universal_amodule(A_sl2, M, M)
     C = CoalgebraOnU(um, B_sl2)
-    build = C.square._row
+    build = um.row
     doubled = []
 
     def wrong_row(pos, m):
@@ -280,6 +311,6 @@ def test_doubled_row_denominator_fails_certificates(request, B_sl2, monkeypatch,
             den *= 2
         return den, nums
 
-    monkeypatch.setattr(C.square, "_row", wrong_row)
+    monkeypatch.setattr(um, "row", wrong_row)
     assert not certificate(um, C).ok
     assert doubled

@@ -105,6 +105,23 @@ def test_adjoint_module_does_not_alias_the_bracket_table():
     assert validate_lie_algebra(L).ok
 
 
+@pytest.mark.parametrize("make", [
+    lambda L: LieModule.adjoint(L), natural2, lambda L: LieModule.trivial(L, 2),
+    lambda L: LieModule.trivial(L, 0),
+], ids=["adjoint", "natural2", "trivial2", "trivial0"])
+def test_action_matrix_is_the_frozen_transposed_action(make):
+    M = make(sl2())
+    for i in range(1, M.algebra.dim + 1):
+        mat = M.action_matrix(i)
+        assert mat == tuple(tuple(M.action[i - 1][j][s] for j in range(M.dim))
+                            for s in range(M.dim))
+        assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+        assert M.action_matrix(i) is mat  # built once, with the module
+        if M.dim:
+            with pytest.raises(TypeError):
+                mat[0][0] = 7
+
+
 def test_natural2_module_commutator_oracle():
     # Oracle: direct matrix commutator checks [A1,A2]=A3, [A3,A1]=2A1,
     # [A3,A2]=-2A2, then the validator must agree.

@@ -118,6 +118,35 @@ def test_tensor_with_counit_recovers_module_oracle(A_sl2, adjoint_sl2):
     assert validate_lie_module(T.result).ok
 
 
+def reference_tensor_action(U, X, i, l, t):
+    """f_i (u_l (x) x_t) = sum_j (e_j act u_l) (x) (X(x_ji) x_t), as a vector
+    in the (l, t)-lexicographic basis, from the definition."""
+    out = [ZERO] * (U.dim * X.dim)
+    for j in range(1, U.algebra.dim + 1):
+        a = U.act(U.algebra.basis_vector(j), U.basis_vector(l))
+        b = [row[t - 1] for row in X.matrix(j, i)]
+        for s, x in enumerate(a):
+            for p, y in enumerate(b):
+                out[s * X.dim + p] += x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_module_matches_the_kronecker_sum(A_sl2, sl2_alg, seed):
+    rng = Random(seed)
+    pools = [LieModule.adjoint(sl2_alg), natural2(sl2_alg), LieModule.trivial(sl2_alg, 2)]
+    U = pools[seed % 3]
+    X = rep_pool(A_sl2, rng)
+    T = tensor_lie_module(U, X)
+    for i in range(1, A_sl2.g.dim + 1):
+        fi = A_sl2.g.basis_vector(i)
+        for l in range(1, U.dim + 1):
+            for t in range(1, X.dim + 1):
+                e = [ZERO] * T.result.dim
+                e[T.position(l, t)] = ONE
+                assert T.result.act(fi, e) == reference_tensor_action(U, X, i, l, t)
+
+
 def test_tensor_module_validates(A_sl2, adjoint_sl2):
     X = MatrixARep.counit(A_sl2).direct_sum(
         MatrixARep.from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])

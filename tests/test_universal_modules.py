@@ -2,21 +2,35 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     is_abelian,
     natural2,
     random_arep_morphism,
     random_equivariant_map,
+    reference_row,
     rep_pool,
+    row_entries,
+    solvable2,
 )
 from univalg import linalg
-from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, is_module_morphism
+from univalg.lie import (
+    LieAlgebra,
+    LieModule,
+    LinearMap,
+    Report,
+    Violation,
+    is_module_morphism,
+)
 from univalg.modgb import ModuleVector
 from univalg.pbw import PBWElement
+from univalg.poly import Polynomial
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
+    UniversalAModule,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -86,6 +100,120 @@ def test_rho_shape(um_adjoint):
             um_adjoint.free.basis_vector(um_adjoint.pos(s, 2))
         )
         assert comp == expected
+
+
+class WrongEtaSign(UniversalAModule):
+    """U(U,Z) presented with the sign of one eta term flipped: in relation
+    ``label`` = (s, i, j), the term eta_jip y_sp for the first p with eta
+    nonzero."""
+
+    label = (1, 1, 1)
+
+    def _relations(self):
+        gens, labels = super()._relations()
+        s, i, j = self.label
+        p, eta = next((p, c) for p, c in enumerate(self.Z.action[j - 1][i - 1], 1) if c)
+        k = labels.index(self.label)
+        gens[k] = gens[k] - ModuleVector(
+            self.free, {self.pos(s, p): self.A.ring.const(2 * eta)})
+        return gens, labels
+
+
+def _solvable2_character(lam):
+    """The 1-dimensional module of solvable2 where e1 acts by lam, e2 by 0."""
+    return LieModule.from_matrices(solvable2(), [[[Fraction(lam)]], [[ZERO]]])
+
+
+@pytest.mark.parametrize("U, Z, label", [
+    (LieModule.adjoint(solvable2()), LieModule.adjoint(solvable2()), (2, 1, 2)),
+    (_solvable2_character(3), _solvable2_character(3), (1, 1, 1)),
+    (scaling_module(LieAlgebra.abelian(1), 2), scaling_module(LieAlgebra.abelian(1), 5),
+     (1, 1, 1)),
+], ids=["solvable2-adjoint", "solvable2-character", "abelian1-scalings"])
+def test_wrong_eta_sign_fails_rho_equivariance(U, Z, label):
+    # The difference rho(f_j z_r) - f_j rho(z_r) has the true relation (s, r, j)
+    # as its component at u_s, so the wrong sign shows at (j, r) = (j, i).  (On
+    # sl2's modules the flipped relation also kills y_sp, and with it the
+    # true relation, so no check could see it there.)
+    s, i, j = label
+    A = build_universal_algebra(U.algebra, Z.algebra)
+    um = type("Wrong", (WrongEtaSign,), {"label": label})(A, U, Z)
+    assert um.check_relations().ok and not um.is_collapsed()
+    assert um.check_rho_equivariance().violations == (
+        Violation("rho-equivariance", (j, i), "nonzero"),)
+    assert UniversalAModule(A, U, Z).check_rho_equivariance().ok
+
+
+@pytest.fixture(scope="module")
+def own_modules(A_sl2, sl2_alg):
+    """U(natural2, natural2) and U(adjoint, adjoint) for this file alone, so
+    that a test may empty their multiplication tables."""
+    N, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
+    return {"natural2": build_universal_amodule(A_sl2, N, N),
+            "adjoint": build_universal_amodule(A_sl2, ad, ad)}
+
+
+# Requests of table rows: a position (taken modulo the rank) and the
+# variables of a monomial of degree at most 3 in the 9 variables of A(sl2,sl2).
+row_requests = st.lists(
+    st.tuples(st.integers(0, 8), st.lists(st.integers(0, 8), max_size=3)),
+    min_size=1, max_size=4,
+)
+
+
+def _monomial(word, nvars=9):
+    m = [0] * nvars
+    for k in word:
+        m[k] += 1
+    return tuple(m)
+
+
+@pytest.mark.parametrize("which", ["natural2", "adjoint"])
+@given(row_requests)
+@settings(max_examples=40, deadline=None)
+def test_table_rows_match_per_row_reduction(own_modules, which, requests):
+    # From an empty table, every row filled on the way to the requested ones
+    # equals the per-row module_normal_form reduction, denominator included.
+    um = own_modules[which]
+    um.rows.clear()
+    for pos, word in requests:
+        um.row(pos % um.rank, _monomial(word))
+    assert um.rows
+    for (pos, m), row in um.rows.items():
+        assert row_entries(row) == row_entries(reference_row(um, pos, m))
+
+
+# A polynomial of A(sl2,sl2) and a vector of U(U,Z): at most three terms each,
+# monomials of degree at most 2, coefficients with small denominators.
+small_terms = st.lists(
+    st.tuples(st.lists(st.integers(0, 8), max_size=2),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.mark.parametrize("which", ["natural2", "adjoint"])
+@given(small_terms, st.lists(st.tuples(st.integers(0, 8), small_terms),
+                             min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_act_matches_normal_form_of_product(own_modules, which, p_terms, v_terms):
+    um = own_modules[which]
+    ring = um.A.ring
+
+    def poly(terms):
+        out = ring.zero()
+        for word, c in terms:
+            out = out + ring.monomial(_monomial(word), c)
+        return out
+
+    p = poly(p_terms)
+    v = um.free.zero()
+    for pos, terms in v_terms:
+        v = v + ModuleVector(um.free, {pos % um.rank: poly(terms)})
+    assert um.act(p, v) == um.nf(v.poly_mul(p))
+    assert um.act(ring.zero(), v).is_zero()
+    assert um.act(p, um.free.zero()).is_zero()
+    assert um.act(Polynomial(ring, {(0,) * 9: 1}), v) == um.nf(v)
 
 
 def test_zero_dimensional_Z(A_sl2, adjoint_sl2, sl2_alg):
