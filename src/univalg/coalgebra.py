@@ -60,7 +60,7 @@ class TensorSquare:
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
         """Factor-wise canonical form, with rows from U(U)'s multiplication
         table."""
-        return tensor_normal_form(elem, self.ring2, self.um.rows, self.um.row)
+        return tensor_normal_form(elem, self.ring2, self.um.row)
 
     def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
                     ) -> TensorSquareElement:

@@ -9,8 +9,10 @@ The Groebner work is done by the engine in :mod:`univalg.poly`, of which an
 ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
 a larger int.  This module packs and unpacks nothing itself: its fronts call
-``poly._pack``, ``poly._unpack`` and ``poly._basis_table``, which serve ideals
-and modules alike.
+``poly._pack``, ``poly._unpack``, ``poly._basis_table`` and
+``poly._remainder``, which serve ideals and modules alike.  The engine works
+on primitive integer rows; a basis comes out monic and a normal form divided
+once by its scale, so both are the same rationals as over Q.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .poly import (
     _codec_of,
     _LeadTable,
     _pack,
-    _reduce,
+    _remainder,
     _unpack,
     render,
 )
@@ -139,9 +141,7 @@ class ModuleGroebnerBasis:
     def reduce(self, components: dict[int, Polynomial]) -> dict[int, Polynomial]:
         """The components of the normal form of the vector with ``components``
         (position -> nonzero polynomial)."""
-        ring = self.module.ring
-        codec = _codec_of(ring)
-        return _unpack(_reduce(_pack(components, codec), self._table, codec), ring, codec)
+        return _remainder(components, self._table, self.module.ring)
 
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
@@ -160,9 +160,12 @@ def module_buchberger(
     with j*e_p for every ring-ideal generator j and position p.
 
     Runs the shared engine of :mod:`univalg.poly`, with the copies j*e_p as
-    elements that are already confluent among themselves.  Raises
-    ResourceBudgetError once more than ``budget`` S-pairs have been taken from
-    the queue.
+    elements that are already confluent among themselves.  No pair of two
+    copies is queued, nor a pair whose leads are coprime when one element is
+    a copy or both sit at a single position; the chain criterion applies to
+    the queued pairs as they are taken.  Raises ResourceBudgetError once more
+    than ``budget`` S-pairs have been taken from the queue, which the skipped
+    pairs never enter.
     """
     ring = module.ring
     codec = _codec_of(ring)

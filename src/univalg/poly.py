@@ -16,7 +16,10 @@ divisibility test is one mask (see "packed terms" below).  ``_pack`` and
 ``_unpack`` are the one packer and unpacker of terms and ``_basis_table`` the
 one builder of a basis's cached lead table, for ideals and modules alike: a
 polynomial p is the vector {0: p}.  Exponents above ``MAX_EXPONENT`` raise
-``ExponentOverflowError``.
+``ExponentOverflowError``.  Coefficients inside the engine are integers: each
+element is kept primitive (content 1, positive lead coefficient) and divided
+by cross-multiplication, so a basis element or a normal form becomes a
+rational, monic or divided once by its scale, only as it leaves the engine.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from . import linalg
@@ -326,6 +330,7 @@ class GroebnerBasis:
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_DIGITS = (1 << FIELD_BITS) - 1
 
 
 class ExponentOverflowError(ValueError):
@@ -348,8 +353,12 @@ class _Codec:
         self.guard = sum(
             1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars)
         )
+        # MAX_EXPONENT in every field: adding it to exponents sets the guard
+        # bit of exactly the nonzero ones, the support of a monomial.
+        self.low = self.guard - (self.guard >> (FIELD_BITS - 1))
         # The degree field of degrevlex holds nvars * MAX_EXPONENT.
         self.top = bn if lex else bn + FIELD_BITS + nvars.bit_length()
+        self.dmask = (1 << (self.top - bn)) - 1  # the degree field of degrevlex
         self._struct = struct.Struct((">" if lex else "<") + "H" * nvars)
         self._byteorder = "big" if lex else "little"
 
@@ -384,9 +393,19 @@ class _Codec:
     def lcm(self, a: int, b: int) -> int:
         """Key of the lcm of two terms at the same position."""
         s, emask, top = self.sign, self.emask, self.top
-        e = self.exponents_max((s * a) & emask, (s * b) & emask)
+        ea, eb = (s * a) & emask, (s * b) & emask
+        e = self.exponents_max(ea, eb)
         if s < 0:
-            e = (sum(self._exponents(e)) << self.bn) - e
+            # A key holds (degree << BN) - E, so key + E has the degree above
+            # E.  The fields of E are its digits in base R = 2^FIELD_BITS, and
+            # R = 1 mod R - 1, so E % (R - 1) is the sum of the exponents when
+            # that sum is below R - 1, as the lcm's is when the two degrees'.
+            bn, dmask = self.bn, self.dmask
+            if ((a + ea) >> bn & dmask) + ((b + eb) >> bn & dmask) < _DIGITS:
+                deg = e % _DIGITS
+            else:
+                deg = sum(self._exponents(e))
+            e = (deg << bn) - e
         return e + ((a >> top) << top)
 
     def check(self, tail_max: int, q: int) -> None:
@@ -409,13 +428,17 @@ def _codec_of(ring: PolyRing) -> _Codec:
 #
 # One engine serves ideals and submodules of free modules.  It works on flat
 # dicts from packed term keys to coefficients; an ideal is the rank-1 case,
-# with every term at position 0.  Elements inside the engine are monic, so
-# lead data carries no coefficient.
+# with every term at position 0.  Elements inside the engine are primitive
+# integer rows: integer coefficients with content 1 and a positive lead
+# coefficient.  Division cross-multiplies instead of dividing, so the engine
+# makes no ``Fraction``; an element is made monic only where it leaves the
+# engine (``_interreduce``, and the normal forms of the fronts).
 
 _Terms = dict[int, Scalar]
-# A monic element as the reducer sees it: (sign * lead key, lead key,
-# fieldwise maximum of the tail's exponents, tail terms).
-_Row = tuple[int, int, int, list[tuple[int, Scalar]]]
+# A primitive element as the reducer sees it: (sign * lead key, lead key,
+# fieldwise maximum of the tail's exponents, integer tail terms, positive
+# lead coefficient).
+_Row = tuple[int, int, int, list[tuple[int, int]], int]
 # Lead position key (lead >> TOP) -> rows of the elements with their lead
 # there, in basis order.
 _LeadTable = dict[int, list[_Row]]
@@ -443,23 +466,42 @@ def _unpack(terms: _Terms, ring: PolyRing, codec: _Codec) -> dict[int, Polynomia
 
 
 def _basis_table(ring: PolyRing, vectors: Iterable[dict[int, Polynomial]]) -> _LeadTable:
-    """Lead table of the monic multiples of nonzero ``vectors``, in order."""
+    """Lead table of the primitive multiples of nonzero ``vectors``, in order."""
     codec = _codec_of(ring)
-    return _lead_table((_row(_pack(v, codec), codec) for v in vectors), codec)
+    return _lead_table(
+        (_row(_integral(_pack(v, codec))[0], codec) for v in vectors), codec
+    )
 
 
-def _row(terms: _Terms, codec: _Codec) -> _Row:
-    """Row of the monic multiple of a nonzero element."""
-    lead = max(terms)
-    c = terms[lead]
-    tail = [(t, x) for t, x in terms.items() if t != lead]
-    if c != ONE:
-        tail = [(t, scalar(Fraction(x, c))) for t, x in tail]
+def _integral(terms: _Terms) -> tuple[dict[int, int], int]:
+    """Integer terms n and a positive integer d with ``terms`` = n / d; n is
+    ``terms`` itself when every scalar is integral, hence an int."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return terms, d
+    return {t: c.numerator * (d // c.denominator) for t, c in terms.items()}, d
+
+
+def _divided(terms: dict[int, int], d: int) -> _Terms:
+    """The exact scalar terms n / d of integer terms n."""
+    if d == 1:
+        return terms
+    return {t: scalar(Fraction(c, d)) for t, c in terms.items()}
+
+
+def _row(ints: dict[int, int], codec: _Codec) -> _Row:
+    """Row of the primitive multiple, with a positive lead coefficient, of a
+    nonzero element with integer terms."""
+    lead = max(ints)
+    g = gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    tail = [(t, c // g) for t, c in ints.items() if t != lead]
     s, emask = codec.sign, codec.emask
     tail_max = 0
     for t, _ in tail:
         tail_max = codec.exponents_max(tail_max, (s * t) & emask)
-    return s * lead, lead, tail_max, tail
+    return s * lead, lead, tail_max, tail, ints[lead] // g
 
 
 def _lead_table(rows: Iterable[_Row], codec: _Codec) -> _LeadTable:
@@ -469,14 +511,21 @@ def _lead_table(rows: Iterable[_Row], codec: _Codec) -> _LeadTable:
     return table
 
 
-def _reduce(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
-    """Full division: no term of the result is divisible by a lead in
-    ``table`` at the same position."""
+def _reduce(work: dict[int, int], table: _LeadTable,
+            codec: _Codec) -> tuple[dict[int, int], int]:
+    """Full division of the element with integer terms ``work``, which it
+    consumes: integer terms r and a positive integer scale d such that r / d
+    is the remainder, no term of r divisible by a lead in ``table`` at the
+    same position.
+
+    A step by a row whose lead coefficient lc does not divide the term's
+    coefficient c multiplies what is left by lc / gcd(lc, c); the scale is
+    the product of these factors."""
+    scale = ONE
     if not table:
-        return dict(terms)
+        return work, scale
     sign, guard, top = codec.sign, codec.guard, codec.top
-    work = dict(terms)
-    remainder: _Terms = {}
+    remainder: dict[int, int] = {}
     while work:
         # Every term a reduction step adds is smaller than the term it
         # removes, so a term leaves ``work`` at most once.
@@ -485,11 +534,21 @@ def _reduce(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
         if not c:
             continue
         st = sign * t
-        for sl, lead, tail_max, tail in table.get(t >> top, ()):
+        for sl, lead, tail_max, tail, lc in table.get(t >> top, ()):
             d = st - sl  # the quotient's exponents in the low fields
             if not d & guard:
                 if (tail_max + d) & guard:
                     raise ExponentOverflowError()
+                if lc != 1:
+                    g = gcd(lc, c)
+                    if g != lc:
+                        f = lc // g
+                        scale *= f
+                        for u in work:
+                            work[u] *= f
+                        for u in remainder:
+                            remainder[u] *= f
+                    c //= g
                 q = t - lead
                 for u, uc in tail:
                     u += q
@@ -500,74 +559,104 @@ def _reduce(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
                 break
         else:
             remainder[t] = c
-    return remainder
+    return remainder, scale
 
 
-def _s_terms(a: _Row, b: _Row, codec: _Codec) -> _Terms:
-    """S-element of two monic elements with leads at the same position; the
-    leads cancel, so only the tails are multiplied."""
-    (_, la, ma, ta), (_, lb, mb, tb) = a, b
-    lcm = codec.lcm(la, lb)
-    qa, qb = lcm - la, lcm - lb
+def _remainder(vector: dict[int, Polynomial], table: _LeadTable,
+               ring: PolyRing) -> dict[int, Polynomial]:
+    """The components of the normal form of ``vector`` (position -> nonzero
+    polynomial) modulo the basis with lead table ``table``: the one exit of
+    a normal form from the engine, divided once by the denominator of
+    ``vector`` times the scale of the division."""
+    codec = _codec_of(ring)
+    ints, den = _integral(_pack(vector, codec))
+    r, d = _reduce(ints, table, codec)
+    return _unpack(_divided(r, den * d), ring, codec)
+
+
+def _s_terms(a: _Row, b: _Row, codec: _Codec) -> dict[int, int]:
+    """S-element lc_b * x^qa * a - lc_a * x^qb * b of two rows with leads at
+    the same position, x^qa and x^qb their cofactors to the lcm of the
+    leads; the leads cancel, so only the tails are multiplied."""
+    (_, la, ma, ta, ca), (_, lb, mb, tb, cb) = a, b
+    m = codec.lcm(la, lb)
+    qa, qb = m - la, m - lb
     codec.check(ma, qa)
     codec.check(mb, qb)
-    s = {u + qa: c for u, c in ta}
+    s = {u + qa: cb * c for u, c in ta}
     for u, c in tb:
         u += qb
-        s[u] = s.get(u, ZERO) - c
+        s[u] = s.get(u, ZERO) - ca * c
     return {u: c for u, c in s.items() if c}
 
 
 def _buchberger(
     gens: Iterable[_Terms],
-    confluent: Iterable[_Terms],
+    copies: Iterable[_Terms],
     codec: _Codec,
     budget: int,
     name: str,
 ) -> list[_Terms]:
-    """Reduced Groebner basis of the span of ``gens`` and ``confluent``, as
+    """Reduced Groebner basis of the span of ``gens`` and ``copies``, as
     monic term dicts in ascending order of their leads.
 
-    ``confluent`` elements already form a Groebner basis among themselves, so
-    no pair of two of them is queued: its S-element reduces to zero against
-    them.  Pairs are taken by normal selection from a heap keyed by the term
-    (position, lcm of the leads), computed once when the pair is queued.  A
-    pair is skipped when both elements sit at a single position and their
-    leads are coprime (product criterion), or when the chain criterion
-    applies.  Raises ResourceBudgetError once more than ``budget`` pairs,
-    skipped or not, have been taken from the queue.
+    ``copies`` are the ring-ideal copies j*e_p: for every element j of a
+    Groebner basis of an ideal of the ring, and every position p, the
+    element j at position p.  They form a Groebner basis among themselves,
+    so no pair of two of them is queued.  A pair never enters the queue when
+    the leads of its two elements are coprime and both elements sit at a
+    single position, or one of them is a copy (product criterion): a copy
+    j*e_p and an element g with lead lm(g_p) e_p give
+
+        lm(j) g - lm(g_p) j e_p
+            = sum_{q > p} g_q (j e_q) - (j - lt j) g + (g_p - lt g_p) j e_p,
+
+    every term of the right-hand side below the lcm.  Pairs are taken by
+    normal selection from a heap keyed by the term (position, lcm of the
+    leads), computed once when the pair is queued, and skipped when the
+    chain criterion applies.  Raises ResourceBudgetError once more than
+    ``budget`` pairs have been taken from the queue.
     """
-    top = codec.top
+    top, emask, guard, low = codec.top, codec.emask, codec.guard, codec.low
     rows: list[_Row] = []
+    support: list[int] = []  # the guard bits of the variables of the lead
     single: list[bool] = []  # all terms of the element at its lead position
+    copy: list[bool] = []
     table: _LeadTable = {}
     at: dict[int, list[int]] = {}  # position key -> indices of the rows there
     queue: list[tuple[int, int, int]] = []  # (lcm, i, j), i > j
     pending: set[tuple[int, int]] = set()
 
-    def add(terms: _Terms, partners: int) -> None:
-        """Append an element and queue its pairs with the elements at its
-        position among the first ``partners``."""
+    def add(ints: dict[int, int], partners: int, is_copy: bool) -> None:
+        """Append an element with integer terms and queue its pairs with the
+        elements at its position among the first ``partners``."""
         k = len(rows)
-        row = _row(terms, codec)
+        row = _row(ints, codec)
         lead = row[1]
         pk = lead >> top
+        sup = ((row[0] & emask) + low) & guard
+        one = all(u >> top == pk for u, _ in row[3])
         rows.append(row)
-        single.append(all(u >> top == pk for u, _ in row[3]))
+        support.append(sup)
+        single.append(one)
+        copy.append(is_copy)
         table.setdefault(pk, []).append(row)
         same_pos = at.setdefault(pk, [])
         for t in same_pos:
-            if t < partners:
-                heapq.heappush(queue, (codec.lcm(lead, rows[t][1]), k, t))
-                pending.add((k, t))
+            if t >= partners:
+                break
+            if not sup & support[t] and (is_copy or copy[t] or one and single[t]):
+                continue
+            heapq.heappush(queue, (codec.lcm(lead, rows[t][1]), k, t))
+            pending.add((k, t))
         same_pos.append(k)
 
     for g in gens:
         if g:
-            add(g, len(rows))
+            add(_integral(g)[0], len(rows), False)
     n_gens = len(rows)
-    for g in confluent:
-        add(g, n_gens)
+    for g in copies:
+        add(_integral(g)[0], n_gens, True)
     processed = 0
     while queue:
         lcm, i, j = heapq.heappop(queue)
@@ -577,16 +666,11 @@ def _buchberger(
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exceeded in {name}"
             )
-        pk = lcm >> top
-        # Coprime leads: the lcm is their product (pk << top is the key of
-        # the unit term at their position).
-        if single[i] and single[j] and rows[i][1] + rows[j][1] - lcm == pk << top:
+        if _chain_criterion(rows, at[lcm >> top], pending, i, j, lcm, codec):
             continue
-        if _chain_criterion(rows, at[pk], pending, i, j, lcm, codec):
-            continue
-        r = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
+        r, _ = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
         if r:
-            add(r, len(rows))
+            add(r, len(rows), False)
     return _interreduce(table, codec)
 
 
@@ -605,41 +689,43 @@ def _chain_criterion(rows, same_pos, pending, i, j, lcm, codec) -> bool:
 
 
 def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
+    """The monic reduced basis of the rows in ``table``, ascending by lead."""
     guard = codec.guard
-    # Drop elements whose lead is divisible by the lead of another element at
-    # its position; of equal leads the first one in basis order stays.
-    kept = [
-        row
-        for rows in table.values()
-        for idx, row in enumerate(rows)
-        if not any(
-            other != idx
-            and not (row[0] - so) & guard
-            and (lo != row[1] or other < idx)
-            for other, (so, lo, _, _) in enumerate(rows)
-        )
-    ]
+    # Keep the rows whose lead no other lead at its position divides, of
+    # equal leads the first in basis order.  A divisor of a lead is not
+    # larger than it, so one pass in ascending lead order (stable, so equal
+    # leads stay in basis order) tests each row against the kept ones.
+    kept = []
+    for rows in table.values():
+        minimal: list[_Row] = []
+        for row in sorted(rows, key=lambda row: row[1]):
+            if all((row[0] - m[0]) & guard for m in minimal):
+                minimal.append(row)
+        kept += minimal
     # Reduce each survivor's tail.  No tail term, nor any term its reduction
     # produces, is divisible by the survivor's own lead, so reducing against
     # all survivors is reducing against the others.
     table = _lead_table(kept, codec)
     kept.sort(key=lambda row: row[1])
-    return [{row[1]: ONE, **_reduce(dict(row[3]), table, codec)} for row in kept]
+    basis = []
+    for _, lead, _, tail, lc in kept:
+        r, d = _reduce(dict(tail), table, codec)
+        basis.append({lead: ONE, **_divided(r, d * lc)})
+    return basis
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
-    codec = _codec_of(p.ring)
-    nf = _unpack(_reduce(_pack({0: p}, codec), gb._table, codec), p.ring, codec)
-    return nf.get(0, p.ring.zero())
+    return _remainder({0: p}, gb._table, p.ring).get(0, p.ring.zero())
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     codec = _codec_of(f.ring)
-    a, b = (_row(_pack({0: q}, codec), codec) for q in (f, g))
-    return _unpack(_s_terms(a, b, codec), f.ring, codec).get(0, f.ring.zero())
+    a, b = (_row(_integral(_pack({0: q}, codec))[0], codec) for q in (f, g))
+    s = _divided(_s_terms(a, b, codec), a[4] * b[4])
+    return _unpack(s, f.ring, codec).get(0, f.ring.zero())
 
 
 def groebner(
@@ -648,10 +734,11 @@ def groebner(
     """Reduced Groebner basis in ``ring`` of the ideal generated by ``gens``;
     the empty basis when every generator is zero.
 
-    Runs the shared engine on rank 1, every term at position 0: normal pair
-    selection with the product and chain criteria.  Raises
-    ResourceBudgetError once more than ``budget`` S-pairs have been taken
-    from the queue.
+    Runs the shared engine on rank 1, every term at position 0: a pair with
+    coprime leads never enters the queue (product criterion), and the queued
+    pairs are taken by normal selection and skipped by the chain criterion.
+    Raises ResourceBudgetError once more than ``budget`` S-pairs have been
+    taken from the queue.
     """
     gens = list(gens)
     if any(g.ring != ring for g in gens):

@@ -200,25 +200,19 @@ def integer_row(components: dict[int, Polynomial]) -> Row:
 
 
 def tensor_normal_form(elem: TensorSquareElement, ring2: PolyRing,
-                       rows: dict[tuple[int, Monomial], Row],
                        row) -> TensorSquareElement:
     """Factor-wise canonical form in the tensor square of a presented module
     over A, its factors the two variable blocks of ``ring2``: their leads are
     coprime, so x^m1 x^m2 at (p1, p2) reduces to row(p1, m1) (x) row(p2, m2),
-    with each Row memoised in ``rows``.  The products and sums run on integers
-    over one common denominator, divided out once per output coefficient."""
+    ``row`` the presented module's memoising getter of its Rows.  The products
+    and sums run on integers over one common denominator, divided out once per
+    output coefficient."""
     n2 = ring2.nvars // 2
     gathered = []
     den = ONE
     for (p1, p2), q in elem.items():
         for m, c in q.terms.items():
-            k1, k2 = (p1, m[:n2]), (p2, m[n2:])
-            r1, r2 = rows.get(k1), rows.get(k2)
-            if r1 is None:
-                r1 = rows[k1] = row(*k1)
-            if r2 is None:
-                r2 = rows[k2] = row(*k2)
-            (d1, f1), (d2, f2) = r1, r2
+            (d1, f1), (d2, f2) = row(p1, m[:n2]), row(p2, m[n2:])
             if f1 and f2:
                 d = c.denominator * d1 * d2
                 den = lcm(den, d)
@@ -311,12 +305,17 @@ class BialgebraStructure:
         return Polynomial(self.tensor_ring, terms)
 
     def _row(self, pos: int, m: Monomial) -> Row:
-        return integer_row({pos: self.owner.reduce(self.owner.ring.monomial(m)).value})
+        """The Row of the normal form of x^m in A, built once into ``_rows``."""
+        r = self._rows.get((pos, m))
+        if r is None:
+            r = integer_row({pos: self.owner.reduce(self.owner.ring.monomial(m)).value})
+            self._rows[(pos, m)] = r
+        return r
 
     def delta(self, p: Polynomial) -> Polynomial:
         """Comultiplication reduced modulo J' + J'', factor-wise."""
         nf = tensor_normal_form({(0, 0): self.delta_image(p)}, self.tensor_ring,
-                                self._rows, self._row)
+                                self._row)
         return nf.get((0, 0), self.tensor_ring.zero())
 
     def epsilon(self, p: Polynomial) -> Scalar:

@@ -5,7 +5,9 @@ from fractions import Fraction
 from random import Random
 
 from univalg import linalg
-from univalg.lie import LieAlgebra, LieModule, LinearMap, direct_sum, sl2
+from univalg.lie import (
+    LieAlgebra, LieModule, LinearMap, Report, Violation, direct_sum, sl2,
+)
 from univalg.modgb import ModuleVector
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
@@ -269,3 +271,65 @@ def reference_validate_arep(R: MatrixARep) -> tuple:
             for label, gen in zip(R.owner.labels, R.owner.jgens)
             if any(any(row) for row in reference_eval_matrices(gen, mats))]
     return tuple(out)
+
+
+def reference_validate_lie_algebra(L: LieAlgebra) -> Report:
+    """``validate_lie_algebra`` as a dense sweep: every (i, j, s) for
+    antisymmetry, then every triple i < j < k for Jacobi through
+    ``L.bracket`` on basis vectors, zero structure constants included."""
+    bad = []
+    n = L.dim
+    for i in range(n):
+        for j in range(n):
+            for s in range(n):
+                if L.table[i][j][s] != -L.table[j][i][s]:
+                    bad.append(Violation(
+                        "antisymmetry", (i + 1, j + 1, s + 1),
+                        f"c[{i+1}][{j+1}][{s+1}]={L.table[i][j][s]} vs "
+                        f"-c[{j+1}][{i+1}][{s+1}]={-L.table[j][i][s]}"))
+    for i in range(n):
+        ei = L.basis_vector(i + 1)
+        for j in range(i + 1, n):
+            ej = L.basis_vector(j + 1)
+            for k in range(j + 1, n):
+                ek = L.basis_vector(k + 1)
+                acc = L.bracket(L.bracket(ei, ej), ek)
+                acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ej, ek), ei))]
+                acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ek, ei), ej))]
+                if any(acc):
+                    bad.append(Violation("jacobi", (i + 1, j + 1, k + 1),
+                                         f"residual {linalg.vec_str(acc)}"))
+    return Report(tuple(bad))
+
+
+def reference_remainder(basis, v, order):
+    """The remainder of full division of ``v`` by ``basis`` over Q, both as
+    dicts (position, monomial) -> exact scalar, under position-over-term
+    order (a lower position wins, then ``order``).  Tuple monomials, the
+    whole basis rescanned for every term, each quotient a ``Fraction``: no
+    packed term, integer row or scale factor of the engine."""
+    def key(t):
+        return -t[0], order.key(t[1])
+
+    leads = [max(b, key=key) for b in basis]
+    work, rem = dict(v), {}
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        for b, (p, lm) in zip(basis, leads):
+            if p != t[0] or any(x > y for x, y in zip(lm, t[1])):
+                continue
+            f = Fraction(c) / b[(p, lm)]
+            q = tuple(y - x for x, y in zip(lm, t[1]))
+            for (bp, bm), bc in b.items():
+                if (bp, bm) != (p, lm):
+                    u = (bp, tuple(x + y for x, y in zip(bm, q)))
+                    w = work.get(u, ZERO) - f * bc
+                    if w:
+                        work[u] = w
+                    else:
+                        work.pop(u, None)
+            break
+        else:
+            rem[t] = c
+    return rem

@@ -24,7 +24,7 @@ from univalg import linalg, modgb
 from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
-from univalg.universal_algebra import build_universal_algebra
+from univalg.universal_algebra import BialgebraStructure, build_universal_algebra
 from univalg.universal_modules import build_universal_amodule
 
 ZERO = Fraction(0)
@@ -233,6 +233,33 @@ def test_second_coalgebra_over_one_module_reduces_nothing(A_sl2, B_sl2, sl2_alg,
     assert second.verify().ok and verify_bmodule_coalgebra(um, second).ok
     assert (reduced, nf_calls) == ([], [])
     assert um.rows == rows
+
+
+class _CountingTable(dict):
+    """A table of rows that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = {}
+
+    def __setitem__(self, key, value):
+        self.stores[key] = self.stores.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_each_row_is_stored_once(A_sl2, sl2_alg):
+    # From empty tables, the certificates of U(U) and the descent of B build
+    # and store each (position, monomial) row exactly once.
+    N = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, N, N)
+    B = BialgebraStructure(A_sl2)
+    um.rows, B._rows = _CountingTable(), _CountingTable()
+    C = CoalgebraOnU(um, B)
+    assert C.verify().ok and verify_bmodule_coalgebra(um, C).ok
+    assert B.descent.ok
+    for table in (um.rows, B._rows):
+        assert table.stores and set(table.stores.values()) == {1}
+        assert table.stores.keys() == table.keys()
 
 
 @pytest.mark.parametrize("wrong_action", [

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import heisenberg, natural2, random_equivariant_map, solvable2
+from helpers import (
+    algebra_pool,
+    heisenberg,
+    natural2,
+    random_equivariant_map,
+    reference_validate_lie_algebra,
+    solvable2,
+)
 from univalg import linalg
 from univalg.lie import (
     LieAlgebra,
@@ -74,6 +81,27 @@ def test_jacobi_violation_reported():
     rep = validate_lie_algebra(L)
     assert not rep.ok
     assert any(v.check == "jacobi" for v in rep.violations)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_sparse_sweep_matches_the_dense_sweep(seed, corruptions, antisymmetric):
+    # A seeded algebra of the pool (or abelian5), with up to four entries
+    # overwritten, in both orientations when ``antisymmetric``: the sparse
+    # sweep reports what the dense sweep reports, in the same order and with
+    # the same text.
+    rng = Random(seed)
+    base = rng.choice(algebra_pool() + [LieAlgebra.abelian(5)])
+    n = base.dim
+    table = [[list(row) for row in plane] for plane in base.table]
+    for _ in range(corruptions):
+        i, j, s = (rng.randrange(n) for _ in range(3))
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        table[i][j][s] = c
+        if antisymmetric:
+            table[j][i][s] = -c
+    L = LieAlgebra(n, table)
+    assert validate_lie_algebra(L) == reference_validate_lie_algebra(L)
 
 
 def test_adjoint_module_jacobi_oracle():
