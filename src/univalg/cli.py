@@ -38,7 +38,7 @@ from .lie import (
     validate_lie_algebra,
     validate_lie_module,
 )
-from .modgb import ModuleVector
+from .modgb import render_module_vector
 from .pbw import render_pbw
 from .poly import DEFAULT_PAIR_BUDGET, DEGREVLEX, LEX, ResourceBudgetError
 from .representations import MatrixARep, validate_arep
@@ -99,15 +99,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _render_module_vector(v: ModuleVector) -> str:
-    if v.is_zero():
-        return "0"
-    parts = [
-        f"({poly.render(q)})*e{p + 1}" for p, q in sorted(v.components.items())
-    ]
-    return " + ".join(parts)
 
 
 def _load_lie_module(path: str, algebra: LieAlgebra) -> LieModule:
@@ -199,10 +190,10 @@ def cmd_univmod(args) -> int:
             lines.append(f"generator y[{s},{r}] at position {um.pos(s, r) + 1}")
     for label, gen in zip(um.rel_labels, um.relgens):
         lines.append(
-            f"relation {label[0]},{label[1]},{label[2]}: {_render_module_vector(gen)}"
+            f"relation {label[0]},{label[1]},{label[2]}: {render_module_vector(gen)}"
         )
     for gvec in um.mgb.generators:
-        lines.append(f"module-groebner: {_render_module_vector(gvec)}")
+        lines.append(f"module-groebner: {render_module_vector(gvec)}")
     return _emit_reports("\n".join(lines) + "\n", [
         ("module-relations", um.check_relations()),
         ("structure-map-equivariance", um.check_rho_equivariance()),

@@ -101,7 +101,7 @@ class CoalgebraOnU:
     def __init__(self, um: UniversalAModule, bial: BialgebraStructure | None = None):
         if not um.A.is_same_hg():
             raise ValueError("the coalgebra on U(U) requires h = g")
-        if um.U.dim != um.Z.dim or um.U.action != um.Z.action:
+        if um.U != um.Z:
             raise ValueError("the coalgebra on U(U) requires Z = U")
         self.um = um
         self.bial = bial if bial is not None else bialgebra_structure(um.A)

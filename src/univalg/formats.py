@@ -298,13 +298,13 @@ def parse_module_text(text: str, path: str = "<string>",
         return MatrixRepData(name, over, dim, entries)
     if algebra is None:
         raise ValidationError(f"{path}: kind lie requires the algebra it is over")
-    action = [[[ZERO] * dim for _ in range(dim)] for _ in range(algebra.dim)]
+    mats = [[[ZERO] * dim for _ in range(dim)] for _ in range(algebra.dim)]
     for no, i, j, pairs in lie_entries:
         if not 1 <= i <= algebra.dim:
             raise ParseError(path, no, f"index {i} out of range 1..{algebra.dim}")
         for s, c in pairs:
-            action[i - 1][j - 1][s - 1] = c
-    M = LieModule(algebra, dim, action, name=name)
+            mats[i - 1][s - 1][j - 1] = c
+    M = LieModule(algebra, mats, name=name)
     validate_lie_module(M).require(ValidationError, f"{path}: not a Lie module")
     return M
 
@@ -322,12 +322,10 @@ def render_module(M: LieModule, over: str = "") -> str:
         "kind lie",
         f"dim {M.dim}",
     ]
-    for i in range(M.algebra.dim):
+    for i, m in enumerate(M.matrices):
         for j in range(M.dim):
             pairs = [
-                f"{s + 1}:{_rat_str(M.action[i][j][s])}"
-                for s in range(M.dim)
-                if M.action[i][j][s]
+                f"{s + 1}:{_rat_str(row[j])}" for s, row in enumerate(m) if row[j]
             ]
             if pairs:
                 out.append(f"action {i + 1} {j + 1}: " + " ".join(pairs))

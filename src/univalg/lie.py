@@ -2,8 +2,11 @@
 tables, with exhaustive axiom validators.
 
 All indices are 1-based in reports to match the usual e_1..e_n conventions;
-internally tables are 0-based dense nested lists of exact scalars, stored
-once, as ints where integral (``linalg.scalar``), by the constructors.
+internally structures are 0-based.  Each is stored once, by its constructor,
+as immutable tuples of exact scalars, ints where integral (``linalg.freeze``):
+a Lie algebra as its bracket table c[i][j][s], a Lie module as the action
+matrix of each basis element.  ``LieModule.adjoint`` is the one place that
+turns a bracket table into matrices.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .linalg import Mat, Scalar, Vec, scalar
+from .linalg import Frozen, Mat, Scalar, Vec, scalar
 
 ZERO = 0
 ONE = 1
@@ -54,20 +57,15 @@ def _table(dim1: int, dim2: int, dim3: int) -> list[list[list[Scalar]]]:
     return [[[ZERO] * dim3 for _ in range(dim2)] for _ in range(dim1)]
 
 
-def _bilinear(table: list[list[list[Scalar]]], x: Vec, y: Vec, dim: int) -> Vec:
-    """The bilinear map of a structure-constant table: sum over i, j of
-    x_i y_j table[i][j], a vector of length ``dim``."""
-    out = [ZERO] * dim
-    for xi, plane in zip(x, table):
-        if not xi:
-            continue
-        for yj, row in zip(y, plane):
-            if not yj:
-                continue
-            c = xi * yj
-            for s, t in enumerate(row):
-                if t:
-                    out[s] += c * t
+def _combination(coeffs: Vec, mats: tuple[Frozen, ...], dim: int) -> Mat:
+    """The dim x dim matrix sum_i coeffs[i] mats[i]."""
+    out = linalg.zeros(dim, dim)
+    for c, m in zip(coeffs, mats):
+        if c:
+            for orow, mrow in zip(out, m):
+                for k, y in enumerate(mrow):
+                    if y:
+                        orow[k] += c * y
     return out
 
 
@@ -79,7 +77,7 @@ class LieAlgebra:
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.table = [[[scalar(x) for x in row] for row in plane] for plane in bracket]
+        self.table = tuple(linalg.freeze(plane) for plane in bracket)
         self.name = name
         # Memo of pbw.normalize_word for this algebra: word -> PBW normal form.
         self._pbw_words: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
@@ -109,7 +107,16 @@ class LieAlgebra:
     def bracket(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
-        return _bilinear(self.table, x, y, self.dim)
+        out = [ZERO] * self.dim
+        for xi, plane in zip(x, self.table):
+            if xi:
+                for yj, row in zip(y, plane):
+                    if yj:
+                        c = xi * yj
+                        for s, t in enumerate(row):
+                            if t:
+                                out[s] += c * t
+        return out
 
     def basis_vector(self, i: int) -> Vec:
         """1-based basis vector."""
@@ -183,58 +190,54 @@ def validate_lie_algebra(L: LieAlgebra) -> Report:
 
 
 class LieModule:
-    """Module over a Lie algebra: action[i][j][s] with
-    b_i acting on u_j = sum_s action[i][j][s] u_s (0-based)."""
+    """Module over a Lie algebra given by the action matrix of each basis
+    element, column convention: b_i acting on u_j is
+    sum_s matrices[i][s][j] u_s (0-based)."""
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        dim: int,
-        action: list[list[list[Scalar]]],
-        name: str = "",
-    ):
-        if dim < 0:
-            raise ValueError("dim must be non-negative")
+    def __init__(self, algebra: LieAlgebra, matrices: list[Mat], name: str = ""):
         self.algebra = algebra
-        self.dim = dim
-        self.action = [[[scalar(x) for x in row] for row in plane] for plane in action]
+        self.matrices = tuple(linalg.freeze(m) for m in matrices)
+        self.dim = len(self.matrices[0]) if self.matrices else 0
+        if len(self.matrices) != algebra.dim or any(
+                len(m) != self.dim or any(len(row) != self.dim for row in m)
+                for m in self.matrices):
+            raise ValueError("a Lie module takes one square matrix of one size"
+                             " per basis element of its algebra")
         self.name = name
-        # The matrix of each b_i (column convention), built once, immutable.
-        self._matrices = tuple(
-            tuple(tuple(plane[j][s] for j in range(dim)) for s in range(dim))
-            for plane in self.action
-        )
 
     @classmethod
     def trivial(cls, algebra: LieAlgebra, dim: int, name: str = "") -> "LieModule":
-        return cls(algebra, dim, _table(algebra.dim, dim, dim), name or "trivial")
+        if dim < 0:
+            raise ValueError("dim must be non-negative")
+        return cls(algebra, [linalg.zeros(dim, dim)] * algebra.dim, name or "trivial")
 
     @classmethod
     def adjoint(cls, algebra: LieAlgebra) -> "LieModule":
-        return cls(algebra, algebra.dim, algebra.table, name="adjoint")
+        """ad(b_i) sends b_j to [b_i, b_j], so its entry (s, j) is c[i][j][s]."""
+        return cls(algebra, [list(zip(*plane)) for plane in algebra.table], name="adjoint")
 
     @classmethod
     def from_matrices(
         cls, algebra: LieAlgebra, mats: list[Mat], name: str = ""
     ) -> "LieModule":
-        """Matrices give the action of each basis element (column convention)."""
-        dim = len(mats[0]) if mats else 0
-        action = _table(algebra.dim, dim, dim)
-        for i, m in enumerate(mats):
-            for s in range(dim):
-                for j in range(dim):
-                    action[i][j][s] = m[s][j]
-        return cls(algebra, dim, action, name)
-
-    def action_matrix(self, i: int) -> tuple[tuple[Scalar, ...], ...]:
-        """Matrix of the 1-based basis element b_i (column convention), as
-        the immutable tuple built with the module."""
-        return self._matrices[i - 1]
+        """Matrices give the action of each basis element (column convention),
+        as for the constructor."""
+        return cls(algebra, mats, name)
 
     def act(self, x: Vec, v: Vec) -> Vec:
         if len(x) != self.algebra.dim or len(v) != self.dim:
             raise ValueError("vector length mismatch in module action")
-        return _bilinear(self.action, x, v, self.dim)
+        out = [ZERO] * self.dim
+        for xi, m in zip(x, self.matrices):
+            if not xi:
+                continue
+            for j, vj in enumerate(v):
+                if vj:
+                    c = xi * vj
+                    for s, row in enumerate(m):
+                        if row[j]:
+                            out[s] += c * row[j]
+        return out
 
     def basis_vector(self, j: int) -> Vec:
         v = [ZERO] * self.dim
@@ -245,8 +248,7 @@ class LieModule:
         return (
             isinstance(other, LieModule)
             and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.action == other.action
+            and self.matrices == other.matrices
         )
 
     def __repr__(self):
@@ -254,22 +256,17 @@ class LieModule:
 
 
 def validate_lie_module(M: LieModule) -> Report:
-    """Check [x,y] act v = x act (y act v) - y act (x act v) on all basis data."""
+    """Check rho([b_i, b_j]) = [rho(b_i), rho(b_j)]; the residual at
+    (i, j, r) is column r of their difference."""
     bad: list[Violation] = []
-    n = M.algebra.dim
-    for i in range(1, n + 1):
-        xi = M.algebra.basis_vector(i)
-        for j in range(1, n + 1):
-            xj = M.algebra.basis_vector(j)
-            bij = M.algebra.bracket(xi, xj)
-            for r in range(1, M.dim + 1):
-                v = M.basis_vector(r)
-                lhs = M.act(bij, v)
-                rhs_a = M.act(xi, M.act(xj, v))
-                rhs_b = M.act(xj, M.act(xi, v))
-                resid = [a - (b - c) for a, b, c in zip(lhs, rhs_a, rhs_b)]
+    ms = M.matrices
+    for i, (plane, mi) in enumerate(zip(M.algebra.table, ms), start=1):
+        for j, (row, mj) in enumerate(zip(plane, ms), start=1):
+            diff = linalg.mat_sub(_combination(row, ms, M.dim), linalg.commutator(mi, mj))
+            for r in range(M.dim):
+                resid = [drow[r] for drow in diff]
                 if any(resid):
-                    bad.append(Violation("lie-module", (i, j, r),
+                    bad.append(Violation("lie-module", (i, j, r + 1),
                                          f"residual {linalg.vec_str(resid)}"))
     return Report(tuple(bad))
 
@@ -287,7 +284,7 @@ class LinearMap:
     def from_matrix(cls, m: Mat, source_dim: int | None = None) -> "LinearMap":
         rows = len(m)
         cols = len(m[0]) if m else (source_dim or 0)
-        return cls(cols, rows, tuple(tuple(scalar(x) for x in r) for r in m))
+        return cls(cols, rows, linalg.freeze(m))
 
     @classmethod
     def identity(cls, dim: int) -> "LinearMap":
@@ -331,9 +328,7 @@ def is_module_morphism(f: LinearMap, M: LieModule, N: LieModule) -> bool:
         raise ValueError("modules over different algebras")
     if f.source_dim != M.dim or f.target_dim != N.dim:
         raise ValueError("map dimensions do not match the modules")
-    gens = range(1, M.algebra.dim + 1)
-    return linalg.intertwines(f.matrix, map(M.action_matrix, gens),
-                              map(N.action_matrix, gens))
+    return linalg.intertwines(f.matrix, M.matrices, N.matrices)
 
 
 @dataclass(frozen=True)
@@ -350,8 +345,8 @@ def direct_sum(M1: LieModule, M2: LieModule) -> DirectSum:
     if M1.algebra != M2.algebra:
         raise ValueError("direct sum requires modules over the same algebra")
     d1, d = M1.dim, M1.dim + M2.dim
-    action = [linalg.block_diag(a1, a2) for a1, a2 in zip(M1.action, M2.action)]
-    M = LieModule(M1.algebra, d, action,
+    M = LieModule(M1.algebra, [linalg.block_diag(a1, a2)
+                               for a1, a2 in zip(M1.matrices, M2.matrices)],
                   name=f"{M1.name or '?'}(+){M2.name or '?'}")
     # The injections are column blocks, the projections row blocks, of 1_d.
     one = linalg.identity(d)

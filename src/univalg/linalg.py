@@ -5,7 +5,9 @@ univalg stores an integral value as a Python ``int`` (see :func:`scalar`), so
 integer-only work runs on machine-size ints, and a genuine fraction stays a
 ``Fraction``.  No scalar is divided with ``/``: a quotient is
 ``scalar(Fraction(a, b))``, which keeps it exact for ``int`` operands too.
-Everything here works on row-major lists of lists of scalars.  Dimensions are
+Everything here works on row-major lists of lists of scalars, and reads the
+immutable tuples of tuples (:func:`freeze`) in which structures store their
+matrices as well.  Dimensions are
 desk scale (tens), so sparsity goes no further than skipping zero entries.
 
 The constructions that several modules share live here once: the block sum
@@ -24,6 +26,7 @@ from typing import Iterable, Iterator
 Scalar = int | Fraction
 Vec = list[Scalar]
 Mat = list[list[Scalar]]
+Frozen = tuple[tuple[Scalar, ...], ...]
 
 ZERO = 0
 ONE = 1
@@ -37,6 +40,12 @@ def scalar(x) -> Scalar:
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def freeze(m) -> Frozen:
+    """The immutable copy of a matrix (or of any table of rows): a tuple of
+    row tuples, each entry its exact :func:`scalar`."""
+    return tuple(tuple(scalar(x) for x in row) for row in m)
 
 
 def vec_str(v: Vec) -> str:

@@ -116,10 +116,14 @@ class ModuleVector:
         )))
 
     def __repr__(self):
-        if self.is_zero():
-            return "ModuleVector(0)"
-        parts = [f"({render(q)})*e{p + 1}" for p, q in sorted(self.components.items())]
-        return "ModuleVector(" + " + ".join(parts) + ")"
+        return f"ModuleVector({render_module_vector(self)})"
+
+
+def render_module_vector(v: ModuleVector) -> str:
+    """Text form: "(p)*e{k}" for each nonzero component, by position; the
+    zero vector reads "0"."""
+    return " + ".join(
+        f"({render(q)})*e{p + 1}" for p, q in sorted(v.components.items())) or "0"
 
 
 @dataclass(frozen=True)

@@ -21,30 +21,37 @@ from .lie import (
     is_module_morphism,
     validate_lie_module,
 )
-from .linalg import Mat, scalar
+from .linalg import Frozen, Mat
 from .poly import mono_word
 from .universal_algebra import UniversalAlgebra
 
-ZERO = 0
 ONE = 1
+
+
+def _variables(owner: UniversalAlgebra) -> list[tuple[int, int]]:
+    """The pairs (s, i) of the variables X[s,i] of A, in ring order."""
+    return [(s, i) for s in range(1, owner.h.dim + 1) for i in range(1, owner.g.dim + 1)]
 
 
 class MatrixARep:
     """A-module of dimension ``dim``: one matrix per variable X[s,i], column
-    convention (column j = image of the j-th basis vector)."""
+    convention (column j = image of the j-th basis vector).  The matrices
+    are held once, as one tuple of immutable matrices in the ring's variable
+    order; the constructor takes them as a dict (s, i) -> matrix, a missing
+    variable acting as zero."""
 
     def __init__(self, owner: UniversalAlgebra, dim: int, mats: dict[tuple[int, int], Mat],
                  name: str = ""):
+        keys = _variables(owner)
+        if not mats.keys() <= set(keys):
+            raise ValueError("a matrix for a pair (s,i) that is no variable of A")
         self.owner = owner
         self.dim = dim
-        self.mats = {
-            key: [[scalar(x) for x in row] for row in m] for key, m in mats.items()
-        }
+        zero = linalg.zeros(dim, dim)
+        self.matrices = tuple(linalg.freeze(mats.get(key, zero)) for key in keys)
+        if any(len(m) != dim or any(len(row) != dim for row in m) for m in self.matrices):
+            raise ValueError("the generator matrices must be dim x dim")
         self.name = name
-        for s in range(1, owner.h.dim + 1):
-            for i in range(1, owner.g.dim + 1):
-                if (s, i) not in self.mats:
-                    self.mats[(s, i)] = linalg.zeros(dim, dim)
 
     @classmethod
     def zero_dimensional(cls, owner: UniversalAlgebra) -> "MatrixARep":
@@ -56,39 +63,24 @@ class MatrixARep:
         x_si acts as delta_si."""
         if not owner.is_same_hg():
             raise ValueError("counit representation requires h = g")
-        mats = {
-            (s, i): [[ONE if s == i else ZERO]]
-            for s in range(1, owner.h.dim + 1)
-            for i in range(1, owner.g.dim + 1)
-        }
-        return cls(owner, 1, mats, name="counit")
+        return cls(owner, 1, {(s, s): [[ONE]] for s in range(1, owner.h.dim + 1)},
+                   name="counit")
 
     @classmethod
     def from_lie_homomorphism(cls, owner: UniversalAlgebra, images: list[list]) -> "MatrixARep":
         """1-dimensional module from a Lie algebra map g -> h: x_si acts by the
         s-th coordinate of the image of f_i."""
-        mats = {
-            (s, i): [[images[i - 1][s - 1]]]
-            for s in range(1, owner.h.dim + 1)
-            for i in range(1, owner.g.dim + 1)
-        }
+        mats = {(s, i): [[images[i - 1][s - 1]]] for s, i in _variables(owner)}
         return cls(owner, 1, mats, name="scalar")
 
-    def matrix(self, s: int, i: int) -> Mat:
-        return self.mats[(s, i)]
-
-    def all_matrices(self) -> list[Mat]:
-        """Matrices in the ring's variable order."""
-        return [
-            self.mats[(s, i)]
-            for s in range(1, self.owner.h.dim + 1)
-            for i in range(1, self.owner.g.dim + 1)
-        ]
+    def matrix(self, s: int, i: int) -> Frozen:
+        return self.matrices[self.owner.var_index(s, i)]
 
     def direct_sum(self, other: "MatrixARep") -> "MatrixARep":
         if self.owner is not other.owner and self.owner.ring != other.owner.ring:
             raise ValueError("representations of different universal algebras")
-        mats = {key: linalg.block_diag(m, other.mats[key]) for key, m in self.mats.items()}
+        mats = {key: linalg.block_diag(a, b) for key, a, b in
+                zip(_variables(self.owner), self.matrices, other.matrices)}
         return MatrixARep(self.owner, self.dim + other.dim, mats,
                           name=f"{self.name}(+){other.name}")
 
@@ -100,13 +92,10 @@ def validate_arep(R: MatrixARep) -> Report:
     in ring order."""
     if R.dim == 0:
         return Report()
-    mats = R.all_matrices()
-    for m in mats:
-        if len(m) != R.dim or any(len(row) != R.dim for row in m):
-            return Report((Violation("shape", (), "matrices must be dim x dim"),))
-    keys = list(R.mats)
+    mats = R.matrices
+    keys = _variables(R.owner)
     bad = [Violation("commutativity", keys[a] + keys[b], "nonzero commutator")
-           for a, b in linalg.noncommuting_pairs([R.mats[key] for key in keys])]
+           for a, b in linalg.noncommuting_pairs(mats)]
     columns = linalg.identity(R.dim)
     for label, gen in zip(R.owner.labels, R.owner.jgens):
         terms = [(0, mono_word(m), c) for m, c in gen.terms.items()]
@@ -133,24 +122,25 @@ class TensorGModule:
         self.result = self._build()
 
     def _build(self) -> LieModule:
-        """The Kronecker sums, written into the action table: entry
-        (s,p),(l,t) of rho_U(e_j) (x) V(x_ji) is rho_U(e_j)[s][l] V(x_ji)[p][t]."""
+        """The Kronecker sums, written into the matrices: entry (s,p),(l,t)
+        of rho_U(e_j) (x) V(x_ji) is rho_U(e_j)[s][l] V(x_ji)[p][t]."""
         A, U, V = self.V.owner, self.U, self.V
         q = V.dim
         dim = U.dim * q
-        action = [linalg.zeros(dim, dim) for _ in range(A.g.dim)]
-        for i, plane in enumerate(action, start=1):
-            for j in range(1, A.h.dim + 1):
+        mats = [linalg.zeros(dim, dim) for _ in range(A.g.dim)]
+        for i, mat in enumerate(mats, start=1):
+            for j, u in enumerate(U.matrices, start=1):
                 x = V.matrix(j, i)
-                for s, urow in enumerate(U.action_matrix(j)):
+                for s, urow in enumerate(u):
                     for l, w in enumerate(urow):
                         if not w:
                             continue
                         for p, xrow in enumerate(x):
+                            out = mat[s * q + p]
                             for t, c in enumerate(xrow):
                                 if c:
-                                    plane[l * q + t][s * q + p] += w * c
-        return LieModule(A.g, dim, action, name=f"{U.name or 'U'}(x){V.name or 'V'}")
+                                    out[l * q + t] += w * c
+        return LieModule(A.g, mats, name=f"{U.name or 'U'}(x){V.name or 'V'}")
 
     def position(self, l: int, t: int) -> int:
         """1-based (l,t) -> 0-based tensor basis position."""
@@ -166,7 +156,7 @@ def is_arep_morphism(f: LinearMap, V: MatrixARep, W: MatrixARep) -> bool:
     """True iff f intertwines the generator matrices of V and W."""
     if f.source_dim != V.dim or f.target_dim != W.dim:
         raise ValueError("map dimensions do not match the representations")
-    return linalg.intertwines(f.matrix, V.mats.values(), (W.mats[key] for key in V.mats))
+    return linalg.intertwines(f.matrix, V.matrices, W.matrices)
 
 
 def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep,
@@ -186,28 +176,16 @@ def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep,
 
 def induced_g_module_from_scalar_rep(g: LieAlgebra, mats: list[Mat]) -> LieModule:
     """Lie g-module from commuting matrices (one per basis element of g)
-    satisfying the bracket relations sum_u beta^u_{ij} M_u = 0, checked
-    against the Lie module axiom.
+    satisfying the bracket relations sum_u beta^u_{ij} M_u = 0.  For
+    commuting matrices these relations are the Lie module axiom
+    rho([x_i, x_j]) = [M_i, M_j] = 0, which is checked.
 
     This is the h = Q case: A is the symmetric algebra of g modulo its derived
     subalgebra, f_t acts as the matrix of x_t.
     """
-    dim = len(mats[0]) if mats else 0
-    mats = [[[scalar(x) for x in row] for row in m] for m in mats]
     pair = next(linalg.noncommuting_pairs(mats), None)
     if pair is not None:
         raise ValueError(f"matrices {pair[0] + 1} and {pair[1] + 1} do not commute")
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc = linalg.zeros(dim, dim)
-            for u in range(g.dim):
-                beta = g.table[i][j][u]
-                if beta:
-                    acc = linalg.mat_add(acc, linalg.mat_scale(beta, mats[u]))
-            if not linalg.is_zero_mat(acc):
-                raise ValueError(
-                    f"bracket relation violated at (i,j)=({i + 1},{j + 1})"
-                )
     M = LieModule.from_matrices(g, mats, name="induced")
-    validate_lie_module(M).require(AssertionError, "induced module fails the Lie axiom")
+    validate_lie_module(M).require(ValueError, "bracket relations violated")
     return M

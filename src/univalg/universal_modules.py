@@ -30,7 +30,7 @@ from typing import Iterator
 
 from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
-from .linalg import Mat, Scalar, Vec
+from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
 from .poly import DEFAULT_PAIR_BUDGET, Monomial, Polynomial, mono_mul, mono_word
@@ -44,15 +44,6 @@ ONE = 1
 # ---------------------------------------------------------------------------
 # The universal A-module U(U,Z)
 # ---------------------------------------------------------------------------
-
-
-class TensorElement:
-    """Formal element of U (x) U(U,Z): one ModuleVector per basis vector of U,
-    kept in normal form."""
-
-    def __init__(self, um: "UniversalAModule", components: list[ModuleVector]):
-        self.um = um
-        self.components = [um.nf(c) for c in components]
 
 
 class UniversalAModule:
@@ -91,15 +82,15 @@ class UniversalAModule:
             for i in range(1, Z.dim + 1):
                 for j in range(1, A.g.dim + 1):
                     comps: dict[int, Polynomial] = {}
-                    for p in range(1, Z.dim + 1):
-                        eta = Z.action[j - 1][i - 1][p - 1]
+                    for p, zrow in enumerate(Z.matrices[j - 1], start=1):
+                        eta = zrow[i - 1]
                         if eta:
                             k = self.pos(s, p)
                             add = A.ring.const(eta)
                             comps[k] = comps[k] + add if k in comps else add
                     for t in range(1, U.dim + 1):
-                        for r in range(1, A.h.dim + 1):
-                            omega = U.action[r - 1][t - 1][s - 1]
+                        for r, u in enumerate(U.matrices, start=1):
+                            omega = u[s - 1][t - 1]
                             if omega:
                                 k = self.pos(t, i)
                                 sub = A.ring.var(A.var_index(r, j)).scale(-omega)
@@ -187,11 +178,12 @@ class UniversalAModule:
             for s in range(1, self.U.dim + 1)
         ]
 
-    def rho(self, z: Vec) -> TensorElement:
-        """The structure map: z_r maps to sum_s u_s (x) y_sr."""
+    def rho(self, z: Vec) -> list[ModuleVector]:
+        """The structure map: z_r maps to sum_s u_s (x) y_sr, given by its
+        normal-form components, one per basis vector u_s of U."""
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
-        return TensorElement(self, self._rho_free(z))
+        return [self.nf(c) for c in self._rho_free(z)]
 
     def check_relations(self) -> Report:
         """Normal form of every defining relation vector must vanish."""
@@ -214,10 +206,10 @@ class UniversalAModule:
             for r in range(1, self.Z.dim + 1):
                 diff = self._rho_free(self.Z.act(fj, self.Z.basis_vector(r)))
                 for s in range(1, U.dim + 1):
-                    for q in range(1, A.h.dim + 1):
+                    for q, u in enumerate(U.matrices, start=1):
                         xqj = A.ring.var(A.var_index(q, j))
                         for t in range(1, U.dim + 1):
-                            omega = U.action[q - 1][s - 1][t - 1]
+                            omega = u[t - 1][s - 1]
                             if omega:
                                 diff[t - 1] = diff[t - 1] - ModuleVector(
                                     self.free, {self.pos(s, r): xqj.scale(omega)})
@@ -233,7 +225,7 @@ class UniversalAModule:
              [T.position(s, t) for t in range(1, X.dim + 1)])
             for r in range(1, self.Z.dim + 1) for s in range(1, self.U.dim + 1)
         ]
-        return _Adjunction(self.Z, T.result, X.all_matrices(), X.dim,
+        return _Adjunction(self.Z, T.result, X.matrices, X.dim,
                            self.rel_terms, self.rel_labels, layout)
 
     def is_collapsed(self) -> bool:
@@ -296,14 +288,6 @@ def _pbw_words(v: "PBWVector") -> _Terms:
     )
 
 
-def _apply_on_generators(
-    um: UniversalAModule, v: ModuleVector, images: dict[int, Vec], X: MatrixARep
-) -> Vec:
-    """Image of one free-module vector under the A-module map sending position
-    p to images[p] in the matrix module X."""
-    return linalg.evaluate(_words(v), X.all_matrices(), images, X.dim)
-
-
 @dataclass(frozen=True)
 class _Adjunction:
     """A universal object against one target.  ``layout`` holds one (key, free
@@ -312,7 +296,7 @@ class _Adjunction:
 
     source: LieModule      # Z or W
     tensor: LieModule      # U (x) X or Y (x) V
-    mats: list[Mat]        # the target's action matrices, indexed by word letters
+    mats: tuple[Frozen, ...]  # the target's action matrices, indexed by word letters
     dim: int               # the target's dimension
     terms: tuple[_Terms, ...]
     labels: list[tuple[int, int, int]]
@@ -422,8 +406,7 @@ def _induced_map(
 ) -> PresentedMap:
     """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr',
     the s-th component of rho_Y(f(x_r))."""
-    rho = [um_y.rho(f.apply(um_x.Z.basis_vector(r))).components
-           for r in range(1, um_x.Z.dim + 1)]
+    rho = [um_y.rho(f.apply(um_x.Z.basis_vector(r))) for r in range(1, um_x.Z.dim + 1)]
     return PresentedMap(um_x, um_y, {
         um_x.pos(s, r): rho[r - 1][s - 1]
         for s in range(1, um_x.U.dim + 1) for r in range(1, um_x.Z.dim + 1)
@@ -447,8 +430,8 @@ def functor_on_morphism_U(
             raise AssertionError(f"relation {label} not preserved by induced map")
     # (Id_U (x) fbar) o rho_X = rho_Y o f on the basis of X.
     for r in range(1, um_x.Z.dim + 1):
-        lhs = [fbar.apply(c) for c in um_x.rho(um_x.Z.basis_vector(r)).components]
-        rhs = um_y.rho(f.apply(um_x.Z.basis_vector(r))).components
+        lhs = [fbar.apply(c) for c in um_x.rho(um_x.Z.basis_vector(r))]
+        rhs = um_y.rho(f.apply(um_x.Z.basis_vector(r)))
         if lhs != rhs:
             raise AssertionError("structure maps do not commute with induced map")
     return fbar
@@ -547,8 +530,8 @@ class UniversalLieHModule:
             for r in range(1, W.dim + 1):
                 for j in range(1, A.g.dim + 1):
                     comps: dict[int, PBWElement] = {}
-                    for p in range(1, W.dim + 1):
-                        sigma = W.action[j - 1][r - 1][p - 1]
+                    for p, wrow in enumerate(W.matrices[j - 1], start=1):
+                        sigma = wrow[r - 1]
                         if sigma:
                             q, add = self.pos(p, s), PBWElement(A.h, {(): sigma})
                             comps[q] = comps[q] + add if q in comps else add
@@ -572,8 +555,7 @@ class UniversalLieHModule:
              [T.position(a, s) for a in range(1, Y.dim + 1)])
             for r in range(1, self.W.dim + 1) for s in range(1, self.V.dim + 1)
         ]
-        mats = [Y.action_matrix(t) for t in range(1, Y.algebra.dim + 1)]
-        return _Adjunction(self.W, T.result, mats, Y.dim,
+        return _Adjunction(self.W, T.result, Y.matrices, Y.dim,
                            self.rel_terms, self.rel_labels, layout)
 
     def tau_images(self) -> dict[int, list[tuple[int, int]]]:
@@ -616,8 +598,7 @@ class LiePresentedMap:
 
     def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
         """Compose with a factorization target map given on target generators."""
-        mats = [Y.action_matrix(t) for t in range(1, Y.algebra.dim + 1)]
-        return {p: linalg.evaluate(_pbw_words(v), mats, images, Y.dim)
+        return {p: linalg.evaluate(_pbw_words(v), Y.matrices, images, Y.dim)
                 for p, v in self.images.items()}
 
 
@@ -626,7 +607,7 @@ def functor_on_morphism_V(
 ) -> LiePresentedMap:
     """Induced map V(V,X) -> V(V,Y) of an equivariant f: X -> Y; structure-map
     compatibility holds at generator level by construction."""
-    if vm_x.V is not vm_y.V and vm_x.V.mats != vm_y.V.mats:
+    if vm_x.V is not vm_y.V and vm_x.V.matrices != vm_y.V.matrices:
         raise ValueError("the A-module argument must coincide")
     if not is_module_morphism(f, vm_x.W, vm_y.W):
         raise ValueError("f is not a morphism of Lie g-modules")

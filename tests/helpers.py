@@ -115,9 +115,7 @@ def random_equivariant_map(rng: Random, M: LieModule, N: LieModule) -> LinearMap
     src, tgt = M.dim, N.dim
     n_unknowns = tgt * src
     rows: list[list[Fraction]] = []
-    for i in range(1, M.algebra.dim + 1):
-        a_m = M.action_matrix(i)
-        a_n = N.action_matrix(i)
+    for a_m, a_n in zip(M.matrices, N.matrices):
         for j in range(src):
             for t in range(tgt):
                 row = [ZERO] * n_unknowns
@@ -142,9 +140,7 @@ def random_arep_morphism(rng: Random, V: MatrixARep, W: MatrixARep) -> LinearMap
     src, tgt = V.dim, W.dim
     n_unknowns = tgt * src
     rows: list[list[Fraction]] = []
-    for key in V.mats:
-        a_v = V.mats[key]
-        a_w = W.mats[key]
+    for a_v, a_w in zip(V.matrices, W.matrices):
         for j in range(src):
             for t in range(tgt):
                 row = [ZERO] * n_unknowns
@@ -258,15 +254,15 @@ def reference_eval_matrices(p: Polynomial, mats: list) -> list:
 
 def reference_validate_arep(R: MatrixARep) -> tuple:
     """The violations of ``validate_arep`` on a rep of positive dimension, as
-    (check, location) pairs: a nonzero commutator for each pair of keys in
-    ``R.mats`` order, then each relation of A with a nonzero matrix under
+    (check, location) pairs: a nonzero commutator for each pair of variables
+    (s, i) in ring order, then each relation of A with a nonzero matrix under
     ``reference_eval_matrices``."""
-    keys = list(R.mats)
+    keys = [(s, i) for s in range(1, R.owner.h.dim + 1)
+            for i in range(1, R.owner.g.dim + 1)]
+    mats = [R.matrix(*key) for key in keys]
     out = [("commutativity", keys[a] + keys[b])
            for a in range(len(keys)) for b in range(a + 1, len(keys))
-           if linalg.mat_mul(R.mats[keys[a]], R.mats[keys[b]])
-           != linalg.mat_mul(R.mats[keys[b]], R.mats[keys[a]])]
-    mats = R.all_matrices()
+           if linalg.mat_mul(mats[a], mats[b]) != linalg.mat_mul(mats[b], mats[a])]
     out += [("relation", label)
             for label, gen in zip(R.owner.labels, R.owner.jgens)
             if any(any(row) for row in reference_eval_matrices(gen, mats))]

@@ -43,7 +43,7 @@ from univalg.universal_algebra import (
     monomial_basis_up_to_degree,
 )
 from univalg.universal_modules import (
-    _apply_on_generators,
+    _words,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -219,8 +219,8 @@ def test_criterion_6_factorization_gamma_suite(capsys, algebra_cache):
         # naturality in Z: Gamma_{Z,X}(theta o ubar) = Gamma_{Z',X}(theta) o u
         theta_pos = {um_zp.pos(s, r): v for (s, r), v in theta.items()}
         pulled = {
-            (s, r): _apply_on_generators(
-                um_z, ubar.images[um_z.pos(s, r)], theta_pos, X
+            (s, r): linalg.evaluate(
+                _words(ubar.images[um_z.pos(s, r)]), X.matrices, theta_pos, X.dim
             )
             for s in range(1, U.dim + 1)
             for r in range(1, Z.dim + 1)

@@ -53,7 +53,7 @@ def test_module_round_trip():
     M = LieModule.adjoint(L)
     text = render_module(M)
     back = parse_module_text(text, algebra=L)
-    assert back.dim == M.dim and back.action == M.action and back.name == M.name
+    assert back.dim == M.dim and back.matrices == M.matrices and back.name == M.name
 
 
 def test_matrix_rep_round_trip():

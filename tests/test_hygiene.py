@@ -196,7 +196,9 @@ def _sources_and_users(*dirs: str) -> tuple[dict[str, str], list[str]]:
 
 
 def test_no_dead_private_helpers():
-    assert dead_private_helpers(*_sources_and_users("tests")) == []
+    # Only univalg's own code counts as a user: a private helper that only
+    # tests call is dead code with a test around it.
+    assert dead_private_helpers(*_sources_and_users()) == []
 
 
 def test_dead_private_helper_is_reported():

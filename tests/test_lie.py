@@ -128,9 +128,13 @@ def test_adjoint_module_does_not_alias_the_bracket_table():
     L = sl2()
     before = [[list(row) for row in plane] for plane in L.table]
     M = LieModule.adjoint(L)
-    M.action[0][1][2] += 7
-    assert L.table == before
-    assert validate_lie_algebra(L).ok
+    with pytest.raises(TypeError):
+        M.matrices[0][2][1] += 7
+    with pytest.raises(TypeError):
+        L.table[0][1][2] += 7
+    assert [[list(row) for row in plane] for plane in L.table] == before
+    assert M == LieModule.adjoint(sl2())
+    assert validate_lie_algebra(L).ok and validate_lie_module(M).ok
 
 
 @pytest.mark.parametrize("make", [
@@ -138,13 +142,13 @@ def test_adjoint_module_does_not_alias_the_bracket_table():
     lambda L: LieModule.trivial(L, 0),
 ], ids=["adjoint", "natural2", "trivial2", "trivial0"])
 def test_action_matrix_is_the_frozen_transposed_action(make):
+    # Column j of the matrix of b_i is b_i acting on u_j.
     M = make(sl2())
-    for i in range(1, M.algebra.dim + 1):
-        mat = M.action_matrix(i)
-        assert mat == tuple(tuple(M.action[i - 1][j][s] for j in range(M.dim))
-                            for s in range(M.dim))
+    for i, mat in enumerate(M.matrices, start=1):
+        columns = [M.act(M.algebra.basis_vector(i), M.basis_vector(j))
+                   for j in range(1, M.dim + 1)]
+        assert mat == tuple(tuple(col[s] for col in columns) for s in range(M.dim))
         assert type(mat) is tuple and all(type(row) is tuple for row in mat)
-        assert M.action_matrix(i) is mat  # built once, with the module
         if M.dim:
             with pytest.raises(TypeError):
                 mat[0][0] = 7
@@ -196,8 +200,8 @@ def test_direct_sum_block_oracle():
     assert ds.module.dim == 4
     # Oracle: block check of every action matrix.
     for i in range(1, 4):
-        big = ds.module.action_matrix(i)
-        small = M.action_matrix(i)
+        big = ds.module.matrices[i - 1]
+        small = M.matrices[i - 1]
         for r in range(3):
             for c in range(3):
                 assert big[r][c] == small[r][c]
@@ -215,11 +219,11 @@ def test_direct_sum_with_zero_dimensional_summand():
     M, Z = natural2(L), LieModule.trivial(L, 0)
     identity = LinearMap(2, 2, ((1, 0), (0, 1)))
     ds = direct_sum(M, Z)
-    assert (ds.module.dim, ds.module.action) == (2, M.action)
+    assert (ds.module.dim, ds.module.matrices) == (2, M.matrices)
     assert (ds.inj1, ds.inj2) == (identity, LinearMap(0, 2, ((), ())))
     assert (ds.proj1, ds.proj2) == (identity, LinearMap(2, 0, ()))
     ds = direct_sum(Z, M)
-    assert (ds.module.dim, ds.module.action) == (2, M.action)
+    assert (ds.module.dim, ds.module.matrices) == (2, M.matrices)
     assert (ds.inj1, ds.inj2) == (LinearMap(0, 2, ((), ())), identity)
     assert (ds.proj1, ds.proj2) == (LinearMap(2, 0, ()), identity)
 

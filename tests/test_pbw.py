@@ -54,7 +54,7 @@ def test_word_action_respects_relations(A_sl2):
     # wrong composition order shows on some basis vector.
     L = A_sl2.h
     M = natural2(L)
-    mats = [M.action_matrix(i) for i in range(1, 4)]
+    mats = M.matrices
     raw = linalg.mat_mul(mats[1], mats[0])
     assert raw != linalg.mat_mul(mats[0], mats[1])
     vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), M)

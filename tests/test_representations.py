@@ -56,8 +56,7 @@ def test_scalar_rep_from_nontrivial_hom():
 def test_perturbed_rep_names_violated_relation(A_sl2):
     # Oracle construction: perturb a valid rep so exactly the relation
     # evaluations break, and confirm the report names (a,i,j) triples.
-    X = MatrixARep.counit(A_sl2)
-    mats = dict(X.mats)
+    mats = {(s, s): [[ONE]] for s in range(1, 4)}  # the counit rep
     mats[(1, 2)] = [[ONE]]  # x_12 no longer zero
     Y = MatrixARep(A_sl2, 1, mats)
     rep = validate_arep(Y)
@@ -77,14 +76,14 @@ def test_direct_sum_rep_matches_hand_built_blocks(A_sl2):
     X = MatrixARep.counit(A_sl2)
     Z = MatrixARep.zero_dimensional(A_sl2)
     for S in (X.direct_sum(Z), Z.direct_sum(X)):
-        assert (S.dim, S.mats) == (1, X.mats)
+        assert (S.dim, S.matrices) == (1, X.matrices)
     S = Z.direct_sum(Z)
-    assert S.dim == 0 and all(m == [] for m in S.mats.values())
+    assert S.dim == 0 and all(m == () for m in S.matrices)
     Y = MatrixARep(A_sl2, 2, {(1, 2): [[1, 2], [3, 4]]})
     S = X.direct_sum(Y)
-    assert S.mats[(1, 1)] == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    assert S.mats[(1, 2)] == [[0, 0, 0], [0, 1, 2], [0, 3, 4]]
-    assert Y.direct_sum(X).mats[(1, 2)] == [[1, 2, 0], [3, 4, 0], [0, 0, 0]]
+    assert S.matrix(1, 1) == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert S.matrix(1, 2) == ((0, 0, 0), (0, 1, 2), (0, 3, 4))
+    assert Y.direct_sum(X).matrix(1, 2) == ((1, 2, 0), (3, 4, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -102,7 +101,7 @@ def test_validate_arep_matches_reference_evaluator(A_sl2, seed):
     assert {(v.check, v.witness) for v in violations} == {
         ("commutativity", "nonzero commutator"), ("relation", "relation matrix nonzero")}
     # Column by column, the evaluator gives the reference matrix.
-    ordered = R.all_matrices()
+    ordered = R.matrices
     for gen in A_sl2.jgens:
         terms = [(0, mono_word(m), c) for m, c in gen.terms.items()]
         columns = [linalg.evaluate(terms, ordered, {0: e}, 2) for e in linalg.identity(2)]
@@ -114,7 +113,7 @@ def test_tensor_with_counit_recovers_module_oracle(A_sl2, adjoint_sl2):
     # f_i (u_l (x) 1) = (e_i act u_l) (x) 1, the original module.
     T = tensor_lie_module(adjoint_sl2, MatrixARep.counit(A_sl2))
     assert T.result.dim == 3
-    assert T.result.action == adjoint_sl2.action
+    assert T.result.matrices == adjoint_sl2.matrices
     assert validate_lie_module(T.result).ok
 
 
@@ -164,7 +163,7 @@ def test_rank1_projection_equivariance(A_sl2, adjoint_sl2):
     # oracle is the direct intertwining check inside is_arep_morphism.
     X = MatrixARep.counit(A_sl2).direct_sum(MatrixARep.counit(A_sl2))
     proj = LinearMap.from_matrix([[ONE, ZERO], [ZERO, ZERO]])
-    for key, m in X.mats.items():
+    for m in X.matrices:
         assert linalg.mat_mul(proj.mat(), m) == linalg.mat_mul(m, proj.mat())
     assert is_arep_morphism(proj, X, X)
     g = tensor_on_morphism(adjoint_sl2, proj, X, X)

@@ -84,7 +84,7 @@ def test_scalar(given_value, value, kind):
 
 def test_parsed_integral_rationals_are_ints():
     L = parse_algebra_text("algebra s\ndim 2\nbracket 1 2: 2:6/3\nbracket 2 1: 2:-4/2\n")
-    assert L.table[0][1] == [0, 2] and L.table[1][0] == [0, -2]
+    assert L.table[0][1] == (0, 2) and L.table[1][0] == (0, -2)
     assert all(type(c) is int for plane in L.table for row in plane for c in row)
 
 
@@ -185,13 +185,13 @@ def universal(A_sl2, sl2_alg):
 
 def test_universal_module_does_not_depend_on_the_scalar_type(universal):
     um, twin = universal["int"], universal["Fraction"]
-    assert um.U.action == twin.U.action
+    assert um.U.matrices == twin.U.matrices
     assert um.relgens == twin.relgens
     assert um.rel_terms == twin.rel_terms
     assert um.mgb.generators == twin.mgb.generators
     assert exact(um.relgens, um.mgb.generators, twin.mgb.generators)
     half = universal["scaled"]
-    assert any(type(c) is Fraction for c in scalars(half.U.action))
+    assert any(type(c) is Fraction for c in scalars(half.U.matrices))
     assert exact(half.relgens, half.mgb.generators)
 
 

@@ -93,9 +93,10 @@ def test_adjoint_sl2_relation_suite(um_adjoint):
 
 def test_rho_shape(um_adjoint):
     t = um_adjoint.rho(um_adjoint.Z.basis_vector(2))
-    # rho(z_2) = sum_s u_s (x) y_{s,2}
+    # rho(z_2) = sum_s u_s (x) y_{s,2}, one component per u_s
+    assert len(t) == 3
     for s in range(1, 4):
-        comp = t.components[s - 1]
+        comp = t[s - 1]
         expected = um_adjoint.nf(
             um_adjoint.free.basis_vector(um_adjoint.pos(s, 2))
         )
@@ -112,7 +113,8 @@ class WrongEtaSign(UniversalAModule):
     def _relations(self):
         gens, labels = super()._relations()
         s, i, j = self.label
-        p, eta = next((p, c) for p, c in enumerate(self.Z.action[j - 1][i - 1], 1) if c)
+        p, eta = next((p, row[i - 1]) for p, row in enumerate(self.Z.matrices[j - 1], 1)
+                      if row[i - 1])
         k = labels.index(self.label)
         gens[k] = gens[k] - ModuleVector(
             self.free, {self.pos(s, p): self.A.ring.const(2 * eta)})
@@ -316,7 +318,7 @@ def test_random_round_trips_abelian():
 def _dense_arep_image(v, images, X):
     """The dense formula: evaluate each component polynomial to a matrix at
     X's matrices (variables multiplied in ring order), then apply it."""
-    mats = X.all_matrices()
+    mats = X.matrices
     out = [ZERO] * X.dim
     for p, q in v.components.items():
         m = linalg.zeros(X.dim, X.dim)
@@ -333,7 +335,7 @@ def _dense_arep_image(v, images, X):
 def _dense_lie_image(v, images, Y):
     """The dense formula: the word (t1, ..., tk) is the matrix product
     e_t1 ... e_tk of Y's action matrices, applied to the image."""
-    mats = [Y.action_matrix(i) for i in range(1, Y.algebra.dim + 1)]
+    mats = Y.matrices
     out = [ZERO] * Y.dim
     for p, e in v.components.items():
         m = linalg.zeros(Y.dim, Y.dim)
@@ -374,7 +376,7 @@ def test_relation_images_match_dense_formula_U(A_sl2, sl2_alg, U_name, Z_name, s
     keys = [(s, i) for s in range(1, 4) for i in range(1, 4)]
     X = MatrixARep(A_sl2, 2, dict(zip(keys, _seeded_matrices(rng, len(keys)))))
     images = _seeded_images(rng, um.rank)
-    got = [linalg.evaluate(terms, X.all_matrices(), images, X.dim) for terms in um.rel_terms]
+    got = [linalg.evaluate(terms, X.matrices, images, X.dim) for terms in um.rel_terms]
     assert got == [_dense_arep_image(gen, images, X) for gen in um.relgens]
     assert any(any(v) for v in got)  # the comparison is not between zeros
 
@@ -385,8 +387,7 @@ def test_relation_images_match_dense_formula_V(A_sl2, sl2_alg, seed):
     rng = Random(seed)
     Y = LieModule.from_matrices(sl2_alg, _seeded_matrices(rng, 3), name="seeded2")
     images = _seeded_images(rng, vm.rank)
-    mats = [Y.action_matrix(t) for t in range(1, sl2_alg.dim + 1)]
-    got = [linalg.evaluate(terms, mats, images, Y.dim) for terms in vm.rel_terms]
+    got = [linalg.evaluate(terms, Y.matrices, images, Y.dim) for terms in vm.rel_terms]
     assert got == [_dense_lie_image(gen, images, Y) for gen in vm.relgens]
     assert any(any(v) for v in got)
 
