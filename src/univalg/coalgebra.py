@@ -1,14 +1,14 @@
 """Coalgebra structure on U(U) = U(U,U) for h = g, its comodule and
 B-module-coalgebra certificates, and the universal coalgebra map.
 
-Elements of the tensor square U(U) (x) U(U) are handled as vectors over the
-doubled variable ring of the bialgebra.  Their canonical form is
+An element of the tensor square U(U) (x) U(U) maps pairs of keys of U(U)'s
+multiplication table, one key per factor, to scalars.  Its canonical form is
 universal_algebra.tensor_normal_form, the one that B (x) B uses at rank 1: it
-reduces each factor with the module normal form, which decides equality in
-the quotient tensor square without a second Groebner computation.  The rows
-of the factors, nf(x^m e_p) as integer Rows, come from U(U)'s own
-multiplication table, so every TensorSquare over one U(U) shares them.  Delta
-of B on each monomial is B's own table.  A certificate equation is decided by
+multiplies the rows of the two factors, nf(x^m e_p) from U(U)'s table, which
+decides equality in the quotient tensor square without a second Groebner
+computation, and every TensorSquare over one U(U) shares those rows.  Delta
+of B is B's own table of pairs, which Delta of U(U) and the action of B read
+through shifts and products of keys.  A certificate equation is decided by
 one normal form of the difference of its sides, since that normal form is
 linear.
 """
@@ -21,11 +21,11 @@ from . import linalg
 from .lie import LinearMap, Report, Violation
 from .linalg import Scalar, Vec
 from .modgb import ModuleVector
-from .poly import Polynomial
 from .representations import MatrixARep
 from .universal_algebra import (
     BialgebraStructure,
     TensorSquareElement,
+    add_pairs,
     bialgebra_structure,
     tensor_normal_form,
 )
@@ -40,47 +40,41 @@ ONE = 1
 
 
 class TensorSquare:
-    """The tensor square of a presented module U(U,Z) over the doubled
-    variable ring, with a factor-wise canonical form."""
+    """The tensor square of a presented module U(U,Z), its terms pairs of
+    keys of U(U)'s multiplication table, with a factor-wise canonical form."""
 
     def __init__(self, um: UniversalAModule, bial: BialgebraStructure):
         self.um = um
         self.bial = bial
-        self.ring2 = bial.tensor_ring
-
-    def add_term(self, elem: TensorSquareElement, key: tuple[int, int],
-                 p: Polynomial) -> None:
-        if key in elem:
-            elem[key] = elem[key] + p
-        else:
-            elem[key] = p
-        if elem[key].is_zero():
-            del elem[key]
 
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
-        """Factor-wise canonical form, with rows from U(U)'s multiplication
-        table."""
-        return tensor_normal_form(elem, self.ring2, self.um.row)
+        """Factor-wise canonical form, rows from U(U)'s multiplication table."""
+        return tensor_normal_form(elem, self.um.table)
 
     def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
                     ) -> TensorSquareElement:
         """x_ij * (y (x) t) = sum_s (x_is . y) (x) (x_sj . t): multiplication
         by the Delta-image of the variable."""
-        factor = self.bial._delta_images[(i - 1) * self.bial.n + (j - 1)]
-        return {key: p * factor for key, p in elem.items()}
+        A, times = self.um.A, self.um.table.times
+        factor = self.bial.delta_pairs(A.ring.var(A.var_index(i, j)))
+        out: TensorSquareElement = {}
+        for (k1, k2), c in elem.items():
+            add_pairs(out, {(times(k1, a), times(k2, b)): d
+                            for (a, b), d in factor.items()}, c)
+        return out
 
     def delta_of_vector(self, v: ModuleVector) -> TensorSquareElement:
         """Comultiplication of an element of U(U): generator rule
         y_lt -> sum_s y_ls (x) y_st, coefficients through Delta of B."""
-        um = self.um
-        m = um.U.dim
+        um, shift = self.um, self.um.table.shift
         out: TensorSquareElement = {}
         for p, q in v.components.items():
-            l = p // um.Z.dim + 1
-            t = p % um.Z.dim + 1
-            dq = self.bial.delta_image(q)
-            for s in range(1, m + 1):
-                self.add_term(out, (um.pos(l, s), um.pos(s, t)), dq)
+            l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
+            dq = self.bial.delta_pairs(q)
+            for s in range(1, um.U.dim + 1):
+                ls, st = um.pos(l, s), um.pos(s, t)
+                add_pairs(out, {(shift(a, ls), shift(b, st)): c
+                                for (a, b), c in dq.items()})
         return out
 
     def epsilon_of_vector(self, v: ModuleVector) -> Scalar:
@@ -132,9 +126,9 @@ class CoalgebraOnU:
         (rho (x) id) o rho (u_r): their difference has normal form zero."""
         um, sq = self.um, self.square
         w = sq.delta_of_vector(um.free.basis_vector(um.pos(l, r)))
-        minus_one = -sq.ring2.one()
-        for s in range(1, um.U.dim + 1):
-            sq.add_term(w, (um.pos(l, s), um.pos(s, r)), minus_one)
+        key, one = um.table.key, (0,) * um.A.ring.nvars
+        add_pairs(w, {(key(um.pos(l, s), one), key(um.pos(s, r), one)): ONE
+                      for s in range(1, um.U.dim + 1)}, -ONE)
         return not sq.normal_form(w)
 
     def epsilon_by_factorization(self) -> FactorizationResult:
@@ -202,8 +196,7 @@ def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:
                     y = um.free.basis_vector(um.pos(l, t))
                     acted = um.act(xab, y)
                     diff = sq.bmodule_act(a, b, sq.delta_of_vector(y))
-                    for key, p in sq.delta_of_vector(acted).items():
-                        sq.add_term(diff, key, -p)
+                    add_pairs(diff, sq.delta_of_vector(acted), -ONE)
                     if sq.normal_form(diff):
                         bad.append(Violation("bmodule-coalgebra-delta",
                                              (a, b, l, t), "sides differ"))

@@ -10,9 +10,11 @@ ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
 a larger int.  This module packs and unpacks nothing itself: its fronts call
 ``poly._pack``, ``poly._unpack``, ``poly._basis_table`` and
-``poly._remainder``, which serve ideals and modules alike.  The engine works
-on primitive integer rows; a basis comes out monic and a normal form divided
-once by its scale, so both are the same rationals as over Q.
+``poly._remainder``, which serve ideals and modules alike, and a basis hands
+out its ``poly.MultiplicationTable``, whose rows are the reducer's integer
+remainders keyed by packed term.  The engine works on primitive integer rows;
+a basis comes out monic and a normal form divided once by its scale, so both
+are the same rationals as over Q.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .poly import (
     DEFAULT_PAIR_BUDGET,
     GroebnerBasis,
     Monomial,
+    MultiplicationTable,
     PolyRing,
     Polynomial,
     _basis_table,
@@ -142,16 +145,15 @@ class ModuleGroebnerBasis:
         """Lead table of the generators, built on first use for the reducer."""
         return _basis_table(self.module.ring, (g.components for g in self.generators))
 
-    def reduce(self, components: dict[int, Polynomial]) -> dict[int, Polynomial]:
-        """The components of the normal form of the vector with ``components``
-        (position -> nonzero polynomial)."""
-        return _remainder(components, self._table, self.module.ring)
+    def multiplication_table(self) -> MultiplicationTable:
+        """A new, empty multiplication table of the quotient module."""
+        return MultiplicationTable(self.module.ring, self._table)
 
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return ModuleVector(v.module, mgb.reduce(v.components))
+    return ModuleVector(v.module, _remainder(v.components, mgb._table, v.module.ring))
 
 
 def module_buchberger(

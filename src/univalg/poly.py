@@ -13,13 +13,16 @@ position-over-term order; an ideal is the rank-1 case, with every term at
 position 0.  Inside the engine each term is one packed int whose integer
 order is the term order: multiplying by a monomial is an addition and a
 divisibility test is one mask (see "packed terms" below).  ``_pack`` and
-``_unpack`` are the one packer and unpacker of terms and ``_basis_table`` the
-one builder of a basis's cached lead table, for ideals and modules alike: a
-polynomial p is the vector {0: p}.  Exponents above ``MAX_EXPONENT`` raise
+``_unpack`` are the one packer and unpacker of vectors and ``_basis_table``
+the one builder of a basis's cached lead table, for ideals and modules alike:
+a polynomial p is the vector {0: p}.  Exponents above ``MAX_EXPONENT`` raise
 ``ExponentOverflowError``.  Coefficients inside the engine are integers: each
 element is kept primitive (content 1, positive lead coefficient) and divided
 by cross-multiplication, so a basis element or a normal form becomes a
 rational, monic or divided once by its scale, only as it leaves the engine.
+A ``MultiplicationTable`` keeps the normal forms of single terms as they come
+out of the reducer, integers over one denominator keyed by packed term, for
+the constructions above the engine.
 """
 
 from __future__ import annotations
@@ -246,18 +249,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # -- evaluation / substitution -----------------------------------------
-
-    def map_coeffs_and_vars(self, target: PolyRing, images: list["Polynomial"]) -> "Polynomial":
-        """Ring homomorphism sending variable i to images[i]."""
-        out = target.zero()
-        for m, c in self.terms.items():
-            t = target.const(c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    t = t * images[i]
-            out = out + t
-        return out
+    # -- evaluation --------------------------------------------------------
 
     def eval_scalars(self, values: list[Scalar]) -> Scalar:
         """Evaluate at rational values, one per variable."""
@@ -299,6 +291,10 @@ class GroebnerBasis:
         """Lead table of the generators, built on first use for the reducer."""
         return _basis_table(self.ring, ({0: g} for g in self.generators))
 
+    def multiplication_table(self) -> "MultiplicationTable":
+        """A new, empty multiplication table of the quotient ring."""
+        return MultiplicationTable(self.ring, self._table)
+
     def lead_monomials(self) -> list[Monomial]:
         return [g.lead_monomial() for g in self.generators]
 
@@ -326,7 +322,8 @@ class GroebnerBasis:
 # +1 for lex) carries E in its low BN bits, so a lead l divides a term t at
 # its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
 # negative borrows and sets its guard bit.  Only ``_pack`` and ``_unpack``
-# convert between vectors and packed terms.
+# convert between vectors and packed terms, and ``MultiplicationTable.key``
+# and ``.term`` between single terms and their keys.
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -712,6 +709,114 @@ def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
         r, d = _reduce(dict(tail), table, codec)
         basis.append({lead: ONE, **_divided(r, d * lc)})
     return basis
+
+
+# -- multiplication tables ---------------------------------------------------
+
+TableRow = tuple[int, dict[int, int]]
+
+
+class MultiplicationTable:
+    """nf(x^m e_p) for the terms of a presented module over a polynomial ring
+    (of the quotient ring at rank 1), each as a row (den, {key: n}), the sum
+    of n/den times the terms with those keys, den > 0 and gcd(den, n, ...) =
+    1.  Rows are filled on demand as FGLM fills its multiplication matrices:
+    the row of t = x_i s is one reduction of t when s is standard, and
+    x_i row(s) otherwise, whose terms x_i u, u < s, are read in turn.
+
+    Terms are the engine's packed keys, opaque outside this module and
+    :mod:`univalg.modgb` and shared by the tables over one ring: ``key``
+    makes one, ``shift`` and ``times`` move it and ``term`` reads it back.
+    """
+
+    def __init__(self, ring: PolyRing, leads: _LeadTable):
+        self.ring = ring
+        self._codec = _codec_of(ring)
+        self._leads = leads
+        self.rows: dict[int, TableRow] = {}
+
+    def key(self, pos: int, m: Monomial) -> int:
+        """Key of the term x^m e_pos."""
+        return self._codec.monomial(m) - (pos << self._codec.top)
+
+    def term(self, key: int) -> tuple[int, Monomial]:
+        """(position, monomial) of a key."""
+        return self._codec.unpack(key)
+
+    def shift(self, key: int, pos: int) -> int:
+        """The term of ``key`` moved ``pos`` positions on."""
+        return key - (pos << self._codec.top)
+
+    def times(self, key: int, q: int) -> int:
+        """Key of the term ``key`` times the monomial with key ``q``, once the
+        guard bits show every exponent within MAX_EXPONENT."""
+        t = key + q
+        if (self._codec.sign * t) & self._codec.guard:
+            raise ExponentOverflowError()
+        return t
+
+    def factor(self, key: int) -> tuple[int, int] | None:
+        """(key of t / x_i, key of x_i) for the term t with ``key`` and x_i
+        its variable in the lowest nonzero exponent field; None for t = e_p."""
+        c = self._codec
+        e = (c.sign * key) & c.emask
+        if not e:
+            return None
+        unit = 1 << ((e & -e).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        q = unit if c.sign > 0 else (1 << c.bn) - unit
+        return key - q, q
+
+    def row(self, key: int) -> TableRow:
+        """The row of the term with ``key``, filling missing rows from a
+        stack of the terms still owed, so that no chain of divisors
+        recurses."""
+        rows, owed = self.rows, [key]
+        while key not in rows:
+            t = owed.pop()
+            if t in rows:
+                continue
+            split = self.factor(t)
+            if split and split[0] not in rows:
+                owed += [t, split[0]]
+            elif split is None or rows[split[0]] == (ONE, {split[0]: ONE}):
+                r, d = _reduce({t: ONE}, self._leads, self._codec)
+                rows[t] = _cancelled(d, r)
+            else:
+                den, nums = rows[split[0]]
+                up = [(self.times(u, split[1]), n) for u, n in nums.items()]
+                missing = [u for u, _ in up if u not in rows]
+                if missing:
+                    owed += [t, *missing]
+                    continue
+                common = lcm(*(rows[u][0] for u, _ in up))
+                acc: dict[int, int] = {}
+                for u, n in up:
+                    d, f = rows[u]
+                    for v, m in f.items():
+                        acc[v] = acc.get(v, ZERO) + n * (common // d) * m
+                rows[t] = _cancelled(den * common, acc)
+        return rows[key]
+
+    def product(self, p: Polynomial, vector: dict[int, Polynomial]
+                ) -> dict[int, Polynomial]:
+        """The components of nf(p * v), v given by its components: the rows
+        of the products of their terms, scaled and summed."""
+        a = _pack({0: p}, self._codec)
+        acc: _Terms = {}
+        for k1, c1 in _pack(vector, self._codec).items():
+            for k2, c2 in a.items():
+                den, nums = self.row(self.times(k1, k2))
+                c = Fraction(c1 * c2, den)
+                for u, n in nums.items():
+                    acc[u] = acc.get(u, ZERO) + c * n
+        return _unpack(acc, self.ring, self._codec)
+
+
+def _cancelled(den: int, nums: dict[int, int]) -> TableRow:
+    """The row of nums / den, for den > 0."""
+    nums = {u: n for u, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    return den // g, {u: n // g for u, n in nums.items()}
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -10,7 +10,6 @@ the quadratic combination of X_{si}X_{tj} prescribed by the bracket of h.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -21,8 +20,8 @@ from .poly import (
     DEFAULT_PAIR_BUDGET,
     DEGREVLEX,
     GroebnerBasis,
-    Monomial,
     MonomialOrder,
+    MultiplicationTable,
     PolyRing,
     Polynomial,
     mono_divides,
@@ -31,12 +30,8 @@ from .poly import (
 ZERO = 0
 ONE = 1
 
-# A tensor-square element: position pair -> polynomial in the doubled ring.
-TensorSquareElement = dict[tuple[int, int], Polynomial]
-
-# A normal form on integers: one positive denominator, the lcm of its
-# coefficients' denominators, and the integer numerators by position.
-Row = tuple[int, tuple[tuple[int, tuple[tuple[Monomial, int], ...]], ...]]
+# A tensor-square element: pair of table keys -> nonzero exact scalar.
+TensorSquareElement = dict[tuple[int, int], Scalar]
 
 
 def algebra_ring(h: LieAlgebra, g: LieAlgebra, order: MonomialOrder = DEGREVLEX) -> PolyRing:
@@ -88,7 +83,7 @@ def jgen_labels(h: LieAlgebra, g: LieAlgebra) -> list[tuple[int, int, int]]:
 
 class UniversalAlgebra:
     """A(h,g) presented by its polynomial ring and the reduced Groebner basis
-    of the relation ideal J."""
+    of the relation ideal J, with the multiplication table ``table``."""
 
     def __init__(
         self,
@@ -104,6 +99,7 @@ class UniversalAlgebra:
         self.jgens = jgens
         self.labels = jgen_labels(h, g)
         self.gb = gb
+        self.table = gb.multiplication_table()
 
     @property
     def nvars(self) -> int:
@@ -113,11 +109,6 @@ class UniversalAlgebra:
         """1-based (s,i) -> 0-based variable index."""
         return (s - 1) * self.g.dim + (i - 1)
 
-    def reduce(self, p: Polynomial) -> "AlgebraElement":
-        if p.ring != self.ring:
-            raise ValueError("polynomial from a different variable set")
-        return AlgebraElement(self, poly.normal_form(p, self.gb))
-
     def is_same_hg(self) -> bool:
         return self.h.dim == self.g.dim and self.h.table == self.g.table
 
@@ -126,27 +117,6 @@ class UniversalAlgebra:
             f"UniversalAlgebra(h={self.h.name or self.h.dim}, "
             f"g={self.g.name or self.g.dim}, |gb|={len(self.gb)})"
         )
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    owner: UniversalAlgebra
-    value: Polynomial  # always in normal form
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.owner, self.value + other.value)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.owner, self.value - other.value)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.owner.reduce(self.value * other.value)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __str__(self):
-        return poly.render(self.value)
 
 
 def build_universal_algebra(
@@ -172,7 +142,7 @@ def check_defining_relations(A: UniversalAlgebra) -> Report:
     bad = tuple(
         Violation("relation", label, "normal forms differ")
         for label, p in zip(A.labels, A.jgens)
-        if not A.reduce(p).is_zero()
+        if not poly.ideal_contains(A.gb, p)
     )
     return Report(bad)
 
@@ -190,54 +160,45 @@ def monomial_basis_up_to_degree(A: UniversalAlgebra, dmax: int):
     return out
 
 
-def integer_row(components: dict[int, Polynomial]) -> Row:
-    """A normal form, by position, as a Row (den, ((q, ((m, n), ...)), ...)),
-    which stands for the sum of n/den x^m e_q."""
-    den = lcm(*(c.denominator for p in components.values() for c in p.terms.values()))
-    return (den, tuple(
-        (q, tuple((m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()))
-        for q, p in components.items() if p.terms))
-
-
-def tensor_normal_form(elem: TensorSquareElement, ring2: PolyRing,
-                       row) -> TensorSquareElement:
+def tensor_normal_form(elem: TensorSquareElement,
+                       table: MultiplicationTable) -> TensorSquareElement:
     """Factor-wise canonical form in the tensor square of a presented module
-    over A, its factors the two variable blocks of ``ring2``: their leads are
-    coprime, so x^m1 x^m2 at (p1, p2) reduces to row(p1, m1) (x) row(p2, m2),
-    ``row`` the presented module's memoising getter of its Rows.  The products
-    and sums run on integers over one common denominator, divided out once per
-    output coefficient."""
-    n2 = ring2.nvars // 2
-    gathered = []
-    den = ONE
-    for (p1, p2), q in elem.items():
-        for m, c in q.terms.items():
-            (d1, f1), (d2, f2) = row(p1, m[:n2]), row(p2, m[n2:])
-            if f1 and f2:
-                d = c.denominator * d1 * d2
-                den = lcm(den, d)
-                gathered.append((c.numerator, d, f1, f2))
-    acc: dict[tuple[int, int], dict[Monomial, int]] = {}
+    over A, whose terms are pairs of ``table``'s keys: the two factors'
+    leads are coprime, so t1 (x) t2 reduces to row(t1) (x) row(t2).  The
+    products and sums run on integers over one common denominator, divided
+    out once per output coefficient."""
+    row, gathered, den = table.row, [], ONE
+    for (k1, k2), c in elem.items():
+        (d1, f1), (d2, f2) = row(k1), row(k2)
+        if f1 and f2:
+            d = c.denominator * d1 * d2
+            den = lcm(den, d)
+            gathered.append((c.numerator, d, f1, f2))
+    acc: dict[tuple[int, int], int] = {}
     for c, d, f1, f2 in gathered:
         c *= den // d
-        for q1, t1 in f1:
-            for q2, t2 in f2:
-                terms = acc.setdefault((q1, q2), {})
-                for m1, c1 in t1:
-                    c1 *= c
-                    for m2, c2 in t2:
-                        m12 = m1 + m2
-                        terms[m12] = terms.get(m12, ZERO) + c1 * c2
-    out: TensorSquareElement = {}
-    for key, terms in acc.items():
-        if den != ONE:
-            for m, c in terms.items():
-                q, r = divmod(c, den)
-                terms[m] = Fraction(c, den) if r else q
-        p = Polynomial(ring2, terms)
-        if not p.is_zero():
-            out[key] = p
-    return out
+        for u1, n1 in f1.items():
+            n1 *= c
+            for u2, n2 in f2.items():
+                key = (u1, u2)
+                acc[key] = acc.get(key, ZERO) + n1 * n2
+    return {key: n // den if n % den == 0 else Fraction(n, den)
+            for key, n in acc.items() if n}
+
+
+def add_pairs(elem: TensorSquareElement, pairs: TensorSquareElement,
+              c: Scalar = ONE) -> None:
+    """elem += c * pairs, keeping only nonzero coefficients, an integral one
+    as an int."""
+    for key, d in pairs.items():
+        if c != ONE:
+            d *= c
+        if key in elem:
+            d += elem[key]
+        if not d:
+            elem.pop(key, None)
+        else:
+            elem[key] = d if type(d) is int or d.denominator != 1 else d.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +210,13 @@ class BialgebraStructure:
     """Comultiplication x_ij -> sum_s x_is (x) x_sj and counit x_ij -> delta_ij
     on B = A(h,h), with machine-checked well-definedness.
 
-    The tensor square of B is handled in the polynomial ring on the doubled
-    variable set {X'[i,j]} u {X''[i,j]}, with ideal J' + J'', as the rank-1
-    case of tensor_normal_form.
+    An element of B (x) B is a dict from pairs of keys of A's multiplication
+    table to scalars, reduced by tensor_normal_form at rank 1.  Delta is one
+    table ``_deltas``, monomial key -> Delta(x^m) as such pairs with integer
+    coefficients, seeded with Delta(1) and Delta(x_ij) and read by
+    ``delta_pairs``, the descent, the laws and the tensor square of U(U).
+    ``delta`` turns its result into a polynomial in the doubled variable set
+    {X'[i,j]} u {X''[i,j]}, whose ideal is J' + J''.
     """
 
     def __init__(self, owner: UniversalAlgebra):
@@ -263,70 +228,46 @@ class BialgebraStructure:
         names = [f"X'[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
         names += [f"X''[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
         self.tensor_ring = PolyRing(names, owner.ring.order)
-        self._delta_images = self._build_delta_images()
-        # monomial of A's ring -> integer terms of Delta(x^m) in the doubled ring
-        self._deltas = {(0,) * (n * n): {(0,) * (2 * n * n): ONE}}
-        # (0, monomial) -> the Row of the normal form of x^m in A
-        self._rows: dict[tuple[int, Monomial], Row] = {}
+        key = owner.table.key
+        one = key(0, (0,) * (n * n))
+        x = [key(0, tuple(int(k == v) for k in range(n * n))) for v in range(n * n)]
+        self._deltas = {one: {(one, one): ONE}} | {
+            x[i * n + j]: {(x[i * n + s], x[s * n + j]): ONE for s in range(n)}
+            for i in range(n) for j in range(n)}
 
-    def _block_var(self, block: int, i: int, j: int) -> Polynomial:
-        n = self.n
-        return self.tensor_ring.var(block * n * n + (i - 1) * n + (j - 1))
+    def _delta_of_key(self, key: int) -> TensorSquareElement:
+        """Delta(x^m) for the monomial with ``key``: Delta(x^m / x_i) Delta(x_i),
+        filled once per monomial up its chain of divisors by a loop."""
+        deltas, table = self._deltas, self.owner.table
+        chain = [key]
+        while chain[-1] not in deltas:
+            chain.append(table.factor(chain[-1])[0])
+        for t in reversed(chain[:-1]):
+            s, q = table.factor(t)
+            deltas[t] = {}
+            for (a1, b1), c1 in deltas[s].items():
+                add_pairs(deltas[t], {(table.times(a1, a2), table.times(b1, b2)): c1 * c2
+                                      for (a2, b2), c2 in deltas[q].items()})
+        return deltas[key]
 
-    def _build_delta_images(self) -> list[Polynomial]:
-        images = []
-        n = self.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                p = self.tensor_ring.zero()
-                for s in range(1, n + 1):
-                    p = p + self._block_var(0, i, s) * self._block_var(1, s, j)
-                images.append(p)
-        return images
-
-    def _delta_of_monomial(self, m: Monomial) -> dict[Monomial, int]:
-        """Delta(x^m) = Delta(x^(m - e_i)) * Delta(x_i) for the first variable
-        x_i of m, as integer terms, computed once per monomial."""
-        d = self._deltas.get(m)
-        if d is None:
-            i = next(k for k, e in enumerate(m) if e)
-            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
-            d = (Polynomial(self.tensor_ring, self._delta_of_monomial(rest))
-                 * self._delta_images[i]).terms
-            self._deltas[m] = d
-        return d
-
-    def delta_image(self, p: Polynomial) -> Polynomial:
-        """Comultiplication as a ring map into the doubled ring, unreduced."""
-        terms: dict[Monomial, Scalar] = {}
+    def delta_pairs(self, p: Polynomial) -> TensorSquareElement:
+        """Delta(p) as a ring map, unreduced, as pairs of A's keys."""
+        out: TensorSquareElement = {}
         for m, c in p.terms.items():
-            for m2, d in self._delta_of_monomial(m).items():
-                terms[m2] = terms.get(m2, ZERO) + c * d
-        return Polynomial(self.tensor_ring, terms)
-
-    def _row(self, pos: int, m: Monomial) -> Row:
-        """The Row of the normal form of x^m in A, built once into ``_rows``."""
-        r = self._rows.get((pos, m))
-        if r is None:
-            r = integer_row({pos: self.owner.reduce(self.owner.ring.monomial(m)).value})
-            self._rows[(pos, m)] = r
-        return r
+            add_pairs(out, self._delta_of_key(self.owner.table.key(0, m)), c)
+        return out
 
     def delta(self, p: Polynomial) -> Polynomial:
-        """Comultiplication reduced modulo J' + J'', factor-wise."""
-        nf = tensor_normal_form({(0, 0): self.delta_image(p)}, self.tensor_ring,
-                                self._row)
-        return nf.get((0, 0), self.tensor_ring.zero())
+        """Comultiplication reduced factor-wise modulo J' + J'', in the doubled ring."""
+        term = self.owner.table.term
+        return Polynomial(self.tensor_ring, {
+            term(a)[1] + term(b)[1]: c for (a, b), c
+            in tensor_normal_form(self.delta_pairs(p), self.owner.table).items()})
 
     def epsilon(self, p: Polynomial) -> Scalar:
         """Counit: evaluate at X[i,j] = delta_ij."""
         n = self.n
-        values = [
-            ONE if i == j else ZERO
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ]
-        return p.eval_scalars(values)
+        return p.eval_scalars([ONE if k // n == k % n else ZERO for k in range(n * n)])
 
     @functools.cached_property
     def descent(self) -> Report:
@@ -343,35 +284,30 @@ class BialgebraStructure:
         return Report(tuple(bad))
 
     def laws(self) -> Report:
-        """Coassociativity and counit laws on the generators x_ij, through the
-        ring maps Delta(x)id, id(x)Delta, eps(x)id and id(x)eps out of the
-        doubled ring.  Equality in a free ring implies it in the quotient."""
+        """Coassociativity and counit laws on the generators x_ij, in the free
+        tensor powers: (Delta (x) id) Delta and (id (x) Delta) Delta as triples
+        of A's keys, (eps (x) id) Delta and (id (x) eps) Delta as keys.
+        Equality in a free ring implies it in the quotient."""
         bad: list[Violation] = []
-        n, n2 = self.n, self.n * self.n
-        ring = self.owner.ring
-        triple = PolyRing(
-            [f"X{b}[{i},{j}]" for b in (1, 2, 3)
-             for i in range(1, n + 1) for j in range(1, n + 1)],
-            ring.order,
-        )
-        tvars = [triple.var(k) for k in range(3 * n2)]
-        into12 = [d.map_coeffs_and_vars(triple, tvars[:2 * n2])
-                  for d in self._delta_images]
-        into23 = [d.map_coeffs_and_vars(triple, tvars[n2:])
-                  for d in self._delta_images]
-        delta_id = into12 + tvars[2 * n2:]
-        id_delta = tvars[:n2] + into23
-        xs = [ring.var(k) for k in range(n2)]
-        eps = [ring.const(self.epsilon(x)) for x in xs]
-        eps_id = eps + xs
-        id_eps = xs + eps
-        for k, d in enumerate(self._delta_images):
-            loc = (k // n + 1, k % n + 1)
-            if (d.map_coeffs_and_vars(triple, delta_id)
-                    != d.map_coeffs_and_vars(triple, id_delta)):
+        ring, table = self.owner.ring, self.owner.table
+
+        def eps(key: int) -> Scalar:
+            return self.epsilon(ring.monomial(table.term(key)[1]))
+
+        for k in range(self.n * self.n):
+            left, right, eps_id, id_eps = {}, {}, {}, {}
+            for (a, b), c in self.delta_pairs(ring.var(k)).items():
+                add_pairs(left, {(a1, a2, b): e
+                                 for (a1, a2), e in self._delta_of_key(a).items()}, c)
+                add_pairs(right, {(a, b1, b2): e
+                                  for (b1, b2), e in self._delta_of_key(b).items()}, c)
+                add_pairs(eps_id, {b: c * eps(a)})
+                add_pairs(id_eps, {a: c * eps(b)})
+            loc = (k // self.n + 1, k % self.n + 1)
+            if left != right:
                 bad.append(Violation("coassociativity", loc, "sides differ"))
-            if (d.map_coeffs_and_vars(ring, eps_id) != xs[k]
-                    or d.map_coeffs_and_vars(ring, id_eps) != xs[k]):
+            x = {table.key(0, ring.var(k).lead_monomial()): ONE}
+            if eps_id != x or id_eps != x:
                 bad.append(Violation("counit-law", loc, "law fails"))
         return Report(tuple(bad))
 

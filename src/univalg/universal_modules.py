@@ -4,10 +4,10 @@ adjunction bijections, functoriality, and direct-sum preservation.
 
 U(U,Z) is a finitely presented module over the polynomial ring of A with the
 ideal folded into the module Groebner basis, so element equality is decidable.
-Each U(U,Z) holds its multiplication table: the normal form of x^m e_p as an
-integer Row, filled on demand one variable at a time, as FGLM fills its
-multiplication matrices.  Its action and the tensor square of the coalgebra
-read that table, so no row is reduced twice.
+Each U(U,Z) holds its multiplication table (``poly.MultiplicationTable``),
+nf(x^m e_p) by packed term as integers over one denominator, filled on demand
+one variable at a time, as FGLM fills its multiplication matrices.  ``act``
+and the tensor square of the coalgebra read it, so no row is reduced twice.
 V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
 normal forms on the free side; it is probed only through finite-dimensional
 factorization targets.
@@ -24,8 +24,6 @@ polynomial or a PBW element is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterator
 
 from . import linalg, modgb
@@ -33,9 +31,9 @@ from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_
 from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, Monomial, Polynomial, mono_mul, mono_word
+from .poly import DEFAULT_PAIR_BUDGET, Polynomial, mono_word
 from .representations import MatrixARep, tensor_lie_module
-from .universal_algebra import Row, UniversalAlgebra, integer_row
+from .universal_algebra import UniversalAlgebra
 
 ZERO = 0
 ONE = 1
@@ -65,9 +63,7 @@ class UniversalAModule:
         # The relations as (p, word, c) terms, for evaluation in targets.
         self.rel_terms = tuple(_words(v) for v in self.relgens)
         self.mgb = modgb.module_buchberger(self.relgens, A.gb, self.free, budget=budget)
-        # The multiplication table: (position p, monomial m) -> the Row of
-        # nf(x^m e_p), filled by ``row``.
-        self.rows: dict[tuple[int, Monomial], Row] = {}
+        self.table = self.mgb.multiplication_table()
 
     # generator ordering (s,r) lexicographic
     def pos(self, s: int, r: int) -> int:
@@ -102,71 +98,10 @@ class UniversalAModule:
     def nf(self, v: ModuleVector) -> ModuleVector:
         return modgb.module_normal_form(v, self.mgb)
 
-    def row(self, pos: int, m: Monomial) -> Row:
-        """The Row of nf(x^m e_pos), from the multiplication table.  A missing
-        row is x_i . row(pos, m - e_i) for the first variable x_i of m: when
-        x^(m - e_i) e_pos is a standard term t, the product x_i t is reduced
-        once; otherwise each term of that row is multiplied by x_i and looked
-        up in the table, which holds only smaller terms."""
-        r = self.rows.get((pos, m))
-        if r is not None:
-            return r
-        i = next((k for k, e in enumerate(m) if e), None)
-        if i is None:
-            r = self._reduce_term(pos, m)
-        else:
-            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
-            den, nums = self.row(pos, rest)
-            if (den, nums) == (ONE, ((pos, ((rest, ONE),)),)):
-                r = self._reduce_term(pos, m)
-            else:
-                r = self._times_variable(den, nums, i)
-        self.rows[(pos, m)] = r
-        return r
-
-    def _reduce_term(self, pos: int, m: Monomial) -> Row:
-        return integer_row(self.mgb.reduce({pos: self.A.ring.monomial(m)}))
-
-    def _times_variable(self, den: int, nums, i: int) -> Row:
-        """x_i times the Row (den, nums), each x_i x^m e_q read from the table,
-        summed on integers over one common denominator."""
-        parts = []
-        common = ONE
-        for q, terms in nums:
-            for m, c in terms:
-                d, f = self.row(q, m[:i] + (m[i] + 1,) + m[i + 1:])
-                if f:
-                    common = lcm(common, d)
-                    parts.append((c, d, f))
-        acc: dict[int, dict[Monomial, int]] = {}
-        for c, d, f in parts:
-            c *= common // d
-            for q, terms in f:
-                out = acc.setdefault(q, {})
-                for m, n in terms:
-                    out[m] = out.get(m, ZERO) + c * n
-        # The coefficients are acc / (den * common); cancel their common factor.
-        den *= common
-        g = gcd(den, *(n for out in acc.values() for n in out.values()))
-        return (den // g, tuple(
-            (q, tuple((m, n // g) for m, n in out.items() if n))
-            for q, out in acc.items() if any(out.values())))
-
     def act(self, p: Polynomial, v: ModuleVector) -> ModuleVector:
         """p . v in U(U,Z): the table rows of the products of their terms,
         scaled and summed."""
-        acc: dict[int, dict[Monomial, Scalar]] = {}
-        for q, f in v.components.items():
-            for m1, c1 in f.terms.items():
-                for m2, c2 in p.terms.items():
-                    den, nums = self.row(q, mono_mul(m1, m2))
-                    c = Fraction(c1 * c2, den)
-                    for q2, terms in nums:
-                        out = acc.setdefault(q2, {})
-                        for m, n in terms:
-                            out[m] = out.get(m, ZERO) + c * n
-        return ModuleVector(self.free, {
-            q: Polynomial(self.A.ring, out) for q, out in acc.items()})
+        return ModuleVector(self.free, self.table.product(p, v.components))
 
     def _rho_free(self, z: Vec) -> list[ModuleVector]:
         """rho(z) before reduction: its component at u_s is sum_r z_r y_sr."""

@@ -2,6 +2,7 @@
 generators for the property suites."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from univalg import linalg
@@ -11,7 +12,6 @@ from univalg.lie import (
 from univalg.modgb import ModuleVector
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
-from univalg.universal_algebra import integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -159,35 +159,75 @@ def random_arep_morphism(rng: Random, V: MatrixARep, W: MatrixARep) -> LinearMap
     return LinearMap.from_matrix(mat, src)
 
 
-def reference_row(um, pos, m):
-    """The Row of nf(x^m e_pos) by one module_normal_form reduction of that
-    basis vector, the oracle for U(U,Z)'s multiplication table."""
-    return integer_row(um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
-                       .components)
+def reference_row(components):
+    """A normal form given by its components (position -> polynomial) as a
+    row (den, {(position, monomial): numerator}), den the lcm of its
+    coefficients' denominators: the oracle for a multiplication table row,
+    from one normal_form or module_normal_form reduction."""
+    den = lcm(*(Fraction(c).denominator
+                for p in components.values() for c in p.terms.values()))
+    return den, {(q, m): int(c * den)
+                 for q, p in components.items() for m, c in p.terms.items()}
 
 
-def row_entries(row):
-    """A Row as its denominator and a dict (position, monomial) -> numerator,
-    so that two Rows compare whatever the order of their terms."""
+def row_entries(table, row):
+    """A stored table row as its denominator and a dict (position, monomial)
+    -> numerator, its keys read through ``table.term``."""
     den, nums = row
-    return den, {(q, m): n for q, terms in nums for m, n in terms}
+    return den, {table.term(k): n for k, n in nums.items()}
 
 
-def reference_delta_of_vector(sq, v):
-    """TensorSquare.delta_of_vector through the ring map Delta of B, applied
-    to each coefficient polynomial as a whole."""
-    um = sq.um
-    out = {}
-    for p, q in v.components.items():
-        l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
-        dq = q.map_coeffs_and_vars(sq.ring2, sq.bial._delta_images)
-        for s in range(1, um.U.dim + 1):
-            sq.add_term(out, (um.pos(l, s), um.pos(s, t)), dq)
+def ring_map(p, target, images):
+    """The ring homomorphism into ``target`` sending variable i to
+    images[i], applied to ``p`` term by term."""
+    out = target.zero()
+    for m, c in p.terms.items():
+        t = target.const(c)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                t = t * images[i]
+        out = out + t
     return out
 
 
+def doubled(table, ring2, elem):
+    """A tensor-square element, pairs of ``table``'s keys -> scalar, as
+    position pair -> polynomial in the doubled ring ``ring2``, its keys read
+    through ``table.term``."""
+    out = {}
+    for (k1, k2), c in elem.items():
+        (p1, m1), (p2, m2) = table.term(k1), table.term(k2)
+        out.setdefault((p1, p2), {})[m1 + m2] = c
+    return {key: Polynomial(ring2, terms) for key, terms in out.items()}
+
+
+def delta_images(B):
+    """Delta(x_ij) = sum_s X'[i,s] X''[s,j] in B's doubled ring, built from
+    its variables, one image per variable of A in ring order."""
+    n, R = B.n, B.tensor_ring
+    return [sum((R.var(i * n + s) * R.var(n * n + s * n + j) for s in range(n)),
+                R.zero())
+            for i in range(n) for j in range(n)]
+
+
+def reference_delta_of_vector(sq, v):
+    """TensorSquare.delta_of_vector in the doubled ring: the ring map Delta
+    of B, applied to each coefficient polynomial as a whole."""
+    um = sq.um
+    images = delta_images(sq.bial)
+    out = {}
+    for p, q in v.components.items():
+        l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
+        dq = ring_map(q, sq.bial.tensor_ring, images)
+        for s in range(1, um.U.dim + 1):
+            key = (um.pos(l, s), um.pos(s, t))
+            out[key] = out[key] + dq if key in out else dq
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
 def reference_tensor_normal_form(sq, elem, rows):
-    """TensorSquare.normal_form as a loop over exact scalars: the rows are the
+    """TensorSquare.normal_form in the doubled ring, as a loop over exact
+    scalars: ``elem`` maps position pairs to polynomials, the rows are the
     module normal forms of x^m e_p, memoised in ``rows``, and every product
     and sum is a Fraction operation."""
     um = sq.um
@@ -213,7 +253,7 @@ def reference_tensor_normal_form(sq, elem, rows):
                             terms[m12] = terms.get(m12, ZERO) + c1 * c2
     out = {}
     for key, terms in acc.items():
-        p = Polynomial(sq.ring2, terms)
+        p = Polynomial(sq.bial.tensor_ring, terms)
         if not p.is_zero():
             out[key] = p
     return out

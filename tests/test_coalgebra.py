@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    doubled,
     natural2,
     reference_delta_of_vector,
     reference_tensor_normal_form,
@@ -20,11 +21,16 @@ from univalg.coalgebra import (
     verify_bmodule_coalgebra,
     verify_comodule,
 )
-from univalg import linalg, modgb
+from univalg import linalg, modgb, poly
+from univalg.modgb import ModuleVector
 from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation
-from univalg.poly import Polynomial
+from univalg.poly import MAX_EXPONENT, ExponentOverflowError
 from univalg.representations import MatrixARep
-from univalg.universal_algebra import BialgebraStructure, build_universal_algebra
+from univalg.universal_algebra import (
+    BialgebraStructure,
+    add_pairs,
+    build_universal_algebra,
+)
 from univalg.universal_modules import build_universal_amodule
 
 ZERO = Fraction(0)
@@ -58,7 +64,8 @@ def test_abelian_grouplike(abelian_setup):
     # The single generator is grouplike: Delta(y) = y (x) y, eps(y) = 1.
     g = um.free.basis_vector(0)
     d = C.delta(g)
-    assert list(d.keys()) == [(0, 0)]
+    assert [(um.table.term(a), um.table.term(b)) for a, b in d] == [
+        ((0, (0,)), (0, (0,)))]
     assert C.epsilon(um.nf(g)) == 1
     assert verify_comodule(um, C).ok
     assert verify_bmodule_coalgebra(um, C).ok
@@ -159,14 +166,10 @@ def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
     # Delta(y_lr) = sum_s y_sr (x) y_ls, the two tensor factors exchanged.
     C = CoalgebraOnU(um_adjoint, B_sl2)
     sq = C.square
-    n2 = um_adjoint.A.ring.nvars
-    xs = [sq.ring2.var(k) for k in range(2 * n2)]
-    flip = xs[n2:] + xs[:n2]
     right_way = sq.delta_of_vector
 
     def swapped(v):
-        return {(b, a): p.map_coeffs_and_vars(sq.ring2, flip)
-                for (a, b), p in right_way(v).items()}
+        return {(b, a): c for (a, b), c in right_way(v).items()}
 
     sq.delta_of_vector = swapped
     rep = verify_comodule(um_adjoint, C)
@@ -207,7 +210,7 @@ def test_delta_reuses_reduced_basis_vectors(A_sl2, adjoint_sl2, B_sl2, monkeypat
     um = build_universal_amodule(A_sl2, adjoint_sl2, adjoint_sl2)
     C = CoalgebraOnU(um, B_sl2)
     v = um.relgens[0]
-    calls = _count_calls(monkeypatch, modgb.ModuleGroebnerBasis, "reduce")
+    calls = _count_calls(monkeypatch, poly, "_reduce")
     first = C.delta(v)
     assert calls
     calls.clear()
@@ -221,18 +224,18 @@ def test_second_coalgebra_over_one_module_reduces_nothing(A_sl2, B_sl2, sl2_alg,
     # reads them, so its certificates make no reduction of a basis vector.
     N = natural2(sl2_alg)
     um = build_universal_amodule(A_sl2, N, N)
-    reduced = _count_calls(monkeypatch, modgb.ModuleGroebnerBasis, "reduce")
+    reduced = _count_calls(monkeypatch, poly, "_reduce")
     nf_calls = _count_calls(monkeypatch, modgb, "module_normal_form")
     first = CoalgebraOnU(um, B_sl2)
     assert first.verify().ok and verify_bmodule_coalgebra(um, first).ok
-    assert reduced and um.rows
+    assert reduced and um.table.rows
     reduced.clear()
     nf_calls.clear()
-    rows = dict(um.rows)
+    rows = dict(um.table.rows)
     second = CoalgebraOnU(um, B_sl2)
     assert second.verify().ok and verify_bmodule_coalgebra(um, second).ok
     assert (reduced, nf_calls) == ([], [])
-    assert um.rows == rows
+    assert um.table.rows == rows
 
 
 class _CountingTable(dict):
@@ -247,17 +250,18 @@ class _CountingTable(dict):
         super().__setitem__(key, value)
 
 
-def test_each_row_is_stored_once(A_sl2, sl2_alg):
+def test_each_row_is_stored_once(A_sl2, sl2_alg, monkeypatch):
     # From empty tables, the certificates of U(U) and the descent of B build
-    # and store each (position, monomial) row exactly once.
+    # and store each term's row exactly once.
     N = natural2(sl2_alg)
     um = build_universal_amodule(A_sl2, N, N)
     B = BialgebraStructure(A_sl2)
-    um.rows, B._rows = _CountingTable(), _CountingTable()
+    um.table.rows = _CountingTable()
+    monkeypatch.setattr(A_sl2.table, "rows", _CountingTable())
     C = CoalgebraOnU(um, B)
     assert C.verify().ok and verify_bmodule_coalgebra(um, C).ok
     assert B.descent.ok
-    for table in (um.rows, B._rows):
+    for table in (um.table.rows, A_sl2.table.rows):
         assert table.stores and set(table.stores.values()) == {1}
         assert table.stores.keys() == table.keys()
 
@@ -280,14 +284,19 @@ def test_tensor_square_matches_fraction_reference(request, B_sl2, which):
     vectors, acted = tensor_square_inputs(um, sq)
     rows = {}
     nonzero = 0
+
+    def poly2(elem):
+        return doubled(um.table, B_sl2.tensor_ring, elem)
+
     for v in vectors:
         elem = sq.delta_of_vector(v)
-        assert elem == reference_delta_of_vector(sq, v)
+        assert poly2(elem) == reference_delta_of_vector(sq, v)
         got = sq.normal_form(elem)
-        assert got == reference_tensor_normal_form(sq, elem, rows)
+        assert poly2(got) == reference_tensor_normal_form(sq, poly2(elem), rows)
         nonzero += bool(got)
     for elem in acted:
-        assert sq.normal_form(elem) == reference_tensor_normal_form(sq, elem, rows)
+        assert (poly2(sq.normal_form(elem))
+                == reference_tensor_normal_form(sq, poly2(elem), rows))
     assert nonzero
 
 
@@ -308,11 +317,14 @@ doubled_terms = st.lists(
 def test_tensor_normal_form_matches_reference_on_random_terms(um_natural2, B_sl2,
                                                               terms):
     sq = CoalgebraOnU(um_natural2, B_sl2).square
+    key = um_natural2.table.key
     elem = {}
-    for key, exps, c in terms:
+    for (p1, p2), exps, c in terms:
         m = tuple(exps.get(k, 0) for k in range(18))
-        sq.add_term(elem, key, Polynomial(sq.ring2, {m: linalg.scalar(c)}))
-    assert sq.normal_form(elem) == reference_tensor_normal_form(sq, elem, {})
+        add_pairs(elem, {(key(p1, m[:9]), key(p2, m[9:])): linalg.scalar(c)})
+    ring2 = B_sl2.tensor_ring
+    assert (doubled(um_natural2.table, ring2, sq.normal_form(elem))
+            == reference_tensor_normal_form(sq, doubled(um_natural2.table, ring2, elem), {}))
 
 
 @pytest.mark.parametrize("certificate", [
@@ -328,16 +340,44 @@ def test_doubled_row_denominator_fails_certificates(A_sl2, B_sl2, sl2_alg, monke
     M = natural2(sl2_alg) if which == "um_natural2" else LieModule.adjoint(sl2_alg)
     um = build_universal_amodule(A_sl2, M, M)
     C = CoalgebraOnU(um, B_sl2)
-    build = um.row
-    doubled = []
+    build = um.table.row
+    halved = []
 
-    def wrong_row(pos, m):
-        den, nums = build(pos, m)
-        if nums and not doubled:
-            doubled.append((pos, m))
+    def wrong_row(key):
+        den, nums = build(key)
+        if nums and not halved:
+            halved.append(key)
             den *= 2
         return den, nums
 
-    monkeypatch.setattr(um, "row", wrong_row)
+    monkeypatch.setattr(um.table, "row", wrong_row)
     assert not certificate(um, C).ok
-    assert doubled
+    assert halved
+
+
+def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
+                                                              abelian_setup):
+    # At MAX_EXPONENT + 1, given or reached by a product of keys, the
+    # multiplication table, the action and the tensor square raise
+    # ExponentOverflowError, as the module normal form does.
+    um, ring = um_natural2, um_natural2.A.ring
+    top = (MAX_EXPONENT,) + (0,) * 8
+    over = (MAX_EXPONENT + 1,) + (0,) * 8
+    y = um.free.basis_vector(0)
+    x11_y = ModuleVector(um.free, {0: ring.var(0)})
+    for raises in (lambda: um.nf(y.poly_mul(ring.monomial(over))),
+                   lambda: um.table.row(um.table.key(0, over)),
+                   lambda: um.act(ring.monomial(over), y),
+                   lambda: um.act(ring.monomial(top), x11_y)):
+        with pytest.raises(ExponentOverflowError):
+            raises()
+    # Over A(k, k) Delta(x^m) = x^m (x) x^m, so x acting on Delta(x^MAX y)
+    # reaches exponent MAX_EXPONENT + 1 in both factors.
+    _, A, um_k = abelian_setup
+    sq = CoalgebraOnU(um_k).square
+    v = ModuleVector(um_k.free, {0: A.ring.monomial((MAX_EXPONENT,))})
+    with pytest.raises(ExponentOverflowError):
+        sq.normal_form(sq.bmodule_act(1, 1, sq.delta_of_vector(v)))
+    with pytest.raises(ExponentOverflowError):
+        sq.normal_form(sq.delta_of_vector(
+            ModuleVector(um_k.free, {0: A.ring.monomial((MAX_EXPONENT + 1,))})))

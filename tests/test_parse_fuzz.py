@@ -19,10 +19,10 @@ from univalg.formats import (
 )
 from univalg.lie import LieAlgebra, sl2
 
-# Every size is at most 4.  The parsers cap sizes at formats.MAX_SIZE = 64,
-# but a parsed algebra is then validated over all dim**3 Jacobi triples, so a
-# larger N would test the validator's running time, not the parser.
-SIZES = ["1", "2", "3", "4", "0", "-1"]  # simplest first, for shrinking
+# Small sizes, and formats.MAX_SIZE = 64 and one past it, which the parsers
+# must reject.  The Jacobi sweep visits only nonzero brackets, so a 64-dim
+# algebra with a few bracket lines validates at once.
+SIZES = ["1", "2", "3", "4", "0", "-1", "64", "65"]  # simplest first, for shrinking
 COEFFS = ["1", "-1", "2", "-2", "1/2", "-3/4", "0", "5", "1/3", "3/0", "0.5"]
 TOKENS = SIZES + COEFFS + [f"{n}:" for n in SIZES] + [":", "x", "lie", "assoc-matrix", "#"]
 FIELD = re.compile(r"\{(\w+)\}")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import delta_images, ring_map
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
 from univalg.lie import LieAlgebra, sl2
@@ -68,9 +69,9 @@ def test_perfect_g_collapse_row_reduction_oracle():
     assert linalg.rank(rows) == 3  # the oracle
     A = build_universal_algebra(k, g)
     for u in range(3):
-        assert A.reduce(A.ring.var(u)).is_zero()
+        assert poly.ideal_contains(A.gb, A.ring.var(u))
     # Quotient is k: 1 does not reduce to 0, and only 1 survives any degree.
-    assert not A.reduce(A.ring.one()).is_zero()
+    assert not poly.ideal_contains(A.gb, A.ring.one())
     assert monomial_basis_up_to_degree(A, 3) == [(0, 0, 0)]
 
 
@@ -109,15 +110,12 @@ def test_sl2_degree1_basis_linear_algebra_oracle(A_sl2):
 
 
 def test_algebra_element_arithmetic(A_sl2):
-    x11 = A_sl2.reduce(A_sl2.ring.var(A_sl2.var_index(1, 1)))
-    x22 = A_sl2.reduce(A_sl2.ring.var(A_sl2.var_index(2, 2)))
-    x33 = A_sl2.reduce(A_sl2.ring.var(A_sl2.var_index(3, 3)))
-    x12 = A_sl2.reduce(A_sl2.ring.var(A_sl2.var_index(1, 2)))
-    x21 = A_sl2.reduce(A_sl2.ring.var(A_sl2.var_index(2, 1)))
-    # The golden relation X33 = X11X22 - X12X21 in the quotient.
-    assert (x11 * x22 - x12 * x21 - x33).is_zero()
-    one = A_sl2.reduce(A_sl2.ring.one())
-    assert not one.is_zero()
+    def x(s, i):
+        return A_sl2.ring.var(A_sl2.var_index(s, i))
+
+    # The golden relation X33 = X11X22 - X12X21 in the quotient, and 1 != 0.
+    assert poly.ideal_contains(A_sl2.gb, x(1, 1) * x(2, 2) - x(1, 2) * x(2, 1) - x(3, 3))
+    assert not poly.ideal_contains(A_sl2.gb, A_sl2.ring.one())
 
 
 def test_lex_order_variant(sl2_alg):
@@ -146,7 +144,7 @@ def test_permutation_functoriality_sanity(sl2_alg):
     for s in range(1, 4):
         for i in range(3):
             images.append(A1.ring.var(A1.var_index(s, perm[i] + 1)))
-    mapped = [p.map_coeffs_and_vars(A1.ring, images) for p in A2.jgens]
+    mapped = [ring_map(p, A1.ring, images) for p in A2.jgens]
     assert poly.ideal_equal(mapped, A1.jgens, A1.ring)
 
 
@@ -171,7 +169,7 @@ def engine_tensor_basis(A, B):
     of A's generators in the doubled ring."""
     n2 = A.ring.nvars
     xs = [B.tensor_ring.var(k) for k in range(2 * n2)]
-    gens = [p.map_coeffs_and_vars(B.tensor_ring, xs[b * n2:(b + 1) * n2])
+    gens = [ring_map(p, B.tensor_ring, xs[b * n2:(b + 1) * n2])
             for b in (0, 1) for p in A.jgens]
     return poly.groebner(gens, B.tensor_ring)
 
@@ -190,9 +188,7 @@ def test_delta_on_generator_matrix_coproduct(A_sl2, B_sl2):
     # must still be congruent to the same element.
     xij = A_sl2.ring.var(A_sl2.var_index(1, 2))
     d = B_sl2.delta(xij)
-    expected = B_sl2.tensor_ring.zero()
-    for s in range(1, 4):
-        expected = expected + B_sl2._block_var(0, 1, s) * B_sl2._block_var(1, s, 2)
+    expected = delta_images(B_sl2)[A_sl2.var_index(1, 2)]
     assert poly.normal_form(expected - d, engine_tensor_basis(A_sl2, B_sl2)).is_zero()
 
 
@@ -217,25 +213,25 @@ def test_delta_matches_ring_map_reduced_by_engine_basis(sl2_bialgebra, terms):
         for k in variables:
             m[k] += 1
         p = p + A.ring.monomial(tuple(m), linalg.scalar(c))
-    ring_map = p.map_coeffs_and_vars(B.tensor_ring, B._delta_images)
-    assert B.delta(p) == poly.normal_form(ring_map, gb)
+    image = ring_map(p, B.tensor_ring, delta_images(B))
+    assert B.delta(p) == poly.normal_form(image, gb)
 
 
 def test_doubled_row_denominator_fails_descent(A_sl2, monkeypatch):
     # The first nonzero row of A's normal forms that Delta builds gets twice
     # its denominator, i.e. half its value.
     B = BialgebraStructure(A_sl2)
-    build = B._row
+    build = A_sl2.table.row
     doubled = []
 
-    def wrong_row(pos, m):
-        den, nums = build(pos, m)
+    def wrong_row(key):
+        den, nums = build(key)
         if nums and not doubled:
-            doubled.append((pos, m))
+            doubled.append(key)
             den *= 2
         return den, nums
 
-    monkeypatch.setattr(B, "_row", wrong_row)
+    monkeypatch.setattr(A_sl2.table, "row", wrong_row)
     assert "comult-descends" in _violated_checks(B)
     assert doubled
 
@@ -244,11 +240,21 @@ def _violated_checks(B):
     return {v.check for v in B.verify().violations}
 
 
+def _key(A, *ij):
+    """Key of x_ij in A's multiplication table, or of 1 when ``ij`` is empty."""
+    m = [0] * A.ring.nvars
+    if ij:
+        m[A.var_index(*ij)] = 1
+    return A.table.key(0, tuple(m))
+
+
 def test_bialgebra_verify_catches_delta_without_second_factor(A_sl2):
     # Delta(x_ij) = x_ij (x) 1 is coassociative and kills J, but
     # (eps (x) id) Delta(x_ij) = delta_ij, not x_ij.
     B = BialgebraStructure(A_sl2)
-    B._delta_images = [B._block_var(0, i, j) for i in range(1, 4) for j in range(1, 4)]
+    for i in range(1, 4):
+        for j in range(1, 4):
+            B._deltas[_key(A_sl2, i, j)] = {(_key(A_sl2, i, j), _key(A_sl2)): 1}
     assert "counit-law" in _violated_checks(B)
 
 
@@ -261,10 +267,16 @@ def test_bialgebra_verify_catches_zero_counit(A_sl2):
 def test_bialgebra_verify_catches_transposed_delta(A_sl2):
     # Delta(x_ij) = sum_s x_is (x) x_js is not coassociative.
     B = BialgebraStructure(A_sl2)
-    B._delta_images = [
-        sum((B._block_var(0, i, s) * B._block_var(1, j, s) for s in range(1, 4)),
-            B.tensor_ring.zero())
-        for i in range(1, 4)
-        for j in range(1, 4)
-    ]
+    for i in range(1, 4):
+        for j in range(1, 4):
+            B._deltas[_key(A_sl2, i, j)] = {
+                (_key(A_sl2, i, s), _key(A_sl2, j, s)): 1 for s in range(1, 4)}
     assert "coassociativity" in _violated_checks(B)
+
+
+def test_delta_at_degree_3000_fills_its_chain_by_a_loop():
+    # Over A(k, k) with k abelian of dimension 1, J = 0 and Delta(x) = x (x) x,
+    # so Delta(x^3000) = x'^3000 x''^3000, reached through 3000 divisors.
+    k = LieAlgebra.abelian(1)
+    B = BialgebraStructure(build_universal_algebra(k, k))
+    assert B.delta(B.owner.ring.monomial((3000,))) == B.tensor_ring.monomial((3000, 3000))

@@ -26,7 +26,7 @@ from univalg.lie import (
 )
 from univalg.modgb import ModuleVector
 from univalg.pbw import PBWElement
-from univalg.poly import Polynomial
+from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
@@ -147,12 +147,18 @@ def test_wrong_eta_sign_fails_rho_equivariance(U, Z, label):
 
 
 @pytest.fixture(scope="module")
-def own_modules(A_sl2, sl2_alg):
-    """U(natural2, natural2) and U(adjoint, adjoint) for this file alone, so
-    that a test may empty their multiplication tables."""
+def own_modules(sl2_alg):
+    """A(sl2,sl2) under degrevlex and under lex (its keys prefixed "lex-"),
+    with U(natural2, natural2) and U(adjoint, adjoint) over each, for this
+    file alone, so that a test may empty their multiplication tables.  The
+    two orders' codecs lay out the exponent fields in opposite order."""
     N, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
-    return {"natural2": build_universal_amodule(A_sl2, N, N),
-            "adjoint": build_universal_amodule(A_sl2, ad, ad)}
+    out = {}
+    for prefix, order in (("", DEGREVLEX), ("lex-", LEX)):
+        A = build_universal_algebra(sl2_alg, sl2_alg, order=order)
+        out |= {prefix + "A": A, prefix + "natural2": build_universal_amodule(A, N, N),
+                prefix + "adjoint": build_universal_amodule(A, ad, ad)}
+    return out
 
 
 # Requests of table rows: a position (taken modulo the rank) and the
@@ -170,19 +176,30 @@ def _monomial(word, nvars=9):
     return tuple(m)
 
 
-@pytest.mark.parametrize("which", ["natural2", "adjoint"])
+def _reference_row(x, pos, m):
+    """The row of nf(x^m e_pos) by one normal_form (A at rank 1) or
+    module_normal_form (U(U,Z)) reduction of that term."""
+    if isinstance(x, UniversalAModule):
+        return reference_row(x.nf(ModuleVector(x.free, {pos: x.A.ring.monomial(m)}))
+                             .components)
+    return reference_row({0: normal_form(x.ring.monomial(m), x.gb)})
+
+
+@pytest.mark.parametrize("which", ["natural2", "adjoint", "A",
+                                   "lex-natural2", "lex-adjoint", "lex-A"])
 @given(row_requests)
 @settings(max_examples=40, deadline=None)
 def test_table_rows_match_per_row_reduction(own_modules, which, requests):
     # From an empty table, every row filled on the way to the requested ones
-    # equals the per-row module_normal_form reduction, denominator included.
-    um = own_modules[which]
-    um.rows.clear()
+    # equals the per-row reduction, denominator included.
+    x = own_modules[which]
+    table, rank = x.table, getattr(x, "rank", 1)
+    table.rows.clear()
     for pos, word in requests:
-        um.row(pos % um.rank, _monomial(word))
-    assert um.rows
-    for (pos, m), row in um.rows.items():
-        assert row_entries(row) == row_entries(reference_row(um, pos, m))
+        table.row(table.key(pos % rank, _monomial(word)))
+    assert table.rows
+    for key, row in table.rows.items():
+        assert row_entries(table, row) == _reference_row(x, *table.term(key))
 
 
 # A polynomial of A(sl2,sl2) and a vector of U(U,Z): at most three terms each,
@@ -216,6 +233,18 @@ def test_act_matches_normal_form_of_product(own_modules, which, p_terms, v_terms
     assert um.act(ring.zero(), v).is_zero()
     assert um.act(p, um.free.zero()).is_zero()
     assert um.act(Polynomial(ring, {(0,) * 9: 1}), v) == um.nf(v)
+
+
+def test_act_at_degree_3000_matches_normal_form(A_sl2, sl2_alg):
+    # A fresh table fills the chain of the 3000 divisors of X[1,1]^3000 by a
+    # loop: one stack frame per divisor would pass the recursion limit.
+    N = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, N, N)
+    p = A_sl2.ring.monomial((3000,) + (0,) * 8)
+    v = um.free.zero()
+    for pos in range(um.rank):
+        v = v + um.free.basis_vector(pos)
+    assert um.act(p, v) == um.nf(v.poly_mul(p))
 
 
 def test_zero_dimensional_Z(A_sl2, adjoint_sl2, sl2_alg):
