@@ -232,18 +232,3 @@ def nullspace(a: Mat) -> list[Vec]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve_unique(a: Mat, b: Vec) -> Vec | None:
-    """Solve a x = b; return the solution if it exists and is unique, else None."""
-    cols = len(a[0]) if a else 0
-    aug = [row[:] + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None  # inconsistent
-    if len(pivots) < cols:
-        return None  # underdetermined
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x

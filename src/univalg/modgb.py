@@ -8,26 +8,26 @@ canonical representatives over the quotient ring.
 The Groebner work is done by the engine in :mod:`univalg.poly`, of which an
 ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
-a larger int.  This module packs and unpacks nothing itself: its fronts call
-``poly._pack``, ``poly._unpack``, ``poly._basis_table`` and
-``poly._remainder``, which serve ideals and modules alike, and a basis hands
-out its ``poly.MultiplicationTable``, whose rows are the reducer's integer
-remainders keyed by packed term.  The engine works on primitive integer rows;
-a basis comes out monic and a normal form divided once by its scale, so both
-are the same rationals as over Q.
+a larger int.  ``module_buchberger`` takes relations as packed terms and the
+copies j*e_p as the ideal basis's rows shifted to each position; a basis
+keeps the engine's lead table of its reduced rows.  The constructions above
+meet the engine through the packed helpers below: a ``ModuleVector`` is made
+or packed only at a public edge, and a certificate is one reduction with an
+empty integer remainder.  A basis comes out monic and a normal form divided
+once by its scale, so both are the same rationals as over Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 from .linalg import Scalar
 from .poly import (
     DEFAULT_PAIR_BUDGET,
+    ExponentOverflowError,
     GroebnerBasis,
-    Monomial,
     MultiplicationTable,
     PolyRing,
     Polynomial,
@@ -37,18 +37,19 @@ from .poly import (
     _LeadTable,
     _pack,
     _remainder,
+    _Terms,
     _unpack,
+    _vanishes,
     render,
 )
+
+ZERO = 0
 
 
 @dataclass(frozen=True)
 class FreeModule:
     ring: PolyRing
     rank: int
-
-    def zero(self) -> "ModuleVector":
-        return ModuleVector(self, {})
 
     def basis_vector(self, pos: int) -> "ModuleVector":
         return ModuleVector(self, {pos: self.ring.one()})
@@ -87,25 +88,6 @@ class ModuleVector:
             self.module, {p: q.scale(c) for p, q in self.components.items()}
         )
 
-    def poly_mul(self, f: Polynomial) -> "ModuleVector":
-        return ModuleVector(
-            self.module, {p: q * f for p, q in self.components.items()}
-        )
-
-    def mul_term(self, m: Monomial, c: Scalar) -> "ModuleVector":
-        return ModuleVector(
-            self.module, {p: q.mul_term(m, c) for p, q in self.components.items()}
-        )
-
-    def lead(self) -> tuple[int, Monomial]:
-        """Lead term position and monomial under position-over-term."""
-        pos = min(self.components)
-        return pos, self.components[pos].lead_monomial()
-
-    def lead_coeff(self) -> Scalar:
-        pos, mono = self.lead()
-        return self.components[pos].terms[mono]
-
     def __eq__(self, other):
         return (
             isinstance(other, ModuleVector)
@@ -131,8 +113,11 @@ def render_module_vector(v: ModuleVector) -> str:
 
 @dataclass(frozen=True)
 class ModuleGroebnerBasis:
+    """A reduced module Groebner basis and the engine's lead table."""
+
     module: FreeModule
     generators: tuple[ModuleVector, ...]
+    leads: _LeadTable | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -142,8 +127,9 @@ class ModuleGroebnerBasis:
 
     @cached_property
     def _table(self) -> _LeadTable:
-        """Lead table of the generators, built on first use for the reducer."""
-        return _basis_table(self.module.ring, (g.components for g in self.generators))
+        """The engine's lead table, or one built from a hand-made basis."""
+        return self.leads if self.leads is not None else _basis_table(
+            self.module.ring, (g.components for g in self.generators))
 
     def multiplication_table(self) -> MultiplicationTable:
         """A new, empty multiplication table of the quotient module."""
@@ -153,17 +139,62 @@ class ModuleGroebnerBasis:
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return ModuleVector(v.module, _remainder(v.components, mgb._table, v.module.ring))
+    return _normal_form(_terms(v), mgb)
+
+
+# -- packed vectors: the engine's terms, key -> scalar -------------------------
+
+def _terms(v: ModuleVector) -> _Terms:
+    """The packed terms of ``v``."""
+    return _pack(v.components, _codec_of(v.module.ring))
+
+
+def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
+    """The vector of ``module`` with packed ``terms``."""
+    return ModuleVector(module, _unpack(terms, module.ring, _codec_of(module.ring)))
+
+
+def _normal_form(terms: _Terms, mgb: ModuleGroebnerBasis) -> ModuleVector:
+    """The normal form modulo ``mgb`` of the vector with packed ``terms``."""
+    codec = _codec_of(mgb.module.ring)
+    return _vector(mgb.module, _remainder(terms, mgb._table, codec))
+
+
+def _reduces_to_zero(terms: _Terms, mgb: ModuleGroebnerBasis) -> bool:
+    """Whether the vector with packed ``terms`` lies in the submodule of
+    ``mgb``: one division, an empty integer remainder."""
+    return _vanishes(terms, mgb._table, _codec_of(mgb.module.ring))
+
+
+def _substitute(terms: _Terms, images: dict[int, ModuleVector],
+                module: FreeModule) -> _Terms:
+    """The packed terms of the sum of c x^m images[p] over the terms c x^m e_p
+    of ``terms``: the image, before reduction, under the map that sends e_p
+    to images[p], a vector of ``module``."""
+    codec = _codec_of(module.ring)
+    top, packed, out = codec.top, {}, {}
+    for t, c in terms.items():
+        p = -(t >> top)
+        if p not in packed:
+            packed[p] = _pack(images[p].components, codec)
+        q = t + (p << top)  # the key of x^m
+        for u, d in packed[p].items():
+            u += q
+            if (codec.sign * u) & codec.guard:
+                raise ExponentOverflowError()
+            out[u] = out.get(u, ZERO) + c * d
+    return out
 
 
 def module_buchberger(
-    gens: Iterable[ModuleVector],
+    gens: Iterable[ModuleVector | _Terms],
     ring_ideal: GroebnerBasis | None,
     module: FreeModule,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> ModuleGroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by ``gens`` together
-    with j*e_p for every ring-ideal generator j and position p.
+    """Reduced Groebner basis of the submodule generated by ``gens``, vectors
+    or their packed terms, together with j*e_p for every ring-ideal generator
+    j and position p.
 
     Runs the shared engine of :mod:`univalg.poly`, with the copies j*e_p as
     elements that are already confluent among themselves.  No pair of two
@@ -173,20 +204,8 @@ def module_buchberger(
     than ``budget`` S-pairs have been taken from the queue, which the skipped
     pairs never enter.
     """
-    ring = module.ring
-    codec = _codec_of(ring)
-    copies = [] if ring_ideal is None else [
-        _pack({p: j}, codec)
-        for j in ring_ideal.generators
-        for p in range(module.rank)
-    ]
-    basis = _buchberger(
-        (_pack(g.components, codec) for g in gens),
-        copies,
-        codec,
-        budget,
-        "module_buchberger",
-    )
-    return ModuleGroebnerBasis(
-        module, tuple(ModuleVector(module, _unpack(t, ring, codec)) for t in basis)
-    )
+    codec = _codec_of(module.ring)
+    terms = (g if isinstance(g, dict) else _pack(g.components, codec) for g in gens)
+    ideal = {} if ring_ideal is None else ring_ideal._table
+    basis, leads = _buchberger(terms, ideal, module.rank, codec, budget, "module_buchberger")
+    return ModuleGroebnerBasis(module, tuple(_vector(module, t) for t in basis), leads)

@@ -12,17 +12,19 @@ The Buchberger engine here serves both ideals and submodules of free modules
 position-over-term order; an ideal is the rank-1 case, with every term at
 position 0.  Inside the engine each term is one packed int whose integer
 order is the term order: multiplying by a monomial is an addition and a
-divisibility test is one mask (see "packed terms" below).  ``_pack`` and
-``_unpack`` are the one packer and unpacker of vectors and ``_basis_table``
-the one builder of a basis's cached lead table, for ideals and modules alike:
-a polynomial p is the vector {0: p}.  Exponents above ``MAX_EXPONENT`` raise
-``ExponentOverflowError``.  Coefficients inside the engine are integers: each
-element is kept primitive (content 1, positive lead coefficient) and divided
-by cross-multiplication, so a basis element or a normal form becomes a
-rational, monic or divided once by its scale, only as it leaves the engine.
-A ``MultiplicationTable`` keeps the normal forms of single terms as they come
-out of the reducer, integers over one denominator keyed by packed term, for
-the constructions above the engine.
+divisibility test is one mask (see "packed terms" below).  Exponents above
+``MAX_EXPONENT`` raise ``ExponentOverflowError``.  Coefficients inside the
+engine are integers: each element is a primitive row (content 1, positive
+lead coefficient) divided by cross-multiplication, so a basis element or a
+normal form becomes a rational, monic or divided once by its scale, only as
+it leaves the engine.  A basis keeps the lead table of the reduced rows the
+engine hands out with it; ``_basis_table`` builds one only for a basis made
+elsewhere.  ``_pack`` and ``_unpack`` convert vectors at the public edges (a
+polynomial p is the vector {0: p}); the constructions above the engine keep
+their vectors as packed terms, reduce each once with ``_reduce``, and test
+membership as an empty integer remainder (``_vanishes``).  A
+``MultiplicationTable`` keeps the normal forms of single terms as they come
+out of the reducer, integers over one denominator keyed by packed term.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import functools
 import heapq
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -66,9 +68,6 @@ class MonomialOrder:
             return m
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
@@ -80,18 +79,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def mono_word(m: Monomial) -> tuple[int, ...]:
@@ -190,14 +177,6 @@ class Polynomial:
         key = self.ring.order.key
         return max(self.terms, key=key)
 
-    def lead_coeff(self) -> Scalar:
-        return self.terms[self.lead_monomial()]
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -275,10 +254,11 @@ def render(p: Polynomial) -> str:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis; generators are monic and canonically sorted."""
+    """A reduced Groebner basis, monic and sorted, and the engine's lead table."""
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
+    leads: "_LeadTable | None" = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -288,8 +268,9 @@ class GroebnerBasis:
 
     @cached_property
     def _table(self) -> "_LeadTable":
-        """Lead table of the generators, built on first use for the reducer."""
-        return _basis_table(self.ring, ({0: g} for g in self.generators))
+        """The engine's lead table, or one built from a hand-made basis."""
+        return self.leads if self.leads is not None else _basis_table(
+            self.ring, ({0: g} for g in self.generators))
 
     def multiplication_table(self) -> "MultiplicationTable":
         """A new, empty multiplication table of the quotient ring."""
@@ -297,9 +278,6 @@ class GroebnerBasis:
 
     def lead_monomials(self) -> list[Monomial]:
         return [g.lead_monomial() for g in self.generators]
-
-    def contains_unit(self) -> bool:
-        return any(not any(lm) for lm in self.lead_monomials())
 
 
 # -- packed terms ------------------------------------------------------------
@@ -471,11 +449,9 @@ def _basis_table(ring: PolyRing, vectors: Iterable[dict[int, Polynomial]]) -> _L
 
 
 def _integral(terms: _Terms) -> tuple[dict[int, int], int]:
-    """Integer terms n and a positive integer d with ``terms`` = n / d; n is
-    ``terms`` itself when every scalar is integral, hence an int."""
+    """Integer terms n, a new dict, and a positive integer d with ``terms`` =
+    n / d."""
     d = lcm(*(c.denominator for c in terms.values()))
-    if d == 1:
-        return terms, d
     return {t: c.numerator * (d // c.denominator) for t, c in terms.items()}, d
 
 
@@ -559,16 +535,20 @@ def _reduce(work: dict[int, int], table: _LeadTable,
     return remainder, scale
 
 
-def _remainder(vector: dict[int, Polynomial], table: _LeadTable,
-               ring: PolyRing) -> dict[int, Polynomial]:
-    """The components of the normal form of ``vector`` (position -> nonzero
-    polynomial) modulo the basis with lead table ``table``: the one exit of
-    a normal form from the engine, divided once by the denominator of
-    ``vector`` times the scale of the division."""
-    codec = _codec_of(ring)
-    ints, den = _integral(_pack(vector, codec))
+def _remainder(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
+    """The packed terms of the normal form of the element with packed
+    ``terms`` modulo the basis with lead table ``table``: the one exit of a
+    normal form from the engine, divided once by the denominator of
+    ``terms`` times the scale of the division."""
+    ints, den = _integral(terms)
     r, d = _reduce(ints, table, codec)
-    return _unpack(_divided(r, den * d), ring, codec)
+    return _divided(r, den * d)
+
+
+def _vanishes(terms: _Terms, table: _LeadTable, codec: _Codec) -> bool:
+    """Whether the element with packed ``terms`` reduces to zero modulo the
+    basis with lead table ``table``: one division, no nonzero term left."""
+    return not any(_reduce(_integral(terms)[0], table, codec)[0].values())
 
 
 def _s_terms(a: _Row, b: _Row, codec: _Codec) -> dict[int, int]:
@@ -589,21 +569,23 @@ def _s_terms(a: _Row, b: _Row, codec: _Codec) -> dict[int, int]:
 
 def _buchberger(
     gens: Iterable[_Terms],
-    copies: Iterable[_Terms],
+    ideal: _LeadTable,
+    rank: int,
     codec: _Codec,
     budget: int,
     name: str,
-) -> list[_Terms]:
-    """Reduced Groebner basis of the span of ``gens`` and ``copies``, as
-    monic term dicts in ascending order of their leads.
+) -> tuple[list[_Terms], _LeadTable]:
+    """Reduced Groebner basis of the span of ``gens`` and the copies j*e_p,
+    as monic term dicts in ascending order of their leads, and the lead
+    table of its primitive rows.
 
-    ``copies`` are the ring-ideal copies j*e_p: for every element j of a
-    Groebner basis of an ideal of the ring, and every position p, the
-    element j at position p.  They form a Groebner basis among themselves,
-    so no pair of two of them is queued.  A pair never enters the queue when
-    the leads of its two elements are coprime and both elements sit at a
-    single position, or one of them is a copy (product criterion): a copy
-    j*e_p and an element g with lead lm(g_p) e_p give
+    The copies j*e_p are the rows of ``ideal``, the lead table of a Groebner
+    basis of an ideal of the ring, each shifted to every position p below
+    ``rank``, with no repacking.  They form a Groebner basis among
+    themselves, so no pair of two of them is queued.  A pair never enters
+    the queue when the leads of its two elements are coprime and both
+    elements sit at a single position, or one of them is a copy (product
+    criterion): a copy j*e_p and an element g with lead lm(g_p) e_p give
 
         lm(j) g - lm(g_p) j e_p
             = sum_{q > p} g_q (j e_q) - (j - lt j) g + (g_p - lt g_p) j e_p,
@@ -624,11 +606,10 @@ def _buchberger(
     queue: list[tuple[int, int, int]] = []  # (lcm, i, j), i > j
     pending: set[tuple[int, int]] = set()
 
-    def add(ints: dict[int, int], partners: int, is_copy: bool) -> None:
-        """Append an element with integer terms and queue its pairs with the
-        elements at its position among the first ``partners``."""
+    def add(row: _Row, partners: int, is_copy: bool) -> None:
+        """Append an element's row and queue its pairs with the elements at
+        its position among the first ``partners``."""
         k = len(rows)
-        row = _row(ints, codec)
         lead = row[1]
         pk = lead >> top
         sup = ((row[0] & emask) + low) & guard
@@ -650,10 +631,12 @@ def _buchberger(
 
     for g in gens:
         if g:
-            add(_integral(g)[0], len(rows), False)
+            add(_row(_integral(g)[0], codec), len(rows), False)
     n_gens = len(rows)
-    for g in copies:
-        add(_integral(g)[0], n_gens, True)
+    for sl, lead, tail_max, tail, lc in itertools.chain.from_iterable(ideal.values()):
+        for shift in (p << top for p in range(rank)):
+            add((sl - codec.sign * shift, lead - shift, tail_max,
+                 [(t - shift, c) for t, c in tail], lc), n_gens, True)
     processed = 0
     while queue:
         lcm, i, j = heapq.heappop(queue)
@@ -667,7 +650,7 @@ def _buchberger(
             continue
         r, _ = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
         if r:
-            add(r, len(rows), False)
+            add(_row(r, codec), len(rows), False)
     return _interreduce(table, codec)
 
 
@@ -685,8 +668,9 @@ def _chain_criterion(rows, same_pos, pending, i, j, lcm, codec) -> bool:
     return False
 
 
-def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
-    """The monic reduced basis of the rows in ``table``, ascending by lead."""
+def _interreduce(table: _LeadTable, codec: _Codec) -> tuple[list[_Terms], _LeadTable]:
+    """The monic reduced basis of the rows in ``table``, ascending by lead,
+    and the lead table of its primitive rows."""
     guard = codec.guard
     # Keep the rows whose lead no other lead at its position divides, of
     # equal leads the first in basis order.  A divisor of a lead is not
@@ -704,11 +688,12 @@ def _interreduce(table: _LeadTable, codec: _Codec) -> list[_Terms]:
     # all survivors is reducing against the others.
     table = _lead_table(kept, codec)
     kept.sort(key=lambda row: row[1])
-    basis = []
+    basis, reduced = [], []
     for _, lead, _, tail, lc in kept:
         r, d = _reduce(dict(tail), table, codec)
         basis.append({lead: ONE, **_divided(r, d * lc)})
-    return basis
+        reduced.append(_row({lead: lc * d, **r}, codec))
+    return basis, _lead_table(reduced, codec)
 
 
 # -- multiplication tables ---------------------------------------------------
@@ -823,7 +808,9 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
-    return _remainder({0: p}, gb._table, p.ring).get(0, p.ring.zero())
+    codec = _codec_of(p.ring)
+    r = _remainder(_pack({0: p}, codec), gb._table, codec)
+    return _unpack(r, p.ring, codec).get(0, p.ring.zero())
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -850,12 +837,16 @@ def groebner(
         raise ValueError("generators live in different rings")
     codec = _codec_of(ring)
     terms = (_pack({0: g}, codec) for g in gens if not g.is_zero())
-    basis = _buchberger(terms, (), codec, budget, "buchberger")
-    return GroebnerBasis(ring, tuple(_unpack(t, ring, codec)[0] for t in basis))
+    basis, leads = _buchberger(terms, {}, 1, codec, budget, "buchberger")
+    return GroebnerBasis(ring, tuple(_unpack(t, ring, codec)[0] for t in basis), leads)
 
 
 def ideal_contains(gb: GroebnerBasis, p: Polynomial) -> bool:
-    return normal_form(p, gb).is_zero()
+    """Whether ``p`` lies in the ideal: its integer remainder is empty."""
+    if p.ring != gb.ring:
+        raise ValueError("polynomial and Groebner basis live in different rings")
+    codec = _codec_of(p.ring)
+    return _vanishes(_pack({0: p}, codec), gb._table, codec)
 
 
 def ideal_equal(

@@ -54,10 +54,6 @@ class MatrixARep:
         self.name = name
 
     @classmethod
-    def zero_dimensional(cls, owner: UniversalAlgebra) -> "MatrixARep":
-        return cls(owner, 0, {}, name="0")
-
-    @classmethod
     def counit(cls, owner: UniversalAlgebra) -> "MatrixARep":
         """The 1-dimensional module through the counit of B = A(h,h):
         x_si acts as delta_si."""
@@ -65,13 +61,6 @@ class MatrixARep:
             raise ValueError("counit representation requires h = g")
         return cls(owner, 1, {(s, s): [[ONE]] for s in range(1, owner.h.dim + 1)},
                    name="counit")
-
-    @classmethod
-    def from_lie_homomorphism(cls, owner: UniversalAlgebra, images: list[list]) -> "MatrixARep":
-        """1-dimensional module from a Lie algebra map g -> h: x_si acts by the
-        s-th coordinate of the image of f_i."""
-        mats = {(s, i): [[images[i - 1][s - 1]]] for s, i in _variables(owner)}
-        return cls(owner, 1, mats, name="scalar")
 
     def matrix(self, s: int, i: int) -> Frozen:
         return self.matrices[self.owner.var_index(s, i)]

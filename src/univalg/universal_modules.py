@@ -4,10 +4,13 @@ adjunction bijections, functoriality, and direct-sum preservation.
 
 U(U,Z) is a finitely presented module over the polynomial ring of A with the
 ideal folded into the module Groebner basis, so element equality is decidable.
-Each U(U,Z) holds its multiplication table (``poly.MultiplicationTable``),
-nf(x^m e_p) by packed term as integers over one denominator, filled on demand
-one variable at a time, as FGLM fills its multiplication matrices.  ``act``
-and the tensor square of the coalgebra read it, so no row is reduced twice.
+Its relations are the engine's packed terms, written once from the matrices
+of U and Z; its certificates and the functor and direct-sum checks build and
+reduce packed terms, and ModuleVectors appear only at ``relgens``, ``nf``,
+``rho`` and ``act``.  Each U(U,Z) holds its multiplication table
+(``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
+one denominator, filled on demand one variable at a time, as FGLM fills its
+multiplication matrices.
 V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
 normal forms on the free side; it is probed only through finite-dimensional
 factorization targets.
@@ -15,8 +18,8 @@ factorization targets.
 Both adjunctions run one path.  Each universal object keeps its relations
 once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
 tensor-layout table sends each generator to its free position, source column
-and tensor rows: ``_factorize`` reads theta off f and ``_gamma`` writes
-Gamma(theta) through that table.  ``linalg.evaluate`` applies a word to
+and tensor rows, remembered for the last target: ``_factorize`` reads theta
+off f and ``_gamma`` writes Gamma(theta) through that table.  ``linalg.evaluate`` applies a word to
 images[p] by matrix-vector steps that skip zeros, so no matrix of a
 polynomial or a PBW element is formed.
 """
@@ -24,6 +27,7 @@ polynomial or a PBW element is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from . import linalg, modgb
@@ -36,7 +40,6 @@ from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
 ZERO = 0
-ONE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -59,41 +62,53 @@ class UniversalAModule:
         self.Z = Z
         self.rank = U.dim * Z.dim
         self.free = FreeModule(A.ring, self.rank)
-        self.relgens, self.rel_labels = self._relations()
-        # The relations as (p, word, c) terms, for evaluation in targets.
-        self.rel_terms = tuple(_words(v) for v in self.relgens)
-        self.mgb = modgb.module_buchberger(self.relgens, A.gb, self.free, budget=budget)
+        key, n = A.table.key, A.ring.nvars
+        self._units = [key(0, tuple(int(k == v) for k in range(n))) for v in range(-1, n)]
+        self.relations, self.rel_labels = self._relations()
+        self.mgb = modgb.module_buchberger(self.relations, A.gb, self.free, budget=budget)
         self.table = self.mgb.multiplication_table()
+        self._last: tuple | None = None  # the last target of ``_adjunction``
+
+    @property
+    def relgens(self) -> list[ModuleVector]:
+        """The relations as vectors of the free module, made on each read."""
+        return [modgb._vector(self.free, terms) for terms in self.relations]
+
+    @cached_property
+    def rel_terms(self) -> tuple[_Terms, ...]:
+        """The relations as (p, word, c) terms, for evaluation in targets."""
+        return tuple(_words(v) for v in self.relgens)
 
     # generator ordering (s,r) lexicographic
     def pos(self, s: int, r: int) -> int:
         """1-based (U index s, Z index r) -> 0-based free-module position."""
         return (s - 1) * self.Z.dim + (r - 1)
 
-    def _relations(self) -> tuple[list[ModuleVector], list[tuple[int, int, int]]]:
-        A, U, Z = self.A, self.U, self.Z
-        gens: list[ModuleVector] = []
+    def _key(self, p: int, v: int = -1) -> int:
+        """The packed key of x_v e_p, or of e_p when v is -1: ``_units`` holds
+        those of e_0, x_0 e_0, ..., x_(n-1) e_0."""
+        return self.A.table.shift(self._units[v + 1], p)
+
+    def _relations(self) -> tuple[list[dict[int, Scalar]], list[tuple[int, int, int]]]:
+        """The relations (s, i, j) as packed terms, straight from the matrices:
+        eta_jpi at y_sp and -omega_rst x_rj at y_ti."""
+        A, U, Z, key = self.A, self.U, self.Z, self._key
+        rels: list[dict[int, Scalar]] = []
         labels: list[tuple[int, int, int]] = []
         for s in range(1, U.dim + 1):
             for i in range(1, Z.dim + 1):
                 for j in range(1, A.g.dim + 1):
-                    comps: dict[int, Polynomial] = {}
-                    for p, zrow in enumerate(Z.matrices[j - 1], start=1):
-                        eta = zrow[i - 1]
-                        if eta:
-                            k = self.pos(s, p)
-                            add = A.ring.const(eta)
-                            comps[k] = comps[k] + add if k in comps else add
+                    terms = {key(self.pos(s, p)): zrow[i - 1]
+                             for p, zrow in enumerate(Z.matrices[j - 1], start=1)
+                             if zrow[i - 1]}
                     for t in range(1, U.dim + 1):
                         for r, u in enumerate(U.matrices, start=1):
-                            omega = u[s - 1][t - 1]
-                            if omega:
-                                k = self.pos(t, i)
-                                sub = A.ring.var(A.var_index(r, j)).scale(-omega)
-                                comps[k] = comps[k] + sub if k in comps else sub
-                    gens.append(ModuleVector(self.free, comps))
+                            if u[s - 1][t - 1]:
+                                terms[key(self.pos(t, i), A.var_index(r, j))] = \
+                                    -u[s - 1][t - 1]
+                    rels.append(terms)
                     labels.append((s, i, j))
-        return gens, labels
+        return rels, labels
 
     def nf(self, v: ModuleVector) -> ModuleVector:
         return modgb.module_normal_form(v, self.mgb)
@@ -103,70 +118,63 @@ class UniversalAModule:
         scaled and summed."""
         return ModuleVector(self.free, self.table.product(p, v.components))
 
-    def _rho_free(self, z: Vec) -> list[ModuleVector]:
-        """rho(z) before reduction: its component at u_s is sum_r z_r y_sr."""
-        const = self.A.ring.const
-        return [
-            ModuleVector(self.free, {
-                self.pos(s, r): const(c) for r, c in enumerate(z, start=1)
-            })
-            for s in range(1, self.U.dim + 1)
-        ]
+    def _rho_terms(self, z: Vec) -> list[dict[int, Scalar]]:
+        """rho(z) before reduction, as packed terms: its component at u_s is
+        sum_r z_r y_sr."""
+        return [{self._key(self.pos(s, r)): linalg.scalar(c)
+                 for r, c in enumerate(z, start=1) if c}
+                for s in range(1, self.U.dim + 1)]
 
     def rho(self, z: Vec) -> list[ModuleVector]:
         """The structure map: z_r maps to sum_s u_s (x) y_sr, given by its
         normal-form components, one per basis vector u_s of U."""
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
-        return [self.nf(c) for c in self._rho_free(z)]
+        return [modgb._normal_form(terms, self.mgb) for terms in self._rho_terms(z)]
 
     def check_relations(self) -> Report:
-        """Normal form of every defining relation vector must vanish."""
+        """Every defining relation must reduce to zero."""
         bad = tuple(
             Violation("module-relation", label, "nonzero normal form")
-            for label, gen in zip(self.rel_labels, self.relgens)
-            if not self.nf(gen).is_zero()
+            for label, terms in zip(self.rel_labels, self.relations)
+            if not modgb._reduces_to_zero(terms, self.mgb)
         )
         return Report(bad)
 
     def check_rho_equivariance(self) -> Report:
         """rho(f_j act z_r) = f_j act rho(z_r) for all basis (j, r).  Their
-        difference is built in the free module, f_j sending u_s (x) y_sr to
+        difference is built as packed terms, f_j sending u_s (x) y_sr to
         sum_q sum_t omega_qst u_t (x) x_qj y_sr, and each of its components
         is reduced once."""
-        A, U = self.A, self.U
+        A, U, Z = self.A, self.U, self.Z
         bad: list[Violation] = []
         for j in range(1, A.g.dim + 1):
-            fj = A.g.basis_vector(j)
-            for r in range(1, self.Z.dim + 1):
-                diff = self._rho_free(self.Z.act(fj, self.Z.basis_vector(r)))
+            for r in range(1, Z.dim + 1):
+                diff = self._rho_terms([zrow[r - 1] for zrow in Z.matrices[j - 1]])
                 for s in range(1, U.dim + 1):
                     for q, u in enumerate(U.matrices, start=1):
-                        xqj = A.ring.var(A.var_index(q, j))
+                        k = self._key(self.pos(s, r), A.var_index(q, j))
                         for t in range(1, U.dim + 1):
-                            omega = u[t - 1][s - 1]
-                            if omega:
-                                diff[t - 1] = diff[t - 1] - ModuleVector(
-                                    self.free, {self.pos(s, r): xqj.scale(omega)})
-                if any(not self.nf(d).is_zero() for d in diff):
+                            if u[t - 1][s - 1]:
+                                diff[t - 1][k] = -u[t - 1][s - 1]
+                if not all(modgb._reduces_to_zero(d, self.mgb) for d in diff):
                     bad.append(Violation("rho-equivariance", (j, r), "nonzero"))
         return Report(tuple(bad))
 
     def _adjunction(self, X: MatrixARep) -> "_Adjunction":
-        """U(U,Z) against X: y_sr sits at rows (s,t) of U (x) X, column r."""
-        T = tensor_lie_module(self.U, X)
-        layout = [
-            ((s, r), self.pos(s, r), r - 1,
-             [T.position(s, t) for t in range(1, X.dim + 1)])
-            for r in range(1, self.Z.dim + 1) for s in range(1, self.U.dim + 1)
-        ]
-        return _Adjunction(self.Z, T.result, X.matrices, X.dim,
-                           self.rel_terms, self.rel_labels, layout)
-
-    def is_collapsed(self) -> bool:
-        """True when every generator reduces to zero (degenerate but legal)."""
-        return all(self.nf(self.free.basis_vector(p)).is_zero()
-                   for p in range(self.rank))
+        """U(U,Z) against X: y_sr sits at rows (s,t) of U (x) X, column r;
+        remembered for the last target, by its algebras and matrices."""
+        key = (X.owner.h, X.owner.g, X.dim, X.matrices)
+        if self._last is None or self._last[0] != key:
+            T = tensor_lie_module(self.U, X)
+            layout = [
+                ((s, r), self.pos(s, r), r - 1,
+                 [T.position(s, t) for t in range(1, X.dim + 1)])
+                for r in range(1, self.Z.dim + 1) for s in range(1, self.U.dim + 1)
+            ]
+            self._last = key, _Adjunction(self.Z, T.result, X.matrices, X.dim,
+                                          self.rel_terms, self.rel_labels, layout)
+        return self._last[1]
 
 
 def build_universal_amodule(
@@ -308,21 +316,22 @@ class PresentedMap:
     target: UniversalAModule
     images: dict[int, ModuleVector]
 
-    def apply(self, v: ModuleVector) -> ModuleVector:
-        out = self.target.free.zero()
-        for p, q in v.components.items():
-            out = out + self.images[p].poly_mul(q)
-        return self.target.nf(out)
+    def apply(self, terms: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The image, as packed terms before reduction, of the source vector
+        with packed ``terms``: x^m y_p maps to x^m images[p]."""
+        return modgb._substitute(terms, self.images, self.target.free)
+
+    def kills(self, terms: dict[int, Scalar]) -> bool:
+        """Whether the source vector with packed ``terms`` maps to zero."""
+        return modgb._reduces_to_zero(self.apply(terms), self.target.mgb)
 
     def compose(self, other: "PresentedMap") -> "PresentedMap":
         """self after other."""
         if other.target is not self.source:
             raise ValueError("composition mismatch")
-        return PresentedMap(
-            other.source,
-            self.target,
-            {p: self.apply(v) for p, v in other.images.items()},
-        )
+        return PresentedMap(other.source, self.target, {
+            p: modgb._normal_form(self.apply(modgb._terms(v)), self.target.mgb)
+            for p, v in other.images.items()})
 
     def equals_on_generators(self, other: "PresentedMap") -> bool:
         return set(self.images) == set(other.images) and all(
@@ -360,15 +369,20 @@ def functor_on_morphism_U(
     if not is_module_morphism(f, um_x.Z, um_y.Z):
         raise ValueError("f is not a morphism of Lie g-modules")
     fbar = _induced_map(um_x, um_y, f)
-    for label, gen in zip(um_x.rel_labels, um_x.relgens):
-        if not fbar.apply(gen).is_zero():
+    for label, terms in zip(um_x.rel_labels, um_x.relations):
+        if not fbar.kills(terms):
             raise AssertionError(f"relation {label} not preserved by induced map")
-    # (Id_U (x) fbar) o rho_X = rho_Y o f on the basis of X.
+    # (Id_U (x) fbar) o rho_X = rho_Y o f on the basis of X: at each u_s the
+    # difference reduces to zero in U(U,Y).
     for r in range(1, um_x.Z.dim + 1):
-        lhs = [fbar.apply(c) for c in um_x.rho(um_x.Z.basis_vector(r))]
-        rhs = um_y.rho(f.apply(um_x.Z.basis_vector(r)))
-        if lhs != rhs:
-            raise AssertionError("structure maps do not commute with induced map")
+        lhs = um_x._rho_terms(um_x.Z.basis_vector(r))
+        rhs = um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
+        for a, b in zip(lhs, rhs):
+            diff = fbar.apply(a)
+            for u, c in b.items():
+                diff[u] = diff.get(u, ZERO) - c
+            if not modgb._reduces_to_zero(diff, um_y.mgb):
+                raise AssertionError("structure maps do not commute with induced map")
     return fbar
 
 
@@ -395,11 +409,10 @@ def direct_sum_check(
     i1 = _induced_map(um_1, um_sum, ds.inj1)
     i2 = _induced_map(um_2, um_sum, ds.inj2)
     bad: list[Violation] = []
-    if not all(p1.apply(gen).is_zero() and p2.apply(gen).is_zero()
-               for gen in um_sum.relgens):
+    if not all(p1.kills(rel) and p2.kills(rel) for rel in um_sum.relations):
         bad.append(Violation("direct-sum-forward", (), "relations not preserved"))
-    if not (all(i1.apply(gen).is_zero() for gen in um_1.relgens)
-            and all(i2.apply(gen).is_zero() for gen in um_2.relgens)):
+    if not (all(i1.kills(rel) for rel in um_1.relations)
+            and all(i2.kills(rel) for rel in um_2.relations)):
         bad.append(Violation("direct-sum-backward", (), "relations not preserved"))
     # i1 p1 + i2 p2 = id on the sum, and p_a i_b = delta_ab id on the summands.
     c1, c2 = i1.compose(p1), i2.compose(p2)
@@ -451,6 +464,7 @@ class UniversalLieHModule:
         self.relgens, self.rel_labels = self._relations()
         # The relations as (p, word, c) terms, for evaluation in targets.
         self.rel_terms = tuple(_pbw_words(v) for v in self.relgens)
+        self._last: tuple | None = None  # the last target of ``_adjunction``
 
     # generator ordering (r,s) lexicographic
     def pos(self, r: int, s: int) -> int:
@@ -481,17 +495,21 @@ class UniversalLieHModule:
         return gens, labels
 
     def _adjunction(self, Y: LieModule) -> "_Adjunction":
-        """V(V,W) against Y: y_rs sits at rows (a,s) of Y (x) V, column r."""
+        """V(V,W) against Y: y_rs sits at rows (a,s) of Y (x) V, column r;
+        remembered for the last target, by its algebra and matrices."""
         if Y.algebra != self.A.h:
             raise ValueError("target must be a Lie module over h")
-        T = tensor_lie_module(Y, self.V)
-        layout = [
-            ((r, s), self.pos(r, s), r - 1,
-             [T.position(a, s) for a in range(1, Y.dim + 1)])
-            for r in range(1, self.W.dim + 1) for s in range(1, self.V.dim + 1)
-        ]
-        return _Adjunction(self.W, T.result, Y.matrices, Y.dim,
-                           self.rel_terms, self.rel_labels, layout)
+        key = (Y.algebra, Y.dim, Y.matrices)
+        if self._last is None or self._last[0] != key:
+            T = tensor_lie_module(Y, self.V)
+            layout = [
+                ((r, s), self.pos(r, s), r - 1,
+                 [T.position(a, s) for a in range(1, Y.dim + 1)])
+                for r in range(1, self.W.dim + 1) for s in range(1, self.V.dim + 1)
+            ]
+            self._last = key, _Adjunction(self.W, T.result, Y.matrices, Y.dim,
+                                          self.rel_terms, self.rel_labels, layout)
+        return self._last[1]
 
     def tau_images(self) -> dict[int, list[tuple[int, int]]]:
         """tau(w_r) = sum_s y_rs (x) v_s, recorded as generator index pairs."""
@@ -530,11 +548,6 @@ class LiePresentedMap:
     source: UniversalLieHModule
     target: UniversalLieHModule
     images: dict[int, PBWVector]
-
-    def push_to_module(self, Y: LieModule, images: dict[int, Vec]) -> dict[int, Vec]:
-        """Compose with a factorization target map given on target generators."""
-        return {p: linalg.evaluate(_pbw_words(v), Y.matrices, images, Y.dim)
-                for p, v in self.images.items()}
 
 
 def functor_on_morphism_V(

@@ -12,9 +12,105 @@ from univalg.lie import (
 from univalg.modgb import ModuleVector
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
+from univalg.universal_modules import _pbw_words
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` while the test runs."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def mono_div(a, b):
+    """The quotient a / b of monomials, b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def greater(order, a, b) -> bool:
+    """Whether the monomial a is larger than b in ``order``."""
+    return order.key(a) > order.key(b)
+
+
+def contains_unit(gb) -> bool:
+    """Whether the Groebner basis ``gb`` has a constant lead: the unit ideal."""
+    return any(not any(lm) for lm in gb.lead_monomials())
+
+
+def lead(v: ModuleVector):
+    """Lead term position and monomial of a module vector under
+    position-over-term."""
+    pos = min(v.components)
+    return pos, v.components[pos].lead_monomial()
+
+
+def lead_coeff(x):
+    """The coefficient of the lead term of a polynomial or module vector."""
+    if isinstance(x, ModuleVector):
+        pos, mono = lead(x)
+        return x.components[pos].terms[mono]
+    return x.terms[x.lead_monomial()]
+
+
+def zero_dimensional(owner) -> MatrixARep:
+    """The 0-dimensional module over the universal algebra ``owner``."""
+    return MatrixARep(owner, 0, {}, name="0")
+
+
+def from_lie_homomorphism(owner, images) -> MatrixARep:
+    """The 1-dimensional module of a Lie algebra map g -> h: x_si acts by the
+    s-th coordinate of the image of f_i."""
+    mats = {(s, i): [[images[i - 1][s - 1]]]
+            for s in range(1, owner.h.dim + 1) for i in range(1, owner.g.dim + 1)}
+    return MatrixARep(owner, 1, mats, name="scalar")
+
+
+def poly_mul(v: ModuleVector, f: Polynomial) -> ModuleVector:
+    """The module vector v times the polynomial f."""
+    return ModuleVector(v.module, {p: q * f for p, q in v.components.items()})
+
+
+def degree(p: Polynomial) -> int:
+    """Total degree of a polynomial; -1 for zero."""
+    return max((sum(m) for m in p.terms), default=-1)
+
+
+def solve_unique(a, b):
+    """Solve a x = b; the solution if it exists and is unique, else None."""
+    cols = len(a[0]) if a else 0
+    red, pivots = linalg.rref([row[:] + [bi] for row, bi in zip(a, b)])
+    if cols in pivots or len(pivots) < cols:
+        return None  # inconsistent or underdetermined
+    x = [ZERO] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def push_to_module(fbar, Y, images):
+    """A map V(V,X) -> V(V,Y) composed with a factorization target map given
+    on the generators of V(V,Y)."""
+    return {p: linalg.evaluate(_pbw_words(v), Y.matrices, images, Y.dim)
+            for p, v in fbar.images.items()}
+
+
+def is_collapsed(um) -> bool:
+    """Whether every generator of U(U,Z) reduces to zero (degenerate but
+    legal)."""
+    return all(um.nf(um.free.basis_vector(p)).is_zero() for p in range(um.rank))
 
 
 def is_abelian(L: LieAlgebra) -> bool:
@@ -74,7 +170,7 @@ def module_pool(L: LieAlgebra, rng: Random, max_dim: int = 3) -> LieModule:
 
 def rep_pool(A, rng: Random, max_dim: int = 3) -> MatrixARep:
     """A random valid matrix module over the universal algebra A."""
-    options = [MatrixARep.from_lie_homomorphism(
+    options = [from_lie_homomorphism(
         A, [[ZERO] * A.h.dim for _ in range(A.g.dim)]
     )]
     if A.is_same_hg():

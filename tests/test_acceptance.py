@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     algebra_pool,
+    degree,
     heisenberg,
     module_pool,
     natural2,
@@ -21,6 +22,7 @@ from helpers import (
     random_equivariant_map,
     rep_pool,
     solvable2,
+    solve_unique,
 )
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
@@ -306,7 +308,7 @@ def test_criterion_10_oracle_cross_checks(capsys, A_sl2):
     # (a) sl2 degree-1 standard monomial count: linear-algebra oracle says the
     # ideal contains no polynomial of degree <= 1, so 1 + 9 monomials survive.
     ok = ok and len(monomial_basis_up_to_degree(A_sl2, 1)) == 10
-    ok = ok and all(p.degree() >= 2 for p in A_sl2.gb.generators)
+    ok = ok and all(degree(p) >= 2 for p in A_sl2.gb.generators)
     # (b) abelian rank-1 action eigenvalue by direct normal-form evaluation.
     L = LieAlgebra.abelian(1)
     A = build_universal_algebra(L, L)
@@ -323,7 +325,7 @@ def test_criterion_10_oracle_cross_checks(capsys, A_sl2):
     X = MatrixARep(A, 2, {(1, 1): [[Fraction(5), ZERO], [ZERO, Fraction(7)]]},
                    name="diag")
     f = LinearMap.from_matrix([[Fraction(2)], [ZERO]], 1)
-    w_oracle = linalg.solve_unique(linalg.identity(2), [Fraction(2), ZERO])
+    w_oracle = solve_unique(linalg.identity(2), [Fraction(2), ZERO])
     resid = linalg.mat_vec(
         linalg.mat_sub(linalg.mat_scale(Fraction(5), linalg.identity(2)),
                        [[Fraction(5), ZERO], [ZERO, Fraction(7)]]),

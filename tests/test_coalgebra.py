@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_calls,
     doubled,
     natural2,
+    poly_mul,
     reference_delta_of_vector,
     reference_tensor_normal_form,
+    solve_unique,
     tensor_square_inputs,
 )
 from univalg.coalgebra import (
@@ -113,7 +116,7 @@ def test_theta_matches_dense_solve_oracle(abelian_setup):
     C = build_coalgebra(um)
     X = FiniteCoalgebraModule.trivial_on_k(A)
     psi = LinearMap.identity(1)
-    theta_oracle = linalg.solve_unique([[ONE]], [ONE])
+    theta_oracle = solve_unique([[ONE]], [ONE])
     assert theta_oracle == [ONE]
     theta = universal_coalgebra_map(um, C, X, psi)
     assert theta[(1, 1)] == theta_oracle
@@ -192,25 +195,12 @@ def test_epsilon_killing_y11_fails_comodule(um_natural2, B_sl2, monkeypatch):
         Violation("comodule-axiom", (1,), "fails"),)
 
 
-def _count_calls(monkeypatch, owner, name):
-    """Count the calls of ``owner.name`` while the test runs."""
-    calls = []
-    fn = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_delta_reuses_reduced_basis_vectors(A_sl2, adjoint_sl2, B_sl2, monkeypatch):
     # A fresh module, so that its multiplication table starts empty.
     um = build_universal_amodule(A_sl2, adjoint_sl2, adjoint_sl2)
     C = CoalgebraOnU(um, B_sl2)
     v = um.relgens[0]
-    calls = _count_calls(monkeypatch, poly, "_reduce")
+    calls = count_calls(monkeypatch, poly, "_reduce")
     first = C.delta(v)
     assert calls
     calls.clear()
@@ -224,8 +214,8 @@ def test_second_coalgebra_over_one_module_reduces_nothing(A_sl2, B_sl2, sl2_alg,
     # reads them, so its certificates make no reduction of a basis vector.
     N = natural2(sl2_alg)
     um = build_universal_amodule(A_sl2, N, N)
-    reduced = _count_calls(monkeypatch, poly, "_reduce")
-    nf_calls = _count_calls(monkeypatch, modgb, "module_normal_form")
+    reduced = count_calls(monkeypatch, poly, "_reduce")
+    nf_calls = count_calls(monkeypatch, modgb, "module_normal_form")
     first = CoalgebraOnU(um, B_sl2)
     assert first.verify().ok and verify_bmodule_coalgebra(um, first).ok
     assert reduced and um.table.rows
@@ -365,7 +355,7 @@ def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
     over = (MAX_EXPONENT + 1,) + (0,) * 8
     y = um.free.basis_vector(0)
     x11_y = ModuleVector(um.free, {0: ring.var(0)})
-    for raises in (lambda: um.nf(y.poly_mul(ring.monomial(over))),
+    for raises in (lambda: um.nf(poly_mul(y, ring.monomial(over))),
                    lambda: um.table.row(um.table.key(0, over)),
                    lambda: um.act(ring.monomial(over), y),
                    lambda: um.act(ring.monomial(top), x11_y)):

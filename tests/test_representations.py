@@ -4,11 +4,13 @@ from random import Random
 import pytest
 
 from helpers import (
+    from_lie_homomorphism,
     natural2,
     reference_eval_matrices,
     reference_validate_arep,
     rep_pool,
     solvable2,
+    zero_dimensional,
 )
 from univalg import linalg
 from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2, validate_lie_module
@@ -34,13 +36,13 @@ def test_counit_rep_is_valid(A_sl2):
 
 
 def test_zero_dimensional_rep(A_sl2):
-    X = MatrixARep.zero_dimensional(A_sl2)
+    X = zero_dimensional(A_sl2)
     assert validate_arep(X).ok
 
 
 def test_scalar_rep_from_lie_homomorphism(A_sl2):
     # The zero map g -> h is always a Lie homomorphism.
-    X = MatrixARep.from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
+    X = from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
     assert validate_arep(X).ok
 
 
@@ -49,7 +51,7 @@ def test_scalar_rep_from_nontrivial_hom():
     # subalgebra, hence is a Lie homomorphism.
     h, g = solvable2(), LieAlgebra.abelian(1)
     A = build_universal_algebra(h, g)
-    X = MatrixARep.from_lie_homomorphism(A, [[ZERO, Fraction(3)]])
+    X = from_lie_homomorphism(A, [[ZERO, Fraction(3)]])
     assert validate_arep(X).ok
 
 
@@ -74,7 +76,7 @@ def test_direct_sum_rep(A_sl2):
 
 def test_direct_sum_rep_matches_hand_built_blocks(A_sl2):
     X = MatrixARep.counit(A_sl2)
-    Z = MatrixARep.zero_dimensional(A_sl2)
+    Z = zero_dimensional(A_sl2)
     for S in (X.direct_sum(Z), Z.direct_sum(X)):
         assert (S.dim, S.matrices) == (1, X.matrices)
     S = Z.direct_sum(Z)
@@ -148,7 +150,7 @@ def test_tensor_module_matches_the_kronecker_sum(A_sl2, sl2_alg, seed):
 
 def test_tensor_module_validates(A_sl2, adjoint_sl2):
     X = MatrixARep.counit(A_sl2).direct_sum(
-        MatrixARep.from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
+        from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
     )
     T = tensor_lie_module(adjoint_sl2, X)
     assert T.result.dim == 6

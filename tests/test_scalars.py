@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_equivariant_map, tensor_square_inputs
+from helpers import from_lie_homomorphism, random_equivariant_map, tensor_square_inputs
 from univalg import linalg
 from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import parse_algebra_text
@@ -29,7 +29,7 @@ from univalg.poly import (
     groebner,
     normal_form,
 )
-from univalg.representations import MatrixARep, tensor_lie_module
+from univalg.representations import tensor_lie_module
 from univalg.universal_modules import (
     build_universal_amodule,
     factorize_through_universal,
@@ -211,7 +211,7 @@ def _point(A, t, kind):
     e3 -> e3 of sl2, with integral entries of the given kind."""
     images = [[t, 0, 0], [0, Fraction(1, t), 0], [0, 0, 1]]
     images = [[kind(x) if x == int(x) else x for x in row] for row in images]
-    return MatrixARep.from_lie_homomorphism(A, images)
+    return from_lie_homomorphism(A, images)
 
 
 def _twin_map(f: LinearMap) -> LinearMap:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import delta_images, ring_map
+from helpers import count_calls, delta_images, ring_map
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
 from univalg.lie import LieAlgebra, sl2
@@ -280,3 +280,16 @@ def test_delta_at_degree_3000_fills_its_chain_by_a_loop():
     k = LieAlgebra.abelian(1)
     B = BialgebraStructure(build_universal_algebra(k, k))
     assert B.delta(B.owner.ring.monomial((3000,))) == B.tensor_ring.monomial((3000, 3000))
+
+
+def test_ideal_membership_reads_the_integer_remainder(A_sl2, monkeypatch):
+    # Membership is one division whose integer remainder is empty: nothing
+    # leaves the engine, so no remainder is divided or unpacked.
+    calls = [count_calls(monkeypatch, poly, name) for name in ("_divided", "_unpack")]
+    assert check_defining_relations(A_sl2).ok
+    x = A_sl2.ring.var(0)
+    assert poly.ideal_contains(A_sl2.gb, A_sl2.jgens[1] * x)
+    assert not poly.ideal_contains(A_sl2.gb, x)
+    assert calls == [[], []]
+    poly.normal_form(x, A_sl2.gb)  # a normal form does leave the engine
+    assert all(calls)

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_calls,
+    from_lie_homomorphism,
     is_abelian,
+    is_collapsed,
     natural2,
+    poly_mul,
+    push_to_module,
     random_arep_morphism,
     random_equivariant_map,
     reference_row,
@@ -15,7 +20,7 @@ from helpers import (
     row_entries,
     solvable2,
 )
-from univalg import linalg
+from univalg import linalg, modgb, poly, universal_modules
 from univalg.lie import (
     LieAlgebra,
     LieModule,
@@ -24,7 +29,7 @@ from univalg.lie import (
     Violation,
     is_module_morphism,
 )
-from univalg.modgb import ModuleVector
+from univalg.modgb import ModuleGroebnerBasis, ModuleVector, module_normal_form
 from univalg.pbw import PBWElement
 from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
 from univalg.representations import MatrixARep, tensor_lie_module
@@ -79,7 +84,7 @@ def test_abelian_rank1_closed_form(ab1):
     assert um.relgens[0] == hand or um.relgens[0] == hand.scale(-ONE)
     acted = um.act(x11, um.free.basis_vector(0))
     assert acted == um.nf(um.free.basis_vector(0).scale(lam))
-    assert not um.is_collapsed()
+    assert not is_collapsed(um)
 
 
 def test_adjoint_sl2_relation_suite(um_adjoint):
@@ -88,7 +93,7 @@ def test_adjoint_sl2_relation_suite(um_adjoint):
     assert len(um_adjoint.relgens) == 27
     assert um_adjoint.check_relations().ok
     assert um_adjoint.check_rho_equivariance().ok
-    assert not um_adjoint.is_collapsed()
+    assert not is_collapsed(um_adjoint)
 
 
 def test_rho_shape(um_adjoint):
@@ -111,14 +116,73 @@ class WrongEtaSign(UniversalAModule):
     label = (1, 1, 1)
 
     def _relations(self):
-        gens, labels = super()._relations()
+        rels, labels = super()._relations()
         s, i, j = self.label
-        p, eta = next((p, row[i - 1]) for p, row in enumerate(self.Z.matrices[j - 1], 1)
-                      if row[i - 1])
-        k = labels.index(self.label)
-        gens[k] = gens[k] - ModuleVector(
-            self.free, {self.pos(s, p): self.A.ring.const(2 * eta)})
-        return gens, labels
+        p = next(p for p, row in enumerate(self.Z.matrices[j - 1], 1) if row[i - 1])
+        rel = rels[labels.index(self.label)]
+        # The relation's packed terms: y_sp is the key of x^0 at position (s, p).
+        key = self.A.table.key(self.pos(s, p), (0,) * self.A.ring.nvars)
+        rel[key] = -rel[key]
+        return rels, labels
+
+
+def test_build_packs_no_vector(A_sl2, sl2_alg, monkeypatch):
+    # The relations, the ideal copies, the lead table and both certificates
+    # are packed terms from the start, so building and certifying U(U,Z)
+    # packs no vector; a normal form at the public edge does pack one.
+    n2 = natural2(sl2_alg)
+    packed = [count_calls(monkeypatch, module, "_pack") for module in (poly, modgb)]
+    um = build_universal_amodule(A_sl2, n2, n2)
+    assert packed == [[], []]
+    um.nf(um.free.basis_vector(0))
+    assert packed[1]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
+    # The engine hands a basis the lead table of its reduced integer rows;
+    # _basis_table builds one from the monic generators of a hand-made basis.
+    # Both hold the same rows and give the same normal forms.
+    rng = Random(2023)
+    A = build_universal_algebra(sl2_alg, sl2_alg, order=order)
+    assert A.gb.leads == poly._basis_table(A.ring, ({0: g} for g in A.gb))
+    n2, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
+    for U, Z in ((n2, n2), (ad, LieModule.trivial(sl2_alg, 1)),
+                 (n2, LieModule.trivial(sl2_alg, 1))):
+        mgb = build_universal_amodule(A, U, Z).mgb
+        hand = ModuleGroebnerBasis(mgb.module, mgb.generators)
+        assert hand.leads is None and mgb.leads == hand._table
+        for _ in range(8):
+            v = ModuleVector(mgb.module, {
+                rng.randrange(mgb.module.rank): Polynomial(A.ring, {
+                    tuple(rng.randint(0, 2) for _ in range(9)):
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(3)})
+                for _ in range(2)})
+            assert module_normal_form(v, mgb) == module_normal_form(v, hand)
+
+
+def test_round_trip_builds_one_tensor_module(A_sl2, sl2_alg, adjoint_sl2, monkeypatch):
+    # Factorize then Gamma against one target build its tensor module once,
+    # and so does a target equal by value; a target with other matrices gets
+    # its own.
+    n2 = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, n2, n2)
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), adjoint_sl2)
+    built = count_calls(monkeypatch, universal_modules, "tensor_lie_module")
+    X = MatrixARep.counit(A_sl2)
+    theta = factorize_through_universal(um, X, LinearMap.identity(2)).images
+    assert gamma(um, MatrixARep.counit(A_sl2), theta).mat() == linalg.identity(2)
+    assert len(built) == 1
+    zero = from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
+    assert not any(map(any, gamma(um, zero, {k: [ZERO] for k in theta}).mat()))
+    assert len(built) == 2
+    theta = factorize_lie(vm, adjoint_sl2, LinearMap.identity(3)).images
+    assert gamma_lie(vm, LieModule.adjoint(sl2_alg), theta).mat() == linalg.identity(3)
+    assert len(built) == 3
+    trivial = LieModule.trivial(sl2_alg, 3)
+    assert not any(map(any, gamma_lie(vm, trivial, {k: [ZERO] * 3 for k in theta}).mat()))
+    assert len(built) == 4
 
 
 def _solvable2_character(lam):
@@ -140,7 +204,7 @@ def test_wrong_eta_sign_fails_rho_equivariance(U, Z, label):
     s, i, j = label
     A = build_universal_algebra(U.algebra, Z.algebra)
     um = type("Wrong", (WrongEtaSign,), {"label": label})(A, U, Z)
-    assert um.check_relations().ok and not um.is_collapsed()
+    assert um.check_relations().ok and not is_collapsed(um)
     assert um.check_rho_equivariance().violations == (
         Violation("rho-equivariance", (j, i), "nonzero"),)
     assert UniversalAModule(A, U, Z).check_rho_equivariance().ok
@@ -226,12 +290,12 @@ def test_act_matches_normal_form_of_product(own_modules, which, p_terms, v_terms
         return out
 
     p = poly(p_terms)
-    v = um.free.zero()
+    v = ModuleVector(um.free, {})
     for pos, terms in v_terms:
         v = v + ModuleVector(um.free, {pos % um.rank: poly(terms)})
-    assert um.act(p, v) == um.nf(v.poly_mul(p))
+    assert um.act(p, v) == um.nf(poly_mul(v, p))
     assert um.act(ring.zero(), v).is_zero()
-    assert um.act(p, um.free.zero()).is_zero()
+    assert um.act(p, ModuleVector(um.free, {})).is_zero()
     assert um.act(Polynomial(ring, {(0,) * 9: 1}), v) == um.nf(v)
 
 
@@ -241,10 +305,10 @@ def test_act_at_degree_3000_matches_normal_form(A_sl2, sl2_alg):
     N = natural2(sl2_alg)
     um = build_universal_amodule(A_sl2, N, N)
     p = A_sl2.ring.monomial((3000,) + (0,) * 8)
-    v = um.free.zero()
+    v = ModuleVector(um.free, {})
     for pos in range(um.rank):
         v = v + um.free.basis_vector(pos)
-    assert um.act(p, v) == um.nf(v.poly_mul(p))
+    assert um.act(p, v) == um.nf(poly_mul(v, p))
 
 
 def test_zero_dimensional_Z(A_sl2, adjoint_sl2, sl2_alg):
@@ -252,7 +316,7 @@ def test_zero_dimensional_Z(A_sl2, adjoint_sl2, sl2_alg):
     um = build_universal_amodule(A_sl2, adjoint_sl2, Z0)
     assert um.rank == 0
     assert um.relgens == []
-    assert um.is_collapsed()
+    assert is_collapsed(um)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +666,7 @@ def test_functor_on_morphism_V_composition(ab1):
     res2 = factorize_lie(vm2, Y, g)
     assert res2.ok
     images2 = {vm2.pos(r, s): v for (r, s), v in res2.images.items()}
-    pulled = fbar.push_to_module(Y, images2)
+    pulled = push_to_module(fbar, Y, images2)
     # Compare with factoring g o f directly.
     comp = LinearMap.from_matrix(
         linalg.mat_mul(g.mat(), f.mat()), W1.dim
