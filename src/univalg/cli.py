@@ -156,8 +156,9 @@ def cmd_univalg(args) -> int:
     h, g, A = _universal_algebra(args, args.h_file, args.g_file)
     lines = [f"universal-algebra h={h.name} g={g.name}"]
     lines.append("variables " + " ".join(A.ring.names))
-    for label, gen in zip(A.labels, A.jgens):
-        lines.append(f"generator {label[0]},{label[1]},{label[2]}: {poly.render(gen)}")
+    for label, terms in zip(A.labels, A.relations):
+        lines.append(f"generator {label[0]},{label[1]},{label[2]}: "
+                     f"{poly.render(terms, A.ring)}")
     for gpoly in A.gb.generators:
         lines.append(f"groebner: {poly.render(gpoly)}")
     if args.degree_probe is not None:
@@ -166,11 +167,11 @@ def cmd_univalg(args) -> int:
             lines.append(f"standard-monomials degree<={d}: {count}")
     status = 0
     if args.golden:
-        # A.gb already spans the ideal of A.jgens; only the golden set needs
-        # its own basis.
+        # A.gb already spans the ideal of A.relations; only the golden set
+        # needs its own basis.
         nine = golden_sl2_polynomials(A.ring)
         gold = poly.groebner(nine, A.ring, budget=args.budget)
-        same = (all(poly.ideal_contains(gold, p) for p in A.jgens)
+        same = (all(poly.ideal_contains(gold, terms) for terms in A.relations)
                 and all(poly.ideal_contains(A.gb, p) for p in nine))
         lines.append(f"golden-ideal-match {'pass' if same else 'fail'}")
         if not same:

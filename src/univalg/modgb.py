@@ -10,7 +10,8 @@ ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
 a larger int.  ``module_buchberger`` takes relations as packed terms and the
 copies j*e_p as the ideal basis's rows shifted to each position; a basis
-keeps the engine's lead table of its reduced rows.  The constructions above
+keeps the engine's monic packed terms, unpacked into ``generators`` only
+when read, and the lead table of its reduced rows.  The constructions above
 meet the engine through the packed helpers below: a ``ModuleVector`` is made
 or packed only at a public edge, and a certificate is one reduction with an
 empty integer remainder.  A basis comes out monic and a normal form divided
@@ -113,23 +114,29 @@ def render_module_vector(v: ModuleVector) -> str:
 
 @dataclass(frozen=True)
 class ModuleGroebnerBasis:
-    """A reduced module Groebner basis and the engine's lead table."""
+    """A reduced module Groebner basis, as the engine's monic packed terms in
+    ascending order of their leads, and the engine's lead table."""
 
     module: FreeModule
-    generators: tuple[ModuleVector, ...]
+    basis: tuple[_Terms, ...] = field(hash=False)
     leads: _LeadTable | None = field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.basis)
+
+    @cached_property
+    def generators(self) -> tuple[ModuleVector, ...]:
+        """The basis as vectors of the free module, unpacked on first read."""
+        return tuple(_vector(self.module, t) for t in self.basis)
 
     @cached_property
     def _table(self) -> _LeadTable:
         """The engine's lead table, or one built from a hand-made basis."""
         return self.leads if self.leads is not None else _basis_table(
-            self.module.ring, (g.components for g in self.generators))
+            self.module.ring, self.basis)
 
     def multiplication_table(self) -> MultiplicationTable:
         """A new, empty multiplication table of the quotient module."""
@@ -208,4 +215,4 @@ def module_buchberger(
     terms = (g if isinstance(g, dict) else _pack(g.components, codec) for g in gens)
     ideal = {} if ring_ideal is None else ring_ideal._table
     basis, leads = _buchberger(terms, ideal, module.rank, codec, budget, "module_buchberger")
-    return ModuleGroebnerBasis(module, tuple(_vector(module, t) for t in basis), leads)
+    return ModuleGroebnerBasis(module, tuple(basis), leads)

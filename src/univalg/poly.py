@@ -22,7 +22,8 @@ engine hands out with it; ``_basis_table`` builds one only for a basis made
 elsewhere.  ``_pack`` and ``_unpack`` convert vectors at the public edges (a
 polynomial p is the vector {0: p}); the constructions above the engine keep
 their vectors as packed terms, reduce each once with ``_reduce``, and test
-membership as an empty integer remainder (``_vanishes``).  A
+membership as an empty integer remainder (``_vanishes``); ``groebner``,
+``ideal_contains`` and ``render`` take packed terms as they are.  A
 ``MultiplicationTable`` keeps the normal forms of single terms as they come
 out of the reducer, integers over one denominator keyed by packed term.
 """
@@ -245,11 +246,16 @@ class Polynomial:
         return f"Polynomial({render(self)})"
 
 
-def render(p: Polynomial) -> str:
-    """Canonical text form: terms descending, rationals as p/q."""
-    return linalg.combination_str(
-        (p.ring.render_monomial(m), c) for m, c in p.sorted_terms()
-    )
+def render(p: "Polynomial | _Terms", ring: PolyRing | None = None) -> str:
+    """Canonical text form of a polynomial, or of the polynomial of ``ring``
+    with packed terms ``p``: terms descending (a larger key is a larger
+    term), rationals as p/q."""
+    if isinstance(p, Polynomial):
+        ring, terms = p.ring, p.sorted_terms()
+    else:
+        unpack = _codec_of(ring).unpack
+        terms = ((unpack(t)[1], p[t]) for t in sorted(p, reverse=True))
+    return linalg.combination_str((ring.render_monomial(m), c) for m, c in terms)
 
 
 @dataclass(frozen=True)
@@ -269,8 +275,10 @@ class GroebnerBasis:
     @cached_property
     def _table(self) -> "_LeadTable":
         """The engine's lead table, or one built from a hand-made basis."""
-        return self.leads if self.leads is not None else _basis_table(
-            self.ring, ({0: g} for g in self.generators))
+        if self.leads is not None:
+            return self.leads
+        codec = _codec_of(self.ring)
+        return _basis_table(self.ring, (_pack({0: g}, codec) for g in self.generators))
 
     def multiplication_table(self) -> "MultiplicationTable":
         """A new, empty multiplication table of the quotient ring."""
@@ -301,7 +309,8 @@ class GroebnerBasis:
 # its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
 # negative borrows and sets its guard bit.  Only ``_pack`` and ``_unpack``
 # convert between vectors and packed terms, and ``MultiplicationTable.key``
-# and ``.term`` between single terms and their keys.
+# and ``.term``, ``_variable_keys`` and ``render`` between single terms and
+# their keys.
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -440,12 +449,34 @@ def _unpack(terms: _Terms, ring: PolyRing, codec: _Codec) -> dict[int, Polynomia
     return {p: Polynomial(ring, ts) for p, ts in comps.items()}
 
 
-def _basis_table(ring: PolyRing, vectors: Iterable[dict[int, Polynomial]]) -> _LeadTable:
-    """Lead table of the primitive multiples of nonzero ``vectors``, in order."""
+def _variable_keys(ring: PolyRing) -> list[int]:
+    """The keys of the terms (0, x_v), v = 0, ..., nvars - 1: the key of a
+    monomial is the sum of its variables' keys."""
+    codec, n = _codec_of(ring), ring.nvars
+    return [codec.monomial(tuple(int(k == v) for k in range(n))) for v in range(n)]
+
+
+def _polynomial(terms: _Terms, ring: PolyRing) -> Polynomial:
+    """The polynomial of ``ring`` with packed ``terms``, all at position 0."""
+    return _unpack(terms, ring, _codec_of(ring)).get(0, ring.zero())
+
+
+def _packed(p: "Polynomial | _Terms", ring: PolyRing, message: str) -> _Terms:
+    """The packed terms of a polynomial of ``ring``, or ``p`` itself when it
+    is packed already; ``message`` is the error for a polynomial of another
+    ring."""
+    if isinstance(p, dict):
+        return p
+    if p.ring != ring:
+        raise ValueError(message)
+    return _pack({0: p}, _codec_of(ring))
+
+
+def _basis_table(ring: PolyRing, elements: Iterable[_Terms]) -> _LeadTable:
+    """Lead table of the primitive multiples of nonzero elements given by
+    their packed terms, in order."""
     codec = _codec_of(ring)
-    return _lead_table(
-        (_row(_integral(_pack(v, codec))[0], codec) for v in vectors), codec
-    )
+    return _lead_table((_row(_integral(t)[0], codec) for t in elements), codec)
 
 
 def _integral(terms: _Terms) -> tuple[dict[int, int], int]:
@@ -809,22 +840,22 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring:
         raise ValueError("polynomial and Groebner basis live in different rings")
     codec = _codec_of(p.ring)
-    r = _remainder(_pack({0: p}, codec), gb._table, codec)
-    return _unpack(r, p.ring, codec).get(0, p.ring.zero())
+    return _polynomial(_remainder(_pack({0: p}, codec), gb._table, codec), p.ring)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     codec = _codec_of(f.ring)
     a, b = (_row(_integral(_pack({0: q}, codec))[0], codec) for q in (f, g))
-    s = _divided(_s_terms(a, b, codec), a[4] * b[4])
-    return _unpack(s, f.ring, codec).get(0, f.ring.zero())
+    return _polynomial(_divided(_s_terms(a, b, codec), a[4] * b[4]), f.ring)
 
 
 def groebner(
-    gens: Iterable[Polynomial], ring: PolyRing, budget: int = DEFAULT_PAIR_BUDGET
+    gens: Iterable[Polynomial | _Terms], ring: PolyRing,
+    budget: int = DEFAULT_PAIR_BUDGET,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis in ``ring`` of the ideal generated by ``gens``;
-    the empty basis when every generator is zero.
+    """Reduced Groebner basis in ``ring`` of the ideal generated by ``gens``,
+    polynomials or their packed terms; the empty basis when every generator
+    is zero.
 
     Runs the shared engine on rank 1, every term at position 0: a pair with
     coprime leads never enters the queue (product criterion), and the queued
@@ -832,21 +863,16 @@ def groebner(
     Raises ResourceBudgetError once more than ``budget`` S-pairs have been
     taken from the queue.
     """
-    gens = list(gens)
-    if any(g.ring != ring for g in gens):
-        raise ValueError("generators live in different rings")
-    codec = _codec_of(ring)
-    terms = (_pack({0: g}, codec) for g in gens if not g.is_zero())
-    basis, leads = _buchberger(terms, {}, 1, codec, budget, "buchberger")
-    return GroebnerBasis(ring, tuple(_unpack(t, ring, codec)[0] for t in basis), leads)
+    terms = [_packed(g, ring, "generators live in different rings") for g in gens]
+    basis, leads = _buchberger(terms, {}, 1, _codec_of(ring), budget, "buchberger")
+    return GroebnerBasis(ring, tuple(_polynomial(t, ring) for t in basis), leads)
 
 
-def ideal_contains(gb: GroebnerBasis, p: Polynomial) -> bool:
-    """Whether ``p`` lies in the ideal: its integer remainder is empty."""
-    if p.ring != gb.ring:
-        raise ValueError("polynomial and Groebner basis live in different rings")
-    codec = _codec_of(p.ring)
-    return _vanishes(_pack({0: p}, codec), gb._table, codec)
+def ideal_contains(gb: GroebnerBasis, p: Polynomial | _Terms) -> bool:
+    """Whether ``p``, a polynomial or its packed terms, lies in the ideal:
+    its integer remainder is empty."""
+    terms = _packed(p, gb.ring, "polynomial and Groebner basis live in different rings")
+    return _vanishes(terms, gb._table, _codec_of(gb.ring))
 
 
 def ideal_equal(

@@ -5,6 +5,10 @@ Variables X[s,i] are indexed by a basis index s of h and a basis index i of g,
 ranked (s,i)-lexicographically.  J is generated by one polynomial per triple
 (a,i,j): the linear combination of X_{au} prescribed by the bracket of g minus
 the quadratic combination of X_{si}X_{tj} prescribed by the bracket of h.
+These generators are written once, as the Groebner engine's packed terms
+(``UniversalAlgebra.relations``); the engine, the relation certificate and
+the report read them as they are, and the polynomials ``jgens`` and
+``universal_polynomials`` are unpacked from them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .poly import (
     MultiplicationTable,
     PolyRing,
     Polynomial,
+    _Terms,
     mono_divides,
 )
 
@@ -41,35 +46,42 @@ def algebra_ring(h: LieAlgebra, g: LieAlgebra, order: MonomialOrder = DEGREVLEX)
     return PolyRing(names, order)
 
 
+def _universal_relations(h: LieAlgebra, g: LieAlgebra, ring: PolyRing) -> tuple[_Terms, ...]:
+    """The generators P_(a,i,j) of J in (a,i,j) order as the engine's packed
+    terms, key -> nonzero scalar, zeros retained as empty dicts.  The keys
+    come from the nonzero structure constants only: beta^u_ij at X_au, and
+    -tau^a_st at X_si X_tj, whose key is the sum of the two variables' keys;
+    terms that cancel are dropped."""
+    n, d = h.dim, g.dim
+    x = poly._variable_keys(ring)  # x[s*d + i] is the key of X_(s+1,i+1)
+    beta = [[[(u, c) for u, c in enumerate(g.table[i][j]) if c] for j in range(d)]
+            for i in range(d)]
+    tau = [[(s * d, t * d, c) for s in range(n) for t in range(n)
+            if (c := h.table[s][t][a])] for a in range(n)]
+    rels: list[_Terms] = []
+    for a in range(n):
+        for i in range(d):
+            for j in range(d):
+                terms = {x[a * d + u]: c for u, c in beta[i][j]}
+                for s, t, c in tau[a]:
+                    # Two of these terms meet only as X_si X_ti and X_ti X_si
+                    # of an i = j triple, whose constants are opposite.
+                    k = x[s + i] + x[t + j]
+                    c = terms.pop(k, ZERO) - c
+                    if c:
+                        terms[k] = c
+                rels.append(terms)
+    return tuple(rels)
+
+
 def universal_polynomials(
     h: LieAlgebra, g: LieAlgebra, ring: PolyRing | None = None
 ) -> list[Polynomial]:
-    """The generators P_(a,i,j) of J in (a,i,j) order, zeros retained."""
+    """The generators P_(a,i,j) of J in (a,i,j) order, zeros retained: the
+    polynomials of ``_universal_relations``."""
     if ring is None:
         ring = algebra_ring(h, g)
-    n, d = h.dim, g.dim
-
-    def vidx(s: int, i: int) -> int:  # 1-based (s,i) -> variable index
-        return (s - 1) * d + (i - 1)
-
-    gens: list[Polynomial] = []
-    for a in range(1, n + 1):
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                p = ring.zero()
-                for u in range(1, d + 1):
-                    beta = g.table[i - 1][j - 1][u - 1]
-                    if beta:
-                        p = p + ring.var(vidx(a, u)).scale(beta)
-                for s in range(1, n + 1):
-                    for t in range(1, n + 1):
-                        tau = h.table[s - 1][t - 1][a - 1]
-                        if tau:
-                            p = p - (
-                                ring.var(vidx(s, i)) * ring.var(vidx(t, j))
-                            ).scale(tau)
-                gens.append(p)
-    return gens
+    return [poly._polynomial(t, ring) for t in _universal_relations(h, g, ring)]
 
 
 def jgen_labels(h: LieAlgebra, g: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -82,24 +94,32 @@ def jgen_labels(h: LieAlgebra, g: LieAlgebra) -> list[tuple[int, int, int]]:
 
 
 class UniversalAlgebra:
-    """A(h,g) presented by its polynomial ring and the reduced Groebner basis
-    of the relation ideal J, with the multiplication table ``table``."""
+    """A(h,g) presented by its polynomial ring, the generators of the
+    relation ideal J as packed terms (``relations``, in the order of
+    ``labels``) and the reduced Groebner basis of J, with the multiplication
+    table ``table``."""
 
     def __init__(
         self,
         h: LieAlgebra,
         g: LieAlgebra,
         ring: PolyRing,
-        jgens: list[Polynomial],
+        relations: tuple[_Terms, ...],
         gb: GroebnerBasis,
     ):
         self.h = h
         self.g = g
         self.ring = ring
-        self.jgens = jgens
+        self.relations = relations
         self.labels = jgen_labels(h, g)
         self.gb = gb
         self.table = gb.multiplication_table()
+
+    @functools.cached_property
+    def jgens(self) -> list[Polynomial]:
+        """The generators of J as polynomials, unpacked from ``relations`` on
+        first read."""
+        return [poly._polynomial(t, self.ring) for t in self.relations]
 
     @property
     def nvars(self) -> int:
@@ -129,20 +149,21 @@ def build_universal_algebra(
     for L, which in ((h, "h"), (g, "g")):
         validate_lie_algebra(L).require(ValueError, f"{which} is not a Lie algebra")
     ring = algebra_ring(h, g, order)
-    jgens = universal_polynomials(h, g, ring)
-    gb = poly.groebner(jgens, ring, budget=budget)
-    A = UniversalAlgebra(h, g, ring, jgens, gb)
+    relations = _universal_relations(h, g, ring)
+    gb = poly.groebner(relations, ring, budget=budget)
+    A = UniversalAlgebra(h, g, ring, relations, gb)
     check_defining_relations(A).require(AssertionError,
                                         "defining relations fail in A(h,g)")
     return A
 
 
 def check_defining_relations(A: UniversalAlgebra) -> Report:
-    """Every generator P_(a,i,j) of J must have normal form zero in A."""
+    """Every generator P_(a,i,j) of J must have normal form zero in A: its
+    packed terms leave an empty integer remainder."""
     bad = tuple(
         Violation("relation", label, "normal forms differ")
-        for label, p in zip(A.labels, A.jgens)
-        if not poly.ideal_contains(A.gb, p)
+        for label, terms in zip(A.labels, A.relations)
+        if not poly.ideal_contains(A.gb, terms)
     )
     return Report(bad)
 
@@ -228,9 +249,8 @@ class BialgebraStructure:
         names = [f"X'[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
         names += [f"X''[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
         self.tensor_ring = PolyRing(names, owner.ring.order)
-        key = owner.table.key
-        one = key(0, (0,) * (n * n))
-        x = [key(0, tuple(int(k == v) for k in range(n * n))) for v in range(n * n)]
+        one = owner.table.key(0, (0,) * (n * n))
+        x = poly._variable_keys(owner.ring)
         self._deltas = {one: {(one, one): ONE}} | {
             x[i * n + j]: {(x[i * n + s], x[s * n + j]): ONE for s in range(n)}
             for i in range(n) for j in range(n)}

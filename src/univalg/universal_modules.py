@@ -35,7 +35,7 @@ from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_
 from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, Polynomial, mono_word
+from .poly import DEFAULT_PAIR_BUDGET, Polynomial, _variable_keys, mono_word
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
@@ -62,8 +62,7 @@ class UniversalAModule:
         self.Z = Z
         self.rank = U.dim * Z.dim
         self.free = FreeModule(A.ring, self.rank)
-        key, n = A.table.key, A.ring.nvars
-        self._units = [key(0, tuple(int(k == v) for k in range(n))) for v in range(-1, n)]
+        self._units = [A.table.key(0, (0,) * A.ring.nvars), *_variable_keys(A.ring)]
         self.relations, self.rel_labels = self._relations()
         self.mgb = modgb.module_buchberger(self.relations, A.gb, self.free, budget=budget)
         self.table = self.mgb.multiplication_table()

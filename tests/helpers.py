@@ -9,7 +9,7 @@ from univalg import linalg
 from univalg.lie import (
     LieAlgebra, LieModule, LinearMap, Report, Violation, direct_sum, sl2,
 )
-from univalg.modgb import ModuleVector
+from univalg.modgb import ModuleGroebnerBasis, ModuleVector, _terms
 from univalg.poly import Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_modules import _pbw_words
@@ -29,6 +29,12 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def hand_module_basis(module, vectors) -> ModuleGroebnerBasis:
+    """A module basis made by hand from ``vectors``, packed as the engine
+    keeps one; it has no lead table, so it builds its own from them."""
+    return ModuleGroebnerBasis(module, tuple(_terms(v) for v in vectors))
 
 
 def mono_div(a, b):
@@ -371,6 +377,36 @@ def tensor_square_inputs(um, sq):
                 vectors.append(um.act(xab, y))
                 acted.append(sq.bmodule_act(a, b, sq.delta_of_vector(y)))
     return vectors, acted
+
+
+def reference_universal_polynomials(h: LieAlgebra, g: LieAlgebra, ring) -> list:
+    """The generators P_(a,i,j) of J in (a,i,j) order, zeros retained, by
+    ``Polynomial`` arithmetic over exact scalars: the linear part
+    sum_u beta^u_ij X_au minus tau^a_st X_si X_tj for every (s, t), each a
+    product of two variables, zero structure constants skipped."""
+    n, d = h.dim, g.dim
+
+    def vidx(s: int, i: int) -> int:  # 1-based (s,i) -> variable index
+        return (s - 1) * d + (i - 1)
+
+    gens = []
+    for a in range(1, n + 1):
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                p = ring.zero()
+                for u in range(1, d + 1):
+                    beta = g.table[i - 1][j - 1][u - 1]
+                    if beta:
+                        p = p + ring.var(vidx(a, u)).scale(beta)
+                for s in range(1, n + 1):
+                    for t in range(1, n + 1):
+                        tau = h.table[s - 1][t - 1][a - 1]
+                        if tau:
+                            p = p - (
+                                ring.var(vidx(s, i)) * ring.var(vidx(t, j))
+                            ).scale(tau)
+                gens.append(p)
+    return gens
 
 
 def reference_eval_matrices(p: Polynomial, mats: list) -> list:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from univalg import cli, universal_modules
+from helpers import count_calls
+from univalg import cli, linalg, poly, universal_modules
 from univalg.cli import main
 from univalg.coalgebra import CoalgebraOnU, TensorSquare
 from univalg.formats import (
@@ -124,6 +125,31 @@ def test_univalg_golden_fail(capsys, monkeypatch, wrong_golden):
     code, out = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), "--golden")
     assert code == 1
     assert "golden-ideal-match fail" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--golden"], ["--order", "lex", "--golden"]],
+                         ids=["plain", "golden", "lex-golden"])
+def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, flags):
+    # The generator lines are printed from A.relations, and --golden tests
+    # the golden basis against them too, so the command never fills A.jgens;
+    # every generator and groebner line goes through the one text form,
+    # linalg.combination_str.
+    built, original = [], cli.build_universal_algebra
+
+    def build(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_universal_algebra", build)
+    texts = count_calls(monkeypatch, linalg, "combination_str")
+    code, out = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), *flags)
+    monkeypatch.undo()
+    (A,) = built
+    assert code == 0 and "jgens" not in vars(A)
+    assert len(texts) == len(A.relations) + len(A.gb)
+    lines = [line for line in out.splitlines() if line.startswith("generator ")]
+    assert lines == [f"generator {a},{i},{j}: {poly.render(p)}"
+                     for (a, i, j), p in zip(A.labels, A.jgens)]
 
 
 def test_univalg_deterministic_output(capsys, tmp_path):

@@ -7,10 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gb_certificate import ideal_failures, module_failures
-from helpers import lead_coeff, mono_div, mono_lcm, reference_remainder
+from helpers import (
+    hand_module_basis,
+    lead_coeff,
+    mono_div,
+    mono_lcm,
+    reference_remainder,
+)
 from univalg.modgb import (
     FreeModule,
-    ModuleGroebnerBasis,
     ModuleVector,
     module_buchberger,
     module_normal_form,
@@ -199,6 +204,6 @@ def test_certificate_fails_on_broken_bases(A_sl2, um_adjoint):
     # A module basis with its last element missing.
     mgb = um_adjoint.mgb
     assert module_failures(
-        ModuleGroebnerBasis(mgb.module, mgb.generators[:-1]),
+        hand_module_basis(mgb.module, mgb.generators[:-1]),
         um_adjoint.relgens, A_sl2.gb,
     )

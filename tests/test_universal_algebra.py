@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, delta_images, ring_map
+from helpers import (
+    count_calls,
+    delta_images,
+    heisenberg,
+    reference_universal_polynomials,
+    ring_map,
+    solvable2,
+)
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
-from univalg.lie import LieAlgebra, sl2
-from univalg.poly import DEGREVLEX, LEX
+from univalg.lie import LieAlgebra, Violation, sl2
+from univalg.poly import DEGREVLEX, LEX, PolyRing
 from univalg.universal_algebra import (
     BialgebraStructure,
     algebra_ring,
@@ -285,11 +292,133 @@ def test_delta_at_degree_3000_fills_its_chain_by_a_loop():
 def test_ideal_membership_reads_the_integer_remainder(A_sl2, monkeypatch):
     # Membership is one division whose integer remainder is empty: nothing
     # leaves the engine, so no remainder is divided or unpacked.
+    x = A_sl2.ring.var(0)
+    member = A_sl2.jgens[1] * x  # reading jgens unpacks the relations
     calls = [count_calls(monkeypatch, poly, name) for name in ("_divided", "_unpack")]
     assert check_defining_relations(A_sl2).ok
-    x = A_sl2.ring.var(0)
-    assert poly.ideal_contains(A_sl2.gb, A_sl2.jgens[1] * x)
+    assert poly.ideal_contains(A_sl2.gb, member)
     assert not poly.ideal_contains(A_sl2.gb, x)
     assert calls == [[], []]
     poly.normal_form(x, A_sl2.gb)  # a normal form does leave the engine
     assert all(calls)
+
+
+# ---------------------------------------------------------------------------
+# J's generators as packed terms
+# ---------------------------------------------------------------------------
+
+
+def gl2() -> LieAlgebra:
+    """sl2 plus a central e4."""
+    return LieAlgebra.from_brackets(
+        4, {(1, 2): {3: ONE}, (3, 1): {1: 2 * ONE}, (3, 2): {2: -2 * ONE}},
+        name="gl2", antisymmetrize=True)
+
+
+def rescaled(L: LieAlgebra, k: list[Fraction]) -> LieAlgebra:
+    """L in the basis e'_i = k_i e_i: [e'_i, e'_j] = sum_s k_i k_j c_ij^s / k_s e'_s."""
+    n = L.dim
+    return LieAlgebra(n, [[[k[i] * k[j] * L.table[i][j][s] / k[s] for s in range(n)]
+                           for j in range(n)] for i in range(n)], name=f"{L.name}'")
+
+
+def relation_algebras() -> list[LieAlgebra]:
+    """sl2, gl2, heis, sol2, abelian algebras, and a seeded rescaled copy of
+    each non-abelian one, whose structure constants are not all integers."""
+    rng = Random(2024)
+    base = [sl2(), gl2(), heisenberg(), solvable2()]
+    scaled = [rescaled(L, [Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 5)))
+                           for _ in range(L.dim)]) for L in base]
+    return base + [LieAlgebra.abelian(1), LieAlgebra.abelian(2)] + scaled
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_relations_match_the_reference_polynomials(order):
+    # A.relations, unpacked, are the P_(a,i,j) of Polynomial arithmetic entry
+    # by entry; each stores nonzero scalars only, integral ones as ints, and
+    # an i = j triple, whose X_si X_ti terms cancel, is an empty dict.
+    algebras = relation_algebras()
+    fractional = False
+    for h in algebras:
+        for g in algebras:
+            A = build_universal_algebra(h, g, order=order)
+            reference = reference_universal_polynomials(h, g, A.ring)
+            assert len(A.relations) == len(reference) == h.dim * g.dim ** 2
+            for label, terms, p in zip(A.labels, A.relations, reference):
+                assert poly._polynomial(terms, A.ring) == p, (h.name, g.name, label)
+                assert all(type(c) is int or c.denominator != 1 for c in terms.values())
+                assert all(terms.values())
+                fractional |= any(type(c) is Fraction for c in terms.values())
+                if label[1] == label[2]:
+                    assert terms == {}
+            assert A.jgens == reference == universal_polynomials(h, g, A.ring)
+    assert fractional
+
+
+def test_build_packs_no_polynomial(sl2_alg, monkeypatch):
+    # J's generators are written as packed terms, which the engine and the
+    # relation certificate read as they are: building and certifying A(h,g)
+    # packs nothing and leaves jgens unread; reading jgens unpacks them once.
+    packed = count_calls(monkeypatch, poly, "_pack")
+    A = build_universal_algebra(sl2_alg, sl2_alg)
+    assert check_defining_relations(A).ok
+    assert packed == [] and "jgens" not in vars(A)
+    unpacked = count_calls(monkeypatch, poly, "_unpack")
+    assert A.jgens is A.jgens
+    assert len(unpacked) == len(A.relations)
+
+
+def test_a_flipped_relation_coefficient_is_reported_by_its_label(A_sl2, monkeypatch):
+    # Negating one coefficient of one stored relation leaves it outside J,
+    # and the certificate names exactly that relation.
+    rng = Random(11)
+    relations = A_sl2.relations
+    flipped_any = False
+    for k, (label, terms) in enumerate(zip(A_sl2.labels, relations)):
+        if not terms:
+            continue
+        t = rng.choice(sorted(terms))
+        monkeypatch.setattr(A_sl2, "relations", (
+            *relations[:k], {**terms, t: -terms[t]}, *relations[k + 1:]))
+        assert check_defining_relations(A_sl2).violations == (
+            Violation("relation", label, "normal forms differ"),)
+        flipped_any = True
+    assert flipped_any
+    monkeypatch.undo()
+    assert check_defining_relations(A_sl2).ok
+
+
+def test_groebner_and_membership_take_packed_terms(A_sl2):
+    # The ring front reads packed terms as they are, and polynomials of its
+    # ring as before; a polynomial of another ring is still refused.
+    ring = A_sl2.ring
+    assert poly.groebner(A_sl2.relations, ring) == A_sl2.gb
+    mixed = [*A_sl2.relations[:9], *A_sl2.jgens[9:]]
+    assert poly.groebner(mixed, ring).generators == A_sl2.gb.generators
+    x = ring.var(0)
+    assert not poly.ideal_contains(A_sl2.gb, poly._pack({0: x}, poly._codec_of(ring)))
+    other = PolyRing(ring.names, LEX).var(0)
+    with pytest.raises(ValueError, match="generators live in different rings"):
+        poly.groebner([*A_sl2.relations, other], ring)
+    with pytest.raises(ValueError, match="polynomial and Groebner basis"):
+        poly.ideal_contains(A_sl2.gb, other)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_packed_terms_print_as_their_polynomial(order):
+    # One text form: packed terms, read in descending key order, print as
+    # poly.render prints the polynomial they unpack to, for coefficients
+    # +-1, other integers, rationals and a constant term.
+    rng = Random(31)
+    ring = PolyRing([f"x{i}" for i in range(4)], order)
+    codec = poly._codec_of(ring)
+    coefficients = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    for _ in range(60):
+        terms = {codec.monomial(tuple(rng.randint(0, 2) for _ in range(4))):
+                 rng.choice(coefficients) for _ in range(rng.randint(0, 5))}
+        if rng.random() < 0.5:
+            terms[codec.monomial((0, 0, 0, 0))] = rng.choice(coefficients)
+        assert poly.render(terms, ring) == poly.render(poly._polynomial(terms, ring))
+    one = {codec.monomial((0, 0, 0, 0)): -1, codec.monomial((1, 0, 0, 0)): Fraction(1, 2)}
+    assert poly.render(one, ring) == "1/2*x0 - 1"
+    assert poly.render({}, ring) == "0"

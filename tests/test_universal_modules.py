@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     count_calls,
     from_lie_homomorphism,
+    hand_module_basis,
     is_abelian,
     is_collapsed,
     natural2,
@@ -29,9 +30,9 @@ from univalg.lie import (
     Violation,
     is_module_morphism,
 )
-from univalg.modgb import ModuleGroebnerBasis, ModuleVector, module_normal_form
+from univalg.modgb import ModuleVector, module_normal_form
 from univalg.pbw import PBWElement
-from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
+from univalg.poly import DEGREVLEX, LEX, GroebnerBasis, Polynomial, normal_form
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
@@ -138,6 +139,23 @@ def test_build_packs_no_vector(A_sl2, sl2_alg, monkeypatch):
     assert packed[1]
 
 
+def test_module_basis_unpacks_on_first_read(A_sl2, sl2_alg, monkeypatch):
+    # A module basis keeps the engine's monic packed terms: building and
+    # certifying U(U,Z) unpacks no vector, and the generators are unpacked
+    # once, when first read.  Equal bases are equal whether built by the
+    # engine or by hand; a basis missing an element is not.
+    n2 = natural2(sl2_alg)
+    unpacked = [count_calls(monkeypatch, module, "_unpack") for module in (poly, modgb)]
+    mgb = build_universal_amodule(A_sl2, n2, n2).mgb
+    assert unpacked == [[], []] and "generators" not in vars(mgb) and len(mgb)
+    assert mgb.generators is mgb.generators
+    assert len(unpacked[1]) == len(mgb)
+    monkeypatch.undo()
+    assert mgb == build_universal_amodule(A_sl2, n2, n2).mgb
+    assert mgb == hand_module_basis(mgb.module, mgb.generators)
+    assert mgb != hand_module_basis(mgb.module, mgb.generators[:-1])
+
+
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
     # The engine hands a basis the lead table of its reduced integer rows;
@@ -145,12 +163,12 @@ def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
     # Both hold the same rows and give the same normal forms.
     rng = Random(2023)
     A = build_universal_algebra(sl2_alg, sl2_alg, order=order)
-    assert A.gb.leads == poly._basis_table(A.ring, ({0: g} for g in A.gb))
+    assert A.gb.leads == GroebnerBasis(A.ring, A.gb.generators)._table
     n2, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
     for U, Z in ((n2, n2), (ad, LieModule.trivial(sl2_alg, 1)),
                  (n2, LieModule.trivial(sl2_alg, 1))):
         mgb = build_universal_amodule(A, U, Z).mgb
-        hand = ModuleGroebnerBasis(mgb.module, mgb.generators)
+        hand = hand_module_basis(mgb.module, mgb.generators)
         assert hand.leads is None and mgb.leads == hand._table
         for _ in range(8):
             v = ModuleVector(mgb.module, {
