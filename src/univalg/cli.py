@@ -35,7 +35,6 @@ from .lie import (
     LieModule,
     Report,
     Violation,
-    validate_lie_algebra,
     validate_lie_module,
 )
 from .modgb import render_module_vector
@@ -263,7 +262,7 @@ def _check_lie(args) -> tuple[str, Report]:
     # Read without validating, so a file that breaks the axioms gets a report.
     with open(args.files[0]) as fh:
         L = _read_algebra_text(fh.read(), args.files[0])
-    return "lie-axioms", validate_lie_algebra(L)
+    return "lie-axioms", L.validation
 
 
 # `univalg check KIND FILE...`: kind -> number of files.

@@ -7,17 +7,20 @@ universal_algebra.tensor_normal_form, the one that B (x) B uses at rank 1: it
 multiplies the rows of the two factors, nf(x^m e_p) from U(U)'s table, which
 decides equality in the quotient tensor square without a second Groebner
 computation, and every TensorSquare over one U(U) shares those rows.  Delta
-of B is B's own table of pairs, which Delta of U(U) and the action of B read
-through shifts and products of keys.  A certificate equation is decided by
-one normal form of the difference of its sides, since that normal form is
-linear.
+and epsilon of U(U) take packed terms, a relation or a table row's integer
+terms, and read B's tables of Delta and epsilon by monomial key, Delta
+placed at positions by additions of keys; the action of B multiplies keys.
+A certificate equation is decided by one normal form of the integer
+difference of its sides, cleared by the row's denominator, since that
+normal form is linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from . import linalg
+from . import linalg, modgb
 from .lie import LinearMap, Report, Violation
 from .linalg import Scalar, Vec
 from .modgb import ModuleVector
@@ -39,13 +42,22 @@ ZERO = 0
 ONE = 1
 
 
+def _nonzero(acc: TensorSquareElement) -> TensorSquareElement:
+    """The nonzero entries of ``acc``, an integral coefficient as an int."""
+    return {key: c if type(c) is int or c.denominator != 1 else c.numerator
+            for key, c in acc.items() if c}
+
+
 class TensorSquare:
     """The tensor square of a presented module U(U,Z), its terms pairs of
-    keys of U(U)'s multiplication table, with a factor-wise canonical form."""
+    keys of U(U)'s multiplication table, with a factor-wise canonical form.
+    Delta and epsilon take an element of U(U) as packed terms, key ->
+    scalar, such as a relation or the integer terms of a table row."""
 
     def __init__(self, um: UniversalAModule, bial: BialgebraStructure):
         self.um = um
         self.bial = bial
+        self._at = [um.table.shift(0, p) for p in range(um.rank)]  # + e_0 -> e_p
 
     def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
         """Factor-wise canonical form, rows from U(U)'s multiplication table."""
@@ -55,37 +67,39 @@ class TensorSquare:
                     ) -> TensorSquareElement:
         """x_ij * (y (x) t) = sum_s (x_is . y) (x) (x_sj . t): multiplication
         by the Delta-image of the variable."""
-        A, times = self.um.A, self.um.table.times
-        factor = self.bial.delta_pairs(A.ring.var(A.var_index(i, j)))
+        times = self.um.table.times
+        factor = self.bial._delta_of_key(self.bial.variables[self.um.A.var_index(i, j)])
         out: TensorSquareElement = {}
         for (k1, k2), c in elem.items():
-            add_pairs(out, {(times(k1, a), times(k2, b)): d
-                            for (a, b), d in factor.items()}, c)
-        return out
+            for (a, b), d in factor.items():
+                key = (times(k1, a), times(k2, b))
+                out[key] = out.get(key, ZERO) + c * d
+        return _nonzero(out)
 
-    def delta_of_vector(self, v: ModuleVector) -> TensorSquareElement:
-        """Comultiplication of an element of U(U): generator rule
-        y_lt -> sum_s y_ls (x) y_st, coefficients through Delta of B."""
-        um, shift = self.um, self.um.table.shift
+    def delta_of_terms(self, terms: dict[int, Scalar]) -> TensorSquareElement:
+        """Comultiplication, unreduced: x^m y_lt -> Delta(x^m) sum_s y_ls (x)
+        y_st, Delta(x^m) read from B's table at the key that ``split`` gives
+        and each pair moved to its positions by ``shift``."""
+        m, split, at = self.um.U.dim, self.um.table.split, self._at
         out: TensorSquareElement = {}
-        for p, q in v.components.items():
-            l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
-            dq = self.bial.delta_pairs(q)
-            for s in range(1, um.U.dim + 1):
-                ls, st = um.pos(l, s), um.pos(s, t)
-                add_pairs(out, {(shift(a, ls), shift(b, st)): c
-                                for (a, b), c in dq.items()})
-        return out
+        for k, c in terms.items():
+            p, q = split(k)
+            l, t = divmod(p, m)
+            dq = self.bial._delta_of_key(q)
+            for ls, st in zip(at[l * m:l * m + m], at[t::m]):
+                for (a, b), d in dq.items():
+                    key = (a + ls, b + st)
+                    out[key] = out.get(key, ZERO) + c * d
+        return _nonzero(out)
 
-    def epsilon_of_vector(self, v: ModuleVector) -> Scalar:
-        """Counit: y_lt -> delta_lt, coefficients through epsilon of B."""
-        um = self.um
+    def epsilon_of_terms(self, terms: dict[int, Scalar]) -> Scalar:
+        """Counit: x^m y_lt -> epsilon(x^m) delta_lt."""
+        m, split, eps = self.um.U.dim, self.um.table.split, self.bial._epsilon_of_key
         out = ZERO
-        for p, q in v.components.items():
-            l = p // um.Z.dim + 1
-            t = p % um.Z.dim + 1
-            if l == t:
-                out += self.bial.epsilon(q)
+        for k, c in terms.items():
+            p, q = split(k)
+            if p // m == p % m:
+                out += c * eps(q)
         return out
 
 
@@ -102,32 +116,34 @@ class CoalgebraOnU:
         self.square = TensorSquare(um, self.bial)
 
     def delta(self, v: ModuleVector) -> TensorSquareElement:
-        return self.square.normal_form(self.square.delta_of_vector(v))
+        return self.square.normal_form(self.square.delta_of_terms(modgb._terms(v)))
 
     def epsilon(self, v: ModuleVector) -> Scalar:
-        return self.square.epsilon_of_vector(v)
+        return self.square.epsilon_of_terms(modgb._terms(v))
 
     def verify(self) -> Report:
         """Well-definedness on the quotient: Delta and epsilon kill every
-        relation.  The laws themselves are the comodule axioms, checked by
-        verify_comodule against delta and epsilon."""
+        relation, read from its packed terms.  The laws themselves are the
+        comodule axioms, checked by verify_comodule."""
         bad: list[Violation] = []
-        for label, gen in zip(self.um.rel_labels, self.um.relgens):
-            if self.epsilon(gen) != 0:
-                bad.append(Violation("counit-kills-relations", label,
-                                     f"eps = {self.epsilon(gen)}"))
-            if self.delta(gen):
+        sq = self.square
+        for label, terms in zip(self.um.rel_labels, self.um.relations):
+            eps = sq.epsilon_of_terms(terms)
+            if eps != 0:
+                bad.append(Violation("counit-kills-relations", label, f"eps = {eps}"))
+            if sq.normal_form(sq.delta_of_terms(terms)):
                 bad.append(Violation("comult-descends", label,
                                      "Delta(relation) has nonzero normal form"))
         return Report(tuple(bad))
 
     def _delta_matches_coaction(self, l: int, r: int) -> bool:
-        """Delta(y_lr) equals sum_s y_ls (x) y_sr, the u_l coordinate of
-        (rho (x) id) o rho (u_r): their difference has normal form zero."""
-        um, sq = self.um, self.square
-        w = sq.delta_of_vector(um.free.basis_vector(um.pos(l, r)))
-        key, one = um.table.key, (0,) * um.A.ring.nvars
-        add_pairs(w, {(key(um.pos(l, s), one), key(um.pos(s, r), one)): ONE
+        """Delta(y_lr), taken on its table row (den, n) = nf(y_lr), equals
+        sum_s y_ls (x) y_sr, the u_l coordinate of (rho (x) id) o rho (u_r):
+        Delta(n) - den sum_s y_ls (x) y_sr has normal form zero."""
+        um, sq, key = self.um, self.square, self.um._key
+        den, nums = um.table.row(key(um.pos(l, r)))
+        w = sq.delta_of_terms(nums)
+        add_pairs(w, {(key(um.pos(l, s)), key(um.pos(s, r))): den
                       for s in range(1, um.U.dim + 1)}, -ONE)
         return not sq.normal_form(w)
 
@@ -166,14 +182,18 @@ def build_coalgebra(um: UniversalAModule,
 def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> Report:
     """Both right-comodule axioms for (U, rho) on every basis vector u_r of U:
     Delta matches the coaction (so Delta is the factorization of
-    (rho (x) id) o rho) and epsilon(y_lr) = delta_lr."""
+    (rho (x) id) o rho) and epsilon(y_lr) = delta_lr, both read on the table
+    row of y_lr."""
     m = um.U.dim
+
+    def counit(l: int, r: int) -> bool:
+        den, nums = um.table.row(um._key(um.pos(l, r)))
+        return C.square.epsilon_of_terms(nums) == (den if l == r else ZERO)
+
     return Report(tuple(
         Violation("comodule-axiom", (r,), "fails")
         for r in range(1, m + 1)
-        if not all(C._delta_matches_coaction(l, r)
-                   and C.epsilon(um.nf(um.free.basis_vector(um.pos(l, r))))
-                   == (ONE if l == r else ZERO)
+        if not all(C._delta_matches_coaction(l, r) and counit(l, r)
                    for l in range(1, m + 1))
     ))
 
@@ -181,30 +201,31 @@ def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> Report:
 def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:
     """Delta(x_ab . y_lt) = x_ab . Delta(y_lt), with B acting on the tensor
     square through Delta of B, and eps(x_ab . y_lt) = delta_ab delta_lt, on
-    all generator pairs.  Each Delta equation is one normal form, of
-    x_ab . Delta(y_lt) - Delta(x_ab . y_lt)."""
+    all generator pairs.  x_ab . y_lt is its table row (den, n), so each
+    Delta equation is one normal form of the integer difference
+    Delta(n) - den x_ab . Delta(y_lt), and eps(n) must be den or 0."""
     bad: list[Violation] = []
     um = C.um
+    table, key, sq = um.table, um._key, C.square
     n = um.A.h.dim
     m = um.U.dim
-    sq = C.square
+    dy = {y: sq.delta_of_terms({y: ONE}) for y in map(key, range(um.rank))}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            xab = um.A.ring.var(um.A.var_index(a, b))
+            xab = C.bial.variables[um.A.var_index(a, b)]
             for l in range(1, m + 1):
                 for t in range(1, m + 1):
-                    y = um.free.basis_vector(um.pos(l, t))
-                    acted = um.act(xab, y)
-                    diff = sq.bmodule_act(a, b, sq.delta_of_vector(y))
-                    add_pairs(diff, sq.delta_of_vector(acted), -ONE)
+                    y = key(um.pos(l, t))
+                    den, nums = table.row(table.times(y, xab))
+                    diff = sq.delta_of_terms(nums)
+                    add_pairs(diff, sq.bmodule_act(a, b, dy[y]), -den)
                     if sq.normal_form(diff):
                         bad.append(Violation("bmodule-coalgebra-delta",
                                              (a, b, l, t), "sides differ"))
-                    eps = C.epsilon(acted)
-                    want = ONE if (a == b and l == t) else ZERO
-                    if eps != want:
-                        bad.append(Violation("bmodule-coalgebra-eps",
-                                             (a, b, l, t), f"eps = {eps}"))
+                    eps = sq.epsilon_of_terms(nums)
+                    if eps != (den if (a == b and l == t) else ZERO):
+                        bad.append(Violation("bmodule-coalgebra-eps", (a, b, l, t),
+                                             f"eps = {Fraction(eps, den)}"))
     return Report(tuple(bad))
 
 

@@ -16,7 +16,6 @@ from .lie import (
     LieModule,
     LinearMap,
     Report,
-    validate_lie_algebra,
     validate_lie_module,
 )
 from .linalg import Mat, Scalar, scalar
@@ -123,7 +122,7 @@ def parse_algebra_text(text: str, path: str = "<string>") -> LieAlgebra:
     rejected.
     """
     L = _read_algebra_text(text, path)
-    validate_lie_algebra(L).require(ValidationError, f"{path}: not a Lie algebra")
+    L.validation.require(ValidationError, f"{path}: not a Lie algebra")
     return L
 
 

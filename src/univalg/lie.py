@@ -12,6 +12,7 @@ turns a bracket table into matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .linalg import Frozen, Mat, Scalar, Vec, scalar
@@ -123,6 +124,12 @@ class LieAlgebra:
         v = [ZERO] * self.dim
         v[i - 1] = ONE
         return v
+
+    @cached_property
+    def validation(self) -> Report:
+        """The report of ``validate_lie_algebra`` on the frozen table,
+        computed on first read."""
+        return validate_lie_algebra(self)
 
     def __eq__(self, other):
         return (

@@ -229,19 +229,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # -- evaluation --------------------------------------------------------
-
-    def eval_scalars(self, values: list[Scalar]) -> Scalar:
-        """Evaluate at rational values, one per variable."""
-        out = ZERO
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= values[i] ** e
-            out += v
-        return out
-
     def __repr__(self):
         return f"Polynomial({render(self)})"
 
@@ -763,6 +750,11 @@ class MultiplicationTable:
         """The term of ``key`` moved ``pos`` positions on."""
         return key - (pos << self._codec.top)
 
+    def split(self, key: int) -> tuple[int, int]:
+        """(position, key of the monomial at position 0) of a term."""
+        pos = -(key >> self._codec.top)
+        return pos, key + (pos << self._codec.top)
+
     def times(self, key: int, q: int) -> int:
         """Key of the term ``key`` times the monomial with key ``q``, once the
         guard bits show every exponent within MAX_EXPONENT."""
@@ -812,20 +804,6 @@ class MultiplicationTable:
                         acc[v] = acc.get(v, ZERO) + n * (common // d) * m
                 rows[t] = _cancelled(den * common, acc)
         return rows[key]
-
-    def product(self, p: Polynomial, vector: dict[int, Polynomial]
-                ) -> dict[int, Polynomial]:
-        """The components of nf(p * v), v given by its components: the rows
-        of the products of their terms, scaled and summed."""
-        a = _pack({0: p}, self._codec)
-        acc: _Terms = {}
-        for k1, c1 in _pack(vector, self._codec).items():
-            for k2, c2 in a.items():
-                den, nums = self.row(self.times(k1, k2))
-                c = Fraction(c1 * c2, den)
-                for u, n in nums.items():
-                    acc[u] = acc.get(u, ZERO) + c * n
-        return _unpack(acc, self.ring, self._codec)
 
 
 def _cancelled(den: int, nums: dict[int, int]) -> TableRow:

@@ -14,11 +14,12 @@ the report read them as they are, and the polynomials ``jgens`` and
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from math import lcm
 
 from . import poly
-from .lie import LieAlgebra, Report, Violation, validate_lie_algebra
+from .lie import LieAlgebra, Report, Violation
 from .linalg import Scalar
 from .poly import (
     DEFAULT_PAIR_BUDGET,
@@ -147,7 +148,7 @@ def build_universal_algebra(
 ) -> UniversalAlgebra:
     """Construct A(h,g) and verify the defining relations hold in it."""
     for L, which in ((h, "h"), (g, "g")):
-        validate_lie_algebra(L).require(ValueError, f"{which} is not a Lie algebra")
+        L.validation.require(ValueError, f"{which} is not a Lie algebra")
     ring = algebra_ring(h, g, order)
     relations = _universal_relations(h, g, ring)
     gb = poly.groebner(relations, ring, budget=budget)
@@ -232,12 +233,12 @@ class BialgebraStructure:
     on B = A(h,h), with machine-checked well-definedness.
 
     An element of B (x) B is a dict from pairs of keys of A's multiplication
-    table to scalars, reduced by tensor_normal_form at rank 1.  Delta is one
-    table ``_deltas``, monomial key -> Delta(x^m) as such pairs with integer
-    coefficients, seeded with Delta(1) and Delta(x_ij) and read by
-    ``delta_pairs``, the descent, the laws and the tensor square of U(U).
-    ``delta`` turns its result into a polynomial in the doubled variable set
-    {X'[i,j]} u {X''[i,j]}, whose ideal is J' + J''.
+    table to scalars, reduced by tensor_normal_form at rank 1.  Delta and
+    epsilon are two tables by monomial key, ``_deltas`` (Delta(x^m) as such
+    pairs with integer coefficients) and ``_epsilons`` (epsilon(x^m), 1 iff
+    every variable of x^m is diagonal), seeded at 1 and at the variables,
+    whose keys are ``variables`` in ring order, and read by the descent, the
+    laws and the tensor square of U(U).
     """
 
     def __init__(self, owner: UniversalAlgebra):
@@ -246,59 +247,57 @@ class BialgebraStructure:
         self.owner = owner
         n = owner.h.dim
         self.n = n
-        names = [f"X'[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
-        names += [f"X''[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
-        self.tensor_ring = PolyRing(names, owner.ring.order)
         one = owner.table.key(0, (0,) * (n * n))
-        x = poly._variable_keys(owner.ring)
+        self.variables = x = poly._variable_keys(owner.ring)
         self._deltas = {one: {(one, one): ONE}} | {
             x[i * n + j]: {(x[i * n + s], x[s * n + j]): ONE for s in range(n)}
             for i in range(n) for j in range(n)}
+        self._epsilons = {one: ONE} | {x[i * n + j]: int(i == j)
+                                       for i in range(n) for j in range(n)}
+
+    def _of_key(self, memo: dict, key: int, product):
+        """memo[key] for the monomial with ``key``, memo[t] being product(
+        memo[t / x_i], memo[x_i]): filled once per monomial up its chain of
+        divisors by a loop."""
+        if key not in memo:
+            table, chain = self.owner.table, [key]
+            while chain[-1] not in memo:
+                chain.append(table.factor(chain[-1])[0])
+            for t in reversed(chain[:-1]):
+                s, q = table.factor(t)
+                memo[t] = product(memo[s], memo[q])
+        return memo[key]
 
     def _delta_of_key(self, key: int) -> TensorSquareElement:
-        """Delta(x^m) for the monomial with ``key``: Delta(x^m / x_i) Delta(x_i),
-        filled once per monomial up its chain of divisors by a loop."""
-        deltas, table = self._deltas, self.owner.table
-        chain = [key]
-        while chain[-1] not in deltas:
-            chain.append(table.factor(chain[-1])[0])
-        for t in reversed(chain[:-1]):
-            s, q = table.factor(t)
-            deltas[t] = {}
-            for (a1, b1), c1 in deltas[s].items():
-                add_pairs(deltas[t], {(table.times(a1, a2), table.times(b1, b2)): c1 * c2
-                                      for (a2, b2), c2 in deltas[q].items()})
-        return deltas[key]
+        """Delta(x^m) = Delta(x^m / x_i) Delta(x_i), unreduced."""
+        return self._of_key(self._deltas, key, self._delta_product)
 
-    def delta_pairs(self, p: Polynomial) -> TensorSquareElement:
-        """Delta(p) as a ring map, unreduced, as pairs of A's keys."""
-        out: TensorSquareElement = {}
-        for m, c in p.terms.items():
-            add_pairs(out, self._delta_of_key(self.owner.table.key(0, m)), c)
+    def _delta_product(self, d1: TensorSquareElement, d2: TensorSquareElement
+                       ) -> TensorSquareElement:
+        times, out = self.owner.table.times, {}
+        for (a1, b1), c1 in d1.items():
+            add_pairs(out, {(times(a1, a2), times(b1, b2)): c1 * c2
+                            for (a2, b2), c2 in d2.items()})
         return out
 
-    def delta(self, p: Polynomial) -> Polynomial:
-        """Comultiplication reduced factor-wise modulo J' + J'', in the doubled ring."""
-        term = self.owner.table.term
-        return Polynomial(self.tensor_ring, {
-            term(a)[1] + term(b)[1]: c for (a, b), c
-            in tensor_normal_form(self.delta_pairs(p), self.owner.table).items()})
-
-    def epsilon(self, p: Polynomial) -> Scalar:
-        """Counit: evaluate at X[i,j] = delta_ij."""
-        n = self.n
-        return p.eval_scalars([ONE if k // n == k % n else ZERO for k in range(n * n)])
+    def _epsilon_of_key(self, key: int) -> int:
+        """epsilon(x^m) = epsilon(x^m / x_i) epsilon(x_i)."""
+        return self._of_key(self._epsilons, key, operator.mul)
 
     @functools.cached_property
     def descent(self) -> Report:
         """epsilon kills J and Delta maps J into J'(x)k[X] + k[X](x)J'', on
-        each generator P of J; computed once per structure."""
+        each generator P of J, read from its packed terms; computed once per
+        structure."""
         bad: list[Violation] = []
-        for label, p in zip(self.owner.labels, self.owner.jgens):
-            eps = self.epsilon(p)
+        for label, terms in zip(self.owner.labels, self.owner.relations):
+            eps, delta = ZERO, {}
+            for k, c in terms.items():
+                eps += c * self._epsilon_of_key(k)
+                add_pairs(delta, self._delta_of_key(k), c)
             if eps != 0:
                 bad.append(Violation("counit-kills-ideal", label, f"eps(P) = {eps}"))
-            if not self.delta(p).is_zero():
+            if tensor_normal_form(delta, self.owner.table):
                 bad.append(Violation("comult-descends", label,
                                      "Delta(P) not in tensor ideal"))
         return Report(tuple(bad))
@@ -309,25 +308,18 @@ class BialgebraStructure:
         of A's keys, (eps (x) id) Delta and (id (x) eps) Delta as keys.
         Equality in a free ring implies it in the quotient."""
         bad: list[Violation] = []
-        ring, table = self.owner.ring, self.owner.table
-
-        def eps(key: int) -> Scalar:
-            return self.epsilon(ring.monomial(table.term(key)[1]))
-
-        for k in range(self.n * self.n):
+        delta, eps = self._delta_of_key, self._epsilon_of_key
+        for k, x in enumerate(self.variables):
             left, right, eps_id, id_eps = {}, {}, {}, {}
-            for (a, b), c in self.delta_pairs(ring.var(k)).items():
-                add_pairs(left, {(a1, a2, b): e
-                                 for (a1, a2), e in self._delta_of_key(a).items()}, c)
-                add_pairs(right, {(a, b1, b2): e
-                                  for (b1, b2), e in self._delta_of_key(b).items()}, c)
+            for (a, b), c in delta(x).items():
+                add_pairs(left, {(a1, a2, b): e for (a1, a2), e in delta(a).items()}, c)
+                add_pairs(right, {(a, b1, b2): e for (b1, b2), e in delta(b).items()}, c)
                 add_pairs(eps_id, {b: c * eps(a)})
                 add_pairs(id_eps, {a: c * eps(b)})
             loc = (k // self.n + 1, k % self.n + 1)
             if left != right:
                 bad.append(Violation("coassociativity", loc, "sides differ"))
-            x = {table.key(0, ring.var(k).lead_monomial()): ONE}
-            if eps_id != x or id_eps != x:
+            if eps_id != {x: ONE} or id_eps != {x: ONE}:
                 bad.append(Violation("counit-law", loc, "law fails"))
         return Report(tuple(bad))
 

@@ -6,11 +6,11 @@ U(U,Z) is a finitely presented module over the polynomial ring of A with the
 ideal folded into the module Groebner basis, so element equality is decidable.
 Its relations are the engine's packed terms, written once from the matrices
 of U and Z; its certificates and the functor and direct-sum checks build and
-reduce packed terms, and ModuleVectors appear only at ``relgens``, ``nf``,
-``rho`` and ``act``.  Each U(U,Z) holds its multiplication table
+reduce packed terms, and ModuleVectors appear only at ``relgens``, ``nf``
+and ``rho``.  Each U(U,Z) holds its multiplication table
 (``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
 one denominator, filled on demand one variable at a time, as FGLM fills its
-multiplication matrices.
+multiplication matrices; the coalgebra on U(U) reads its rows as they are.
 V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
 normal forms on the free side; it is probed only through finite-dimensional
 factorization targets.
@@ -35,7 +35,7 @@ from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_
 from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, Polynomial, _variable_keys, mono_word
+from .poly import DEFAULT_PAIR_BUDGET, _variable_keys, mono_word
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
@@ -111,11 +111,6 @@ class UniversalAModule:
 
     def nf(self, v: ModuleVector) -> ModuleVector:
         return modgb.module_normal_form(v, self.mgb)
-
-    def act(self, p: Polynomial, v: ModuleVector) -> ModuleVector:
-        """p . v in U(U,Z): the table rows of the products of their terms,
-        scaled and summed."""
-        return ModuleVector(self.free, self.table.product(p, v.components))
 
     def _rho_terms(self, z: Vec) -> list[dict[int, Scalar]]:
         """rho(z) before reduction, as packed terms: its component at u_s is

@@ -5,13 +5,14 @@ from fractions import Fraction
 from math import lcm
 from random import Random
 
-from univalg import linalg
+from univalg import linalg, modgb, poly
 from univalg.lie import (
     LieAlgebra, LieModule, LinearMap, Report, Violation, direct_sum, sl2,
 )
 from univalg.modgb import ModuleGroebnerBasis, ModuleVector, _terms
-from univalg.poly import Polynomial
+from univalg.poly import PolyRing, Polynomial
 from univalg.representations import MatrixARep
+from univalg.universal_algebra import add_pairs, tensor_normal_form
 from univalg.universal_modules import _pbw_words
 
 ZERO = Fraction(0)
@@ -279,6 +280,55 @@ def row_entries(table, row):
     return den, {table.term(k): n for k, n in nums.items()}
 
 
+def act(um, p, v: ModuleVector) -> ModuleVector:
+    """p . v in U(U,Z) read off the module's multiplication table: the rows
+    of the products of their terms, scaled and summed."""
+    table, acc = um.table, {}
+    factor = poly._pack({0: p}, poly._codec_of(p.ring))
+    for k1, c1 in _terms(v).items():
+        for k2, c2 in factor.items():
+            den, nums = table.row(table.times(k1, k2))
+            for u, n in nums.items():
+                acc[u] = acc.get(u, ZERO) + Fraction(c1 * c2 * n, den)
+    return modgb._vector(um.free, {u: linalg.scalar(c) for u, c in acc.items() if c})
+
+
+def eval_scalars(p: Polynomial, values) -> Fraction:
+    """p at rational values, one per variable."""
+    out = ZERO
+    for m, c in p.terms.items():
+        for x, e in zip(values, m):
+            c *= x ** e
+        out += c
+    return out
+
+
+def epsilon(B, p: Polynomial):
+    """The counit of B on a polynomial of A: p at X[i,j] = delta_ij."""
+    n = B.n
+    return eval_scalars(p, [int(k // n == k % n) for k in range(n * n)])
+
+
+def tensor_ring(B) -> PolyRing:
+    """The doubled ring {X'[i,j]} u {X''[i,j]} of B (x) B, whose ideal is
+    J' + J''."""
+    n = B.n
+    names = [f"X'[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
+    names += [f"X''[{i},{j}]" for i in range(1, n + 1) for j in range(1, n + 1)]
+    return PolyRing(names, B.owner.ring.order)
+
+
+def delta(B, p: Polynomial) -> Polynomial:
+    """Delta(p) of B, reduced factor-wise, as a polynomial of the doubled
+    ring: Delta of each monomial read from B's table."""
+    table, pairs = B.owner.table, {}
+    for k, c in poly._pack({0: p}, poly._codec_of(p.ring)).items():
+        add_pairs(pairs, B._delta_of_key(k), c)
+    return Polynomial(tensor_ring(B), {
+        table.term(a)[1] + table.term(b)[1]: c
+        for (a, b), c in tensor_normal_form(pairs, table).items()})
+
+
 def ring_map(p, target, images):
     """The ring homomorphism into ``target`` sending variable i to
     images[i], applied to ``p`` term by term."""
@@ -306,7 +356,7 @@ def doubled(table, ring2, elem):
 def delta_images(B):
     """Delta(x_ij) = sum_s X'[i,s] X''[s,j] in B's doubled ring, built from
     its variables, one image per variable of A in ring order."""
-    n, R = B.n, B.tensor_ring
+    n, R = B.n, tensor_ring(B)
     return [sum((R.var(i * n + s) * R.var(n * n + s * n + j) for s in range(n)),
                 R.zero())
             for i in range(n) for j in range(n)]
@@ -320,7 +370,7 @@ def reference_delta_of_vector(sq, v):
     out = {}
     for p, q in v.components.items():
         l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
-        dq = ring_map(q, sq.bial.tensor_ring, images)
+        dq = ring_map(q, tensor_ring(sq.bial), images)
         for s in range(1, um.U.dim + 1):
             key = (um.pos(l, s), um.pos(s, t))
             out[key] = out[key] + dq if key in out else dq
@@ -355,7 +405,7 @@ def reference_tensor_normal_form(sq, elem, rows):
                             terms[m12] = terms.get(m12, ZERO) + c1 * c2
     out = {}
     for key, terms in acc.items():
-        p = Polynomial(sq.bial.tensor_ring, terms)
+        p = Polynomial(tensor_ring(sq.bial), terms)
         if not p.is_zero():
             out[key] = p
     return out
@@ -374,8 +424,8 @@ def tensor_square_inputs(um, sq):
         for b in range(1, n + 1):
             xab = um.A.ring.var(um.A.var_index(a, b))
             for y in gens:
-                vectors.append(um.act(xab, y))
-                acted.append(sq.bmodule_act(a, b, sq.delta_of_vector(y)))
+                vectors.append(act(um, xab, y))
+                acted.append(sq.bmodule_act(a, b, sq.delta_of_terms(_terms(y))))
     return vectors, acted
 
 

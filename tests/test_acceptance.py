@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from helpers import (
+    act,
     algebra_pool,
     degree,
     heisenberg,
@@ -318,7 +319,7 @@ def test_criterion_10_oracle_cross_checks(capsys, A_sl2):
     x11 = A.ring.var(0)
     hand = ModuleVector(um.free, {0: A.ring.const(Fraction(5)) - x11})
     ok = ok and (um.relgens[0] == hand or um.relgens[0] == hand.scale(-ONE))
-    ok = ok and um.act(x11, um.free.basis_vector(0)) == um.nf(
+    ok = ok and act(um, x11, um.free.basis_vector(0)) == um.nf(
         um.free.basis_vector(0).scale(Fraction(5))
     )
     # (c) factorization by dense linear solve: X diagonal, f an eigenvector.

@@ -152,6 +152,26 @@ def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, fl
                      for (a, i, j), p in zip(A.labels, A.jgens)]
 
 
+@pytest.mark.parametrize("command", [
+    "check bialgebra sl2.alg",
+    "check rep sl2.alg sl2.alg counit3.rep",
+    "check comodule sl2.alg natural2_sl2.mod",
+    "coalgebra sl2.alg natural2_sl2.mod",
+])
+def test_bialgebra_rep_and_coalgebra_commands_leave_jgens_unfilled(capsys, monkeypatch,
+                                                                   command):
+    built, original = [], cli.build_universal_algebra
+
+    def build(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_universal_algebra", build)
+    code, _ = run(capsys, *[fx(w) if "." in w else w for w in command.split()])
+    (A,) = built
+    assert code == 0 and "jgens" not in vars(A)
+
+
 def test_univalg_deterministic_output(capsys, tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["univalg", fx("sl2.alg"), fx("sl2.alg"), "--golden",
@@ -372,12 +392,12 @@ def test_coalgebra_compares_delta_with_coaction_once(capsys, monkeypatch, comman
 @pytest.mark.parametrize("command", ["check coalgebra", "check comodule", "coalgebra"])
 def test_swapped_delta_exits_1(capsys, monkeypatch, command):
     # Delta(y_lr) = sum_s y_sr (x) y_ls, the two tensor factors exchanged.
-    right_way = TensorSquare.delta_of_vector
+    right_way = TensorSquare.delta_of_terms
 
-    def swapped(sq, v):
-        return {(b, a): c for (a, b), c in right_way(sq, v).items()}
+    def swapped(sq, terms):
+        return {(b, a): c for (a, b), c in right_way(sq, terms).items()}
 
-    monkeypatch.setattr(TensorSquare, "delta_of_vector", swapped)
+    monkeypatch.setattr(TensorSquare, "delta_of_terms", swapped)
     code = main([*command.split(), fx("sl2.alg"), fx("natural2_sl2.mod")])
     captured = capsys.readouterr()
     assert code == 1
@@ -394,14 +414,14 @@ def test_swapped_delta_exits_1(capsys, monkeypatch, command):
 
 def test_epsilon_killing_y11_exits_1(capsys, monkeypatch):
     # epsilon(y_11) = 0 instead of 1 breaks the counit axiom of the comodule.
-    right_way = TensorSquare.epsilon_of_vector
+    right_way = TensorSquare.epsilon_of_terms
 
-    def wrong(sq, v):
+    def wrong(sq, terms):
         um = sq.um
-        y11 = um.nf(um.free.basis_vector(um.pos(1, 1)))
-        return 0 if v == y11 else right_way(sq, v)
+        y11 = um.table.row(um._key(um.pos(1, 1)))[1]
+        return 0 if terms == y11 else right_way(sq, terms)
 
-    monkeypatch.setattr(TensorSquare, "epsilon_of_vector", wrong)
+    monkeypatch.setattr(TensorSquare, "epsilon_of_terms", wrong)
     code = main(["check", "comodule", fx("sl2.alg"), fx("natural2_sl2.mod")])
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    act,
     count_calls,
     doubled,
     natural2,
@@ -12,6 +13,7 @@ from helpers import (
     reference_delta_of_vector,
     reference_tensor_normal_form,
     solve_unique,
+    tensor_ring,
     tensor_square_inputs,
 )
 from univalg.coalgebra import (
@@ -25,7 +27,7 @@ from univalg.coalgebra import (
     verify_comodule,
 )
 from univalg import linalg, modgb, poly
-from univalg.modgb import ModuleVector
+from univalg.modgb import ModuleVector, _terms
 from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation
 from univalg.poly import MAX_EXPONENT, ExponentOverflowError
 from univalg.representations import MatrixARep
@@ -160,8 +162,8 @@ def test_tensor_square_action_kills_relations(um_adjoint, coalg_adjoint, A_sl2):
     um, sq = um_adjoint, coalg_adjoint.square
     x11 = um.A.ring.var(um.A.var_index(1, 1))
     g = um.free.basis_vector(um.pos(1, 1))
-    lhs = coalg_adjoint.delta(um.act(x11, g))
-    rhs = sq.bmodule_act(1, 1, sq.delta_of_vector(g))
+    lhs = coalg_adjoint.delta(act(um, x11, g))
+    rhs = sq.bmodule_act(1, 1, sq.delta_of_terms(_terms(g)))
     assert sq.normal_form(lhs) == sq.normal_form(rhs)
 
 
@@ -169,12 +171,12 @@ def test_swapped_delta_fails_comodule_and_factorization(um_adjoint, B_sl2):
     # Delta(y_lr) = sum_s y_sr (x) y_ls, the two tensor factors exchanged.
     C = CoalgebraOnU(um_adjoint, B_sl2)
     sq = C.square
-    right_way = sq.delta_of_vector
+    right_way = sq.delta_of_terms
 
-    def swapped(v):
-        return {(b, a): c for (a, b), c in right_way(v).items()}
+    def swapped(terms):
+        return {(b, a): c for (a, b), c in right_way(terms).items()}
 
-    sq.delta_of_vector = swapped
+    sq.delta_of_terms = swapped
     rep = verify_comodule(um_adjoint, C)
     assert rep.violations and {v.check for v in rep.violations} == {"comodule-axiom"}
 
@@ -183,13 +185,13 @@ def test_epsilon_killing_y11_fails_comodule(um_natural2, B_sl2, monkeypatch):
     # epsilon(y_11) = 0 instead of 1: the counit axiom of verify_comodule is
     # the check of epsilon that the coalgebra keeps, so it must fail at u_1.
     C = CoalgebraOnU(um_natural2, B_sl2)
-    right_way = TensorSquare.epsilon_of_vector
-    y11 = um_natural2.nf(um_natural2.free.basis_vector(um_natural2.pos(1, 1)))
+    right_way = TensorSquare.epsilon_of_terms
+    y11 = um_natural2.table.row(um_natural2._key(um_natural2.pos(1, 1)))[1]
 
-    def wrong(sq, v):
-        return ZERO if v == y11 else right_way(sq, v)
+    def wrong(sq, terms):
+        return ZERO if terms == y11 else right_way(sq, terms)
 
-    monkeypatch.setattr(TensorSquare, "epsilon_of_vector", wrong)
+    monkeypatch.setattr(TensorSquare, "epsilon_of_terms", wrong)
     assert C.verify().ok  # no relation is y_11, so the laws still hold
     assert verify_comodule(um_natural2, C).violations == (
         Violation("comodule-axiom", (1,), "fails"),)
@@ -276,10 +278,10 @@ def test_tensor_square_matches_fraction_reference(request, B_sl2, which):
     nonzero = 0
 
     def poly2(elem):
-        return doubled(um.table, B_sl2.tensor_ring, elem)
+        return doubled(um.table, tensor_ring(B_sl2), elem)
 
     for v in vectors:
-        elem = sq.delta_of_vector(v)
+        elem = sq.delta_of_terms(_terms(v))
         assert poly2(elem) == reference_delta_of_vector(sq, v)
         got = sq.normal_form(elem)
         assert poly2(got) == reference_tensor_normal_form(sq, poly2(elem), rows)
@@ -312,7 +314,7 @@ def test_tensor_normal_form_matches_reference_on_random_terms(um_natural2, B_sl2
     for (p1, p2), exps, c in terms:
         m = tuple(exps.get(k, 0) for k in range(18))
         add_pairs(elem, {(key(p1, m[:9]), key(p2, m[9:])): linalg.scalar(c)})
-    ring2 = B_sl2.tensor_ring
+    ring2 = tensor_ring(B_sl2)
     assert (doubled(um_natural2.table, ring2, sq.normal_form(elem))
             == reference_tensor_normal_form(sq, doubled(um_natural2.table, ring2, elem), {}))
 
@@ -357,8 +359,8 @@ def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
     x11_y = ModuleVector(um.free, {0: ring.var(0)})
     for raises in (lambda: um.nf(poly_mul(y, ring.monomial(over))),
                    lambda: um.table.row(um.table.key(0, over)),
-                   lambda: um.act(ring.monomial(over), y),
-                   lambda: um.act(ring.monomial(top), x11_y)):
+                   lambda: act(um, ring.monomial(over), y),
+                   lambda: act(um, ring.monomial(top), x11_y)):
         with pytest.raises(ExponentOverflowError):
             raises()
     # Over A(k, k) Delta(x^m) = x^m (x) x^m, so x acting on Delta(x^MAX y)
@@ -367,7 +369,96 @@ def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
     sq = CoalgebraOnU(um_k).square
     v = ModuleVector(um_k.free, {0: A.ring.monomial((MAX_EXPONENT,))})
     with pytest.raises(ExponentOverflowError):
-        sq.normal_form(sq.bmodule_act(1, 1, sq.delta_of_vector(v)))
+        sq.normal_form(sq.bmodule_act(1, 1, sq.delta_of_terms(_terms(v))))
     with pytest.raises(ExponentOverflowError):
-        sq.normal_form(sq.delta_of_vector(
-            ModuleVector(um_k.free, {0: A.ring.monomial((MAX_EXPONENT + 1,))})))
+        sq.normal_form(sq.delta_of_terms(_terms(
+            ModuleVector(um_k.free, {0: A.ring.monomial((MAX_EXPONENT + 1,))}))))
+
+
+def _filled_natural2(A, B, L):
+    """A U(natural2) of its own whose table holds every row that the
+    certificates read, so that a row written into it is read, not rebuilt."""
+    N = natural2(L)
+    um = build_universal_amodule(A, N, N)
+    C = CoalgebraOnU(um, B)
+    assert _violations(um, C) == ((), (), ())
+    return um, C
+
+
+def _violations(um, C):
+    return (C.verify().violations, verify_bmodule_coalgebra(um, C).violations,
+            verify_comodule(um, C).violations)
+
+
+def _at(check, witness, *locations):
+    return tuple(Violation(check, loc, witness) for loc in locations)
+
+
+DESCENDS = "Delta(relation) has nonzero normal form"
+
+
+@pytest.mark.parametrize("which, expected", [
+    # y_11 = (x_13 y_21 + 2 x_11 y_22) / 2 is read as a factor of Delta of
+    # six relations, of two B-module equations and of both comodule axioms.
+    ("y11", (_at("comult-descends", DESCENDS, (1, 1, 2), (1, 1, 3), (1, 2, 1),
+                 (1, 2, 3), (2, 1, 3), (2, 2, 1)),
+             _at("bmodule-coalgebra-delta", "sides differ", (2, 1, 1, 2), (3, 3, 2, 1)),
+             _at("comodule-axiom", "fails", (1,), (2,)))),
+    # x_11 y_11 is the action of x_11 on y_11 and a factor of x_1s . Delta(y_1t).
+    ("x11 y11", ((),
+                 _at("bmodule-coalgebra-delta", "sides differ", (1, 1, 1, 1))
+                 + _at("bmodule-coalgebra-eps", "eps = 1/2", (1, 1, 1, 1))
+                 + _at("bmodule-coalgebra-delta", "sides differ", (1, 1, 1, 2),
+                       (1, 2, 1, 1), (1, 2, 1, 2), (1, 3, 1, 1), (1, 3, 1, 2)),
+                 ())),
+])
+def test_halved_table_row_fails_exactly_its_equations(A_sl2, B_sl2, sl2_alg, which,
+                                                      expected):
+    um, C = _filled_natural2(A_sl2, B_sl2, sl2_alg)
+    key = um._key(0) if which == "y11" else um.table.times(um._key(0), B_sl2.variables[0])
+    den, nums = um.table.rows[key]
+    um.table.rows[key] = (2 * den, nums)
+    assert _violations(um, C) == expected
+
+
+def test_delta_half_of_the_comodule_axiom_reads_the_row(A_sl2, B_sl2, sl2_alg):
+    # The row of y_22 gains y_21, whose counit is 0: the counit half of the
+    # axiom at (2, 2) still holds, and Delta taken on the row fails.
+    um, C = _filled_natural2(A_sl2, B_sl2, sl2_alg)
+    y21, y22 = um._key(um.pos(2, 1)), um._key(um.pos(2, 2))
+    den, nums = um.table.rows[y22]
+    um.table.rows[y22] = den, {**nums, y21: nums.get(y21, 0) + den}
+    assert C.square.epsilon_of_terms(um.table.rows[y22][1]) == den
+    assert not C._delta_matches_coaction(2, 2)
+    assert Violation("comodule-axiom", (2,), "fails") in verify_comodule(um, C).violations
+
+
+def test_corrupted_delta_or_counit_of_b_fails_exactly_its_equations(A_sl2, um_natural2):
+    x = BialgebraStructure(A_sl2).variables
+    # Delta(x_12) = sum_s x_s2 (x) x_1s, the two factors exchanged.
+    B = BialgebraStructure(A_sl2)
+    B._deltas[x[1]] = {(x[3 * s + 1], x[s]): 1 for s in range(3)}
+    assert _violations(um_natural2, CoalgebraOnU(um_natural2, B)) == (
+        _at("comult-descends", DESCENDS, (1, 1, 2), (1, 2, 2)),
+        _at("bmodule-coalgebra-delta", "sides differ", (1, 2, 1, 1), (1, 2, 1, 2),
+            (1, 3, 1, 2), (3, 2, 1, 2), (3, 3, 1, 2)),
+        _at("comodule-axiom", "fails", (2,)))
+    # epsilon(x_11) = 0 instead of 1.
+    B = BialgebraStructure(A_sl2)
+    B._epsilons[x[0]] = 0
+    assert _violations(um_natural2, CoalgebraOnU(um_natural2, B)) == (
+        _at("counit-kills-relations", "eps = 1", (1, 2, 1)),
+        _at("bmodule-coalgebra-eps", "eps = 0", (1, 1, 1, 1), (1, 1, 2, 2), (3, 3, 1, 1)),
+        _at("comodule-axiom", "fails", (1,)))
+
+
+def test_certificates_pack_and_unpack_nothing(A_sl2, B_sl2, sl2_alg, monkeypatch):
+    # Delta, epsilon and the action of B read U(U)'s relations, its table rows
+    # and B's tables as packed terms, from an empty table on.
+    N = natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, N, N)
+    calls = [count_calls(monkeypatch, owner, name)
+             for owner in (poly, modgb) for name in ("_pack", "_unpack")]
+    C = build_coalgebra(um, B_sl2)
+    assert verify_bmodule_coalgebra(um, C).ok and verify_comodule(um, C).ok
+    assert calls == [[], [], [], []] and um.table.rows

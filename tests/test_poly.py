@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gb_certificate import ideal_failures
-from helpers import contains_unit, degree, greater, mono_div, mono_lcm
+from helpers import contains_unit, degree, eval_scalars, greater, mono_div, mono_lcm
 from univalg.poly import (
     DEGREVLEX,
     LEX,
@@ -77,7 +77,7 @@ def test_eval_scalars():
     # test_representations.test_validate_arep_matches_reference_evaluator.
     R = ring3()
     p = R.var(0) * R.var(1) + R.const(2)
-    assert p.eval_scalars([Fraction(3), Fraction(4), Fraction(0)]) == 14
+    assert eval_scalars(p, [Fraction(3), Fraction(4), Fraction(0)]) == 14
 
 
 @st.composite

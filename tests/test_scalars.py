@@ -19,7 +19,9 @@ from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import parse_algebra_text
 from univalg.lie import LieModule, LinearMap, is_module_morphism, validate_lie_module
 from univalg.linalg import scalar
-from univalg.modgb import FreeModule, ModuleVector, module_buchberger, module_normal_form
+from univalg.modgb import (
+    FreeModule, ModuleVector, _terms, module_buchberger, module_normal_form,
+)
 from univalg.poly import (
     DEGREVLEX,
     LEX,
@@ -278,7 +280,7 @@ def test_tensor_square_scalars_follow_the_rule(request, B_sl2, which):
     um = request.getfixturevalue(which)
     sq = CoalgebraOnU(um, B_sl2).square
     vectors, acted = tensor_square_inputs(um, sq)
-    elems = [sq.delta_of_vector(v) for v in vectors] + acted
+    elems = [sq.delta_of_terms(_terms(v)) for v in vectors] + acted
     out = [c for e in elems for c in scalars([e, sq.normal_form(e)])]
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                for c in out)

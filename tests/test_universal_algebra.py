@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     count_calls,
+    delta,
     delta_images,
+    epsilon,
     heisenberg,
     reference_universal_polynomials,
     ring_map,
     solvable2,
+    tensor_ring,
 )
-from univalg import linalg, poly
+from univalg import lie, linalg, poly
 from univalg.cli import golden_sl2_polynomials
+from univalg.formats import parse_algebra_text
 from univalg.lie import LieAlgebra, Violation, sl2
 from univalg.poly import DEGREVLEX, LEX, PolyRing
+from univalg.representations import MatrixARep, validate_arep
 from univalg.universal_algebra import (
     BialgebraStructure,
     algebra_ring,
@@ -160,8 +165,8 @@ def test_bialgebra_laws_normal_form_oracle(A_sl2, B_sl2):
     # method); also spot-check epsilon on a quadratic relation by hand.
     assert B_sl2.verify().ok
     for label, p in zip(A_sl2.labels, A_sl2.jgens):
-        assert B_sl2.epsilon(p) == 0
-        assert B_sl2.delta(p).is_zero()
+        assert epsilon(B_sl2, p) == 0
+        assert delta(B_sl2, p).is_zero()
 
 
 def test_bialgebra_requires_same_hg():
@@ -175,10 +180,10 @@ def engine_tensor_basis(A, B):
     """J' + J'' computed by the engine: poly.groebner of the two block images
     of A's generators in the doubled ring."""
     n2 = A.ring.nvars
-    xs = [B.tensor_ring.var(k) for k in range(2 * n2)]
-    gens = [ring_map(p, B.tensor_ring, xs[b * n2:(b + 1) * n2])
+    xs = [tensor_ring(B).var(k) for k in range(2 * n2)]
+    gens = [ring_map(p, tensor_ring(B), xs[b * n2:(b + 1) * n2])
             for b in (0, 1) for p in A.jgens]
-    return poly.groebner(gens, B.tensor_ring)
+    return poly.groebner(gens, tensor_ring(B))
 
 
 @pytest.fixture(scope="module", params=[DEGREVLEX, LEX], ids=["degrevlex", "lex"])
@@ -194,7 +199,7 @@ def test_delta_on_generator_matrix_coproduct(A_sl2, B_sl2):
     # Delta(x_12) = sum_s x'_1s x''_s2 before reduction; after reduction it
     # must still be congruent to the same element.
     xij = A_sl2.ring.var(A_sl2.var_index(1, 2))
-    d = B_sl2.delta(xij)
+    d = delta(B_sl2, xij)
     expected = delta_images(B_sl2)[A_sl2.var_index(1, 2)]
     assert poly.normal_form(expected - d, engine_tensor_basis(A_sl2, B_sl2)).is_zero()
 
@@ -220,8 +225,8 @@ def test_delta_matches_ring_map_reduced_by_engine_basis(sl2_bialgebra, terms):
         for k in variables:
             m[k] += 1
         p = p + A.ring.monomial(tuple(m), linalg.scalar(c))
-    image = ring_map(p, B.tensor_ring, delta_images(B))
-    assert B.delta(p) == poly.normal_form(image, gb)
+    image = ring_map(p, tensor_ring(B), delta_images(B))
+    assert delta(B, p) == poly.normal_form(image, gb)
 
 
 def test_doubled_row_denominator_fails_descent(A_sl2, monkeypatch):
@@ -267,7 +272,7 @@ def test_bialgebra_verify_catches_delta_without_second_factor(A_sl2):
 
 def test_bialgebra_verify_catches_zero_counit(A_sl2):
     B = BialgebraStructure(A_sl2)
-    B.epsilon = lambda p: ZERO
+    B._epsilons = dict.fromkeys(B._epsilons, ZERO)
     assert "counit-law" in _violated_checks(B)
 
 
@@ -286,7 +291,7 @@ def test_delta_at_degree_3000_fills_its_chain_by_a_loop():
     # so Delta(x^3000) = x'^3000 x''^3000, reached through 3000 divisors.
     k = LieAlgebra.abelian(1)
     B = BialgebraStructure(build_universal_algebra(k, k))
-    assert B.delta(B.owner.ring.monomial((3000,))) == B.tensor_ring.monomial((3000, 3000))
+    assert delta(B, B.owner.ring.monomial((3000,))) == tensor_ring(B).monomial((3000, 3000))
 
 
 def test_ideal_membership_reads_the_integer_remainder(A_sl2, monkeypatch):
@@ -366,6 +371,31 @@ def test_build_packs_no_polynomial(sl2_alg, monkeypatch):
     unpacked = count_calls(monkeypatch, poly, "_unpack")
     assert A.jgens is A.jgens
     assert len(unpacked) == len(A.relations)
+
+
+def test_bialgebra_and_arep_checks_leave_jgens_unfilled(sl2_alg, monkeypatch):
+    # B's descent and laws take epsilon and Delta of each packed P on keys,
+    # and validate_arep builds its evaluation words from the relation keys:
+    # none of them unpacks J's generators into polynomials.
+    A = build_universal_algebra(sl2_alg, sl2_alg)
+    unpacked = count_calls(monkeypatch, poly, "_unpack")
+    B = BialgebraStructure(A)
+    assert B.descent.ok and B.laws().ok
+    assert validate_arep(MatrixARep.counit(A)).ok
+    bad = MatrixARep(A, 1, {(1, 1): [[ONE]]})  # x_22 and x_33 act as 0
+    assert {v.check for v in validate_arep(bad).violations} == {"relation"}
+    assert unpacked == [] and "jgens" not in vars(A)
+
+
+def test_each_lie_algebra_is_validated_once(monkeypatch):
+    # The report lives on the immutable algebra: parsing validates it, and
+    # building A(h,g) from the parsed h = g reads the same report.
+    calls = count_calls(monkeypatch, lie, "validate_lie_algebra")
+    L = parse_algebra_text("algebra s\ndim 3\nbracket 1 2: 3:1\n"
+                           "bracket 3 1: 1:2\nbracket 3 2: 2:-2\n"
+                           "bracket 2 1: 3:-1\nbracket 1 3: 1:-2\nbracket 2 3: 2:2\n")
+    build_universal_algebra(L, L)
+    assert calls == [(L,)] and L.validation is L.validation
 
 
 def test_a_flipped_relation_coefficient_is_reported_by_its_label(A_sl2, monkeypatch):
