@@ -123,24 +123,25 @@ def _load_arep(path: str, A) -> MatrixARep:
 
 def golden_sl2_polynomials(ring) -> list:
     """The nine-polynomial reference basis for the 3-dimensional case with
-    [e1,e2]=e3, [e3,e1]=2e1, [e3,e2]=-2e2 (h = g); used by --golden."""
+    [e1,e2]=e3, [e3,e1]=2e1, [e3,e2]=-2e2 (h = g), as packed terms of
+    ``ring``; used by --golden."""
     if ring.nvars != 9:
         raise ValidationError("--golden requires 3-dimensional h = g")
+    keys = poly._variable_keys(ring)
 
-    def x(i, j):
-        return ring.var((i - 1) * 3 + (j - 1))
+    def x(*ijs):  # the key of the product of the X[i,j] named by the digits ij
+        return sum(keys[(ij // 10 - 1) * 3 + ij % 10 - 1] for ij in ijs)
 
-    two = 2
     return [
-        x(1, 3) - (x(1, 2) * x(3, 1)).scale(two) + (x(1, 1) * x(3, 2)).scale(two),
-        x(1, 1) - x(1, 1) * x(3, 3) + x(1, 3) * x(3, 1),
-        x(1, 2) - x(1, 3) * x(3, 2) + x(1, 2) * x(3, 3),
-        x(2, 3) - (x(2, 1) * x(3, 2)).scale(two) + (x(2, 2) * x(3, 1)).scale(two),
-        x(2, 1) - x(2, 3) * x(3, 1) + x(2, 1) * x(3, 3),
-        x(2, 2) - x(2, 2) * x(3, 3) + x(2, 3) * x(3, 2),
-        x(3, 3) - x(1, 1) * x(2, 2) + x(1, 2) * x(2, 1),
-        x(3, 1).scale(two) - x(2, 1) * x(1, 3) + x(1, 1) * x(2, 3),
-        x(3, 2).scale(two) - x(1, 2) * x(2, 3) + x(1, 3) * x(2, 2),
+        {x(13): 1, x(12, 31): -2, x(11, 32): 2},
+        {x(11): 1, x(11, 33): -1, x(13, 31): 1},
+        {x(12): 1, x(13, 32): -1, x(12, 33): 1},
+        {x(23): 1, x(21, 32): -2, x(22, 31): 2},
+        {x(21): 1, x(23, 31): -1, x(21, 33): 1},
+        {x(22): 1, x(22, 33): -1, x(23, 32): 1},
+        {x(33): 1, x(11, 22): -1, x(12, 21): 1},
+        {x(31): 2, x(21, 13): -1, x(11, 23): 1},
+        {x(32): 2, x(12, 23): -1, x(13, 22): 1},
     ]
 
 
@@ -158,8 +159,8 @@ def cmd_univalg(args) -> int:
     for label, terms in zip(A.labels, A.relations):
         lines.append(f"generator {label[0]},{label[1]},{label[2]}: "
                      f"{poly.render(terms, A.ring)}")
-    for gpoly in A.gb.generators:
-        lines.append(f"groebner: {poly.render(gpoly)}")
+    for terms in A.gb.basis:
+        lines.append(f"groebner: {poly.render(terms, A.ring)}")
     if args.degree_probe is not None:
         for d in range(args.degree_probe + 1):
             count = len(monomial_basis_up_to_degree(A, d))

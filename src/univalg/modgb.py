@@ -11,11 +11,14 @@ into one int, ``monomial key - (position << TOP)``, so a lower position gives
 a larger int.  ``module_buchberger`` takes relations as packed terms and the
 copies j*e_p as the ideal basis's rows shifted to each position; a basis
 keeps the engine's monic packed terms, unpacked into ``generators`` only
-when read, and the lead table of its reduced rows.  The constructions above
-meet the engine through the packed helpers below: a ``ModuleVector`` is made
-or packed only at a public edge, and a certificate is one reduction with an
-empty integer remainder.  A basis comes out monic and a normal form divided
-once by its scale, so both are the same rationals as over Q.
+when read, and the lead table of its reduced rows, as an ideal's
+``GroebnerBasis`` does (both are a ``poly._Basis``).  The constructions
+above meet the engine through the packed helpers below, which take and give
+packed terms: a normal form, the image of a vector under a map whose images
+are packed normal forms, and a certificate, one reduction with an empty
+integer remainder.  A ``ModuleVector`` is made or packed only at a public
+edge.  A basis comes out monic and a normal form divided once by its scale,
+so both are the same rationals as over Q.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .poly import (
     DEFAULT_PAIR_BUDGET,
     ExponentOverflowError,
     GroebnerBasis,
-    MultiplicationTable,
     PolyRing,
     Polynomial,
-    _basis_table,
+    _Basis,
     _buchberger,
     _codec_of,
     _LeadTable,
@@ -76,18 +78,10 @@ class ModuleVector:
         return ModuleVector(self.module, comps)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        comps = dict(self.components)
-        for p, q in other.components.items():
-            comps[p] = comps[p] - q if p in comps else -q
-        return ModuleVector(self.module, comps)
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.module, {p: -q for p, q in self.components.items()})
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "ModuleVector":
-        return ModuleVector(
-            self.module, {p: q.scale(c) for p, q in self.components.items()}
-        )
+        return ModuleVector(self.module, {p: q.scale(c) for p, q in self.components.items()})
 
     def __eq__(self, other):
         return (
@@ -95,11 +89,6 @@ class ModuleVector:
             and self.module == other.module
             and self.components == other.components
         )
-
-    def __hash__(self):
-        return hash((self.module, frozenset(
-            (p, frozenset(q.terms.items())) for p, q in self.components.items()
-        )))
 
     def __repr__(self):
         return f"ModuleVector({render_module_vector(self)})"
@@ -113,7 +102,7 @@ def render_module_vector(v: ModuleVector) -> str:
 
 
 @dataclass(frozen=True)
-class ModuleGroebnerBasis:
+class ModuleGroebnerBasis(_Basis):
     """A reduced module Groebner basis, as the engine's monic packed terms in
     ascending order of their leads, and the engine's lead table."""
 
@@ -121,32 +110,20 @@ class ModuleGroebnerBasis:
     basis: tuple[_Terms, ...] = field(hash=False)
     leads: _LeadTable | None = field(default=None, compare=False, repr=False)
 
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.basis)
+    @property
+    def ring(self) -> PolyRing:
+        return self.module.ring
 
     @cached_property
     def generators(self) -> tuple[ModuleVector, ...]:
         """The basis as vectors of the free module, unpacked on first read."""
         return tuple(_vector(self.module, t) for t in self.basis)
 
-    @cached_property
-    def _table(self) -> _LeadTable:
-        """The engine's lead table, or one built from a hand-made basis."""
-        return self.leads if self.leads is not None else _basis_table(
-            self.module.ring, self.basis)
-
-    def multiplication_table(self) -> MultiplicationTable:
-        """A new, empty multiplication table of the quotient module."""
-        return MultiplicationTable(self.module.ring, self._table)
-
 
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return _normal_form(_terms(v), mgb)
+    return _vector(mgb.module, _normal_form(_terms(v), mgb))
 
 
 # -- packed vectors: the engine's terms, key -> scalar -------------------------
@@ -161,31 +138,28 @@ def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
     return ModuleVector(module, _unpack(terms, module.ring, _codec_of(module.ring)))
 
 
-def _normal_form(terms: _Terms, mgb: ModuleGroebnerBasis) -> ModuleVector:
-    """The normal form modulo ``mgb`` of the vector with packed ``terms``."""
-    codec = _codec_of(mgb.module.ring)
-    return _vector(mgb.module, _remainder(terms, mgb._table, codec))
+def _normal_form(terms: _Terms, mgb: ModuleGroebnerBasis) -> _Terms:
+    """The packed terms of the normal form modulo ``mgb`` of the vector with
+    packed ``terms``."""
+    return _remainder(terms, mgb._table, _codec_of(mgb.ring))
 
 
 def _reduces_to_zero(terms: _Terms, mgb: ModuleGroebnerBasis) -> bool:
     """Whether the vector with packed ``terms`` lies in the submodule of
     ``mgb``: one division, an empty integer remainder."""
-    return _vanishes(terms, mgb._table, _codec_of(mgb.module.ring))
+    return _vanishes(terms, mgb._table, _codec_of(mgb.ring))
 
 
-def _substitute(terms: _Terms, images: dict[int, ModuleVector],
-                module: FreeModule) -> _Terms:
+def _substitute(terms: _Terms, images: dict[int, _Terms], ring: PolyRing) -> _Terms:
     """The packed terms of the sum of c x^m images[p] over the terms c x^m e_p
     of ``terms``: the image, before reduction, under the map that sends e_p
-    to images[p], a vector of ``module``."""
-    codec = _codec_of(module.ring)
-    top, packed, out = codec.top, {}, {}
+    to the vector of ``ring`` with packed terms images[p]."""
+    codec = _codec_of(ring)
+    top, out = codec.top, {}
     for t, c in terms.items():
         p = -(t >> top)
-        if p not in packed:
-            packed[p] = _pack(images[p].components, codec)
         q = t + (p << top)  # the key of x^m
-        for u, d in packed[p].items():
+        for u, d in images[p].items():
             u += q
             if (codec.sign * u) & codec.guard:
                 raise ExponentOverflowError()

@@ -34,10 +34,6 @@ class PBWElement:
     def generator(cls, algebra: LieAlgebra, i: int) -> "PBWElement":
         return cls(algebra, {(i,): ONE})
 
-    @classmethod
-    def zero(cls, algebra: LieAlgebra) -> "PBWElement":
-        return cls(algebra, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -46,18 +42,6 @@ class PBWElement:
         for w, c in other.terms.items():
             terms[w] = terms.get(w, ZERO) + c
         return PBWElement(self.algebra, terms)
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, ZERO) - c
-        return PBWElement(self.algebra, terms)
-
-    def __neg__(self) -> "PBWElement":
-        return PBWElement(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: Scalar) -> "PBWElement":
-        return PBWElement(self.algebra, {w: x * c for w, x in self.terms.items()})
 
     def __mul__(self, other: "PBWElement") -> "PBWElement":
         out: dict[Word, Scalar] = {}

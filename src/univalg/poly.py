@@ -17,13 +17,17 @@ divisibility test is one mask (see "packed terms" below).  Exponents above
 engine are integers: each element is a primitive row (content 1, positive
 lead coefficient) divided by cross-multiplication, so a basis element or a
 normal form becomes a rational, monic or divided once by its scale, only as
-it leaves the engine.  A basis keeps the lead table of the reduced rows the
-engine hands out with it; ``_basis_table`` builds one only for a basis made
-elsewhere.  ``_pack`` and ``_unpack`` convert vectors at the public edges (a
-polynomial p is the vector {0: p}); the constructions above the engine keep
-their vectors as packed terms, reduce each once with ``_reduce``, and test
-membership as an empty integer remainder (``_vanishes``); ``groebner``,
-``ideal_contains`` and ``render`` take packed terms as they are.  A
+it leaves the engine.
+
+Between the engine and the public edges every element is packed terms, key
+-> exact scalar; ``_pack`` and ``_unpack`` convert vectors at those edges (a
+polynomial p is the vector {0: p}).  A reduced basis of either kind
+(``_Basis``) keeps the engine's monic packed terms and lead table, and
+unpacks its ``generators`` only when read.  The constructions above reduce
+each vector once with ``_reduce``, test membership as an empty integer
+remainder (``_vanishes``) and read evaluation words off packed terms
+(``_words``); ``groebner``, ``ideal_contains`` and ``render`` take packed
+terms as they are.  No library code does ``Polynomial`` arithmetic.  A
 ``MultiplicationTable`` keeps the normal forms of single terms as they come
 out of the reducer, integers over one denominator keyed by packed term.
 """
@@ -169,11 +173,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in descending ring order."""
-        key = self.ring.order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def lead_monomial(self) -> Monomial:
         key = self.ring.order.key
         return max(self.terms, key=key)
@@ -191,9 +190,6 @@ class Polynomial:
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) - c
         return Polynomial(self.ring, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -238,26 +234,24 @@ def render(p: "Polynomial | _Terms", ring: PolyRing | None = None) -> str:
     with packed terms ``p``: terms descending (a larger key is a larger
     term), rationals as p/q."""
     if isinstance(p, Polynomial):
-        ring, terms = p.ring, p.sorted_terms()
+        ring, key = p.ring, p.ring.order.key
+        terms = sorted(p.terms.items(), key=lambda t: key(t[0]), reverse=True)
     else:
         unpack = _codec_of(ring).unpack
         terms = ((unpack(t)[1], p[t]) for t in sorted(p, reverse=True))
     return linalg.combination_str((ring.render_monomial(m), c) for m, c in terms)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced Groebner basis, monic and sorted, and the engine's lead table."""
-
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    leads: "_LeadTable | None" = field(default=None, compare=False, repr=False)
+class _Basis:
+    """A reduced basis: the engine's monic packed terms ``basis`` ascending by
+    lead, the lead table ``leads`` of its primitive rows (None when made by
+    hand), its ``ring`` and its ``generators``, unpacked on first read."""
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.basis)
 
     @cached_property
     def _table(self) -> "_LeadTable":
@@ -265,14 +259,31 @@ class GroebnerBasis:
         if self.leads is not None:
             return self.leads
         codec = _codec_of(self.ring)
-        return _basis_table(self.ring, (_pack({0: g}, codec) for g in self.generators))
+        return _lead_table((_row(_integral(t)[0], codec) for t in self.basis), codec)
 
     def multiplication_table(self) -> "MultiplicationTable":
-        """A new, empty multiplication table of the quotient ring."""
+        """A new, empty multiplication table of the quotient."""
         return MultiplicationTable(self.ring, self._table)
 
+
+@dataclass(frozen=True)
+class GroebnerBasis(_Basis):
+    """A reduced Groebner basis of an ideal, as the engine's monic packed
+    terms in ascending order of their leads, and the engine's lead table."""
+
+    ring: PolyRing
+    basis: "tuple[_Terms, ...]" = field(hash=False)
+    leads: "_LeadTable | None" = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The basis as polynomials, unpacked on first read."""
+        return tuple(_polynomial(t, self.ring) for t in self.basis)
+
     def lead_monomials(self) -> list[Monomial]:
-        return [g.lead_monomial() for g in self.generators]
+        """The lead monomials, read off the packed basis's largest keys."""
+        unpack = _codec_of(self.ring).unpack
+        return [unpack(max(t))[1] for t in self.basis]
 
 
 # -- packed terms ------------------------------------------------------------
@@ -296,8 +307,8 @@ class GroebnerBasis:
 # its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
 # negative borrows and sets its guard bit.  Only ``_pack`` and ``_unpack``
 # convert between vectors and packed terms, and ``MultiplicationTable.key``
-# and ``.term``, ``_variable_keys`` and ``render`` between single terms and
-# their keys.
+# and ``.term``, ``_variable_keys``, ``_words``, ``lead_monomials`` and
+# ``render`` between single terms and their keys.
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -443,6 +454,21 @@ def _variable_keys(ring: PolyRing) -> list[int]:
     return [codec.monomial(tuple(int(k == v) for k in range(n))) for v in range(n)]
 
 
+# A vector as the terms (position, word, c) that ``linalg.evaluate`` reads: a
+# monomial's word is its variables with multiplicity in ring order.
+_Words = tuple[tuple[int, tuple[int, ...], Scalar], ...]
+
+
+def _words(terms: _Terms, ring: PolyRing) -> _Words:
+    """The terms (position, mono_word(monomial), c) of the vector of
+    ``ring`` with packed ``terms``."""
+    unpack, out = _codec_of(ring).unpack, []
+    for t, c in terms.items():
+        p, m = unpack(t)
+        out.append((p, mono_word(m), c))
+    return tuple(out)
+
+
 def _polynomial(terms: _Terms, ring: PolyRing) -> Polynomial:
     """The polynomial of ``ring`` with packed ``terms``, all at position 0."""
     return _unpack(terms, ring, _codec_of(ring)).get(0, ring.zero())
@@ -457,13 +483,6 @@ def _packed(p: "Polynomial | _Terms", ring: PolyRing, message: str) -> _Terms:
     if p.ring != ring:
         raise ValueError(message)
     return _pack({0: p}, _codec_of(ring))
-
-
-def _basis_table(ring: PolyRing, elements: Iterable[_Terms]) -> _LeadTable:
-    """Lead table of the primitive multiples of nonzero elements given by
-    their packed terms, in order."""
-    codec = _codec_of(ring)
-    return _lead_table((_row(_integral(t)[0], codec) for t in elements), codec)
 
 
 def _integral(terms: _Terms) -> tuple[dict[int, int], int]:
@@ -815,10 +834,8 @@ def _cancelled(den: int, nums: dict[int, int]) -> TableRow:
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
-    if p.ring != gb.ring:
-        raise ValueError("polynomial and Groebner basis live in different rings")
-    codec = _codec_of(p.ring)
-    return _polynomial(_remainder(_pack({0: p}, codec), gb._table, codec), p.ring)
+    terms = _packed(p, gb.ring, "polynomial and Groebner basis live in different rings")
+    return _polynomial(_remainder(terms, gb._table, _codec_of(gb.ring)), gb.ring)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -843,7 +860,7 @@ def groebner(
     """
     terms = [_packed(g, ring, "generators live in different rings") for g in gens]
     basis, leads = _buchberger(terms, {}, 1, _codec_of(ring), budget, "buchberger")
-    return GroebnerBasis(ring, tuple(_polynomial(t, ring) for t in basis), leads)
+    return GroebnerBasis(ring, tuple(basis), leads)
 
 
 def ideal_contains(gb: GroebnerBasis, p: Polynomial | _Terms) -> bool:

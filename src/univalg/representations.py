@@ -22,7 +22,7 @@ from .lie import (
     validate_lie_module,
 )
 from .linalg import Frozen, Mat
-from .poly import mono_word
+from .poly import _words
 from .universal_algebra import UniversalAlgebra
 
 ONE = 1
@@ -77,17 +77,18 @@ class MatrixARep:
 def validate_arep(R: MatrixARep) -> Report:
     """Empty report iff all relation evaluations vanish and the generator
     matrices commute pairwise.  A relation is evaluated on each basis column
-    from its packed terms, the monomial of each key as the product
-    M_0^e0 ... M_k^ek of the generator matrices in ring order."""
+    from its evaluation words (``poly._words`` of its packed terms), the
+    monomial of each key as the product M_0^e0 ... M_k^ek of the generator
+    matrices in ring order."""
     if R.dim == 0:
         return Report()
     mats = R.matrices
     keys = _variables(R.owner)
     bad = [Violation("commutativity", keys[a] + keys[b], "nonzero commutator")
            for a, b in linalg.noncommuting_pairs(mats)]
-    columns, term = linalg.identity(R.dim), R.owner.table.term
+    columns = linalg.identity(R.dim)
     for label, rel in zip(R.owner.labels, R.owner.relations):
-        terms = [(0, mono_word(term(k)[1]), c) for k, c in rel.items()]
+        terms = _words(rel, R.owner.ring)
         if any(any(linalg.evaluate(terms, mats, {0: e}, R.dim)) for e in columns):
             bad.append(Violation("relation", label, "relation matrix nonzero"))
     return Report(tuple(bad))

@@ -6,9 +6,9 @@ ranked (s,i)-lexicographically.  J is generated by one polynomial per triple
 (a,i,j): the linear combination of X_{au} prescribed by the bracket of g minus
 the quadratic combination of X_{si}X_{tj} prescribed by the bracket of h.
 These generators are written once, as the Groebner engine's packed terms
-(``UniversalAlgebra.relations``); the engine, the relation certificate and
-the report read them as they are, and the polynomials ``jgens`` and
-``universal_polynomials`` are unpacked from them.
+(``UniversalAlgebra.relations``), which the library reads as they are; the
+polynomials ``jgens`` and ``universal_polynomials`` are unpacked from them
+for callers and the tests' oracles.
 """
 
 from __future__ import annotations

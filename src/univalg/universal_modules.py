@@ -5,37 +5,42 @@ adjunction bijections, functoriality, and direct-sum preservation.
 U(U,Z) is a finitely presented module over the polynomial ring of A with the
 ideal folded into the module Groebner basis, so element equality is decidable.
 Its relations are the engine's packed terms, written once from the matrices
-of U and Z; its certificates and the functor and direct-sum checks build and
-reduce packed terms, and ModuleVectors appear only at ``relgens``, ``nf``
-and ``rho``.  Each U(U,Z) holds its multiplication table
-(``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
-one denominator, filled on demand one variable at a time, as FGLM fills its
-multiplication matrices; the coalgebra on U(U) reads its rows as they are.
-V(V,W) is kept as a presentation over the enveloping algebra of h with PBW
-normal forms on the free side; it is probed only through finite-dimensional
-factorization targets.
+of U and Z, and everything between them and the public edges stays packed:
+the certificates, the evaluation words (``poly._words``) and the functor and
+direct-sum checks, whose ``PresentedMap``s keep the normal forms of their
+images as packed terms.  ModuleVectors appear only at ``relgens`` (rebuilt
+on every read), ``mgb.generators``, ``nf``, ``rho`` and
+``PresentedMap.images`` (unpacked on first read).  Each U(U,Z) holds its
+multiplication table (``poly.MultiplicationTable``), nf(x^m e_p) by packed
+term as integers over one denominator, filled on demand one variable at a
+time, as FGLM fills its multiplication matrices; the coalgebra on U(U) reads
+its rows as they are.  V(V,W) is kept as a presentation over the enveloping
+algebra of h whose relations are PBW words of length at most 1, so no
+construction computes a PBW normal form; its element equality is not
+decided, and it is probed through finite-dimensional factorization targets.
 
 Both adjunctions run one path.  Each universal object keeps its relations
 once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
 tensor-layout table sends each generator to its free position, source column
 and tensor rows, remembered for the last target: ``_factorize`` reads theta
-off f and ``_gamma`` writes Gamma(theta) through that table.  ``linalg.evaluate`` applies a word to
-images[p] by matrix-vector steps that skip zeros, so no matrix of a
-polynomial or a PBW element is formed.
+off f and ``_gamma`` writes Gamma(theta) through that table.
+``linalg.evaluate`` applies a word to images[p] by matrix-vector steps that
+skip zeros, so no matrix of a polynomial or a PBW element is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from itertools import chain
+from typing import Hashable, Iterable, Iterator
 
 from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
 from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, _variable_keys, mono_word
+from .poly import DEFAULT_PAIR_BUDGET, _variable_keys, _words, _Words
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
@@ -74,9 +79,9 @@ class UniversalAModule:
         return [modgb._vector(self.free, terms) for terms in self.relations]
 
     @cached_property
-    def rel_terms(self) -> tuple[_Terms, ...]:
+    def rel_terms(self) -> tuple[_Words, ...]:
         """The relations as (p, word, c) terms, for evaluation in targets."""
-        return tuple(_words(v) for v in self.relgens)
+        return tuple(_words(terms, self.A.ring) for terms in self.relations)
 
     # generator ordering (s,r) lexicographic
     def pos(self, s: int, r: int) -> int:
@@ -124,7 +129,8 @@ class UniversalAModule:
         normal-form components, one per basis vector u_s of U."""
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
-        return [modgb._normal_form(terms, self.mgb) for terms in self._rho_terms(z)]
+        return [modgb._vector(self.free, modgb._normal_form(terms, self.mgb))
+                for terms in self._rho_terms(z)]
 
     def check_relations(self) -> Report:
         """Every defining relation must reduce to zero."""
@@ -204,19 +210,7 @@ class FactorizationResult:
         return all(not any(w) for w in self.witnesses.values())
 
 
-_Terms = tuple[tuple[int, tuple[int, ...], Scalar], ...]
-
-
-def _words(v: ModuleVector) -> _Terms:
-    """The terms (p, word, c) of a free-module vector: a monomial's word is
-    its variables with multiplicity in ring order."""
-    return tuple(
-        (p, mono_word(mono), c)
-        for p, q in v.components.items() for mono, c in q.terms.items()
-    )
-
-
-def _pbw_words(v: "PBWVector") -> _Terms:
+def _pbw_words(v: "PBWVector") -> _Words:
     """The terms (p, word, c) of a free PBW vector: the word (t1, ..., tk)
     acts as e_t1 after ... after e_tk, so it indexes h's basis from 0."""
     return tuple(
@@ -235,7 +229,7 @@ class _Adjunction:
     tensor: LieModule      # U (x) X or Y (x) V
     mats: tuple[Frozen, ...]  # the target's action matrices, indexed by word letters
     dim: int               # the target's dimension
-    terms: tuple[_Terms, ...]
+    terms: tuple[_Words, ...]
     labels: list[tuple[int, int, int]]
     layout: list[tuple[tuple[int, int], int, int, list[int]]]
 
@@ -301,19 +295,33 @@ def gamma(um: UniversalAModule, X: MatrixARep,
 # ---------------------------------------------------------------------------
 
 
+def _collect(terms: Iterable[tuple[Hashable, Scalar]]) -> dict:
+    """The terms (key, c) of a sum gathered by key, zeros dropped."""
+    acc: dict = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, ZERO) + c
+    return {key: c for key, c in acc.items() if c}
+
+
 @dataclass
 class PresentedMap:
-    """A-module map between presented modules, given by normal-form images of
-    the source generators."""
+    """A-module map between presented modules, given by the normal forms of
+    the images of the source generators as packed terms."""
 
     source: UniversalAModule
     target: UniversalAModule
-    images: dict[int, ModuleVector]
+    terms: dict[int, dict[int, Scalar]]
+
+    @cached_property
+    def images(self) -> dict[int, ModuleVector]:
+        """The images as vectors of the target's free module, unpacked on
+        first read."""
+        return {p: modgb._vector(self.target.free, t) for p, t in self.terms.items()}
 
     def apply(self, terms: dict[int, Scalar]) -> dict[int, Scalar]:
         """The image, as packed terms before reduction, of the source vector
         with packed ``terms``: x^m y_p maps to x^m images[p]."""
-        return modgb._substitute(terms, self.images, self.target.free)
+        return modgb._substitute(terms, self.terms, self.target.A.ring)
 
     def kills(self, terms: dict[int, Scalar]) -> bool:
         """Whether the source vector with packed ``terms`` maps to zero."""
@@ -324,29 +332,27 @@ class PresentedMap:
         if other.target is not self.source:
             raise ValueError("composition mismatch")
         return PresentedMap(other.source, self.target, {
-            p: modgb._normal_form(self.apply(modgb._terms(v)), self.target.mgb)
-            for p, v in other.images.items()})
+            p: modgb._normal_form(self.apply(t), self.target.mgb)
+            for p, t in other.terms.items()})
 
     def equals_on_generators(self, other: "PresentedMap") -> bool:
-        return set(self.images) == set(other.images) and all(
-            self.images[p] == other.images[p] for p in self.images
-        )
+        return self.terms == other.terms
 
 
 def identity_presented_map(um: UniversalAModule) -> PresentedMap:
-    return PresentedMap(
-        um, um, {p: um.nf(um.free.basis_vector(p)) for p in range(um.rank)}
-    )
+    return PresentedMap(um, um, {
+        p: modgb._normal_form({um._key(p): 1}, um.mgb) for p in range(um.rank)})
 
 
 def _induced_map(
     um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
 ) -> PresentedMap:
     """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr',
-    the s-th component of rho_Y(f(x_r))."""
-    rho = [um_y.rho(f.apply(um_x.Z.basis_vector(r))) for r in range(1, um_x.Z.dim + 1)]
+    the s-th component of rho_Y(f(x_r)), reduced."""
+    rho = [um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
+           for r in range(1, um_x.Z.dim + 1)]
     return PresentedMap(um_x, um_y, {
-        um_x.pos(s, r): rho[r - 1][s - 1]
+        um_x.pos(s, r): modgb._normal_form(rho[r - 1][s - 1], um_y.mgb)
         for s in range(1, um_x.U.dim + 1) for r in range(1, um_x.Z.dim + 1)
     })
 
@@ -372,10 +378,8 @@ def functor_on_morphism_U(
         lhs = um_x._rho_terms(um_x.Z.basis_vector(r))
         rhs = um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
         for a, b in zip(lhs, rhs):
-            diff = fbar.apply(a)
-            for u, c in b.items():
-                diff[u] = diff.get(u, ZERO) - c
-            if not modgb._reduces_to_zero(diff, um_y.mgb):
+            diff = chain(fbar.apply(a).items(), ((u, -c) for u, c in b.items()))
+            if not modgb._reduces_to_zero(_collect(diff), um_y.mgb):
                 raise AssertionError("structure maps do not commute with induced map")
     return fbar
 
@@ -410,14 +414,13 @@ def direct_sum_check(
         bad.append(Violation("direct-sum-backward", (), "relations not preserved"))
     # i1 p1 + i2 p2 = id on the sum, and p_a i_b = delta_ab id on the summands.
     c1, c2 = i1.compose(p1), i2.compose(p2)
-    both = PresentedMap(
-        um_sum, um_sum, {p: c1.images[p] + c2.images[p] for p in c1.images}
-    )
+    both = PresentedMap(um_sum, um_sum, {
+        p: _collect(chain(c1.terms[p].items(), c2.terms[p].items())) for p in c1.terms})
     if not (both.equals_on_generators(identity_presented_map(um_sum))
             and p1.compose(i1).equals_on_generators(identity_presented_map(um_1))
             and p2.compose(i2).equals_on_generators(identity_presented_map(um_2))
-            and all(v.is_zero() for v in p2.compose(i1).images.values())
-            and all(v.is_zero() for v in p1.compose(i2).images.values())):
+            and not any(p2.compose(i1).terms.values())
+            and not any(p1.compose(i2).terms.values())):
         bad.append(Violation("direct-sum-round-trip", (), "not identity"))
     return Report(tuple(bad))
 
@@ -436,9 +439,6 @@ class PBWVector:
     def __init__(self, vm: "UniversalLieHModule", components: dict[int, PBWElement]):
         self.vm = vm
         self.components = {p: e for p, e in components.items() if not e.is_zero()}
-
-    def __eq__(self, other):
-        return isinstance(other, PBWVector) and self.components == other.components
 
 
 class UniversalLieHModule:
@@ -544,21 +544,41 @@ class LiePresentedMap:
     images: dict[int, PBWVector]
 
 
-def functor_on_morphism_V(
+def _induced_lie_map(
     vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
 ) -> LiePresentedMap:
-    """Induced map V(V,X) -> V(V,Y) of an equivariant f: X -> Y; structure-map
-    compatibility holds at generator level by construction."""
-    if vm_x.V is not vm_y.V and vm_x.V.matrices != vm_y.V.matrices:
-        raise ValueError("the A-module argument must coincide")
-    if not is_module_morphism(f, vm_x.W, vm_y.W):
-        raise ValueError("f is not a morphism of Lie g-modules")
-    h = vm_y.A.h
+    """The map V(V,X) -> V(V,Y) on generators: y_rs -> sum_r' f_r'r y_r's."""
     images: dict[int, PBWVector] = {}
     for r in range(1, vm_x.W.dim + 1):
         col = f.apply(vm_x.W.basis_vector(r))
         for s in range(1, vm_x.V.dim + 1):
             images[vm_x.pos(r, s)] = PBWVector(vm_y, {
-                vm_y.pos(rp, s): PBWElement(h, {(): c}) for rp, c in enumerate(col, 1)
+                vm_y.pos(rp, s): PBWElement(vm_y.A.h, {(): c})
+                for rp, c in enumerate(col, 1)
             })
     return LiePresentedMap(vm_x, vm_y, images)
+
+
+def functor_on_morphism_V(
+    vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
+) -> LiePresentedMap:
+    """Induced map V(V,X) -> V(V,Y) of an equivariant f: X -> Y, checked term
+    by term: the image of the relation (s, r, j) of V(V,X) is sum_r' f_r'r
+    times the relation (s, r', j) of V(V,Y).  The images of generators have
+    words of length 0, so a term c w y_p maps to c w images[p] unnormalized."""
+    if vm_x.V is not vm_y.V and vm_x.V.matrices != vm_y.V.matrices:
+        raise ValueError("the A-module argument must coincide")
+    if not is_module_morphism(f, vm_x.W, vm_y.W):
+        raise ValueError("f is not a morphism of Lie g-modules")
+    fbar = _induced_lie_map(vm_x, vm_y, f)
+    images = {p: _pbw_words(v) for p, v in fbar.images.items()}
+    rels_y = dict(zip(vm_y.rel_labels, vm_y.rel_terms))
+    for (s, r, j), terms in zip(vm_x.rel_labels, vm_x.rel_terms):
+        image = _collect(((q, w + v), c * d) for p, w, c in terms
+                         for q, v, d in images[p])
+        expected = _collect(((q, w), f.matrix[rp - 1][r - 1] * c)
+                            for rp in range(1, vm_y.W.dim + 1)
+                            for q, w, c in rels_y[s, rp, j])
+        if image != expected:
+            raise AssertionError(f"relation {(s, r, j)} not preserved by induced map")
+    return fbar

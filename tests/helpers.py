@@ -10,7 +10,7 @@ from univalg.lie import (
     LieAlgebra, LieModule, LinearMap, Report, Violation, direct_sum, sl2,
 )
 from univalg.modgb import ModuleGroebnerBasis, ModuleVector, _terms
-from univalg.poly import PolyRing, Polynomial
+from univalg.poly import GroebnerBasis, PolyRing, Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import add_pairs, tensor_normal_form
 from univalg.universal_modules import _pbw_words
@@ -30,6 +30,13 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def hand_basis(ring, polynomials) -> GroebnerBasis:
+    """An ideal basis made by hand from ``polynomials``, packed as the engine
+    keeps one; it has no lead table, so it builds its own from them."""
+    codec = poly._codec_of(ring)
+    return GroebnerBasis(ring, tuple(poly._pack({0: p}, codec) for p in polynomials))
 
 
 def hand_module_basis(module, vectors) -> ModuleGroebnerBasis:

@@ -45,8 +45,8 @@ from univalg.universal_algebra import (
     build_universal_algebra,
     monomial_basis_up_to_degree,
 )
+from univalg.poly import _words
 from univalg.universal_modules import (
-    _words,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -223,7 +223,8 @@ def test_criterion_6_factorization_gamma_suite(capsys, algebra_cache):
         theta_pos = {um_zp.pos(s, r): v for (s, r), v in theta.items()}
         pulled = {
             (s, r): linalg.evaluate(
-                _words(ubar.images[um_z.pos(s, r)]), X.matrices, theta_pos, X.dim
+                _words(ubar.terms[um_z.pos(s, r)], A.ring), X.matrices, theta_pos,
+                X.dim
             )
             for s in range(1, U.dim + 1)
             for r in range(1, Z.dim + 1)

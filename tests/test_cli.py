@@ -479,12 +479,12 @@ def test_failing_descent_is_reported(capsys, monkeypatch, command):
 
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
     # Every induced map sends y_sr to twice its image, so no composite is the
-    # identity.
+    # identity.  The images are kept as packed terms, so those are doubled.
     induced = universal_modules._induced_map
 
     def doubled(um_x, um_y, f):
         fbar = induced(um_x, um_y, f)
-        fbar.images = {p: v.scale(2) for p, v in fbar.images.items()}
+        fbar.terms = {p: {k: 2 * c for k, c in t.items()} for p, t in fbar.terms.items()}
         return fbar
 
     monkeypatch.setattr(universal_modules, "_induced_map", doubled)

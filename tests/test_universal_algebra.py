@@ -108,7 +108,7 @@ def test_sl2_degree1_basis_linear_algebra_oracle(A_sl2):
     monos = list(A_sl2.ring.monomials_up_to_degree(1))
     rows = []
     for p in nine:
-        row = [p.terms.get(m, ZERO) for m in monos]
+        row = [poly._polynomial(p, A_sl2.ring).terms.get(m, ZERO) for m in monos]
         if any(row):
             rows.append(row)
     # Linear parts alone are linearly independent of nothing: every relation

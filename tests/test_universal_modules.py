@@ -9,6 +9,7 @@ from helpers import (
     act,
     count_calls,
     from_lie_homomorphism,
+    hand_basis,
     hand_module_basis,
     is_abelian,
     is_collapsed,
@@ -33,7 +34,7 @@ from univalg.lie import (
 )
 from univalg.modgb import ModuleVector, module_normal_form
 from univalg.pbw import PBWElement
-from univalg.poly import DEGREVLEX, LEX, GroebnerBasis, Polynomial, normal_form
+from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
 from univalg.representations import MatrixARep, tensor_lie_module
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
@@ -160,11 +161,11 @@ def test_module_basis_unpacks_on_first_read(A_sl2, sl2_alg, monkeypatch):
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
     # The engine hands a basis the lead table of its reduced integer rows;
-    # _basis_table builds one from the monic generators of a hand-made basis.
+    # a hand-made basis builds one from its monic packed terms (_Basis._table).
     # Both hold the same rows and give the same normal forms.
     rng = Random(2023)
     A = build_universal_algebra(sl2_alg, sl2_alg, order=order)
-    assert A.gb.leads == GroebnerBasis(A.ring, A.gb.generators)._table
+    assert A.gb.leads == hand_basis(A.ring, A.gb.generators)._table
     n2, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
     for U, Z in ((n2, n2), (ad, LieModule.trivial(sl2_alg, 1)),
                  (n2, LieModule.trivial(sl2_alg, 1))):
