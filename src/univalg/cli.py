@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import Counter
 
 from . import poly
 from .coalgebra import (
@@ -162,8 +163,11 @@ def cmd_univalg(args) -> int:
     for terms in A.gb.basis:
         lines.append(f"groebner: {poly.render(terms, A.ring)}")
     if args.degree_probe is not None:
+        # One enumeration at the top degree; the count up to d is a running sum.
+        degrees = Counter(map(sum, monomial_basis_up_to_degree(A, args.degree_probe)))
+        count = 0
         for d in range(args.degree_probe + 1):
-            count = len(monomial_basis_up_to_degree(A, d))
+            count += degrees[d]
             lines.append(f"standard-monomials degree<={d}: {count}")
     status = 0
     if args.golden:

@@ -321,12 +321,6 @@ class LinearMap:
         return LinearMap.from_matrix(linalg.mat_mul(self.mat(), other.mat()),
                                      other.source_dim)
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.source_dim, self.target_dim, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        ))
-
 
 def is_module_morphism(f: LinearMap, M: LieModule, N: LieModule) -> bool:
     """True iff f(x act v) = x act f(v) on all basis pairs, that is

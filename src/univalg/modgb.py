@@ -13,12 +13,12 @@ copies j*e_p as the ideal basis's rows shifted to each position; a basis
 keeps the engine's monic packed terms, unpacked into ``generators`` only
 when read, and the lead table of its reduced rows, as an ideal's
 ``GroebnerBasis`` does (both are a ``poly._Basis``).  The constructions
-above meet the engine through the packed helpers below, which take and give
-packed terms: a normal form, the image of a vector under a map whose images
-are packed normal forms, and a certificate, one reduction with an empty
-integer remainder.  A ``ModuleVector`` is made or packed only at a public
-edge.  A basis comes out monic and a normal form divided once by its scale,
-so both are the same rationals as over Q.
+above reduce and test membership through the basis itself
+(``_Basis.remainder`` and ``_Basis.contains``) and substitute images through
+the quotient's ``poly.MultiplicationTable``, all on packed terms; this
+module keeps only the free-module edge, where a ``ModuleVector`` is made or
+packed.  A basis comes out monic and a normal form divided once by its
+scale, so both are the same rationals as over Q.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Iterable
 from .linalg import Scalar
 from .poly import (
     DEFAULT_PAIR_BUDGET,
-    ExponentOverflowError,
     GroebnerBasis,
     PolyRing,
     Polynomial,
@@ -39,14 +38,10 @@ from .poly import (
     _codec_of,
     _LeadTable,
     _pack,
-    _remainder,
     _Terms,
     _unpack,
-    _vanishes,
     render,
 )
-
-ZERO = 0
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ class ModuleGroebnerBasis(_Basis):
 def module_normal_form(v: ModuleVector, mgb: ModuleGroebnerBasis) -> ModuleVector:
     if v.module != mgb.module:
         raise ValueError("vector and module basis live in different free modules")
-    return _vector(mgb.module, _normal_form(_terms(v), mgb))
+    return _vector(mgb.module, mgb.remainder(_terms(v)))
 
 
 # -- packed vectors: the engine's terms, key -> scalar -------------------------
@@ -136,35 +131,6 @@ def _terms(v: ModuleVector) -> _Terms:
 def _vector(module: FreeModule, terms: _Terms) -> ModuleVector:
     """The vector of ``module`` with packed ``terms``."""
     return ModuleVector(module, _unpack(terms, module.ring, _codec_of(module.ring)))
-
-
-def _normal_form(terms: _Terms, mgb: ModuleGroebnerBasis) -> _Terms:
-    """The packed terms of the normal form modulo ``mgb`` of the vector with
-    packed ``terms``."""
-    return _remainder(terms, mgb._table, _codec_of(mgb.ring))
-
-
-def _reduces_to_zero(terms: _Terms, mgb: ModuleGroebnerBasis) -> bool:
-    """Whether the vector with packed ``terms`` lies in the submodule of
-    ``mgb``: one division, an empty integer remainder."""
-    return _vanishes(terms, mgb._table, _codec_of(mgb.ring))
-
-
-def _substitute(terms: _Terms, images: dict[int, _Terms], ring: PolyRing) -> _Terms:
-    """The packed terms of the sum of c x^m images[p] over the terms c x^m e_p
-    of ``terms``: the image, before reduction, under the map that sends e_p
-    to the vector of ``ring`` with packed terms images[p]."""
-    codec = _codec_of(ring)
-    top, out = codec.top, {}
-    for t, c in terms.items():
-        p = -(t >> top)
-        q = t + (p << top)  # the key of x^m
-        for u, d in images[p].items():
-            u += q
-            if (codec.sign * u) & codec.guard:
-                raise ExponentOverflowError()
-            out[u] = out.get(u, ZERO) + c * d
-    return out
 
 
 def module_buchberger(

@@ -23,13 +23,16 @@ Between the engine and the public edges every element is packed terms, key
 -> exact scalar; ``_pack`` and ``_unpack`` convert vectors at those edges (a
 polynomial p is the vector {0: p}).  A reduced basis of either kind
 (``_Basis``) keeps the engine's monic packed terms and lead table, and
-unpacks its ``generators`` only when read.  The constructions above reduce
-each vector once with ``_reduce``, test membership as an empty integer
-remainder (``_vanishes``) and read evaluation words off packed terms
-(``_words``); ``groebner``, ``ideal_contains`` and ``render`` take packed
-terms as they are.  No library code does ``Polynomial`` arithmetic.  A
-``MultiplicationTable`` keeps the normal forms of single terms as they come
-out of the reducer, integers over one denominator keyed by packed term.
+unpacks its ``generators`` only when read.  It is the one door to the
+reducer for the constructions above: ``remainder`` reduces a vector once
+and ``contains`` tests membership as an empty integer remainder, each with
+the basis's own lead table and codec.  The constructions read evaluation
+words off packed terms (``_words``); ``groebner``, ``ideal_contains`` and
+``render`` take packed terms as they are.  No library code does
+``Polynomial`` arithmetic.  A ``MultiplicationTable`` keeps the normal forms
+of single terms as they come out of the reducer, integers over one
+denominator keyed by packed term, and substitutes packed images into a
+vector.  No module but this one reads a codec's fields or calls the reducer.
 """
 
 from __future__ import annotations
@@ -254,16 +257,33 @@ class _Basis:
         return len(self.basis)
 
     @cached_property
+    def _codec(self) -> "_Codec":
+        return _codec_of(self.ring)
+
+    @cached_property
     def _table(self) -> "_LeadTable":
         """The engine's lead table, or one built from a hand-made basis."""
         if self.leads is not None:
             return self.leads
-        codec = _codec_of(self.ring)
+        codec = self._codec
         return _lead_table((_row(_integral(t)[0], codec) for t in self.basis), codec)
 
     def multiplication_table(self) -> "MultiplicationTable":
         """A new, empty multiplication table of the quotient."""
         return MultiplicationTable(self.ring, self._table)
+
+    def remainder(self, terms: "_Terms") -> "_Terms":
+        """The packed terms of the normal form of the element with packed
+        ``terms``: one division, whose integer remainder is divided once by
+        the denominator of ``terms`` times the scale of the division."""
+        ints, den = _integral(terms)
+        r, d = _reduce(ints, self._table, self._codec)
+        return _divided(r, den * d)
+
+    def contains(self, terms: "_Terms") -> bool:
+        """Whether the element with packed ``terms`` lies in the span: one
+        division leaves no nonzero integer term."""
+        return not any(_reduce(_integral(terms)[0], self._table, self._codec)[0].values())
 
 
 @dataclass(frozen=True)
@@ -282,7 +302,7 @@ class GroebnerBasis(_Basis):
 
     def lead_monomials(self) -> list[Monomial]:
         """The lead monomials, read off the packed basis's largest keys."""
-        unpack = _codec_of(self.ring).unpack
+        unpack = self._codec.unpack
         return [unpack(max(t))[1] for t in self.basis]
 
 
@@ -572,22 +592,6 @@ def _reduce(work: dict[int, int], table: _LeadTable,
     return remainder, scale
 
 
-def _remainder(terms: _Terms, table: _LeadTable, codec: _Codec) -> _Terms:
-    """The packed terms of the normal form of the element with packed
-    ``terms`` modulo the basis with lead table ``table``: the one exit of a
-    normal form from the engine, divided once by the denominator of
-    ``terms`` times the scale of the division."""
-    ints, den = _integral(terms)
-    r, d = _reduce(ints, table, codec)
-    return _divided(r, den * d)
-
-
-def _vanishes(terms: _Terms, table: _LeadTable, codec: _Codec) -> bool:
-    """Whether the element with packed ``terms`` reduces to zero modulo the
-    basis with lead table ``table``: one division, no nonzero term left."""
-    return not any(_reduce(_integral(terms)[0], table, codec)[0].values())
-
-
 def _s_terms(a: _Row, b: _Row, codec: _Codec) -> dict[int, int]:
     """S-element lc_b * x^qa * a - lc_a * x^qb * b of two rows with leads at
     the same position, x^qa and x^qb their cofactors to the lcm of the
@@ -747,8 +751,9 @@ class MultiplicationTable:
     x_i row(s) otherwise, whose terms x_i u, u < s, are read in turn.
 
     Terms are the engine's packed keys, opaque outside this module and
-    :mod:`univalg.modgb` and shared by the tables over one ring: ``key``
-    makes one, ``shift`` and ``times`` move it and ``term`` reads it back.
+    shared by the tables over one ring: ``key`` makes one, ``shift`` and
+    ``times`` move it, ``term`` reads it back and ``substitute`` multiplies
+    images by the monomials of a vector's terms.
     """
 
     def __init__(self, ring: PolyRing, leads: _LeadTable):
@@ -781,6 +786,22 @@ class MultiplicationTable:
         if (self._codec.sign * t) & self._codec.guard:
             raise ExponentOverflowError()
         return t
+
+    def substitute(self, terms: _Terms, images: dict[int, _Terms]) -> _Terms:
+        """The packed terms of the sum of c x^m images[p] over the terms
+        c x^m e_p of ``terms``: the image, before reduction, under the map
+        that sends e_p to the vector with packed terms images[p]."""
+        top, sign, guard = self._codec.top, self._codec.sign, self._codec.guard
+        out: _Terms = {}
+        for t, c in terms.items():
+            p = -(t >> top)
+            q = t + (p << top)  # the key of x^m
+            for u, d in images[p].items():
+                u += q
+                if (sign * u) & guard:
+                    raise ExponentOverflowError()
+                out[u] = out.get(u, ZERO) + c * d
+        return out
 
     def factor(self, key: int) -> tuple[int, int] | None:
         """(key of t / x_i, key of x_i) for the term t with ``key`` and x_i
@@ -835,7 +856,7 @@ def _cancelled(den: int, nums: dict[int, int]) -> TableRow:
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     terms = _packed(p, gb.ring, "polynomial and Groebner basis live in different rings")
-    return _polynomial(_remainder(terms, gb._table, _codec_of(gb.ring)), gb.ring)
+    return _polynomial(gb.remainder(terms), gb.ring)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -867,7 +888,7 @@ def ideal_contains(gb: GroebnerBasis, p: Polynomial | _Terms) -> bool:
     """Whether ``p``, a polynomial or its packed terms, lies in the ideal:
     its integer remainder is empty."""
     terms = _packed(p, gb.ring, "polynomial and Groebner basis live in different rings")
-    return _vanishes(terms, gb._table, _codec_of(gb.ring))
+    return gb.contains(terms)
 
 
 def ideal_equal(

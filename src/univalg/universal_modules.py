@@ -8,16 +8,21 @@ Its relations are the engine's packed terms, written once from the matrices
 of U and Z, and everything between them and the public edges stays packed:
 the certificates, the evaluation words (``poly._words``) and the functor and
 direct-sum checks, whose ``PresentedMap``s keep the normal forms of their
-images as packed terms.  ModuleVectors appear only at ``relgens`` (rebuilt
-on every read), ``mgb.generators``, ``nf``, ``rho`` and
-``PresentedMap.images`` (unpacked on first read).  Each U(U,Z) holds its
-multiplication table (``poly.MultiplicationTable``), nf(x^m e_p) by packed
-term as integers over one denominator, filled on demand one variable at a
-time, as FGLM fills its multiplication matrices; the coalgebra on U(U) reads
-its rows as they are.  V(V,W) is kept as a presentation over the enveloping
-algebra of h whose relations are PBW words of length at most 1, so no
-construction computes a PBW normal form; its element equality is not
-decided, and it is probed through finite-dimensional factorization targets.
+images as packed terms.  Every reduction goes through the module basis,
+``mgb.remainder`` for a normal form and ``mgb.contains`` for a certificate,
+and the image of a vector under a ``PresentedMap`` through the target's
+``table.substitute``.  ModuleVectors appear only at ``relgens`` (rebuilt on
+every read), ``mgb.generators``, ``nf``, ``rho`` and ``PresentedMap.images``
+(unpacked on first read).  Each U(U,Z) holds its multiplication table
+(``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
+one denominator, filled on demand one variable at a time, as FGLM fills its
+multiplication matrices; the coalgebra on U(U) reads its rows as they are.
+V(V,W) is kept as a presentation over the enveloping algebra of h whose
+relations are PBW words of length at most 1, written once as terms (p, word,
+c) straight from the matrices, so no construction computes a PBW normal
+form; ``relgens`` rebuilds them as PBW vectors on every read, and the
+functor's images are word terms too.  Its element equality is not decided,
+and it is probed through finite-dimensional factorization targets.
 
 Both adjunctions run one path.  Each universal object keeps its relations
 once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
@@ -129,7 +134,7 @@ class UniversalAModule:
         normal-form components, one per basis vector u_s of U."""
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
-        return [modgb._vector(self.free, modgb._normal_form(terms, self.mgb))
+        return [modgb._vector(self.free, self.mgb.remainder(terms))
                 for terms in self._rho_terms(z)]
 
     def check_relations(self) -> Report:
@@ -137,7 +142,7 @@ class UniversalAModule:
         bad = tuple(
             Violation("module-relation", label, "nonzero normal form")
             for label, terms in zip(self.rel_labels, self.relations)
-            if not modgb._reduces_to_zero(terms, self.mgb)
+            if not self.mgb.contains(terms)
         )
         return Report(bad)
 
@@ -157,7 +162,7 @@ class UniversalAModule:
                         for t in range(1, U.dim + 1):
                             if u[t - 1][s - 1]:
                                 diff[t - 1][k] = -u[t - 1][s - 1]
-                if not all(modgb._reduces_to_zero(d, self.mgb) for d in diff):
+                if not all(self.mgb.contains(d) for d in diff):
                     bad.append(Violation("rho-equivariance", (j, r), "nonzero"))
         return Report(tuple(bad))
 
@@ -208,15 +213,6 @@ class FactorizationResult:
     @property
     def ok(self) -> bool:
         return all(not any(w) for w in self.witnesses.values())
-
-
-def _pbw_words(v: "PBWVector") -> _Words:
-    """The terms (p, word, c) of a free PBW vector: the word (t1, ..., tk)
-    acts as e_t1 after ... after e_tk, so it indexes h's basis from 0."""
-    return tuple(
-        (p, tuple(t - 1 for t in w), c)
-        for p, e in v.components.items() for w, c in e.terms.items()
-    )
 
 
 @dataclass(frozen=True)
@@ -321,18 +317,18 @@ class PresentedMap:
     def apply(self, terms: dict[int, Scalar]) -> dict[int, Scalar]:
         """The image, as packed terms before reduction, of the source vector
         with packed ``terms``: x^m y_p maps to x^m images[p]."""
-        return modgb._substitute(terms, self.terms, self.target.A.ring)
+        return self.target.table.substitute(terms, self.terms)
 
     def kills(self, terms: dict[int, Scalar]) -> bool:
         """Whether the source vector with packed ``terms`` maps to zero."""
-        return modgb._reduces_to_zero(self.apply(terms), self.target.mgb)
+        return self.target.mgb.contains(self.apply(terms))
 
     def compose(self, other: "PresentedMap") -> "PresentedMap":
         """self after other."""
         if other.target is not self.source:
             raise ValueError("composition mismatch")
         return PresentedMap(other.source, self.target, {
-            p: modgb._normal_form(self.apply(t), self.target.mgb)
+            p: self.target.mgb.remainder(self.apply(t))
             for p, t in other.terms.items()})
 
     def equals_on_generators(self, other: "PresentedMap") -> bool:
@@ -341,7 +337,7 @@ class PresentedMap:
 
 def identity_presented_map(um: UniversalAModule) -> PresentedMap:
     return PresentedMap(um, um, {
-        p: modgb._normal_form({um._key(p): 1}, um.mgb) for p in range(um.rank)})
+        p: um.mgb.remainder({um._key(p): 1}) for p in range(um.rank)})
 
 
 def _induced_map(
@@ -352,7 +348,7 @@ def _induced_map(
     rho = [um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
            for r in range(1, um_x.Z.dim + 1)]
     return PresentedMap(um_x, um_y, {
-        um_x.pos(s, r): modgb._normal_form(rho[r - 1][s - 1], um_y.mgb)
+        um_x.pos(s, r): um_y.mgb.remainder(rho[r - 1][s - 1])
         for s in range(1, um_x.U.dim + 1) for r in range(1, um_x.Z.dim + 1)
     })
 
@@ -379,7 +375,7 @@ def functor_on_morphism_U(
         rhs = um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
         for a, b in zip(lhs, rhs):
             diff = chain(fbar.apply(a).items(), ((u, -c) for u, c in b.items()))
-            if not modgb._reduces_to_zero(_collect(diff), um_y.mgb):
+            if not um_y.mgb.contains(_collect(diff)):
                 raise AssertionError("structure maps do not commute with induced map")
     return fbar
 
@@ -455,38 +451,46 @@ class UniversalLieHModule:
         self.V = V
         self.W = W
         self.rank = W.dim * V.dim
-        self.relgens, self.rel_labels = self._relations()
-        # The relations as (p, word, c) terms, for evaluation in targets.
-        self.rel_terms = tuple(_pbw_words(v) for v in self.relgens)
+        self.rel_terms, self.rel_labels = self._relations()
         self._last: tuple | None = None  # the last target of ``_adjunction``
+
+    @property
+    def relgens(self) -> list[PBWVector]:
+        """The relations as free PBW vectors, made on each read; a PBW word
+        indexes h's basis from 1."""
+        out = []
+        for terms in self.rel_terms:
+            comps: dict[int, dict[tuple[int, ...], Scalar]] = {}
+            for p, w, c in terms:
+                comps.setdefault(p, {})[tuple(t + 1 for t in w)] = c
+            out.append(PBWVector(self, {p: PBWElement(self.A.h, e) for p, e in comps.items()}))
+        return out
 
     # generator ordering (r,s) lexicographic
     def pos(self, r: int, s: int) -> int:
         """1-based (W index r, V index s) -> 0-based generator position."""
         return (r - 1) * self.V.dim + (s - 1)
 
-    def _relations(self) -> tuple[list[PBWVector], list[tuple[int, int, int]]]:
+    def _relations(self) -> tuple[tuple[_Words, ...], list[tuple[int, int, int]]]:
+        """The relations (s, r, j) as terms (p, word, c), straight from the
+        matrices: sigma_jpr at y_ps and -gamma_tj[s][k] e_t at y_rk.  No two
+        terms of a relation share a position and a word."""
         A, V, W = self.A, self.V, self.W
-        gens: list[PBWVector] = []
+        rels: list[_Words] = []
         labels: list[tuple[int, int, int]] = []
         for s in range(1, V.dim + 1):
             for r in range(1, W.dim + 1):
                 for j in range(1, A.g.dim + 1):
-                    comps: dict[int, PBWElement] = {}
-                    for p, wrow in enumerate(W.matrices[j - 1], start=1):
-                        sigma = wrow[r - 1]
-                        if sigma:
-                            q, add = self.pos(p, s), PBWElement(A.h, {(): sigma})
-                            comps[q] = comps[q] + add if q in comps else add
-                    for k in range(1, V.dim + 1):
-                        for t in range(1, A.h.dim + 1):
-                            gam = V.matrix(t, j)[s - 1][k - 1]
-                            if gam:
-                                q, sub = self.pos(r, k), PBWElement(A.h, {(t,): -gam})
-                                comps[q] = comps[q] + sub if q in comps else sub
-                    gens.append(PBWVector(self, comps))
+                    terms = [(self.pos(p, s), (), wrow[r - 1])
+                             for p, wrow in enumerate(W.matrices[j - 1], start=1)
+                             if wrow[r - 1]]
+                    for t in range(1, A.h.dim + 1):
+                        vrow = V.matrix(t, j)[s - 1]
+                        terms += [(self.pos(r, k), (t - 1,), -gam)
+                                  for k, gam in enumerate(vrow, start=1) if gam]
+                    rels.append(tuple(terms))
                     labels.append((s, r, j))
-        return gens, labels
+        return tuple(rels), labels
 
     def _adjunction(self, Y: LieModule) -> "_Adjunction":
         """V(V,W) against Y: y_rs sits at rows (a,s) of Y (x) V, column r;
@@ -537,25 +541,25 @@ def gamma_lie(vm: UniversalLieHModule, Y: LieModule,
 @dataclass
 class LiePresentedMap:
     """Generator-level map between V(V,X) and V(V,Y) presentations induced by
-    an equivariant map of the Lie g-module arguments."""
+    an equivariant map of the Lie g-module arguments; the image of each
+    generator is terms (p, word, c) of V(V,Y)."""
 
     source: UniversalLieHModule
     target: UniversalLieHModule
-    images: dict[int, PBWVector]
+    images: dict[int, _Words]
 
 
 def _induced_lie_map(
     vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
 ) -> LiePresentedMap:
-    """The map V(V,X) -> V(V,Y) on generators: y_rs -> sum_r' f_r'r y_r's."""
-    images: dict[int, PBWVector] = {}
+    """The map V(V,X) -> V(V,Y) on generators, as terms (p, word, c):
+    y_rs -> sum_r' f_r'r y_r's."""
+    images: dict[int, _Words] = {}
     for r in range(1, vm_x.W.dim + 1):
         col = f.apply(vm_x.W.basis_vector(r))
         for s in range(1, vm_x.V.dim + 1):
-            images[vm_x.pos(r, s)] = PBWVector(vm_y, {
-                vm_y.pos(rp, s): PBWElement(vm_y.A.h, {(): c})
-                for rp, c in enumerate(col, 1)
-            })
+            images[vm_x.pos(r, s)] = tuple(
+                (vm_y.pos(rp, s), (), c) for rp, c in enumerate(col, 1) if c)
     return LiePresentedMap(vm_x, vm_y, images)
 
 
@@ -571,11 +575,10 @@ def functor_on_morphism_V(
     if not is_module_morphism(f, vm_x.W, vm_y.W):
         raise ValueError("f is not a morphism of Lie g-modules")
     fbar = _induced_lie_map(vm_x, vm_y, f)
-    images = {p: _pbw_words(v) for p, v in fbar.images.items()}
     rels_y = dict(zip(vm_y.rel_labels, vm_y.rel_terms))
     for (s, r, j), terms in zip(vm_x.rel_labels, vm_x.rel_terms):
         image = _collect(((q, w + v), c * d) for p, w, c in terms
-                         for q, v, d in images[p])
+                         for q, v, d in fbar.images[p])
         expected = _collect(((q, w), f.matrix[rp - 1][r - 1] * c)
                             for rp in range(1, vm_y.W.dim + 1)
                             for q, w, c in rels_y[s, rp, j])

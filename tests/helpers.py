@@ -13,7 +13,6 @@ from univalg.modgb import ModuleGroebnerBasis, ModuleVector, _terms
 from univalg.poly import GroebnerBasis, PolyRing, Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import add_pairs, tensor_normal_form
-from univalg.universal_modules import _pbw_words
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,11 +113,20 @@ def solve_unique(a, b):
     return x
 
 
+def pbw_words(v):
+    """The terms (p, word, c) of a free PBW vector: the word (t1, ..., tk)
+    acts as e_t1 after ... after e_tk, so it indexes h's basis from 0."""
+    return tuple(
+        (p, tuple(t - 1 for t in w), c)
+        for p, e in v.components.items() for w, c in e.terms.items()
+    )
+
+
 def push_to_module(fbar, Y, images):
-    """A map V(V,X) -> V(V,Y) composed with a factorization target map given
-    on the generators of V(V,Y)."""
-    return {p: linalg.evaluate(_pbw_words(v), Y.matrices, images, Y.dim)
-            for p, v in fbar.images.items()}
+    """A map V(V,X) -> V(V,Y), whose images are word terms, composed with a
+    factorization target map given on the generators of V(V,Y)."""
+    return {p: linalg.evaluate(terms, Y.matrices, images, Y.dim)
+            for p, terms in fbar.images.items()}
 
 
 def is_collapsed(um) -> bool:

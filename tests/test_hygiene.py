@@ -280,3 +280,46 @@ def test_hand_built_basis_is_reported():
         "poly.py line 10: GroebnerBasis in basis",
         "poly.py line 13: ModuleGroebnerBasis in None"]
     assert hand_built_bases({"other.py": src})[0] == "other.py line 5: GroebnerBasis in groebner"
+
+
+# The fields of ``poly._Codec``: the packed-key format, which only poly reads.
+CODEC_FIELDS = {"top", "sign", "guard", "emask", "bn", "low", "dmask"}
+
+
+def engine_internals(sources: dict[str, str]) -> list[str]:
+    """Every call of the reducer ``_reduce`` and every attribute named after a
+    ``_Codec`` field in ``sources`` (file name -> text), outside ``poly.py``.
+    Above the engine a reduction enters through a basis (``remainder``,
+    ``contains``) or a multiplication table, and keys are moved by the
+    table's methods.  Names are matched, not resolved."""
+    found = []
+    for file, text in sources.items():
+        if file == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                    func, "id", None)
+                if name == "_reduce":
+                    found.append((file, node.lineno, node.col_offset, ast.unparse(func)))
+            elif isinstance(node, ast.Attribute) and node.attr in CODEC_FIELDS:
+                found.append((file, node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{file} line {line}: {text}" for file, line, _, text in sorted(found)]
+
+
+def test_no_engine_internals_outside_poly():
+    assert engine_internals(_sources_and_users()[0]) == []
+
+
+def test_engine_internal_is_reported():
+    src = (
+        "from .poly import _reduce\n\n\n"
+        "def f(work, table, codec):\n"
+        "    r, d = _reduce(work, table, codec)\n"
+        "    return r, codec.top, poly._reduce(work, table, codec)\n"
+    )
+    assert engine_internals({"m.py": src}) == [
+        "m.py line 5: _reduce", "m.py line 6: codec.top", "m.py line 6: poly._reduce"]
+    assert engine_internals({"poly.py": src}) == []
+    assert engine_internals({"m.py": "def f(table, key):\n    return table.split(key)\n"}) == []

@@ -12,12 +12,10 @@ from helpers import count_calls, natural2
 from univalg import cli, modgb, poly, universal_modules
 from univalg.lie import LieModule, LinearMap, direct_sum
 from univalg.modgb import ModuleVector
-from univalg.pbw import PBWElement
 from univalg.poly import DEGREVLEX, LEX, Polynomial, mono_word
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
-    PBWVector,
     build_universal_amodule,
     build_universal_lie_hmodule,
     direct_sum_check,
@@ -151,9 +149,7 @@ def test_corrupted_lie_image_fails_the_functor(A_sl2, sl2_alg, monkeypatch):
 
     def corrupted(vm_x, vm_y, f):
         fbar = induced(vm_x, vm_y, f)
-        fbar.images[0] = PBWVector(vm_y, {
-            q: PBWElement(e.algebra, {w: 2 * c for w, c in e.terms.items()})
-            for q, e in fbar.images[0].components.items()})
+        fbar.images[0] = tuple((q, w, 2 * c) for q, w, c in fbar.images[0])
         return fbar
 
     monkeypatch.setattr(universal_modules, "_induced_lie_map", corrupted)
