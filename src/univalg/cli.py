@@ -252,10 +252,8 @@ def cmd_factorize(args) -> int:
         lines.append(
             f"witness {label[0]},{label[1]},{label[2]}: {vec or 'empty'}"
         )
-    # The diagram commutes when Gamma(theta) = f, which is the round trip;
-    # theta is unique because the generators y generate the universal object.
+    # The diagram commutes when Gamma(theta) = f, which is the round trip.
     lines.append(f"diagram-commutes {'pass' if round_trip else 'fail'}")
-    lines.append("unique pass")
     lines.append(f"round-trip {'pass' if round_trip else 'fail'}")
     ok = result.ok and round_trip
     lines.append(f"status {'pass' if ok else 'fail'}")

@@ -146,10 +146,11 @@ def module_buchberger(
     Runs the shared engine of :mod:`univalg.poly`, with the copies j*e_p as
     elements that are already confluent among themselves.  No pair of two
     copies is queued, nor a pair whose leads are coprime when one element is
-    a copy or both sit at a single position; the chain criterion applies to
-    the queued pairs as they are taken.  Raises ResourceBudgetError once more
-    than ``budget`` S-pairs have been taken from the queue, which the skipped
-    pairs never enter.
+    a copy or both sit at a single position.  The queued pairs are taken by
+    the sugar strategy, least pair sugar first at any position, and the
+    chain criterion applies to them as they are taken.  Raises
+    ResourceBudgetError once more than ``budget`` S-pairs have been taken
+    from the queue, which the skipped pairs never enter.
     """
     codec = _codec_of(module.ring)
     terms = (g if isinstance(g, dict) else _pack(g.components, codec) for g in gens)

@@ -363,6 +363,9 @@ class _Codec:
         self.dmask = (1 << (self.top - bn)) - 1  # the degree field of degrevlex
         self._struct = struct.Struct((">" if lex else "<") + "H" * nvars)
         self._byteorder = "big" if lex else "little"
+        # The keys of the terms (0, x_v), v = 0, ..., nvars - 1.
+        self.variables = tuple(self.monomial(tuple(int(k == v) for k in range(nvars)))
+                               for v in range(nvars))
 
     def monomial(self, m: Monomial) -> int:
         """Key of the term (0, m)."""
@@ -384,6 +387,13 @@ class _Codec:
 
     def _exponents(self, e: int) -> Monomial:
         return self._struct.unpack(e.to_bytes(self._struct.size, self._byteorder))
+
+    def degree(self, key: int) -> int:
+        """Total degree of the monomial of a term."""
+        e = (self.sign * key) & self.emask
+        if self.sign < 0:
+            return (key + e) >> self.bn & self.dmask
+        return sum(self._exponents(e))
 
     def exponents_max(self, a: int, b: int) -> int:
         """Fieldwise maximum of two exponent vectors."""
@@ -467,11 +477,10 @@ def _unpack(terms: _Terms, ring: PolyRing, codec: _Codec) -> dict[int, Polynomia
     return {p: Polynomial(ring, ts) for p, ts in comps.items()}
 
 
-def _variable_keys(ring: PolyRing) -> list[int]:
+def _variable_keys(ring: PolyRing) -> tuple[int, ...]:
     """The keys of the terms (0, x_v), v = 0, ..., nvars - 1: the key of a
     monomial is the sum of its variables' keys."""
-    codec, n = _codec_of(ring), ring.nvars
-    return [codec.monomial(tuple(int(k == v) for k in range(n))) for v in range(n)]
+    return _codec_of(ring).variables
 
 
 # A vector as the terms (position, word, c) that ``linalg.evaluate`` reads: a
@@ -508,6 +517,8 @@ def _packed(p: "Polynomial | _Terms", ring: PolyRing, message: str) -> _Terms:
 def _integral(terms: _Terms) -> tuple[dict[int, int], int]:
     """Integer terms n, a new dict, and a positive integer d with ``terms`` =
     n / d."""
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), ONE
     d = lcm(*(c.denominator for c in terms.values()))
     return {t: c.numerator * (d // c.denominator) for t, c in terms.items()}, d
 
@@ -521,16 +532,20 @@ def _divided(terms: dict[int, int], d: int) -> _Terms:
 
 def _row(ints: dict[int, int], codec: _Codec) -> _Row:
     """Row of the primitive multiple, with a positive lead coefficient, of a
-    nonzero element with integer terms."""
-    lead = max(ints)
+    nonzero element with integer terms; its tail descends by key."""
+    lead, *rest = sorted(ints, reverse=True)
     g = gcd(*ints.values())
     if ints[lead] < 0:
         g = -g
-    tail = [(t, c // g) for t, c in ints.items() if t != lead]
-    s, emask = codec.sign, codec.emask
-    tail_max = 0
-    for t, _ in tail:
-        tail_max = codec.exponents_max(tail_max, (s * t) & emask)
+    s, emask, guard = codec.sign, codec.emask, codec.guard
+    tail, tail_max = [], 0
+    for t in rest:
+        tail.append((t, ints[t] // g))
+        # The fieldwise maximum of tail_max and e, as in _Codec.exponents_max.
+        e = (s * t) & emask
+        sel = ((tail_max | guard) - e) & guard
+        sel -= sel >> (FIELD_BITS - 1)
+        tail_max = e ^ ((tail_max ^ e) & sel)
     return s * lead, lead, tail_max, tail, ints[lead] // g
 
 
@@ -631,31 +646,45 @@ def _buchberger(
         lm(j) g - lm(g_p) j e_p
             = sum_{q > p} g_q (j e_q) - (j - lt j) g + (g_p - lt g_p) j e_p,
 
-    every term of the right-hand side below the lcm.  Pairs are taken by
-    normal selection from a heap keyed by the term (position, lcm of the
-    leads), computed once when the pair is queued, and skipped when the
+    every term of the right-hand side below the lcm.  Pairs are taken by the
+    sugar strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991):
+    every element carries a sugar, the largest total degree among its terms
+    for a generator or a copy, and for the element an S-pair (i, j) adds the
+    pair's sugar
+
+        max(sugar_i + deg lcm - deg lead_i, sugar_j + deg lcm - deg lead_j),
+
+    the degree its S-element would have if every element were homogeneous.
+    The heap is keyed by (pair sugar, term (position, lcm of the leads)),
+    computed once when the pair is queued, so the pairs of least sugar go
+    first, whatever their position, and a taken pair is skipped when the
     chain criterion applies.  Raises ResourceBudgetError once more than
     ``budget`` pairs have been taken from the queue.
     """
     top, emask, guard, low = codec.top, codec.emask, codec.guard, codec.low
+    degree = codec.degree
     rows: list[_Row] = []
+    ecart: list[int] = []  # the sugar less the degree of the lead
     support: list[int] = []  # the guard bits of the variables of the lead
     single: list[bool] = []  # all terms of the element at its lead position
     copy: list[bool] = []
     table: _LeadTable = {}
     at: dict[int, list[int]] = {}  # position key -> indices of the rows there
-    queue: list[tuple[int, int, int]] = []  # (lcm, i, j), i > j
+    queue: list[tuple[int, int, int, int]] = []  # (sugar, lcm, i, j), i > j
     pending: set[tuple[int, int]] = set()
 
-    def add(row: _Row, partners: int, is_copy: bool) -> None:
+    def add(row: _Row, sugar: int, partners: int, is_copy: bool) -> None:
         """Append an element's row and queue its pairs with the elements at
-        its position among the first ``partners``."""
+        its position among the first ``partners``; a copy sits at a single
+        position."""
         k = len(rows)
         lead = row[1]
         pk = lead >> top
         sup = ((row[0] & emask) + low) & guard
-        one = all(u >> top == pk for u, _ in row[3])
+        one = is_copy or all(u >> top == pk for u, _ in row[3])
+        e = sugar - degree(lead)
         rows.append(row)
+        ecart.append(e)
         support.append(sup)
         single.append(one)
         copy.append(is_copy)
@@ -666,21 +695,23 @@ def _buchberger(
                 break
             if not sup & support[t] and (is_copy or copy[t] or one and single[t]):
                 continue
-            heapq.heappush(queue, (codec.lcm(lead, rows[t][1]), k, t))
+            m = codec.lcm(lead, rows[t][1])
+            heapq.heappush(queue, (degree(m) + max(e, ecart[t]), m, k, t))
             pending.add((k, t))
         same_pos.append(k)
 
     for g in gens:
         if g:
-            add(_row(_integral(g)[0], codec), len(rows), False)
+            add(_row(_integral(g)[0], codec), max(map(degree, g)), len(rows), False)
     n_gens = len(rows)
     for sl, lead, tail_max, tail, lc in itertools.chain.from_iterable(ideal.values()):
+        sugar = max(map(degree, [lead, *(t for t, _ in tail)]))
         for shift in (p << top for p in range(rank)):
             add((sl - codec.sign * shift, lead - shift, tail_max,
-                 [(t - shift, c) for t, c in tail], lc), n_gens, True)
+                 [(t - shift, c) for t, c in tail], lc), sugar, n_gens, True)
     processed = 0
     while queue:
-        lcm, i, j = heapq.heappop(queue)
+        sugar, lcm, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         processed += 1
         if processed > budget:
@@ -691,7 +722,7 @@ def _buchberger(
             continue
         r, _ = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
         if r:
-            add(_row(r, codec), len(rows), False)
+            add(_row(r, codec), sugar, len(rows), False)
     return _interreduce(table, codec)
 
 
@@ -726,14 +757,17 @@ def _interreduce(table: _LeadTable, codec: _Codec) -> tuple[list[_Terms], _LeadT
         kept += minimal
     # Reduce each survivor's tail.  No tail term, nor any term its reduction
     # produces, is divisible by the survivor's own lead, so reducing against
-    # all survivors is reducing against the others.
+    # all survivors is reducing against the others.  A row whose tail comes
+    # back unchanged stays as it is: both descend by key.
     table = _lead_table(kept, codec)
     kept.sort(key=lambda row: row[1])
     basis, reduced = [], []
-    for _, lead, _, tail, lc in kept:
+    for row in kept:
+        _, lead, _, tail, lc = row
         r, d = _reduce(dict(tail), table, codec)
         basis.append({lead: ONE, **_divided(r, d * lc)})
-        reduced.append(_row({lead: lc * d, **r}, codec))
+        unchanged = list(r.items()) == tail
+        reduced.append(row if unchanged else _row({lead: lc * d, **r}, codec))
     return basis, _lead_table(reduced, codec)
 
 
@@ -875,7 +909,8 @@ def groebner(
 
     Runs the shared engine on rank 1, every term at position 0: a pair with
     coprime leads never enters the queue (product criterion), and the queued
-    pairs are taken by normal selection and skipped by the chain criterion.
+    pairs are taken by the sugar strategy, least pair sugar first, and
+    skipped by the chain criterion.
     Raises ResourceBudgetError once more than ``budget`` S-pairs have been
     taken from the queue.
     """

@@ -171,14 +171,31 @@ def check_defining_relations(A: UniversalAlgebra) -> Report:
 
 def monomial_basis_up_to_degree(A: UniversalAlgebra, dmax: int):
     """Standard monomials (not divisible by any gb lead monomial) of total
-    degree <= dmax."""
+    degree <= dmax, ascending in the ring order.
+
+    They form an order ideal, so they are walked degree by degree: each
+    standard monomial m is extended by each x_i whose index is at least the
+    highest index among m's variables, which reaches every monomial once,
+    and the product is kept when no lead divides it.  A lead that divides
+    m x_i but not m has the exponent of x_i that m x_i has, so only those
+    leads are tested."""
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     leads = A.gb.lead_monomials()
-    out = []
-    for m in A.ring.monomials_up_to_degree(dmax):
-        if not any(mono_divides(lm, m) for lm in leads):
-            out.append(m)
+    n = A.ring.nvars
+    one = (0,) * n
+    level = [] if any(mono_divides(lm, one) for lm in leads) else [(one, 0)]
+    out = [m for m, _ in level]
+    for _ in range(dmax):
+        nxt = []
+        for m, high in level:
+            for i in range(high, n):
+                e = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if not any(lm[i] == e[i] and mono_divides(lm, e) for lm in leads):
+                    nxt.append((e, i))
+        out += [m for m, _ in nxt]
+        level = nxt
+    out.sort(key=A.ring.order.key)
     return out
 
 

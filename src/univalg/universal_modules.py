@@ -123,10 +123,9 @@ class UniversalAModule:
         return modgb.module_normal_form(v, self.mgb)
 
     def _rho_terms(self, z: Vec) -> list[dict[int, Scalar]]:
-        """rho(z) before reduction, as packed terms: its component at u_s is
-        sum_r z_r y_sr."""
-        return [{self._key(self.pos(s, r)): linalg.scalar(c)
-                 for r, c in enumerate(z, start=1) if c}
+        """rho(z) before reduction, as packed terms, for a vector z of exact
+        scalars: its component at u_s is sum_r z_r y_sr."""
+        return [{self._key(self.pos(s, r)): c for r, c in enumerate(z, start=1) if c}
                 for s in range(1, self.U.dim + 1)]
 
     def rho(self, z: Vec) -> list[ModuleVector]:
@@ -135,7 +134,7 @@ class UniversalAModule:
         if len(z) != self.Z.dim:
             raise ValueError("vector length does not match Z")
         return [modgb._vector(self.free, self.mgb.remainder(terms))
-                for terms in self._rho_terms(z)]
+                for terms in self._rho_terms([linalg.scalar(c) for c in z])]
 
     def check_relations(self) -> Report:
         """Every defining relation must reduce to zero."""

@@ -100,6 +100,21 @@ def test_abelian_freeness_binomial_counts():
             assert len(monomial_basis_up_to_degree(A, dmax)) == comb(nv + dmax, dmax)
 
 
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("name", ["sl2", "heis", "sol2", "ab2"])
+def test_standard_monomial_walk_matches_filtered_enumeration(name, order):
+    # The walk over the order ideal of standard monomials against every
+    # monomial up to the degree, filtered by the lead monomials.
+    L = {"sl2": sl2, "heis": heisenberg, "sol2": solvable2,
+         "ab2": lambda: LieAlgebra.abelian(2)}[name]()
+    A = build_universal_algebra(L, L, order=order)
+    leads = A.gb.lead_monomials()
+    for dmax in range(7):
+        oracle = [m for m in A.ring.monomials_up_to_degree(dmax)
+                  if not any(poly.mono_divides(lm, m) for lm in leads)]
+        assert monomial_basis_up_to_degree(A, dmax) == oracle
+
+
 def test_sl2_degree1_basis_linear_algebra_oracle(A_sl2):
     # Oracle: row-reduce the degree-<=1 parts of the nine golden relations
     # over the 10 monomials of degree <= 1; none of the variables is a lead

@@ -158,6 +158,15 @@ def test_module_basis_unpacks_on_first_read(A_sl2, sl2_alg, monkeypatch):
     assert mgb != hand_module_basis(mgb.module, mgb.generators[:-1])
 
 
+def test_sugar_selection_keeps_s_pair_reductions_down(A_sl2, adjoint_sl2, monkeypatch):
+    # _s_terms runs once for every S-pair that neither criterion skips.
+    # Taking pairs position by position reduced 200 of them for this module,
+    # most to zero; the sugar strategy reduces 133.
+    calls = count_calls(monkeypatch, poly, "_s_terms")
+    build_universal_amodule(A_sl2, adjoint_sl2, LieModule.trivial(A_sl2.g, 1))
+    assert len(calls) == 133
+
+
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
     # The engine hands a basis the lead table of its reduced integer rows;
