@@ -8,7 +8,9 @@ the quadratic combination of X_{si}X_{tj} prescribed by the bracket of h.
 These generators are written once, as the Groebner engine's packed terms
 (``UniversalAlgebra.relations``), which the library reads as they are; the
 polynomials ``jgens`` and ``universal_polynomials`` are unpacked from them
-for callers and the tests' oracles.
+for callers and the tests' oracles.  Both brackets are antisymmetric, so
+P_(a,j,i) = -P_(a,i,j) and P_(a,i,i) = 0: the engine is handed the
+independent half, i < j, and the relation certificate reads all of them.
 """
 
 from __future__ import annotations
@@ -146,12 +148,19 @@ def build_universal_algebra(
     order: MonomialOrder = DEGREVLEX,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> UniversalAlgebra:
-    """Construct A(h,g) and verify the defining relations hold in it."""
+    """Construct A(h,g) and verify the defining relations hold in it.
+
+    The Groebner basis B is computed from the generators with i < j only,
+    a subset of all of them, so (B) lies in J; ``check_defining_relations``
+    then reduces every generator to zero, so J lies in (B).  Together
+    (B) = J, and the certificate covers the half the engine never read."""
     for L, which in ((h, "h"), (g, "g")):
         L.validation.require(ValueError, f"{which} is not a Lie algebra")
     ring = algebra_ring(h, g, order)
     relations = _universal_relations(h, g, ring)
-    gb = poly.groebner(relations, ring, budget=budget)
+    gb = poly.groebner([terms for (_, i, j), terms
+                        in zip(jgen_labels(h, g), relations) if i < j],
+                       ring, budget=budget)
     A = UniversalAlgebra(h, g, ring, relations, gb)
     check_defining_relations(A).require(AssertionError,
                                         "defining relations fail in A(h,g)")
@@ -160,7 +169,9 @@ def build_universal_algebra(
 
 def check_defining_relations(A: UniversalAlgebra) -> Report:
     """Every generator P_(a,i,j) of J must have normal form zero in A: its
-    packed terms leave an empty integer remainder."""
+    packed terms leave an empty integer remainder.  All of them are read,
+    the i >= j half that ``build_universal_algebra`` keeps from the engine
+    included, which is what shows that A's basis spans all of J."""
     bad = tuple(
         Violation("relation", label, "normal forms differ")
         for label, terms in zip(A.labels, A.relations)

@@ -16,7 +16,7 @@ from helpers import (
     solvable2,
     tensor_ring,
 )
-from univalg import lie, linalg, poly
+from univalg import lie, linalg, poly, universal_algebra
 from univalg.cli import golden_sl2_polynomials
 from univalg.formats import parse_algebra_text
 from univalg.lie import LieAlgebra, Violation, sl2
@@ -356,7 +356,9 @@ def relation_algebras() -> list[LieAlgebra]:
 def test_relations_match_the_reference_polynomials(order):
     # A.relations, unpacked, are the P_(a,i,j) of Polynomial arithmetic entry
     # by entry; each stores nonzero scalars only, integral ones as ints, and
-    # an i = j triple, whose X_si X_ti terms cancel, is an empty dict.
+    # an i = j triple, whose X_si X_ti terms cancel, is an empty dict.  The
+    # engine reads only the i < j half: the (a,j,i) relation is exactly the
+    # negated (a,i,j) one, and all relations give the same basis.
     algebras = relation_algebras()
     fractional = False
     for h in algebras:
@@ -364,15 +366,62 @@ def test_relations_match_the_reference_polynomials(order):
             A = build_universal_algebra(h, g, order=order)
             reference = reference_universal_polynomials(h, g, A.ring)
             assert len(A.relations) == len(reference) == h.dim * g.dim ** 2
+            by_label = dict(zip(A.labels, A.relations))
             for label, terms, p in zip(A.labels, A.relations, reference):
                 assert poly._polynomial(terms, A.ring) == p, (h.name, g.name, label)
                 assert all(type(c) is int or c.denominator != 1 for c in terms.values())
                 assert all(terms.values())
                 fractional |= any(type(c) is Fraction for c in terms.values())
-                if label[1] == label[2]:
+                a, i, j = label
+                if i == j:
                     assert terms == {}
+                else:
+                    assert by_label[a, j, i] == {k: -c for k, c in terms.items()}
             assert A.jgens == reference == universal_polynomials(h, g, A.ring)
+            assert poly.groebner(A.relations, A.ring) == A.gb, (h.name, g.name)
     assert fractional
+
+
+def test_engine_takes_the_independent_half_of_j(sl2_alg, monkeypatch):
+    # A(sl2,sl2) hands the engine the 9 relations with i < j, out of 27, and
+    # the engine reduces 79 S-pairs for them (88 when it read all 27).
+    passed = []
+    groebner = poly.groebner
+
+    def spy(gens, ring, budget):
+        passed.extend(gens)
+        return groebner(gens, ring, budget=budget)
+
+    monkeypatch.setattr(poly, "groebner", spy)
+    reduced = count_calls(monkeypatch, poly, "_s_terms")
+    A = build_universal_algebra(sl2_alg, sl2_alg)
+    half = [terms for (_, i, j), terms in zip(A.labels, A.relations) if i < j]
+    assert len(passed) == 9 and all(p is t for p, t in zip(passed, half))
+    assert len(reduced) == 79 and len(A.gb) == 22
+
+
+def test_a_flipped_relation_the_engine_skips_fails_the_certificate(sl2_alg, monkeypatch):
+    # The engine never reads an i > j relation; flipping one coefficient of
+    # one of them leaves the basis as it is, and the relation certificate,
+    # which reads every relation, names exactly that one.
+    true_relations = universal_algebra._universal_relations
+    h = g = sl2_alg
+    labels = universal_algebra.jgen_labels(h, g)
+    rng = Random(32)
+    k = rng.choice([k for k, (_, i, j) in enumerate(labels) if i > j])
+    relations = true_relations(h, g, algebra_ring(h, g))
+    t = rng.choice(sorted(relations[k]))
+
+    def flipped(h, g, ring):
+        rels = list(true_relations(h, g, ring))
+        rels[k] = {**rels[k], t: -rels[k][t]}
+        return tuple(rels)
+
+    monkeypatch.setattr(universal_algebra, "_universal_relations", flipped)
+    with pytest.raises(AssertionError) as raised:
+        build_universal_algebra(h, g)
+    report = lie.Report((Violation("relation", labels[k], "normal forms differ"),))
+    assert str(raised.value) == f"defining relations fail in A(h,g):\n{report}"
 
 
 def test_build_packs_no_polynomial(sl2_alg, monkeypatch):
