@@ -10,9 +10,9 @@ ideal is the rank-1 case.  The engine packs each term (position, monomial)
 into one int, ``monomial key - (position << TOP)``, so a lower position gives
 a larger int.  ``module_buchberger`` takes relations as packed terms and the
 copies j*e_p as the ideal basis's rows shifted to each position; a basis
-keeps the engine's monic packed terms, unpacked into ``generators`` only
-when read, and the lead table of its reduced rows, as an ideal's
-``GroebnerBasis`` does (both are a ``poly._Basis``).  The constructions
+stores only the engine's lead table of its reduced rows, as an ideal's
+``GroebnerBasis`` does (both are a ``poly._Basis``), and makes its monic
+``generators`` only when read.  The constructions
 above reduce and test membership through the basis itself
 (``_Basis.remainder`` and ``_Basis.contains``) and substitute images through
 the quotient's ``poly.MultiplicationTable``, all on packed terms; this
@@ -98,12 +98,10 @@ def render_module_vector(v: ModuleVector) -> str:
 
 @dataclass(frozen=True)
 class ModuleGroebnerBasis(_Basis):
-    """A reduced module Groebner basis, as the engine's monic packed terms in
-    ascending order of their leads, and the engine's lead table."""
+    """A reduced module Groebner basis, as the engine's lead table."""
 
     module: FreeModule
-    basis: tuple[_Terms, ...] = field(hash=False)
-    leads: _LeadTable | None = field(default=None, compare=False, repr=False)
+    leads: _LeadTable = field(hash=False, repr=False)
 
     @property
     def ring(self) -> PolyRing:
@@ -154,6 +152,6 @@ def module_buchberger(
     """
     codec = _codec_of(module.ring)
     terms = (g if isinstance(g, dict) else _pack(g.components, codec) for g in gens)
-    ideal = {} if ring_ideal is None else ring_ideal._table
-    basis, leads = _buchberger(terms, ideal, module.rank, codec, budget, "module_buchberger")
-    return ModuleGroebnerBasis(module, tuple(basis), leads)
+    ideal = {} if ring_ideal is None else ring_ideal.leads
+    return ModuleGroebnerBasis(module, _buchberger(terms, ideal, module.rank, codec, budget,
+                                                   "module_buchberger"))

@@ -22,17 +22,18 @@ it leaves the engine.
 Between the engine and the public edges every element is packed terms, key
 -> exact scalar; ``_pack`` and ``_unpack`` convert vectors at those edges (a
 polynomial p is the vector {0: p}).  A reduced basis of either kind
-(``_Basis``) keeps the engine's monic packed terms and lead table, and
-unpacks its ``generators`` only when read.  It is the one door to the
-reducer for the constructions above: ``remainder`` reduces a vector once
-and ``contains`` tests membership as an empty integer remainder, each with
-the basis's own lead table and codec.  The constructions read evaluation
-words off packed terms (``_words``); ``groebner``, ``ideal_contains`` and
-``render`` take packed terms as they are.  No library code does
-``Polynomial`` arithmetic.  A ``MultiplicationTable`` keeps the normal forms
-of single terms as they come out of the reducer, integers over one
-denominator keyed by packed term, and substitutes packed images into a
-vector.  No module but this one reads a codec's fields or calls the reducer.
+(``_Basis``) stores one form, the engine's lead table of its reduced rows;
+its monic packed terms and its ``generators`` are made only when read.  It
+is the one door to the reducer for the constructions above: ``remainder``
+reduces a vector once and ``contains`` tests membership as an empty integer
+remainder, each with the basis's own lead table and codec.  The
+constructions read evaluation words off packed terms (``_words``);
+``groebner``, ``ideal_contains`` and ``render`` take packed terms as they
+are.  No library code does ``Polynomial`` arithmetic.  A
+``MultiplicationTable`` keeps the normal forms of single terms as they come
+out of the reducer, integers over one denominator keyed by packed term, and
+substitutes packed images into a vector.  No module but this one reads a
+codec's fields or calls the reducer.
 """
 
 from __future__ import annotations
@@ -246,54 +247,51 @@ def render(p: "Polynomial | _Terms", ring: PolyRing | None = None) -> str:
 
 
 class _Basis:
-    """A reduced basis: the engine's monic packed terms ``basis`` ascending by
-    lead, the lead table ``leads`` of its primitive rows (None when made by
-    hand), its ``ring`` and its ``generators``, unpacked on first read."""
+    """A reduced basis, stored as one form: the engine's lead table
+    ``leads`` of its reduced primitive rows, ascending by lead.  Its monic
+    packed terms ``basis`` and its ``generators`` are made on first read."""
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.basis)
+        return sum(map(len, self.leads.values()))
 
     @cached_property
     def _codec(self) -> "_Codec":
         return _codec_of(self.ring)
 
     @cached_property
-    def _table(self) -> "_LeadTable":
-        """The engine's lead table, or one built from a hand-made basis."""
-        if self.leads is not None:
-            return self.leads
-        codec = self._codec
-        return _lead_table((_row(_integral(t)[0], codec) for t in self.basis), codec)
+    def basis(self) -> "tuple[_Terms, ...]":
+        """The monic packed terms, ascending by lead: each row's tail divided
+        by its lead coefficient."""
+        return tuple({lead: ONE, **_divided(dict(tail), lc)}
+                     for rows in self.leads.values() for _, lead, _, tail, lc in rows)
 
     def multiplication_table(self) -> "MultiplicationTable":
         """A new, empty multiplication table of the quotient."""
-        return MultiplicationTable(self.ring, self._table)
+        return MultiplicationTable(self.ring, self.leads)
 
     def remainder(self, terms: "_Terms") -> "_Terms":
         """The packed terms of the normal form of the element with packed
         ``terms``: one division, whose integer remainder is divided once by
         the denominator of ``terms`` times the scale of the division."""
         ints, den = _integral(terms)
-        r, d = _reduce(ints, self._table, self._codec)
+        r, d = _reduce(ints, self.leads, self._codec)
         return _divided(r, den * d)
 
     def contains(self, terms: "_Terms") -> bool:
         """Whether the element with packed ``terms`` lies in the span: one
         division leaves no nonzero integer term."""
-        return not any(_reduce(_integral(terms)[0], self._table, self._codec)[0].values())
+        return not any(_reduce(_integral(terms)[0], self.leads, self._codec)[0].values())
 
 
 @dataclass(frozen=True)
 class GroebnerBasis(_Basis):
-    """A reduced Groebner basis of an ideal, as the engine's monic packed
-    terms in ascending order of their leads, and the engine's lead table."""
+    """A reduced Groebner basis of an ideal, as the engine's lead table."""
 
     ring: PolyRing
-    basis: "tuple[_Terms, ...]" = field(hash=False)
-    leads: "_LeadTable | None" = field(default=None, compare=False, repr=False)
+    leads: "_LeadTable" = field(hash=False, repr=False)
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -301,9 +299,9 @@ class GroebnerBasis(_Basis):
         return tuple(_polynomial(t, self.ring) for t in self.basis)
 
     def lead_monomials(self) -> list[Monomial]:
-        """The lead monomials, read off the packed basis's largest keys."""
+        """The lead monomials, read off the rows' lead keys."""
         unpack = self._codec.unpack
-        return [unpack(max(t))[1] for t in self.basis]
+        return [unpack(row[1])[1] for rows in self.leads.values() for row in rows]
 
 
 # -- packed terms ------------------------------------------------------------
@@ -444,7 +442,7 @@ def _codec_of(ring: PolyRing) -> _Codec:
 # integer rows: integer coefficients with content 1 and a positive lead
 # coefficient.  Division cross-multiplies instead of dividing, so the engine
 # makes no ``Fraction``; an element is made monic only where it leaves the
-# engine (``_interreduce``, and the normal forms of the fronts).
+# engine (a reduced basis's ``basis``, when read, and the fronts' normal forms).
 
 _Terms = dict[int, Scalar]
 # A primitive element as the reducer sees it: (sign * lead key, lead key,
@@ -452,7 +450,7 @@ _Terms = dict[int, Scalar]
 # lead coefficient).
 _Row = tuple[int, int, int, list[tuple[int, int]], int]
 # Lead position key (lead >> TOP) -> rows of the elements with their lead
-# there, in basis order.
+# there, in basis order; a reduced basis lists its rows ascending by lead.
 _LeadTable = dict[int, list[_Row]]
 
 
@@ -630,10 +628,9 @@ def _buchberger(
     codec: _Codec,
     budget: int,
     name: str,
-) -> tuple[list[_Terms], _LeadTable]:
+) -> _LeadTable:
     """Reduced Groebner basis of the span of ``gens`` and the copies j*e_p,
-    as monic term dicts in ascending order of their leads, and the lead
-    table of its primitive rows.
+    as the lead table of its primitive rows.
 
     The copies j*e_p are the rows of ``ideal``, the lead table of a Groebner
     basis of an ideal of the ring, each shifted to every position p below
@@ -740,9 +737,9 @@ def _chain_criterion(rows, same_pos, pending, i, j, lcm, codec) -> bool:
     return False
 
 
-def _interreduce(table: _LeadTable, codec: _Codec) -> tuple[list[_Terms], _LeadTable]:
-    """The monic reduced basis of the rows in ``table``, ascending by lead,
-    and the lead table of its primitive rows."""
+def _interreduce(table: _LeadTable, codec: _Codec) -> _LeadTable:
+    """The lead table of the reduced basis of the rows in ``table``, its
+    primitive rows ascending by lead."""
     guard = codec.guard
     # Keep the rows whose lead no other lead at its position divides, of
     # equal leads the first in basis order.  A divisor of a lead is not
@@ -761,14 +758,13 @@ def _interreduce(table: _LeadTable, codec: _Codec) -> tuple[list[_Terms], _LeadT
     # back unchanged stays as it is: both descend by key.
     table = _lead_table(kept, codec)
     kept.sort(key=lambda row: row[1])
-    basis, reduced = [], []
+    reduced = []
     for row in kept:
         _, lead, _, tail, lc = row
         r, d = _reduce(dict(tail), table, codec)
-        basis.append({lead: ONE, **_divided(r, d * lc)})
         unchanged = list(r.items()) == tail
         reduced.append(row if unchanged else _row({lead: lc * d, **r}, codec))
-    return basis, _lead_table(reduced, codec)
+    return _lead_table(reduced, codec)
 
 
 # -- multiplication tables ---------------------------------------------------
@@ -915,8 +911,8 @@ def groebner(
     taken from the queue.
     """
     terms = [_packed(g, ring, "generators live in different rings") for g in gens]
-    basis, leads = _buchberger(terms, {}, 1, _codec_of(ring), budget, "buchberger")
-    return GroebnerBasis(ring, tuple(basis), leads)
+    return GroebnerBasis(ring, _buchberger(terms, {}, 1, _codec_of(ring), budget,
+                                           "buchberger"))
 
 
 def ideal_contains(gb: GroebnerBasis, p: Polynomial | _Terms) -> bool:

@@ -66,7 +66,7 @@ class MatrixARep:
         return self.matrices[self.owner.var_index(s, i)]
 
     def direct_sum(self, other: "MatrixARep") -> "MatrixARep":
-        if self.owner is not other.owner and self.owner.ring != other.owner.ring:
+        if self.owner != other.owner:
             raise ValueError("representations of different universal algebras")
         mats = {key: linalg.block_diag(a, b) for key, a, b in
                 zip(_variables(self.owner), self.matrices, other.matrices)}

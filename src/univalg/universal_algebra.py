@@ -135,6 +135,13 @@ class UniversalAlgebra:
     def is_same_hg(self) -> bool:
         return self.h.dim == self.g.dim and self.h.table == self.g.table
 
+    def __eq__(self, other):
+        return (isinstance(other, UniversalAlgebra)
+                and (self.h, self.g, self.ring) == (other.h, other.g, other.ring))
+
+    def __hash__(self):
+        return hash((self.h, self.g, self.ring))
+
     def __repr__(self):
         return (
             f"UniversalAlgebra(h={self.h.name or self.h.dim}, "

@@ -330,9 +330,6 @@ class PresentedMap:
             p: self.target.mgb.remainder(self.apply(t))
             for p, t in other.terms.items()})
 
-    def equals_on_generators(self, other: "PresentedMap") -> bool:
-        return self.terms == other.terms
-
 
 def identity_presented_map(um: UniversalAModule) -> PresentedMap:
     return PresentedMap(um, um, {
@@ -357,7 +354,7 @@ def functor_on_morphism_U(
 ) -> PresentedMap:
     """The induced map U(U,X) -> U(U,Y) of an equivariant f: X -> Y, with
     relation preservation and structure-map compatibility verified."""
-    if um_x.A is not um_y.A and um_x.A.ring != um_y.A.ring:
+    if um_x.A != um_y.A:
         raise ValueError("universal modules over different algebras")
     if um_x.U != um_y.U:
         raise ValueError("the Lie h-module argument must coincide")
@@ -411,9 +408,9 @@ def direct_sum_check(
     c1, c2 = i1.compose(p1), i2.compose(p2)
     both = PresentedMap(um_sum, um_sum, {
         p: _collect(chain(c1.terms[p].items(), c2.terms[p].items())) for p in c1.terms})
-    if not (both.equals_on_generators(identity_presented_map(um_sum))
-            and p1.compose(i1).equals_on_generators(identity_presented_map(um_1))
-            and p2.compose(i2).equals_on_generators(identity_presented_map(um_2))
+    if not (both.terms == identity_presented_map(um_sum).terms
+            and p1.compose(i1).terms == identity_presented_map(um_1).terms
+            and p2.compose(i2).terms == identity_presented_map(um_2).terms
             and not any(p2.compose(i1).terms.values())
             and not any(p1.compose(i2).terms.values())):
         bad.append(Violation("direct-sum-round-trip", (), "not identity"))
@@ -442,7 +439,7 @@ class UniversalLieHModule:
     finite-dimensional Lie h-modules."""
 
     def __init__(self, A: UniversalAlgebra, V: MatrixARep, W: LieModule):
-        if V.owner is not A and V.owner.ring != A.ring:
+        if V.owner != A:
             raise ValueError("V is a module over a different universal algebra")
         if W.algebra != A.g:
             raise ValueError("W must be a Lie module over g")
@@ -569,7 +566,7 @@ def functor_on_morphism_V(
     by term: the image of the relation (s, r, j) of V(V,X) is sum_r' f_r'r
     times the relation (s, r', j) of V(V,Y).  The images of generators have
     words of length 0, so a term c w y_p maps to c w images[p] unnormalized."""
-    if vm_x.V is not vm_y.V and vm_x.V.matrices != vm_y.V.matrices:
+    if vm_x.A != vm_y.A or vm_x.V.matrices != vm_y.V.matrices:
         raise ValueError("the A-module argument must coincide")
     if not is_module_morphism(f, vm_x.W, vm_y.W):
         raise ValueError("f is not a morphism of Lie g-modules")

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gb_certificate import _Certifier, _vector_element
 from helpers import (
     act,
     count_calls,
     from_lie_homomorphism,
-    hand_basis,
-    hand_module_basis,
     is_abelian,
     is_collapsed,
     natural2,
@@ -35,7 +34,7 @@ from univalg.lie import (
 from univalg.modgb import ModuleVector, module_normal_form
 from univalg.pbw import PBWElement
 from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
-from univalg.representations import MatrixARep, tensor_lie_module
+from univalg.representations import MatrixARep, tensor_lie_module, validate_arep
 from univalg.universal_algebra import build_universal_algebra
 from univalg.universal_modules import (
     UniversalAModule,
@@ -141,11 +140,23 @@ def test_build_packs_no_vector(A_sl2, sl2_alg, monkeypatch):
     assert packed[1]
 
 
+def test_bases_make_monic_terms_only_when_read(sl2_alg, monkeypatch):
+    # A basis stores one form, the engine's lead table: building and
+    # certifying A(sl2,sl2) and U(U,Z) divides no row by its lead
+    # coefficient.  Reading the generators makes the monic terms once.
+    divided = count_calls(monkeypatch, poly, "_divided")
+    A = build_universal_algebra(sl2_alg, sl2_alg)
+    n2 = natural2(sl2_alg)
+    mgb = build_universal_amodule(A, n2, n2).mgb
+    assert divided == [] and "basis" not in vars(A.gb) and "basis" not in vars(mgb)
+    assert A.gb.generators is A.gb.generators and mgb.generators is mgb.generators
+    assert len(divided) == len(A.gb) + len(mgb)
+
+
 def test_module_basis_unpacks_on_first_read(A_sl2, sl2_alg, monkeypatch):
-    # A module basis keeps the engine's monic packed terms: building and
-    # certifying U(U,Z) unpacks no vector, and the generators are unpacked
-    # once, when first read.  Equal bases are equal whether built by the
-    # engine or by hand; a basis missing an element is not.
+    # Building and certifying U(U,Z) unpacks no vector, and the generators
+    # are unpacked once, when first read.  Bases the engine makes of one
+    # submodule are equal; a basis missing an element is not.
     n2 = natural2(sl2_alg)
     unpacked = [count_calls(monkeypatch, module, "_unpack") for module in (poly, modgb)]
     mgb = build_universal_amodule(A_sl2, n2, n2).mgb
@@ -154,8 +165,8 @@ def test_module_basis_unpacks_on_first_read(A_sl2, sl2_alg, monkeypatch):
     assert len(unpacked[1]) == len(mgb)
     monkeypatch.undo()
     assert mgb == build_universal_amodule(A_sl2, n2, n2).mgb
-    assert mgb == hand_module_basis(mgb.module, mgb.generators)
-    assert mgb != hand_module_basis(mgb.module, mgb.generators[:-1])
+    assert mgb == modgb.module_buchberger(mgb.generators, A_sl2.gb, mgb.module)
+    assert mgb != modgb.module_buchberger(mgb.generators[:-1], A_sl2.gb, mgb.module)
 
 
 def test_sugar_selection_keeps_s_pair_reductions_down(A_sl2, adjoint_sl2, monkeypatch):
@@ -169,18 +180,16 @@ def test_sugar_selection_keeps_s_pair_reductions_down(A_sl2, adjoint_sl2, monkey
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
-    # The engine hands a basis the lead table of its reduced integer rows;
-    # a hand-made basis builds one from its monic packed terms (_Basis._table).
-    # Both hold the same rows and give the same normal forms.
+    # A basis reduces on the engine's lead table of its reduced integer
+    # rows; the normal forms are those of the certificate's naive division
+    # by the monic basis read off that table.
     rng = Random(2023)
     A = build_universal_algebra(sl2_alg, sl2_alg, order=order)
-    assert A.gb.leads == hand_basis(A.ring, A.gb.generators)._table
     n2, ad = natural2(sl2_alg), LieModule.adjoint(sl2_alg)
     for U, Z in ((n2, n2), (ad, LieModule.trivial(sl2_alg, 1)),
                  (n2, LieModule.trivial(sl2_alg, 1))):
         mgb = build_universal_amodule(A, U, Z).mgb
-        hand = hand_module_basis(mgb.module, mgb.generators)
-        assert hand.leads is None and mgb.leads == hand._table
+        naive = _Certifier([_vector_element(g) for g in mgb.generators], order)
         for _ in range(8):
             v = ModuleVector(mgb.module, {
                 rng.randrange(mgb.module.rank): Polynomial(A.ring, {
@@ -188,7 +197,8 @@ def test_engine_lead_table_matches_one_built_from_the_basis(sl2_alg, order):
                         Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     for _ in range(3)})
                 for _ in range(2)})
-            assert module_normal_form(v, mgb) == module_normal_form(v, hand)
+            assert (_vector_element(module_normal_form(v, mgb))
+                    == naive.remainder(_vector_element(v)))
 
 
 def test_round_trip_builds_one_tensor_module(A_sl2, sl2_alg, adjoint_sl2, monkeypatch):
@@ -606,11 +616,9 @@ def test_functor_on_morphism_and_composition(ab1):
     gbar = functor_on_morphism_U(um1, um2, g)
     fbar = functor_on_morphism_U(um2, um3, f)
     fg = functor_on_morphism_U(um1, um3, f.compose(g))
-    assert fbar.compose(gbar).equals_on_generators(fg)
+    assert fbar.compose(gbar).terms == fg.terms
     ident = identity_presented_map(um1)
-    assert functor_on_morphism_U(um1, um1, LinearMap.identity(2)).equals_on_generators(
-        ident
-    )
+    assert functor_on_morphism_U(um1, um1, LinearMap.identity(2)).terms == ident.terms
 
 
 def test_direct_sum_certificate_small(ab1):
@@ -704,3 +712,41 @@ def test_functor_on_morphism_V_composition(ab1):
     assert res1.ok
     for (r, s), v in res1.images.items():
         assert pulled[vm1.pos(r, s)] == v
+
+
+def test_a_module_belongs_to_its_algebra_by_value(A_sl2, sl2_alg):
+    # Any two A(h,g) of equal dimensions share a ring, so a module is checked
+    # against its algebra's h, g and ring; an algebra built again is equal.
+    ab3 = LieAlgebra.abelian(3)
+    A_ab = build_universal_algebra(ab3, ab3)
+    assert A_ab.ring == A_sl2.ring and A_ab != A_sl2
+    again = build_universal_algebra(sl2_alg, sl2_alg)
+    assert again == A_sl2 and hash(again) == hash(A_sl2)
+    assert MatrixARep.counit(A_sl2).direct_sum(MatrixARep.counit(again)).dim == 2
+    # x_si -> 3s+i is a module of A(ab3,ab3) and not of A(sl2,sl2).
+    point = {(s, i): [[3 * s + i]] for s in range(1, 4) for i in range(1, 4)}
+    X = MatrixARep(A_ab, 1, point)
+    assert validate_arep(X).ok and not validate_arep(MatrixARep(A_sl2, 1, point)).ok
+    with pytest.raises(ValueError, match="different universal algebra"):
+        build_universal_lie_hmodule(A_sl2, X, LieModule.adjoint(sl2_alg))
+    with pytest.raises(ValueError, match="different universal algebras"):
+        MatrixARep.counit(A_sl2).direct_sum(X)
+
+
+def test_induced_maps_refuse_modules_of_another_algebra(A_sl2, sl2_alg):
+    # A(sl2,ab3) and A(ab3,sl2) share A(sl2,sl2)'s ring.
+    ab3 = LieAlgebra.abelian(3)
+    ad, one = LieModule.adjoint(sl2_alg), LinearMap.identity(1)
+    um = build_universal_amodule(A_sl2, ad, LieModule.trivial(sl2_alg, 1))
+    um_ab = build_universal_amodule(build_universal_algebra(sl2_alg, ab3), ad,
+                                    LieModule.trivial(ab3, 1))
+    with pytest.raises(ValueError, match="universal modules over different algebras"):
+        functor_on_morphism_U(um, um_ab, one)
+    # The zero module, with equal matrices over both algebras.
+    W = LieModule.trivial(sl2_alg, 1)
+    vm = build_universal_lie_hmodule(A_sl2, MatrixARep(A_sl2, 1, {}), W)
+    A_ab = build_universal_algebra(ab3, sl2_alg)
+    vm_ab = build_universal_lie_hmodule(A_ab, MatrixARep(A_ab, 1, {}), W)
+    assert functor_on_morphism_V(vm, vm, one).images
+    with pytest.raises(ValueError, match="the A-module argument must coincide"):
+        functor_on_morphism_V(vm, vm_ab, one)
