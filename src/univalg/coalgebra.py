@@ -103,6 +103,17 @@ class TensorSquare:
         return out
 
 
+def _bialgebra_of(um: UniversalAModule,
+                  bial: BialgebraStructure | None) -> BialgebraStructure:
+    """``bial``, or B built over the algebra of ``um`` when it is None;
+    raises unless B is built over that algebra."""
+    if bial is None:
+        return bialgebra_structure(um.A)
+    if bial.owner != um.A:
+        raise ValueError("B is the bialgebra of another algebra")
+    return bial
+
+
 class CoalgebraOnU:
     """Delta and epsilon on U(U), with their well-definedness certificates."""
 
@@ -112,7 +123,7 @@ class CoalgebraOnU:
         if um.U != um.Z:
             raise ValueError("the coalgebra on U(U) requires Z = U")
         self.um = um
-        self.bial = bial if bial is not None else bialgebra_structure(um.A)
+        self.bial = _bialgebra_of(um, bial)
         self.square = TensorSquare(um, self.bial)
 
     def delta(self, v: ModuleVector) -> TensorSquareElement:
@@ -158,6 +169,13 @@ class CoalgebraOnU:
         return factorize_through_universal(um, X, f)
 
 
+def _require_module_of(um: UniversalAModule, C: CoalgebraOnU) -> None:
+    """Raise unless ``um`` is the U(U) of ``C``: the same object, or one with
+    the same A, U and Z."""
+    if um is not C.um and (um.A, um.U, um.Z) != (C.um.A, C.um.U, C.um.Z):
+        raise ValueError("C is the coalgebra of another module")
+
+
 def bmodule_on_tensor_square(um: UniversalAModule,
                              bial: BialgebraStructure | None = None) -> Report:
     """The actions of B on the tensor square (x_ij by Delta(x_ij)) and on k
@@ -165,8 +183,7 @@ def bmodule_on_tensor_square(um: UniversalAModule,
     tensor ideal and eps(P) = 0: that is B's descent report."""
     if not um.A.is_same_hg():
         raise ValueError("the B-module structures require h = g")
-    bial = bial if bial is not None else bialgebra_structure(um.A)
-    return bial.descent
+    return _bialgebra_of(um, bial).descent
 
 
 def build_coalgebra(um: UniversalAModule,
@@ -184,6 +201,7 @@ def verify_comodule(um: UniversalAModule, C: CoalgebraOnU) -> Report:
     Delta matches the coaction (so Delta is the factorization of
     (rho (x) id) o rho) and epsilon(y_lr) = delta_lr, both read on the table
     row of y_lr."""
+    _require_module_of(um, C)
     m = um.U.dim
 
     def counit(l: int, r: int) -> bool:
@@ -204,6 +222,7 @@ def verify_bmodule_coalgebra(um: UniversalAModule, C: CoalgebraOnU) -> Report:
     all generator pairs.  x_ab . y_lt is its table row (den, n), so each
     Delta equation is one normal form of the integer difference
     Delta(n) - den x_ab . Delta(y_lt), and eps(n) must be den or 0."""
+    _require_module_of(um, C)
     bad: list[Violation] = []
     um = C.um
     table, key, sq = um.table, um._key, C.square
@@ -258,15 +277,6 @@ class FiniteCoalgebraModule:
             bad.append(Violation("counit-law", (), "law fails"))
         return Report(tuple(bad))
 
-    @classmethod
-    def trivial_on_k(cls, owner) -> "FiniteCoalgebraModule":
-        rep = MatrixARep.counit(owner)
-        return cls(
-            rep,
-            LinearMap.from_matrix([[ONE]]),
-            LinearMap.from_matrix([[ONE]]),
-        )
-
 
 def universal_coalgebra_map(
     um: UniversalAModule,
@@ -277,6 +287,7 @@ def universal_coalgebra_map(
     """The unique B-module and coalgebra morphism theta: U(U) -> X induced by
     a comodule structure psi: U -> U (x) X; raises if any input check or any
     morphism property fails."""
+    _require_module_of(um, C)
     X.validate().require(ValueError, "X is not a coalgebra")
     m, q = um.U.dim, X.rep.dim
     psi_m = psi.mat()

@@ -1,9 +1,10 @@
 """Structured-text file formats for algebras, modules, matrix representations,
-and morphisms, plus canonical renderers and report serialization.
+and morphisms, and report serialization.
 
 All numbers are exact rational strings ("p/q" or "p"); no floating point.
-Parsing errors carry the offending line; renderers emit canonical, sorted,
-deterministic text so parse(render(x)) == x.
+Parsing errors carry the offending line.  The input formats are only
+parsed here; their writers are the tests' (``tests/helpers.py``), which emit
+canonical, sorted, deterministic text so that parse(render(x)) == x.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ def _lines(path: str, text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _rat_str(c: Scalar) -> str:
-    return str(c)
-
-
 def _parse_pairs(path: str, no: int, parts: list[str]) -> list[tuple[int, Scalar]]:
     """Parse "s:c" coefficient pairs."""
     out = []
@@ -166,20 +163,6 @@ def _read_algebra_text(text: str, path: str) -> LieAlgebra:
 def parse_algebra(path: str) -> LieAlgebra:
     with open(path) as fh:
         return parse_algebra_text(fh.read(), path)
-
-
-def render_algebra(L: LieAlgebra) -> str:
-    out = [f"algebra {L.name or 'unnamed'}", f"dim {L.dim}"]
-    for i in range(L.dim):
-        for j in range(L.dim):
-            pairs = [
-                f"{s + 1}:{_rat_str(L.table[i][j][s])}"
-                for s in range(L.dim)
-                if L.table[i][j][s]
-            ]
-            if pairs:
-                out.append(f"bracket {i + 1} {j + 1}: " + " ".join(pairs))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -314,43 +297,6 @@ def parse_module(path: str, algebra: LieAlgebra | None = None
         return parse_module_text(fh.read(), path, algebra)
 
 
-def render_module(M: LieModule, over: str = "") -> str:
-    out = [
-        f"module {M.name or 'unnamed'}",
-        f"over {over or M.algebra.name or 'unnamed'}",
-        "kind lie",
-        f"dim {M.dim}",
-    ]
-    for i, m in enumerate(M.matrices):
-        for j in range(M.dim):
-            pairs = [
-                f"{s + 1}:{_rat_str(row[j])}" for s, row in enumerate(m) if row[j]
-            ]
-            if pairs:
-                out.append(f"action {i + 1} {j + 1}: " + " ".join(pairs))
-    return "\n".join(out) + "\n"
-
-
-def render_matrix_rep_data(D: MatrixRepData) -> str:
-    out = [
-        f"module {D.name or 'unnamed'}",
-        f"over {D.over or 'unnamed'}",
-        "kind assoc-matrix",
-        f"dim {D.dim}",
-    ]
-    for (s, i) in sorted(D.entries):
-        m = D.entries[(s, i)]
-        pairs = [
-            f"{r * D.dim + c + 1}:{_rat_str(m[r][c])}"
-            for r in range(D.dim)
-            for c in range(D.dim)
-            if m[r][c]
-        ]
-        if pairs:
-            out.append(f"mat {s} {i}: " + " ".join(pairs))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Morphism files: a rational matrix, column j = image of the j-th basis vector
 # ---------------------------------------------------------------------------
@@ -402,13 +348,6 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
 def parse_morphism(path: str) -> LinearMap:
     with open(path) as fh:
         return parse_morphism_text(fh.read(), path)
-
-
-def render_morphism(f: LinearMap, name: str = "unnamed") -> str:
-    out = [f"morphism {name}", f"rows {f.target_dim}", f"cols {f.source_dim}"]
-    for k, row in enumerate(f.matrix, start=1):
-        out.append(f"row {k}: " + " ".join(_rat_str(x) for x in row))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

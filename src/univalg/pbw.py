@@ -26,14 +26,6 @@ class PBWElement:
         self.algebra = algebra
         self.terms = {w: c for w, c in terms.items() if c}
 
-    @classmethod
-    def unit(cls, algebra: LieAlgebra) -> "PBWElement":
-        return cls(algebra, {(): ONE})
-
-    @classmethod
-    def generator(cls, algebra: LieAlgebra, i: int) -> "PBWElement":
-        return cls(algebra, {(i,): ONE})
-
     def is_zero(self) -> bool:
         return not self.terms
 

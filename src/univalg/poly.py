@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import linalg
 from .linalg import Scalar, scalar
@@ -124,10 +124,6 @@ class PolyRing:
     def one(self) -> "Polynomial":
         return Polynomial(self, {self._one_mono: ONE})
 
-    def const(self, c) -> "Polynomial":
-        c = scalar(c)
-        return Polynomial(self, {self._one_mono: c} if c else {})
-
     def var(self, i: int) -> "Polynomial":
         e = [0] * self.nvars
         e[i] = 1
@@ -136,18 +132,6 @@ class PolyRing:
     def monomial(self, m: Monomial, c=ONE) -> "Polynomial":
         c = scalar(c)
         return Polynomial(self, {m: c} if c else {})
-
-    def monomials_up_to_degree(self, dmax: int) -> Iterator[Monomial]:
-        """All monomials of total degree <= dmax, ascending in the ring order."""
-        monos = []
-        for d in range(dmax + 1):
-            for combo in itertools.combinations_with_replacement(range(self.nvars), d):
-                e = [0] * self.nvars
-                for i in combo:
-                    e[i] += 1
-                monos.append(tuple(e))
-        monos.sort(key=self.order.key)
-        return iter(monos)
 
     def render_monomial(self, m: Monomial) -> str:
         if not any(m):
@@ -176,10 +160,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def lead_monomial(self) -> Monomial:
-        key = self.ring.order.key
-        return max(self.terms, key=key)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -211,13 +191,6 @@ class Polynomial:
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: x * c for m, x in self.terms.items()})
-
-    def mul_term(self, m: Monomial, c: Scalar) -> "Polynomial":
-        if not c:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, {mono_mul(m0, m): c0 * c for m0, c0 in self.terms.items()}
-        )
 
     def __eq__(self, other):
         return (
@@ -887,12 +860,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of ``p`` modulo the ideal with Groebner basis ``gb``."""
     terms = _packed(p, gb.ring, "polynomial and Groebner basis live in different rings")
     return _polynomial(gb.remainder(terms), gb.ring)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    codec = _codec_of(f.ring)
-    a, b = (_row(_integral(_pack({0: q}, codec))[0], codec) for q in (f, g))
-    return _polynomial(_divided(_s_terms(a, b, codec), a[4] * b[4]), f.ring)
 
 
 def groebner(

@@ -12,15 +12,7 @@ helpers ``block_diag``, ``intertwines``, ``noncommuting_pairs`` and
 from __future__ import annotations
 
 from . import linalg
-from .lie import (
-    LieAlgebra,
-    LieModule,
-    LinearMap,
-    Report,
-    Violation,
-    is_module_morphism,
-    validate_lie_module,
-)
+from .lie import LieModule, LinearMap, Report, Violation, is_module_morphism
 from .linalg import Frozen, Mat
 from .poly import _words
 from .universal_algebra import UniversalAlgebra
@@ -162,20 +154,3 @@ def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep,
                               tensor_lie_module(U, W).result):
         raise AssertionError("id (x) g failed the equivariance check")
     return out
-
-
-def induced_g_module_from_scalar_rep(g: LieAlgebra, mats: list[Mat]) -> LieModule:
-    """Lie g-module from commuting matrices (one per basis element of g)
-    satisfying the bracket relations sum_u beta^u_{ij} M_u = 0.  For
-    commuting matrices these relations are the Lie module axiom
-    rho([x_i, x_j]) = [M_i, M_j] = 0, which is checked.
-
-    This is the h = Q case: A is the symmetric algebra of g modulo its derived
-    subalgebra, f_t acts as the matrix of x_t.
-    """
-    pair = next(linalg.noncommuting_pairs(mats), None)
-    if pair is not None:
-        raise ValueError(f"matrices {pair[0] + 1} and {pair[1] + 1} do not commute")
-    M = LieModule.from_matrices(g, mats, name="induced")
-    validate_lie_module(M).require(ValueError, "bracket relations violated")
-    return M

@@ -6,9 +6,9 @@ ranked (s,i)-lexicographically.  J is generated by one polynomial per triple
 (a,i,j): the linear combination of X_{au} prescribed by the bracket of g minus
 the quadratic combination of X_{si}X_{tj} prescribed by the bracket of h.
 These generators are written once, as the Groebner engine's packed terms
-(``UniversalAlgebra.relations``), which the library reads as they are; the
-polynomials ``jgens`` and ``universal_polynomials`` are unpacked from them
-for callers and the tests' oracles.  Both brackets are antisymmetric, so
+(``UniversalAlgebra.relations``), which the library reads as they are;
+``universal_polynomials`` unpacks them into polynomials for callers.  Both
+brackets are antisymmetric, so
 P_(a,j,i) = -P_(a,i,j) and P_(a,i,i) = 0: the engine is handed the
 independent half, i < j, and the relation certificate reads all of them.
 """
@@ -117,16 +117,6 @@ class UniversalAlgebra:
         self.labels = jgen_labels(h, g)
         self.gb = gb
         self.table = gb.multiplication_table()
-
-    @functools.cached_property
-    def jgens(self) -> list[Polynomial]:
-        """The generators of J as polynomials, unpacked from ``relations`` on
-        first read."""
-        return [poly._polynomial(t, self.ring) for t in self.relations]
-
-    @property
-    def nvars(self) -> int:
-        return self.h.dim * self.g.dim
 
     def var_index(self, s: int, i: int) -> int:
         """1-based (s,i) -> 0-based variable index."""

@@ -119,9 +119,6 @@ class UniversalAModule:
                     labels.append((s, i, j))
         return rels, labels
 
-    def nf(self, v: ModuleVector) -> ModuleVector:
-        return modgb.module_normal_form(v, self.mgb)
-
     def _rho_terms(self, z: Vec) -> list[dict[int, Scalar]]:
         """rho(z) before reduction, as packed terms, for a vector z of exact
         scalars: its component at u_s is sum_r z_r y_sr."""

@@ -1,18 +1,20 @@
 """Shared pools of small exact instances and random-but-valid morphism
-generators for the property suites."""
+generators for the property suites, the oracles they check against, and the
+writers of the input formats."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from random import Random
 
 from univalg import linalg, modgb, poly
-from univalg.lie import (
-    LieAlgebra, LieModule, LinearMap, Report, Violation, direct_sum, sl2,
-)
+from univalg.coalgebra import FiniteCoalgebraModule
+from univalg.formats import MatrixRepData
+from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation, sl2
 from univalg.modgb import ModuleVector, _terms
 from univalg.poly import PolyRing, Polynomial
 from univalg.representations import MatrixARep
-from univalg.universal_algebra import add_pairs, tensor_normal_form
+from univalg.universal_algebra import add_pairs, tensor_normal_form, universal_polynomials
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +47,44 @@ def greater(order, a, b) -> bool:
     return order.key(a) > order.key(b)
 
 
+def const(R: PolyRing, c) -> Polynomial:
+    """The constant polynomial c of the ring R."""
+    return R.monomial((0,) * R.nvars, c)
+
+
+def lead_monomial(p: Polynomial):
+    """The largest monomial of a nonzero polynomial in its ring's order."""
+    return max(p.terms, key=p.ring.order.key)
+
+
+def monomials_up_to_degree(R: PolyRing, dmax: int) -> list:
+    """All monomials of R of total degree <= dmax, ascending in R's order."""
+    monos = []
+    for d in range(dmax + 1):
+        for combo in itertools.combinations_with_replacement(range(R.nvars), d):
+            e = [0] * R.nvars
+            for i in combo:
+                e[i] += 1
+            monos.append(tuple(e))
+    return sorted(monos, key=R.order.key)
+
+
+def jgens(A) -> list[Polynomial]:
+    """The generators P_(a,i,j) of J as polynomials, in the order of A.labels."""
+    return universal_polynomials(A.h, A.g, A.ring)
+
+
+def nf(um, v: ModuleVector) -> ModuleVector:
+    """The normal form of ``v`` in the presented module ``um``."""
+    return modgb.module_normal_form(v, um.mgb)
+
+
+def trivial_on_k(owner) -> FiniteCoalgebraModule:
+    """The coalgebra k, grouplike 1, with B acting through its counit."""
+    one = LinearMap.from_matrix([[ONE]])
+    return FiniteCoalgebraModule(MatrixARep.counit(owner), one, one)
+
+
 def contains_unit(gb) -> bool:
     """Whether the Groebner basis ``gb`` has a constant lead: the unit ideal."""
     return any(not any(lm) for lm in gb.lead_monomials())
@@ -54,7 +94,7 @@ def lead(v: ModuleVector):
     """Lead term position and monomial of a module vector under
     position-over-term."""
     pos = min(v.components)
-    return pos, v.components[pos].lead_monomial()
+    return pos, lead_monomial(v.components[pos])
 
 
 def lead_coeff(x):
@@ -62,7 +102,7 @@ def lead_coeff(x):
     if isinstance(x, ModuleVector):
         pos, mono = lead(x)
         return x.components[pos].terms[mono]
-    return x.terms[x.lead_monomial()]
+    return x.terms[lead_monomial(x)]
 
 
 def zero_dimensional(owner) -> MatrixARep:
@@ -119,7 +159,7 @@ def push_to_module(fbar, Y, images):
 def is_collapsed(um) -> bool:
     """Whether every generator of U(U,Z) reduces to zero (degenerate but
     legal)."""
-    return all(um.nf(um.free.basis_vector(p)).is_zero() for p in range(um.rank))
+    return all(nf(um, um.free.basis_vector(p)).is_zero() for p in range(um.rank))
 
 
 def is_abelian(L: LieAlgebra) -> bool:
@@ -336,7 +376,7 @@ def ring_map(p, target, images):
     images[i], applied to ``p`` term by term."""
     out = target.zero()
     for m, c in p.terms.items():
-        t = target.const(c)
+        t = const(target, c)
         for i, e in enumerate(m):
             for _ in range(e):
                 t = t * images[i]
@@ -389,7 +429,7 @@ def reference_tensor_normal_form(sq, elem, rows):
 
     def row(pos, m):
         if (pos, m) not in rows:
-            v = um.nf(ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
+            v = nf(um, ModuleVector(um.free, {pos: um.A.ring.monomial(m)}))
             rows[(pos, m)] = {q: p.terms for q, p in v.components.items()}
         return rows[(pos, m)]
 
@@ -488,7 +528,7 @@ def reference_validate_arep(R: MatrixARep) -> tuple:
            for a in range(len(keys)) for b in range(a + 1, len(keys))
            if linalg.mat_mul(mats[a], mats[b]) != linalg.mat_mul(mats[b], mats[a])]
     out += [("relation", label)
-            for label, gen in zip(R.owner.labels, R.owner.jgens)
+            for label, gen in zip(R.owner.labels, jgens(R.owner))
             if any(any(row) for row in reference_eval_matrices(gen, mats))]
     return tuple(out)
 
@@ -553,3 +593,58 @@ def reference_remainder(basis, v, order):
         else:
             rem[t] = c
     return rem
+
+
+# ---------------------------------------------------------------------------
+# Writers of the input formats: canonical, sorted, deterministic text, which
+# the parsers read back to the same object.
+# ---------------------------------------------------------------------------
+
+
+def render_algebra(L: LieAlgebra) -> str:
+    out = [f"algebra {L.name or 'unnamed'}", f"dim {L.dim}"]
+    for i in range(L.dim):
+        for j in range(L.dim):
+            pairs = [f"{s + 1}:{L.table[i][j][s]}" for s in range(L.dim)
+                     if L.table[i][j][s]]
+            if pairs:
+                out.append(f"bracket {i + 1} {j + 1}: " + " ".join(pairs))
+    return "\n".join(out) + "\n"
+
+
+def render_module(M: LieModule, over: str = "") -> str:
+    out = [
+        f"module {M.name or 'unnamed'}",
+        f"over {over or M.algebra.name or 'unnamed'}",
+        "kind lie",
+        f"dim {M.dim}",
+    ]
+    for i, m in enumerate(M.matrices):
+        for j in range(M.dim):
+            pairs = [f"{s + 1}:{row[j]}" for s, row in enumerate(m) if row[j]]
+            if pairs:
+                out.append(f"action {i + 1} {j + 1}: " + " ".join(pairs))
+    return "\n".join(out) + "\n"
+
+
+def render_matrix_rep_data(D: MatrixRepData) -> str:
+    out = [
+        f"module {D.name or 'unnamed'}",
+        f"over {D.over or 'unnamed'}",
+        "kind assoc-matrix",
+        f"dim {D.dim}",
+    ]
+    for (s, i) in sorted(D.entries):
+        m = D.entries[(s, i)]
+        pairs = [f"{r * D.dim + c + 1}:{m[r][c]}"
+                 for r in range(D.dim) for c in range(D.dim) if m[r][c]]
+        if pairs:
+            out.append(f"mat {s} {i}: " + " ".join(pairs))
+    return "\n".join(out) + "\n"
+
+
+def render_morphism(f: LinearMap, name: str = "unnamed") -> str:
+    out = [f"morphism {name}", f"rows {f.target_dim}", f"cols {f.source_dim}"]
+    for k, row in enumerate(f.matrix, start=1):
+        out.append(f"row {k}: " + " ".join(str(x) for x in row))
+    return "\n".join(out) + "\n"

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls
+from helpers import (
+    count_calls,
+    jgens,
+    render_algebra,
+    render_matrix_rep_data,
+    render_module,
+    render_morphism,
+)
 from univalg import cli, linalg, poly, universal_modules
 from univalg.cli import main
 from univalg.coalgebra import CoalgebraOnU, TensorSquare
@@ -14,12 +21,8 @@ from univalg.formats import (
     parse_algebra_text,
     parse_module_text,
     parse_morphism_text,
-    render_algebra,
-    render_matrix_rep_data,
-    render_module,
-    render_morphism,
 )
-from univalg.lie import LieAlgebra, LieModule, LinearMap, Report, Violation, sl2
+from univalg.lie import LieModule, LinearMap, Report, Violation, sl2
 from univalg.poly import LEX
 from univalg.universal_algebra import BialgebraStructure
 from univalg.universal_modules import UniversalAModule
@@ -131,9 +134,9 @@ def test_univalg_golden_fail(capsys, monkeypatch, wrong_golden):
                          ids=["plain", "golden", "lex-golden"])
 def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, flags):
     # The generator lines are printed from A.relations, and --golden tests
-    # the golden basis against them too, so the command never fills A.jgens;
-    # every generator and groebner line goes through the one text form,
-    # linalg.combination_str.
+    # the golden basis against them too, so the command unpacks no relation
+    # into a polynomial; every generator and groebner line goes through the
+    # one text form, linalg.combination_str.
     built, original = [], cli.build_universal_algebra
 
     def build(*args, **kwargs):
@@ -142,14 +145,15 @@ def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, fl
 
     monkeypatch.setattr(cli, "build_universal_algebra", build)
     texts = count_calls(monkeypatch, linalg, "combination_str")
+    unpacked = count_calls(monkeypatch, poly, "_unpack")
     code, out = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), *flags)
     monkeypatch.undo()
     (A,) = built
-    assert code == 0 and "jgens" not in vars(A)
+    assert code == 0 and unpacked == []
     assert len(texts) == len(A.relations) + len(A.gb)
     lines = [line for line in out.splitlines() if line.startswith("generator ")]
     assert lines == [f"generator {a},{i},{j}: {poly.render(p)}"
-                     for (a, i, j), p in zip(A.labels, A.jgens)]
+                     for (a, i, j), p in zip(A.labels, jgens(A))]
 
 
 @pytest.mark.parametrize("command", [
@@ -160,16 +164,11 @@ def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, fl
 ])
 def test_bialgebra_rep_and_coalgebra_commands_leave_jgens_unfilled(capsys, monkeypatch,
                                                                    command):
-    built, original = [], cli.build_universal_algebra
-
-    def build(*args, **kwargs):
-        built.append(original(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_universal_algebra", build)
+    # These commands read J's generators as packed terms only: none of them
+    # unpacks a term into a polynomial.
+    unpacked = count_calls(monkeypatch, poly, "_unpack")
     code, _ = run(capsys, *[fx(w) if "." in w else w for w in command.split()])
-    (A,) = built
-    assert code == 0 and "jgens" not in vars(A)
+    assert code == 0 and unpacked == []
 
 
 def test_univalg_deterministic_output(capsys, tmp_path):

@@ -8,13 +8,16 @@ from helpers import (
     act,
     count_calls,
     doubled,
+    heisenberg,
     natural2,
+    nf,
     poly_mul,
     reference_delta_of_vector,
     reference_tensor_normal_form,
     solve_unique,
     tensor_ring,
     tensor_square_inputs,
+    trivial_on_k,
 )
 from univalg.coalgebra import (
     CoalgebraOnU,
@@ -56,11 +59,63 @@ def coalg_adjoint(um_adjoint):
     return build_coalgebra(um_adjoint)
 
 
+@pytest.fixture(scope="module")
+def coalg_natural2(um_natural2, B_sl2):
+    return build_coalgebra(um_natural2, B_sl2)
+
+
+@pytest.fixture(scope="module")
+def um_natural2_again(sl2_alg):
+    """U(natural2, natural2) built apart, over an A(sl2, sl2) built apart:
+    equal by value to ``um_natural2``, not the same object."""
+    N = natural2(sl2_alg)
+    return build_universal_amodule(build_universal_algebra(sl2_alg, sl2_alg), N, N)
+
+
 def test_build_requires_z_equal_u(A_sl2, adjoint_sl2, sl2_alg):
     T = LieModule.trivial(sl2_alg, 3)
     um = build_universal_amodule(A_sl2, adjoint_sl2, T)
     with pytest.raises(ValueError):
         CoalgebraOnU(um)
+
+
+def test_a_bialgebra_of_another_algebra_is_refused(um_natural2, um_natural2_again,
+                                                   B_sl2):
+    # A(heis, heis) has the ring of A(sl2, sl2), so only comparing the
+    # algebras tells its B apart; a B over an equal algebra is accepted.
+    heis = heisenberg()
+    B = BialgebraStructure(build_universal_algebra(heis, heis))
+    assert B.owner.ring == um_natural2.A.ring and B.owner != um_natural2.A
+    for make in (CoalgebraOnU, build_coalgebra, bmodule_on_tensor_square):
+        with pytest.raises(ValueError, match="B is the bialgebra of another algebra"):
+            make(um_natural2, B)
+    assert um_natural2_again.A is not B_sl2.owner
+    assert CoalgebraOnU(um_natural2_again, B_sl2).bial is B_sl2
+    assert bmodule_on_tensor_square(um_natural2_again, B_sl2).ok
+
+
+def test_verify_comodule_refuses_another_module(um_adjoint, um_natural2_again,
+                                                coalg_natural2):
+    with pytest.raises(ValueError, match="C is the coalgebra of another module"):
+        verify_comodule(um_adjoint, coalg_natural2)
+    assert verify_comodule(um_natural2_again, coalg_natural2) == Report()
+
+
+def test_verify_bmodule_coalgebra_refuses_another_module(um_adjoint, um_natural2_again,
+                                                         coalg_natural2):
+    with pytest.raises(ValueError, match="C is the coalgebra of another module"):
+        verify_bmodule_coalgebra(um_adjoint, coalg_natural2)
+    assert verify_bmodule_coalgebra(um_natural2_again, coalg_natural2) == Report()
+
+
+def test_universal_coalgebra_map_refuses_another_module(um_natural2, um_natural2_again,
+                                                        coalg_adjoint, coalg_natural2,
+                                                        A_sl2):
+    X, psi = trivial_on_k(A_sl2), LinearMap.identity(2)
+    with pytest.raises(ValueError, match="C is the coalgebra of another module"):
+        universal_coalgebra_map(um_natural2, coalg_adjoint, X, psi)
+    theta = universal_coalgebra_map(um_natural2_again, coalg_natural2, X, psi)
+    assert theta == {(l, t): [ONE if l == t else ZERO] for l in (1, 2) for t in (1, 2)}
 
 
 def test_abelian_grouplike(abelian_setup):
@@ -71,7 +126,7 @@ def test_abelian_grouplike(abelian_setup):
     d = C.delta(g)
     assert [(um.table.term(a), um.table.term(b)) for a, b in d] == [
         ((0, (0,)), (0, (0,)))]
-    assert C.epsilon(um.nf(g)) == 1
+    assert C.epsilon(nf(um, g)) == 1
     assert verify_comodule(um, C).ok
     assert verify_bmodule_coalgebra(um, C).ok
     assert bmodule_on_tensor_square(um).ok
@@ -104,7 +159,7 @@ def test_epsilon_factorization_reproduces_delta(um_adjoint, coalg_adjoint):
 def test_grouplike_to_grouplike_theta(abelian_setup):
     L, A, um = abelian_setup
     C = build_coalgebra(um)
-    X = FiniteCoalgebraModule.trivial_on_k(A)
+    X = trivial_on_k(A)
     psi = LinearMap.identity(1)
     theta = universal_coalgebra_map(um, C, X, psi)
     assert theta == {(1, 1): [ONE]}
@@ -116,7 +171,7 @@ def test_theta_matches_dense_solve_oracle(abelian_setup):
     # coordinates and compare with the main path.
     L, A, um = abelian_setup
     C = build_coalgebra(um)
-    X = FiniteCoalgebraModule.trivial_on_k(A)
+    X = trivial_on_k(A)
     psi = LinearMap.identity(1)
     theta_oracle = solve_unique([[ONE]], [ONE])
     assert theta_oracle == [ONE]
@@ -125,7 +180,7 @@ def test_theta_matches_dense_solve_oracle(abelian_setup):
 
 
 def test_theta_sl2_counit_target(um_adjoint, coalg_adjoint, A_sl2):
-    X = FiniteCoalgebraModule.trivial_on_k(A_sl2)
+    X = trivial_on_k(A_sl2)
     psi = LinearMap.identity(3)
     theta = universal_coalgebra_map(um_adjoint, coalg_adjoint, X, psi)
     for (l, t), vec in theta.items():
@@ -133,7 +188,7 @@ def test_theta_sl2_counit_target(um_adjoint, coalg_adjoint, A_sl2):
 
 
 def test_theta_rejects_non_comodule(um_adjoint, coalg_adjoint, A_sl2):
-    X = FiniteCoalgebraModule.trivial_on_k(A_sl2)
+    X = trivial_on_k(A_sl2)
     bad = LinearMap.from_matrix(
         [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
     )
@@ -142,7 +197,7 @@ def test_theta_rejects_non_comodule(um_adjoint, coalg_adjoint, A_sl2):
 
 
 def test_finite_coalgebra_validation(A_sl2):
-    X = FiniteCoalgebraModule.trivial_on_k(A_sl2)
+    X = trivial_on_k(A_sl2)
     assert X.validate().ok
     bad = FiniteCoalgebraModule(
         MatrixARep.counit(A_sl2),
@@ -357,7 +412,7 @@ def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
     over = (MAX_EXPONENT + 1,) + (0,) * 8
     y = um.free.basis_vector(0)
     x11_y = ModuleVector(um.free, {0: ring.var(0)})
-    for raises in (lambda: um.nf(poly_mul(y, ring.monomial(over))),
+    for raises in (lambda: nf(um, poly_mul(y, ring.monomial(over))),
                    lambda: um.table.row(um.table.key(0, over)),
                    lambda: act(um, ring.monomial(over), y),
                    lambda: act(um, ring.monomial(top), x11_y)):

@@ -97,7 +97,7 @@ def test_arep_matrices_are_frozen(A_sl2, path):
     rep = {"constructor": X, "counit": MatrixARep.counit(A_sl2),
            "direct_sum": X.direct_sum(MatrixARep.counit(A_sl2))}[path]
     assert not hasattr(rep, "mats")
-    assert len(rep.matrices) == A_sl2.nvars
+    assert len(rep.matrices) == A_sl2.ring.nvars
     assert all(rep.matrix(s, i) is rep.matrices[A_sl2.var_index(s, i)]
                for s in range(1, 4) for i in range(1, 4))
     assert_frozen(rep.matrices, 3)

@@ -8,12 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gb_certificate import ideal_failures, module_failures
-from helpers import (
-    lead_coeff,
-    mono_div,
-    mono_lcm,
-    reference_remainder,
-)
+from helpers import jgens, reference_remainder
 from univalg.modgb import (
     FreeModule,
     ModuleVector,
@@ -28,7 +23,6 @@ from univalg.poly import (
     ResourceBudgetError,
     groebner,
     normal_form,
-    s_polynomial,
 )
 
 BUDGET = 2000
@@ -132,8 +126,7 @@ def _element(components) -> dict:
 def test_ideal_normal_forms_match_the_rational_reducer(order, gen_data, data):
     # Normal forms leave the engine divided once by the input's denominator
     # times the scale of the integer division; they equal the remainders of
-    # plain division over Q by the reduced basis.  s_polynomial is the monic
-    # S-polynomial.
+    # plain division over Q by the reduced basis.
     R = PolyRing("xy", order)
     gens = [_poly(R, d) for d in gen_data]
     try:
@@ -145,13 +138,6 @@ def test_ideal_normal_forms_match_the_rational_reducer(order, gen_data, data):
         p = _poly(R, d)
         assert _element({0: normal_form(p, gb)}) == reference_remainder(
             basis, _element({0: p}), order)
-    f, g = gens[0], gens[-1]
-    assume(not f.is_zero() and not g.is_zero())
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    m = mono_lcm(lf, lg)
-    assert s_polynomial(f, g) == (
-        f.mul_term(mono_div(m, lf), Fraction(1) / lead_coeff(f))
-        - g.mul_term(mono_div(m, lg), Fraction(1) / lead_coeff(g)))
 
 
 @given(orders, module_cases, st.lists(
@@ -180,7 +166,7 @@ def test_module_normal_forms_match_the_rational_reducer(order, case, data):
 
 
 def test_universal_bases_pass_the_certificate(A_sl2, um_adjoint):
-    assert ideal_failures(A_sl2.gb, A_sl2.jgens) == []
+    assert ideal_failures(A_sl2.gb, jgens(A_sl2)) == []
     assert module_failures(um_adjoint.mgb, um_adjoint.relgens, A_sl2.gb) == []
 
 
@@ -194,15 +180,15 @@ def test_certificate_fails_on_broken_bases(A_sl2, um_adjoint):
         return SimpleNamespace(ring=gb.ring, generators=tuple(polynomials))
 
     # One element missing: some generator or S-element no longer reduces.
-    assert ideal_failures(broken(gens[1:]), A_sl2.jgens)
+    assert ideal_failures(broken(gens[1:]), jgens(A_sl2))
     # Not monic.
     scaled = (gens[0].scale(Fraction(2)), *gens[1:])
-    assert "lead of element 0 is not monic" in ideal_failures(broken(scaled), A_sl2.jgens)
+    assert "lead of element 0 is not monic" in ideal_failures(broken(scaled), jgens(A_sl2))
     # Not reduced: a multiple of one element's lead added to another.
     x = gb.ring.var(0)
     unreduced = (gens[0], gens[1] + gens[0] * x, *gens[2:])
     assert any("divides a term" in f
-               for f in ideal_failures(broken(unreduced), A_sl2.jgens))
+               for f in ideal_failures(broken(unreduced), jgens(A_sl2)))
     # A module basis with its last element missing.
     mgb = um_adjoint.mgb
     assert module_failures(

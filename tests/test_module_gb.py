@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lead, lead_coeff, mono_div, mono_lcm, poly_mul
+from helpers import const, lead, lead_coeff, mono_div, mono_lcm, poly_mul
 from univalg.modgb import (
     FreeModule,
     ModuleVector,
@@ -63,7 +63,7 @@ def test_module_normal_form_quotient(setup):
     x, y = R.var(0), R.var(1)
     # Submodule: (x - 2)e0, and the ring ideal (y^2 - x) folded in.
     ring_gb = groebner([y * y - x], R)
-    mgb = module_buchberger([ModuleVector(F, {0: x - R.const(2)})], ring_gb, F)
+    mgb = module_buchberger([ModuleVector(F, {0: x - const(R, 2)})], ring_gb, F)
     v = poly_mul(F.basis_vector(0), y * y)  # y^2 e0 -> x e0 -> 2 e0
     nf = module_normal_form(v, mgb)
     assert nf == F.basis_vector(0).scale(Fraction(2))
@@ -210,7 +210,7 @@ def test_int_coefficients_give_the_module_bases_of_their_fraction_twins():
     x2 = ModuleVector(F, {0: Polynomial(R2, {(2, 0): 1})})
     nf = module_normal_form(x2, mgb)
     assert nf == module_normal_form(x2, twin) == ModuleVector(
-        F, {0: R2.const(Fraction(-2, 9))})
+        F, {0: const(R2, Fraction(-2, 9))})
     coefficients = [c for v in (*mgb.generators, nf)
                     for q in v.components.values() for c in q.terms.values()]
     assert all(type(c) in (int, Fraction) for c in coefficients)

@@ -33,12 +33,12 @@ def test_abelian_words_commute():
 
 def test_multiplication_associative():
     L = sl2()
-    a = PBWElement.generator(L, 2) * PBWElement.generator(L, 1)
-    b = PBWElement.generator(L, 3)
-    lhs = (a * b) + PBWElement.unit(L)
+    a = PBWElement(L, {(2,): 1}) * PBWElement(L, {(1,): 1})
+    b = PBWElement(L, {(3,): 1})
+    lhs = (a * b) + PBWElement(L, {(): 1})
     rhs = (
-        PBWElement.generator(L, 2) * (PBWElement.generator(L, 1) * b)
-        + PBWElement.unit(L)
+        PBWElement(L, {(2,): 1}) * (PBWElement(L, {(1,): 1}) * b)
+        + PBWElement(L, {(): 1})
     )
     assert lhs == rhs
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     from_lie_homomorphism,
+    jgens,
     natural2,
     reference_eval_matrices,
     reference_validate_arep,
@@ -13,11 +14,10 @@ from helpers import (
     zero_dimensional,
 )
 from univalg import linalg
-from univalg.lie import LieAlgebra, LieModule, LinearMap, sl2, validate_lie_module
+from univalg.lie import LieAlgebra, LieModule, LinearMap, validate_lie_module
 from univalg.poly import mono_word
 from univalg.representations import (
     MatrixARep,
-    induced_g_module_from_scalar_rep,
     is_arep_morphism,
     tensor_lie_module,
     tensor_on_morphism,
@@ -104,7 +104,7 @@ def test_validate_arep_matches_reference_evaluator(A_sl2, seed):
         ("commutativity", "nonzero commutator"), ("relation", "relation matrix nonzero")}
     # Column by column, the evaluator gives the reference matrix.
     ordered = R.matrices
-    for gen in A_sl2.jgens:
+    for gen in jgens(A_sl2):
         terms = [(0, mono_word(m), c) for m, c in gen.terms.items()]
         columns = [linalg.evaluate(terms, ordered, {0: e}, 2) for e in linalg.identity(2)]
         assert [list(row) for row in zip(*columns)] == reference_eval_matrices(gen, ordered)
@@ -178,28 +178,3 @@ def test_random_reps_are_valid(A_sl2):
         X = rep_pool(A_sl2, rng)
         assert validate_arep(X).ok
 
-
-def test_induced_module_from_commuting_matrices():
-    g = LieAlgebra.abelian(2)
-    m1 = [[ONE, ZERO], [ZERO, Fraction(2)]]
-    m2 = [[Fraction(3), ZERO], [ZERO, Fraction(4)]]
-    M = induced_g_module_from_scalar_rep(g, [m1, m2])
-    assert validate_lie_module(M).ok
-
-
-def test_induced_module_sl2_only_trivial_scalars():
-    # Oracle: g' = g for sl2 (row reduction in the algebra tests), so the only
-    # 1x1 choice is zero for all three generators.
-    g = sl2()
-    M = induced_g_module_from_scalar_rep(g, [[[ZERO]], [[ZERO]], [[ZERO]]])
-    assert validate_lie_module(M).ok
-    with pytest.raises(ValueError):
-        induced_g_module_from_scalar_rep(g, [[[ONE]], [[ZERO]], [[ZERO]]])
-
-
-def test_non_commuting_matrices_rejected():
-    g = LieAlgebra.abelian(2)
-    m1 = [[ZERO, ONE], [ZERO, ZERO]]
-    m2 = [[ZERO, ZERO], [ONE, ZERO]]
-    with pytest.raises(ValueError):
-        induced_g_module_from_scalar_rep(g, [m1, m2])

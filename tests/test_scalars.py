@@ -13,7 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import from_lie_homomorphism, random_equivariant_map, tensor_square_inputs
+from helpers import (
+    const,
+    from_lie_homomorphism,
+    nf,
+    random_equivariant_map,
+    tensor_square_inputs,
+)
 from univalg import linalg
 from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import parse_algebra_text
@@ -297,9 +303,9 @@ def integral_as_int(*outputs) -> bool:
 
 def test_polynomial_arithmetic_stores_integral_results_as_int():
     R = PolyRing(["x", "y"])
-    half = R.const(Fraction(1, 2))
-    for p in (half * R.const(2), half + half, half.scale(2), half.mul_term((1, 0), 2),
-              R.const(Fraction(3, 2)) - half,
+    half = const(R, Fraction(1, 2))
+    for p in (half * const(R, 2), half + half, half.scale(2),
+              const(R, Fraction(3, 2)) - half,
               Polynomial(R, {(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 3)})):
         assert integral_as_int(p)
 
@@ -309,7 +315,7 @@ def test_module_basis_and_normal_forms_store_integral_results_as_int(um_natural2
     # x_i x_(i+4) e_p hold genuine halves and quarters beside integers.
     um = um_natural2
     ring = um.A.ring
-    forms = [um.nf(ModuleVector(um.free, {p: ring.var(i) * ring.var(i + 4)}))
+    forms = [nf(um, ModuleVector(um.free, {p: ring.var(i) * ring.var(i + 4)}))
              for i in range(ring.nvars - 4) for p in range(um.rank)]
     assert integral_as_int(um.mgb.generators, forms)
     assert any(type(c) is Fraction for c in scalars([um.mgb.generators, forms]))

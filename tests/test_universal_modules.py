@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from gb_certificate import _Certifier, _vector_element
 from helpers import (
     act,
+    const,
     count_calls,
     from_lie_homomorphism,
-    is_abelian,
     is_collapsed,
     natural2,
+    nf,
     poly_mul,
     push_to_module,
-    random_arep_morphism,
     random_equivariant_map,
     reference_row,
     rep_pool,
@@ -82,10 +82,10 @@ def test_abelian_rank1_closed_form(ab1):
     assert len(um.relgens) == 1
     x11 = A.ring.var(0)
     # oracle relation, built by hand
-    hand = ModuleVector(um.free, {0: A.ring.const(lam) - x11})
+    hand = ModuleVector(um.free, {0: const(A.ring, lam) - x11})
     assert um.relgens[0] == hand or um.relgens[0] == hand.scale(-ONE)
     acted = act(um, x11, um.free.basis_vector(0))
-    assert acted == um.nf(um.free.basis_vector(0).scale(lam))
+    assert acted == nf(um, um.free.basis_vector(0).scale(lam))
     assert not is_collapsed(um)
 
 
@@ -104,7 +104,7 @@ def test_rho_shape(um_adjoint):
     assert len(t) == 3
     for s in range(1, 4):
         comp = t[s - 1]
-        expected = um_adjoint.nf(
+        expected = nf(um_adjoint,
             um_adjoint.free.basis_vector(um_adjoint.pos(s, 2))
         )
         assert comp == expected
@@ -136,7 +136,7 @@ def test_build_packs_no_vector(A_sl2, sl2_alg, monkeypatch):
     packed = [count_calls(monkeypatch, module, "_pack") for module in (poly, modgb)]
     um = build_universal_amodule(A_sl2, n2, n2)
     assert packed == [[], []]
-    um.nf(um.free.basis_vector(0))
+    nf(um, um.free.basis_vector(0))
     assert packed[1]
 
 
@@ -283,7 +283,7 @@ def _reference_row(x, pos, m):
     """The row of nf(x^m e_pos) by one normal_form (A at rank 1) or
     module_normal_form (U(U,Z)) reduction of that term."""
     if isinstance(x, UniversalAModule):
-        return reference_row(x.nf(ModuleVector(x.free, {pos: x.A.ring.monomial(m)}))
+        return reference_row(nf(x, ModuleVector(x.free, {pos: x.A.ring.monomial(m)}))
                              .components)
     return reference_row({0: normal_form(x.ring.monomial(m), x.gb)})
 
@@ -332,10 +332,10 @@ def test_act_matches_normal_form_of_product(own_modules, which, p_terms, v_terms
     v = ModuleVector(um.free, {})
     for pos, terms in v_terms:
         v = v + ModuleVector(um.free, {pos % um.rank: poly(terms)})
-    assert act(um, p, v) == um.nf(poly_mul(v, p))
+    assert act(um, p, v) == nf(um, poly_mul(v, p))
     assert act(um, ring.zero(), v).is_zero()
     assert act(um, p, ModuleVector(um.free, {})).is_zero()
-    assert act(um, Polynomial(ring, {(0,) * 9: 1}), v) == um.nf(v)
+    assert act(um, Polynomial(ring, {(0,) * 9: 1}), v) == nf(um, v)
 
 
 def test_act_at_degree_3000_matches_normal_form(A_sl2, sl2_alg):
@@ -347,7 +347,7 @@ def test_act_at_degree_3000_matches_normal_form(A_sl2, sl2_alg):
     v = ModuleVector(um.free, {})
     for pos in range(um.rank):
         v = v + um.free.basis_vector(pos)
-    assert act(um, p, v) == um.nf(poly_mul(v, p))
+    assert act(um, p, v) == nf(um, poly_mul(v, p))
 
 
 def test_zero_dimensional_Z(A_sl2, adjoint_sl2, sl2_alg):
