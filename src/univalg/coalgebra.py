@@ -1,18 +1,18 @@
 """Coalgebra structure on U(U) = U(U,U) for h = g, its comodule and
 B-module-coalgebra certificates, and the universal coalgebra map.
 
-An element of the tensor square U(U) (x) U(U) maps pairs of keys of U(U)'s
-multiplication table, one key per factor, to scalars.  Its canonical form is
-universal_algebra.tensor_normal_form, the one that B (x) B uses at rank 1: it
-multiplies the rows of the two factors, nf(x^m e_p) from U(U)'s table, which
-decides equality in the quotient tensor square without a second Groebner
-computation, and every TensorSquare over one U(U) shares those rows.  Delta
-and epsilon of U(U) take packed terms, a relation or a table row's integer
-terms, and read B's tables of Delta and epsilon by monomial key, Delta
-placed at positions by additions of keys; the action of B multiplies keys.
-A certificate equation is decided by one normal form of the integer
-difference of its sides, cleared by the row's denominator, since that
-normal form is linear.
+U(U) (x) U(U) is universal_algebra.TensorSquare over U(U)'s multiplication
+table at m = dim U, the class whose case m = 1 over A's table is B (x) B:
+its normal form multiplies the rows of the two factors, nf(x^m e_p) from
+U(U)'s table, which decides equality in the quotient tensor square without
+a second Groebner computation, and every square over one U(U) shares those
+rows.  Delta and epsilon of U(U) take packed terms, a relation or a table
+row's integer terms, and read B's tables of Delta and epsilon by monomial
+key, Delta placed at positions by additions of keys; the action of B is the
+square's product by Delta(x_ij).  A certificate equation is decided by one
+normal form of the integer difference of its sides, cleared by the row's
+denominator, since that normal form is linear.  Every function here takes
+B as built by the caller.
 """
 
 from __future__ import annotations
@@ -20,18 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, modgb
+from . import linalg
 from .lie import LinearMap, Report, Violation
-from .linalg import Scalar, Vec
-from .modgb import ModuleVector
+from .linalg import Vec
 from .representations import MatrixARep
-from .universal_algebra import (
-    BialgebraStructure,
-    TensorSquareElement,
-    add_pairs,
-    bialgebra_structure,
-    tensor_normal_form,
-)
+from .universal_algebra import BialgebraStructure, TensorSquare, add_pairs
 from .universal_modules import (
     FactorizationResult,
     UniversalAModule,
@@ -42,110 +35,31 @@ ZERO = 0
 ONE = 1
 
 
-def _nonzero(acc: TensorSquareElement) -> TensorSquareElement:
-    """The nonzero entries of ``acc``, an integral coefficient as an int."""
-    return {key: c if type(c) is int or c.denominator != 1 else c.numerator
-            for key, c in acc.items() if c}
-
-
-class TensorSquare:
-    """The tensor square of a presented module U(U,Z), its terms pairs of
-    keys of U(U)'s multiplication table, with a factor-wise canonical form.
-    Delta and epsilon take an element of U(U) as packed terms, key ->
-    scalar, such as a relation or the integer terms of a table row."""
-
-    def __init__(self, um: UniversalAModule, bial: BialgebraStructure):
-        self.um = um
-        self.bial = bial
-        self._at = [um.table.shift(0, p) for p in range(um.rank)]  # + e_0 -> e_p
-
-    def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
-        """Factor-wise canonical form, rows from U(U)'s multiplication table."""
-        return tensor_normal_form(elem, self.um.table)
-
-    def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
-                    ) -> TensorSquareElement:
-        """x_ij * (y (x) t) = sum_s (x_is . y) (x) (x_sj . t): multiplication
-        by the Delta-image of the variable."""
-        times = self.um.table.times
-        factor = self.bial._delta_of_key(self.bial.variables[self.um.A.var_index(i, j)])
-        out: TensorSquareElement = {}
-        for (k1, k2), c in elem.items():
-            for (a, b), d in factor.items():
-                key = (times(k1, a), times(k2, b))
-                out[key] = out.get(key, ZERO) + c * d
-        return _nonzero(out)
-
-    def delta_of_terms(self, terms: dict[int, Scalar]) -> TensorSquareElement:
-        """Comultiplication, unreduced: x^m y_lt -> Delta(x^m) sum_s y_ls (x)
-        y_st, Delta(x^m) read from B's table at the key that ``split`` gives
-        and each pair moved to its positions by ``shift``."""
-        m, split, at = self.um.U.dim, self.um.table.split, self._at
-        out: TensorSquareElement = {}
-        for k, c in terms.items():
-            p, q = split(k)
-            l, t = divmod(p, m)
-            dq = self.bial._delta_of_key(q)
-            for ls, st in zip(at[l * m:l * m + m], at[t::m]):
-                for (a, b), d in dq.items():
-                    key = (a + ls, b + st)
-                    out[key] = out.get(key, ZERO) + c * d
-        return _nonzero(out)
-
-    def epsilon_of_terms(self, terms: dict[int, Scalar]) -> Scalar:
-        """Counit: x^m y_lt -> epsilon(x^m) delta_lt."""
-        m, split, eps = self.um.U.dim, self.um.table.split, self.bial._epsilon_of_key
-        out = ZERO
-        for k, c in terms.items():
-            p, q = split(k)
-            if p // m == p % m:
-                out += c * eps(q)
-        return out
-
-
-def _bialgebra_of(um: UniversalAModule,
-                  bial: BialgebraStructure | None) -> BialgebraStructure:
-    """``bial``, or B built over the algebra of ``um`` when it is None;
-    raises unless B is built over that algebra."""
-    if bial is None:
-        return bialgebra_structure(um.A)
+def _require_bialgebra_of(um: UniversalAModule, bial: BialgebraStructure) -> None:
+    """Raise unless ``bial`` is B built over the algebra of ``um``."""
     if bial.owner != um.A:
         raise ValueError("B is the bialgebra of another algebra")
-    return bial
 
 
 class CoalgebraOnU:
     """Delta and epsilon on U(U), with their well-definedness certificates."""
 
-    def __init__(self, um: UniversalAModule, bial: BialgebraStructure | None = None):
+    def __init__(self, um: UniversalAModule, bial: BialgebraStructure):
         if not um.A.is_same_hg():
             raise ValueError("the coalgebra on U(U) requires h = g")
         if um.U != um.Z:
             raise ValueError("the coalgebra on U(U) requires Z = U")
+        _require_bialgebra_of(um, bial)
         self.um = um
-        self.bial = _bialgebra_of(um, bial)
-        self.square = TensorSquare(um, self.bial)
-
-    def delta(self, v: ModuleVector) -> TensorSquareElement:
-        return self.square.normal_form(self.square.delta_of_terms(modgb._terms(v)))
-
-    def epsilon(self, v: ModuleVector) -> Scalar:
-        return self.square.epsilon_of_terms(modgb._terms(v))
+        self.bial = bial
+        self.square = TensorSquare(bial, um.table, um.U.dim)
 
     def verify(self) -> Report:
-        """Well-definedness on the quotient: Delta and epsilon kill every
-        relation, read from its packed terms.  The laws themselves are the
-        comodule axioms, checked by verify_comodule."""
-        bad: list[Violation] = []
-        sq = self.square
-        for label, terms in zip(self.um.rel_labels, self.um.relations):
-            eps = sq.epsilon_of_terms(terms)
-            if eps != 0:
-                bad.append(Violation("counit-kills-relations", label, f"eps = {eps}"))
-            if sq.normal_form(sq.delta_of_terms(terms)):
-                bad.append(Violation("comult-descends", label,
-                                     "Delta(relation) has nonzero normal form"))
-        return Report(tuple(bad))
+        """Well-definedness on the quotient: the descent of the square over
+        U(U)'s relations.  The laws themselves are the comodule axioms,
+        checked by verify_comodule."""
+        return self.square.descent(self.um.relations, self.um.rel_labels,
+                                   "counit-kills-relations")
 
     def _delta_matches_coaction(self, l: int, r: int) -> bool:
         """Delta(y_lr), taken on its table row (den, n) = nf(y_lr), equals
@@ -176,18 +90,17 @@ def _require_module_of(um: UniversalAModule, C: CoalgebraOnU) -> None:
         raise ValueError("C is the coalgebra of another module")
 
 
-def bmodule_on_tensor_square(um: UniversalAModule,
-                             bial: BialgebraStructure | None = None) -> Report:
+def bmodule_on_tensor_square(um: UniversalAModule, bial: BialgebraStructure) -> Report:
     """The actions of B on the tensor square (x_ij by Delta(x_ij)) and on k
     (x_ij by eps(x_ij) = delta_ij) kill a relation P iff Delta(P) lies in the
     tensor ideal and eps(P) = 0: that is B's descent report."""
     if not um.A.is_same_hg():
         raise ValueError("the B-module structures require h = g")
-    return _bialgebra_of(um, bial).descent
+    _require_bialgebra_of(um, bial)
+    return bial.descent
 
 
-def build_coalgebra(um: UniversalAModule,
-                    bial: BialgebraStructure | None = None) -> CoalgebraOnU:
+def build_coalgebra(um: UniversalAModule, bial: BialgebraStructure) -> CoalgebraOnU:
     """Build and certify the coalgebra structure on U(U): its laws and the
     comodule axioms; raises on failure."""
     C = CoalgebraOnU(um, bial)

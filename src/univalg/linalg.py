@@ -86,16 +86,8 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c: Scalar, a: Mat) -> Mat:
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -217,18 +209,3 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
 
 def rank(a: Mat) -> int:
     return len(rref(a)[1])
-
-
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel of ``a``."""
-    cols = len(a[0]) if a else 0
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vec] = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis

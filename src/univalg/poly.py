@@ -755,8 +755,8 @@ class MultiplicationTable:
 
     Terms are the engine's packed keys, opaque outside this module and
     shared by the tables over one ring: ``key`` makes one, ``shift`` and
-    ``times`` move it, ``term`` reads it back and ``substitute`` multiplies
-    images by the monomials of a vector's terms.
+    ``times`` move it, ``split`` gives its position and monomial key, and
+    ``substitute`` multiplies images by the monomials of a vector's terms.
     """
 
     def __init__(self, ring: PolyRing, leads: _LeadTable):
@@ -768,10 +768,6 @@ class MultiplicationTable:
     def key(self, pos: int, m: Monomial) -> int:
         """Key of the term x^m e_pos."""
         return self._codec.monomial(m) - (pos << self._codec.top)
-
-    def term(self, key: int) -> tuple[int, Monomial]:
-        """(position, monomial) of a key."""
-        return self._codec.unpack(key)
 
     def shift(self, key: int, pos: int) -> int:
         """The term of ``key`` moved ``pos`` positions on."""

@@ -1,5 +1,6 @@
 """Finite-dimensional modules over the universal algebra as matrix tuples, and
-the tensor-product Lie module construction they induce.
+the functor U (x) -: ``tensor_lie_module`` returns the Lie g-module U (x) V
+itself, and ``tensor_on_morphism`` is the functor on an A-module map.
 
 A matrix representation assigns a square matrix to each generator x_si; it is
 valid when the matrices commute pairwise and every defining relation of A
@@ -86,52 +87,31 @@ def validate_arep(R: MatrixARep) -> Report:
     return Report(tuple(bad))
 
 
-class TensorGModule:
-    """The Lie g-module on U (x) V: the action of f_i sends u_l (x) v_t to
-    sum_j (e_j act u_l) (x) (x_ji . v_t), so its matrix is the Kronecker sum
-    sum_j rho_U(e_j) (x) V(x_ji).
-
-    Basis ordering is (l,t) lexicographic: u_l (x) v_t sits at position
-    (l-1)*dim(V) + t.
-    """
-
-    def __init__(self, U: LieModule, V: MatrixARep):
-        A = V.owner
-        if U.algebra != A.h:
-            raise ValueError("U must be a Lie module over the h of V's algebra")
-        self.U = U
-        self.V = V
-        self.result = self._build()
-
-    def _build(self) -> LieModule:
-        """The Kronecker sums, written into the matrices: entry (s,p),(l,t)
-        of rho_U(e_j) (x) V(x_ji) is rho_U(e_j)[s][l] V(x_ji)[p][t]."""
-        A, U, V = self.V.owner, self.U, self.V
-        q = V.dim
-        dim = U.dim * q
-        mats = [linalg.zeros(dim, dim) for _ in range(A.g.dim)]
-        for i, mat in enumerate(mats, start=1):
-            for j, u in enumerate(U.matrices, start=1):
-                x = V.matrix(j, i)
-                for s, urow in enumerate(u):
-                    for l, w in enumerate(urow):
-                        if not w:
-                            continue
-                        for p, xrow in enumerate(x):
-                            out = mat[s * q + p]
-                            for t, c in enumerate(xrow):
-                                if c:
-                                    out[l * q + t] += w * c
-        return LieModule(A.g, mats, name=f"{U.name or 'U'}(x){V.name or 'V'}")
-
-    def position(self, l: int, t: int) -> int:
-        """1-based (l,t) -> 0-based tensor basis position."""
-        return (l - 1) * self.V.dim + (t - 1)
-
-
-def tensor_lie_module(U: LieModule, V: MatrixARep) -> TensorGModule:
-    """Endow U (x) V with its Lie g-module structure."""
-    return TensorGModule(U, V)
+def tensor_lie_module(U: LieModule, V: MatrixARep) -> LieModule:
+    """The Lie g-module U (x) V: f_i sends u_l (x) v_t to sum_j (e_j act u_l)
+    (x) (x_ji . v_t), so its matrix is the Kronecker sum sum_j rho_U(e_j) (x)
+    V(x_ji), written into the matrices: entry (s,p),(l,t) is
+    rho_U(e_j)[s][l] V(x_ji)[p][t].  The basis is (l,t) lexicographic: u_l
+    (x) v_t sits at row (l-1)*dim(V) + (t-1)."""
+    A = V.owner
+    if U.algebra != A.h:
+        raise ValueError("U must be a Lie module over the h of V's algebra")
+    q = V.dim
+    dim = U.dim * q
+    mats = [linalg.zeros(dim, dim) for _ in range(A.g.dim)]
+    for i, mat in enumerate(mats, start=1):
+        for j, u in enumerate(U.matrices, start=1):
+            x = V.matrix(j, i)
+            for s, urow in enumerate(u):
+                for l, w in enumerate(urow):
+                    if not w:
+                        continue
+                    for p, xrow in enumerate(x):
+                        out = mat[s * q + p]
+                        for t, c in enumerate(xrow):
+                            if c:
+                                out[l * q + t] += w * c
+    return LieModule(A.g, mats, name=f"{U.name or 'U'}(x){V.name or 'V'}")
 
 
 def is_arep_morphism(f: LinearMap, V: MatrixARep, W: MatrixARep) -> bool:
@@ -150,7 +130,6 @@ def tensor_on_morphism(U: LieModule, g: LinearMap, V: MatrixARep,
     out = LinearMap.from_matrix(
         linalg.kron(linalg.identity(U.dim), g.mat()), U.dim * V.dim
     ) if U.dim and g.matrix else LinearMap.zero(U.dim * V.dim, U.dim * W.dim)
-    if not is_module_morphism(out, tensor_lie_module(U, V).result,
-                              tensor_lie_module(U, W).result):
+    if not is_module_morphism(out, tensor_lie_module(U, V), tensor_lie_module(U, W)):
         raise AssertionError("id (x) g failed the equivariance check")
     return out

@@ -11,12 +11,19 @@ These generators are written once, as the Groebner engine's packed terms
 brackets are antisymmetric, so
 P_(a,j,i) = -P_(a,i,j) and P_(a,i,i) = 0: the engine is handed the
 independent half, i < j, and the relation certificate reads all of them.
+
+The tensor square over B = A(h,h) is one class, ``TensorSquare``, at the
+pairs (l, t) of a module's positions l*m + t: B (x) B is its case over A's
+table at m = 1, and U(U) (x) U(U) of the coalgebra module its case over
+U(U)'s table at m = dim U.  Its descent, its product and its normal form
+(``tensor_normal_form``) serve both.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -248,6 +255,90 @@ def add_pairs(elem: TensorSquareElement, pairs: TensorSquareElement,
             elem[key] = d if type(d) is int or d.denominator != 1 else d.numerator
 
 
+def _nonzero(acc: TensorSquareElement) -> TensorSquareElement:
+    """The nonzero entries of ``acc``, an integral coefficient as an int."""
+    return {key: c if type(c) is int or c.denominator != 1 else c.numerator
+            for key, c in acc.items() if c}
+
+
+class TensorSquare:
+    """The tensor square over B of a presented module whose terms at position
+    l*m + t stand for the pairs (l, t): U(U) (x) U(U) over U(U)'s table with
+    m = dim U, and B (x) B over A's table at m = 1.  An element maps pairs of
+    the table's keys to scalars.  Delta and epsilon take an element of the
+    module as packed terms, key -> scalar, such as a relation or the integer
+    terms of a table row: x^m e_(l,t) -> Delta(x^m) sum_s e_(l,s) (x) e_(s,t)
+    and epsilon(x^m) delta_lt, Delta and epsilon of x^m read from B's tables
+    by the monomial key that ``split`` gives."""
+
+    def __init__(self, bial: BialgebraStructure, table: MultiplicationTable, m: int):
+        self.bial = bial
+        self.table = table
+        self.m = m
+        self._at = [table.shift(0, p) for p in range(m * m)]  # + e_0 -> e_p
+
+    def normal_form(self, elem: TensorSquareElement) -> TensorSquareElement:
+        """Factor-wise canonical form, rows from the module's table."""
+        return tensor_normal_form(elem, self.table)
+
+    def product(self, d1: TensorSquareElement, d2: TensorSquareElement
+                ) -> TensorSquareElement:
+        """(a1 (x) b1)(a2 (x) b2) = a1 a2 (x) b1 b2, unreduced, where a2 and b2
+        are keys of monomials of B."""
+        times, out = self.table.times, {}
+        for (a1, b1), c1 in d1.items():
+            for (a2, b2), c2 in d2.items():
+                key = (times(a1, a2), times(b1, b2))
+                out[key] = out.get(key, ZERO) + c1 * c2
+        return _nonzero(out)
+
+    def bmodule_act(self, i: int, j: int, elem: TensorSquareElement
+                    ) -> TensorSquareElement:
+        """x_ij * (y (x) t) = sum_s (x_is . y) (x) (x_sj . t): multiplication
+        by the Delta-image of the variable."""
+        bial = self.bial
+        return self.product(elem, bial._delta_of_key(bial.variables[bial.owner.var_index(i, j)]))
+
+    def delta_of_terms(self, terms: dict[int, Scalar]) -> TensorSquareElement:
+        """Comultiplication, unreduced: each pair of Delta(x^m) moved to the
+        positions (l, s) and (s, t) by ``shift``."""
+        m, split, at = self.m, self.table.split, self._at
+        out: TensorSquareElement = {}
+        for k, c in terms.items():
+            p, q = split(k)
+            l, t = divmod(p, m)
+            dq = self.bial._delta_of_key(q)
+            for ls, st in zip(at[l * m:l * m + m], at[t::m]):
+                for (a, b), d in dq.items():
+                    key = (a + ls, b + st)
+                    out[key] = out.get(key, ZERO) + c * d
+        return _nonzero(out)
+
+    def epsilon_of_terms(self, terms: dict[int, Scalar]) -> Scalar:
+        """Counit: x^m e_(l,t) -> epsilon(x^m) delta_lt."""
+        m, split, eps = self.m, self.table.split, self.bial._epsilon_of_key
+        out = ZERO
+        for k, c in terms.items():
+            p, q = split(k)
+            if p // m == p % m:
+                out += c * eps(q)
+        return out
+
+    def descent(self, relations: Sequence[_Terms], labels: Sequence[tuple[int, ...]],
+                counit_kind: str) -> Report:
+        """Well-definedness on the quotient: epsilon and Delta kill every
+        relation, read from its packed terms."""
+        bad: list[Violation] = []
+        for label, terms in zip(labels, relations):
+            eps = self.epsilon_of_terms(terms)
+            if eps != 0:
+                bad.append(Violation(counit_kind, label, f"eps = {eps}"))
+            if self.normal_form(self.delta_of_terms(terms)):
+                bad.append(Violation("comult-descends", label,
+                                     "Delta(relation) has nonzero normal form"))
+        return Report(tuple(bad))
+
+
 # ---------------------------------------------------------------------------
 # Bialgebra structure on B = A(h,h)
 # ---------------------------------------------------------------------------
@@ -257,13 +348,13 @@ class BialgebraStructure:
     """Comultiplication x_ij -> sum_s x_is (x) x_sj and counit x_ij -> delta_ij
     on B = A(h,h), with machine-checked well-definedness.
 
-    An element of B (x) B is a dict from pairs of keys of A's multiplication
-    table to scalars, reduced by tensor_normal_form at rank 1.  Delta and
-    epsilon are two tables by monomial key, ``_deltas`` (Delta(x^m) as such
-    pairs with integer coefficients) and ``_epsilons`` (epsilon(x^m), 1 iff
-    every variable of x^m is diagonal), seeded at 1 and at the variables,
-    whose keys are ``variables`` in ring order, and read by the descent, the
-    laws and the tensor square of U(U).
+    B (x) B is ``square``, the TensorSquare over A's multiplication table at
+    m = 1.  Delta and epsilon are two tables by monomial key, ``_deltas``
+    (Delta(x^m) as pairs of keys with integer coefficients, a product in
+    ``square``) and ``_epsilons`` (epsilon(x^m), 1 iff every variable of x^m
+    is diagonal), seeded at 1 and at the variables, whose keys are
+    ``variables`` in ring order, and read by the descent, the laws and the
+    tensor square of U(U).
     """
 
     def __init__(self, owner: UniversalAlgebra):
@@ -279,6 +370,7 @@ class BialgebraStructure:
             for i in range(n) for j in range(n)}
         self._epsilons = {one: ONE} | {x[i * n + j]: int(i == j)
                                        for i in range(n) for j in range(n)}
+        self.square = TensorSquare(self, owner.table, 1)
 
     def _of_key(self, memo: dict, key: int, product):
         """memo[key] for the monomial with ``key``, memo[t] being product(
@@ -295,15 +387,7 @@ class BialgebraStructure:
 
     def _delta_of_key(self, key: int) -> TensorSquareElement:
         """Delta(x^m) = Delta(x^m / x_i) Delta(x_i), unreduced."""
-        return self._of_key(self._deltas, key, self._delta_product)
-
-    def _delta_product(self, d1: TensorSquareElement, d2: TensorSquareElement
-                       ) -> TensorSquareElement:
-        times, out = self.owner.table.times, {}
-        for (a1, b1), c1 in d1.items():
-            add_pairs(out, {(times(a1, a2), times(b1, b2)): c1 * c2
-                            for (a2, b2), c2 in d2.items()})
-        return out
+        return self._of_key(self._deltas, key, self.square.product)
 
     def _epsilon_of_key(self, key: int) -> int:
         """epsilon(x^m) = epsilon(x^m / x_i) epsilon(x_i)."""
@@ -312,20 +396,10 @@ class BialgebraStructure:
     @functools.cached_property
     def descent(self) -> Report:
         """epsilon kills J and Delta maps J into J'(x)k[X] + k[X](x)J'', on
-        each generator P of J, read from its packed terms; computed once per
-        structure."""
-        bad: list[Violation] = []
-        for label, terms in zip(self.owner.labels, self.owner.relations):
-            eps, delta = ZERO, {}
-            for k, c in terms.items():
-                eps += c * self._epsilon_of_key(k)
-                add_pairs(delta, self._delta_of_key(k), c)
-            if eps != 0:
-                bad.append(Violation("counit-kills-ideal", label, f"eps(P) = {eps}"))
-            if tensor_normal_form(delta, self.owner.table):
-                bad.append(Violation("comult-descends", label,
-                                     "Delta(P) not in tensor ideal"))
-        return Report(tuple(bad))
+        each generator P of J: the descent of B's own square over A's
+        relations, computed once per structure."""
+        return self.square.descent(self.owner.relations, self.owner.labels,
+                                   "counit-kills-ideal")
 
     def laws(self) -> Report:
         """Coassociativity and counit laws on the generators x_ij, in the free

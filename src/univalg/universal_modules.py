@@ -12,8 +12,8 @@ images as packed terms.  Every reduction goes through the module basis,
 ``mgb.remainder`` for a normal form and ``mgb.contains`` for a certificate,
 and the image of a vector under a ``PresentedMap`` through the target's
 ``table.substitute``.  ModuleVectors appear only at ``relgens`` (rebuilt on
-every read), ``mgb.generators``, ``nf``, ``rho`` and ``PresentedMap.images``
-(unpacked on first read).  Each U(U,Z) holds its multiplication table
+every read), ``mgb.generators`` and ``PresentedMap.images`` (unpacked on
+first read).  Each U(U,Z) holds its multiplication table
 (``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
 one denominator, filled on demand one variable at a time, as FGLM fills its
 multiplication matrices; the coalgebra on U(U) reads its rows as they are.
@@ -125,14 +125,6 @@ class UniversalAModule:
         return [{self._key(self.pos(s, r)): c for r, c in enumerate(z, start=1) if c}
                 for s in range(1, self.U.dim + 1)]
 
-    def rho(self, z: Vec) -> list[ModuleVector]:
-        """The structure map: z_r maps to sum_s u_s (x) y_sr, given by its
-        normal-form components, one per basis vector u_s of U."""
-        if len(z) != self.Z.dim:
-            raise ValueError("vector length does not match Z")
-        return [modgb._vector(self.free, self.mgb.remainder(terms))
-                for terms in self._rho_terms([linalg.scalar(c) for c in z])]
-
     def check_relations(self) -> Report:
         """Every defining relation must reduce to zero."""
         bad = tuple(
@@ -167,13 +159,13 @@ class UniversalAModule:
         remembered for the last target, by its algebras and matrices."""
         key = (X.owner.h, X.owner.g, X.dim, X.matrices)
         if self._last is None or self._last[0] != key:
-            T = tensor_lie_module(self.U, X)
             layout = [
                 ((s, r), self.pos(s, r), r - 1,
-                 [T.position(s, t) for t in range(1, X.dim + 1)])
+                 [(s - 1) * X.dim + t for t in range(X.dim)])
                 for r in range(1, self.Z.dim + 1) for s in range(1, self.U.dim + 1)
             ]
-            self._last = key, _Adjunction(self.Z, T.result, X.matrices, X.dim,
+            self._last = key, _Adjunction(self.Z, tensor_lie_module(self.U, X),
+                                          X.matrices, X.dim,
                                           self.rel_terms, self.rel_labels, layout)
         return self._last[1]
 
@@ -492,13 +484,13 @@ class UniversalLieHModule:
             raise ValueError("target must be a Lie module over h")
         key = (Y.algebra, Y.dim, Y.matrices)
         if self._last is None or self._last[0] != key:
-            T = tensor_lie_module(Y, self.V)
             layout = [
                 ((r, s), self.pos(r, s), r - 1,
-                 [T.position(a, s) for a in range(1, Y.dim + 1)])
+                 [a * self.V.dim + (s - 1) for a in range(Y.dim)])
                 for r in range(1, self.W.dim + 1) for s in range(1, self.V.dim + 1)
             ]
-            self._last = key, _Adjunction(self.W, T.result, Y.matrices, Y.dim,
+            self._last = key, _Adjunction(self.W, tensor_lie_module(Y, self.V),
+                                          Y.matrices, Y.dim,
                                           self.rel_terms, self.rel_labels, layout)
         return self._last[1]
 

@@ -33,6 +33,42 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def nullspace(a):
+    """Basis of the right kernel of ``a``, read off its reduced row echelon
+    form: one vector per free column."""
+    cols = len(a[0]) if a else 0
+    red, pivots = linalg.rref(a)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def term(table, key):
+    """(position, monomial) of a packed key of a multiplication table."""
+    return table._codec.unpack(key)
+
+
+def rho(um, z):
+    """The structure map of U(U,Z) at z: sum_s u_s (x) sum_r z_r y_sr, as the
+    normal forms of its components, one per basis vector u_s of U, each the
+    remainder of the packed terms that the certificates build."""
+    return [modgb._vector(um.free, um.mgb.remainder(terms))
+            for terms in um._rho_terms([linalg.scalar(c) for c in z])]
+
+
 def mono_div(a, b):
     """The quotient a / b of monomials, b dividing a."""
     return tuple(x - y for x, y in zip(a, b))
@@ -251,7 +287,7 @@ def _solution_space(rows: list[list[Fraction]], n_unknowns: int) -> list[list[Fr
             [ONE if i == j else ZERO for j in range(n_unknowns)]
             for i in range(n_unknowns)
         ]
-    return linalg.nullspace(rows)
+    return nullspace(rows)
 
 
 def random_equivariant_map(rng: Random, M: LieModule, N: LieModule) -> LinearMap:
@@ -317,9 +353,9 @@ def reference_row(components):
 
 def row_entries(table, row):
     """A stored table row as its denominator and a dict (position, monomial)
-    -> numerator, its keys read through ``table.term``."""
+    -> numerator, its keys read through ``term``."""
     den, nums = row
-    return den, {table.term(k): n for k, n in nums.items()}
+    return den, {term(table, k): n for k, n in nums.items()}
 
 
 def act(um, p, v: ModuleVector) -> ModuleVector:
@@ -367,7 +403,7 @@ def delta(B, p: Polynomial) -> Polynomial:
     for k, c in poly._pack({0: p}, poly._codec_of(p.ring)).items():
         add_pairs(pairs, B._delta_of_key(k), c)
     return Polynomial(tensor_ring(B), {
-        table.term(a)[1] + table.term(b)[1]: c
+        term(table, a)[1] + term(table, b)[1]: c
         for (a, b), c in tensor_normal_form(pairs, table).items()})
 
 
@@ -387,10 +423,10 @@ def ring_map(p, target, images):
 def doubled(table, ring2, elem):
     """A tensor-square element, pairs of ``table``'s keys -> scalar, as
     position pair -> polynomial in the doubled ring ``ring2``, its keys read
-    through ``table.term``."""
+    through ``term``."""
     out = {}
     for (k1, k2), c in elem.items():
-        (p1, m1), (p2, m2) = table.term(k1), table.term(k2)
+        (p1, m1), (p2, m2) = term(table, k1), term(table, k2)
         out.setdefault((p1, p2), {})[m1 + m2] = c
     return {key: Polynomial(ring2, terms) for key, terms in out.items()}
 
@@ -404,27 +440,25 @@ def delta_images(B):
             for i in range(n) for j in range(n)]
 
 
-def reference_delta_of_vector(sq, v):
-    """TensorSquare.delta_of_vector in the doubled ring: the ring map Delta
-    of B, applied to each coefficient polynomial as a whole."""
-    um = sq.um
-    images = delta_images(sq.bial)
+def reference_delta_of_vector(um, B, v):
+    """TensorSquare.delta_of_terms of U(U) in the doubled ring: the ring map
+    Delta of B, applied to each coefficient polynomial as a whole."""
+    images = delta_images(B)
     out = {}
     for p, q in v.components.items():
         l, t = p // um.Z.dim + 1, p % um.Z.dim + 1
-        dq = ring_map(q, tensor_ring(sq.bial), images)
+        dq = ring_map(q, tensor_ring(B), images)
         for s in range(1, um.U.dim + 1):
             key = (um.pos(l, s), um.pos(s, t))
             out[key] = out[key] + dq if key in out else dq
     return {key: p for key, p in out.items() if not p.is_zero()}
 
 
-def reference_tensor_normal_form(sq, elem, rows):
-    """TensorSquare.normal_form in the doubled ring, as a loop over exact
-    scalars: ``elem`` maps position pairs to polynomials, the rows are the
-    module normal forms of x^m e_p, memoised in ``rows``, and every product
-    and sum is a Fraction operation."""
-    um = sq.um
+def reference_tensor_normal_form(um, B, elem, rows):
+    """TensorSquare.normal_form of U(U) in the doubled ring, as a loop over
+    exact scalars: ``elem`` maps position pairs to polynomials, the rows are
+    the module normal forms of x^m e_p, memoised in ``rows``, and every
+    product and sum is a Fraction operation."""
     n2 = um.A.ring.nvars
 
     def row(pos, m):
@@ -447,7 +481,7 @@ def reference_tensor_normal_form(sq, elem, rows):
                             terms[m12] = terms.get(m12, ZERO) + c1 * c2
     out = {}
     for key, terms in acc.items():
-        p = Polynomial(tensor_ring(sq.bial), terms)
+        p = Polynomial(tensor_ring(B), terms)
         if not p.is_zero():
             out[key] = p
     return out
@@ -512,7 +546,7 @@ def reference_eval_matrices(p: Polynomial, mats: list) -> list:
         for i, e in enumerate(m):
             for _ in range(e):
                 acc = linalg.mat_mul(acc, mats[i])
-        out = linalg.mat_add(out, linalg.mat_scale(c, acc))
+        out = mat_add(out, mat_scale(c, acc))
     return out
 
 

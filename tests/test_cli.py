@@ -416,8 +416,8 @@ def test_epsilon_killing_y11_exits_1(capsys, monkeypatch):
     right_way = TensorSquare.epsilon_of_terms
 
     def wrong(sq, terms):
-        um = sq.um
-        y11 = um.table.row(um._key(um.pos(1, 1)))[1]
+        table = sq.table  # y_11 is e_0, the key of 1 at position 0
+        y11 = table.row(table.key(0, (0,) * table.ring.nvars))[1]
         return 0 if terms == y11 else right_way(sq, terms)
 
     monkeypatch.setattr(TensorSquare, "epsilon_of_terms", wrong)
@@ -474,6 +474,36 @@ def test_failing_descent_is_reported(capsys, monkeypatch, command):
         assert [line for line in captured.out.splitlines()
                 if line.startswith("item ")] == [
             "item comult-descends (1,1,2): Delta(P) not in tensor ideal"]
+
+
+@pytest.mark.parametrize("command", ["coalgebra", "check coalgebra", "check comodule"])
+def test_corrupted_counit_table_fails_descent(capsys, monkeypatch, command):
+    # epsilon(x_11 x_22) = 0 instead of 1 in every B's table: the laws read
+    # epsilon of the variables only and pass, and B's own descent reports
+    # the two generators with the term X_11 X_22.
+    init = BialgebraStructure.__init__
+
+    def corrupted(self, owner):
+        init(self, owner)
+        x = self.variables
+        self._epsilons[owner.table.times(x[0], x[4])] = 0
+
+    monkeypatch.setattr(BialgebraStructure, "__init__", corrupted)
+    code = main([*command.split(), fx("sl2.alg"), fx("natural2_sl2.mod")])
+    captured = capsys.readouterr()
+    assert code == 1
+    items = ["counit-kills-ideal (3,1,2): eps = 1", "counit-kills-ideal (3,2,1): eps = -1"]
+    if command == "check comodule":
+        assert captured.out == ""
+        assert captured.err == ("error: bialgebra verification failed:\nfail\n"
+                                "  counit-kills-ideal at (3, 1, 2): eps = 1\n"
+                                "  counit-kills-ideal at (3, 2, 1): eps = -1\n")
+    else:
+        assert captured.err == ""
+        assert ("check tensor-square-action\nstatus fail\n"
+                + "".join(f"item {item}\n" for item in items)) in captured.out
+        assert [line for line in captured.out.splitlines()
+                if line.startswith("item ")] == [f"item {item}" for item in items]
 
 
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):

@@ -77,7 +77,7 @@ def _modules(A):
             "module n\nkind lie\ndim 2\naction 1 2: 1:2/2\naction 2 1: 2:1\n"
             "action 3 1: 1:1\naction 3 2: 2:-1\n", algebra=L),
         "direct_sum": direct_sum(n2, LieModule.adjoint(L)).module,
-        "tensor_lie_module": tensor_lie_module(n2, MatrixARep.counit(A)).result,
+        "tensor_lie_module": tensor_lie_module(n2, MatrixARep.counit(A)),
     }
 
 

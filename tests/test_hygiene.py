@@ -1,6 +1,8 @@
 """Static checks on the sources of univalg."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -162,20 +164,115 @@ def dead_private_helpers(sources: dict[str, str], users: list[str]) -> list[str]
     return dead
 
 
+PACKAGE = "univalg"
+
+
+def _imported_module(node: ast.ImportFrom, modules: set[str]) -> str | None:
+    """The module of ``modules`` that ``node`` imports from, "" for the
+    package itself, None for anything else."""
+    name = node.module or ""
+    if node.level == 0 and name.split(".")[0] not in (PACKAGE, *modules):
+        return None
+    last = name.rsplit(".", 1)[-1]
+    if last in modules:
+        return last
+    return "" if name in ("", PACKAGE) else None
+
+
+def _module_expr(expr: ast.expr, bound: dict[str, str], modules: set[str]) -> str | None:
+    """The module an expression stands for: a name bound to one, or any
+    ``x.m`` with m a module (``uv.coalgebra`` in the benchmark)."""
+    if isinstance(expr, ast.Name):
+        return bound.get(expr.id)
+    if isinstance(expr, ast.Attribute) and expr.attr in modules:
+        return expr.attr
+    return None
+
+
+def _bindings(tree: ast.Module, modules: set[str]):
+    """The names a file binds to modules of ``modules`` (local name ->
+    module), by import or assignment, and the names it imports from them
+    (local name -> (module, name))."""
+    bound: dict[str, str] = {}
+    imported: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _imported_module(node, modules)
+            for alias in node.names if source is not None else ():
+                local = alias.asname or alias.name
+                if source:
+                    imported[local] = (source, alias.name)
+                elif alias.name in modules:
+                    bound[local] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname and parts[0] == PACKAGE and parts[-1] in modules:
+                    bound[alias.asname] = parts[-1]
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    module = _module_expr(value, bound, modules)
+                    if isinstance(name, ast.Name) and module:
+                        bound[name.id] = module
+    return bound, imported
+
+
+def _resolved_uses(stmt: ast.stmt, module: str | None, bound, imported,
+                   modules: set[str]) -> set[tuple[str, str]]:
+    """The (module, name) pairs a statement of the file of ``module`` (None
+    for a user) refers to: ``m.f`` with m bound to a module, a bare name
+    imported from one or, in the module itself, its own; an identifier
+    string counts for every module, as ("*", name)."""
+    uses = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Attribute):
+            owner = _module_expr(node.value, bound, modules)
+            if owner:
+                uses.add((owner, node.attr))
+        elif isinstance(node, ast.Name):
+            if node.id in imported:
+                uses.add(imported[node.id])
+            elif module:
+                uses.add((module, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            source = _imported_module(node, modules)
+            uses |= {(source, alias.name) for alias in node.names if source}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                uses.add(("*", node.value))
+    return uses
+
+
 def dead_public_api(sources: dict[str, str], users: list[str]) -> list[str]:
     """Public module-level functions and classes of ``sources``, and public
     methods of their module-level classes, that nothing outside their own
-    definition names, in ``sources`` or in ``users``.  Names are matched, not
-    resolved: a method counts as used wherever any attribute of its name is
-    read, and a re-export from a package's ``__init__`` counts as a use."""
+    definition uses, in ``sources`` or in ``users``.  A module-level name is
+    resolved: ``m.f`` uses module m's f only when m is bound to that module,
+    and a bare f only in its own module or where it is imported from there
+    (a re-export from a package's ``__init__`` counts as a use).  A method
+    is matched by name: it counts as used wherever any attribute of its
+    name is read."""
     trees, named = _parse(sources, users)
+    modules = {file.removesuffix(".py") for file in sources}
+    resolved = []
+    for file, tree in [*trees.items(), *((None, ast.parse(text)) for text in users)]:
+        module = file.removesuffix(".py") if file else None
+        scope = _bindings(tree, modules)
+        resolved += [(stmt, _resolved_uses(stmt, module, *scope, modules))
+                     for stmt in tree.body]
     dead = []
     for file, tree in trees.items():
+        module = file.removesuffix(".py")
         for stmt in tree.body:
             if not isinstance(stmt, _DEFS):
                 continue
-            if not stmt.name.startswith("_") and not _named_elsewhere(
-                    stmt.name, stmt, named):
+            uses = {(module, stmt.name), ("*", stmt.name)}
+            if not stmt.name.startswith("_") and not any(
+                    other is not stmt and uses & found for other, found in resolved):
                 dead.append(f"{file} line {stmt.lineno}: {stmt.name}")
             if not isinstance(stmt, ast.ClassDef):
                 continue
@@ -238,6 +335,52 @@ def test_dead_public_api_is_reported():
         "m.py line 23: Unused"]
     users = ["from m import used, dead, Unused\n\nused().spare()\n"]
     assert dead_public_api({"m.py": src}, users) == []
+
+
+def test_same_named_function_elsewhere_does_not_hide_a_dead_one():
+    # A user's own dead(), or an attribute dead of something that is not m,
+    # is no use of m's dead; each way of naming m's function is.
+    src = "def dead():\n    return 1\n\n\ndef used():\n    return 2\n\n\nX = used()\n"
+    other = "def dead():\n    return dead()\n\n\nY = dead()\n"
+    user = ("import oracle\n\n\ndef dead():\n    return 3\n\n\n"
+            "def f(uv, box):\n    return dead(), box.dead(), oracle.dead()\n")
+    assert dead_public_api({"m.py": src, "n.py": other}, [user]) == ["m.py line 1: dead"]
+    for user in [
+        "from m import dead\n",
+        "from univalg.m import dead as d\n\nd()\n",
+        "from univalg import m\n\nm.dead()\n",
+        "import univalg.m as mm\n\nmm.dead()\n",
+        "def f(uv):\n    return uv.m.dead()\n",
+        "def f(uv):\n    mod, n = uv.m, 1\n    return mod.dead()\n",
+        "LAYERS = {('m', 'dead'): 'm.dead'}\n",
+    ]:
+        assert dead_public_api({"m.py": src}, [user]) == [], user
+
+
+def unresolved_layers(layers) -> list[str]:
+    """The (module, attribute) keys of a tracing table, ``Class.method``
+    included, that name nothing callable in univalg."""
+    missing = []
+    for module, attr in layers:
+        obj = importlib.import_module(f"{PACKAGE}.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_bench_layers_resolve():
+    # The benchmark's tracer wraps each entry of LAYERS by name: one that a
+    # refactor moved would break a traced run, so it fails here first.
+    spec = importlib.util.spec_from_file_location(
+        "tracing", SRC.parent.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS and unresolved_layers(tracing.LAYERS) == []
+    assert unresolved_layers({("coalgebra", "TensorSquare.nothing"): "x",
+                              ("linalg", "nothing"): "y"}) == [
+        "coalgebra.TensorSquare.nothing", "linalg.nothing"]
 
 
 # The one function that may construct each Groebner basis type, as (file,

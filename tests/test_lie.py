@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     algebra_pool,
     heisenberg,
+    mat_scale,
     natural2,
     random_equivariant_map,
     reference_validate_lie_algebra,
@@ -161,8 +162,8 @@ def test_natural2_module_commutator_oracle():
     a2 = [[ZERO, ZERO], [ONE, ZERO]]
     a3 = [[ONE, ZERO], [ZERO, -ONE]]
     assert linalg.commutator(a1, a2) == a3
-    assert linalg.commutator(a3, a1) == linalg.mat_scale(Fraction(2), a1)
-    assert linalg.commutator(a3, a2) == linalg.mat_scale(Fraction(-2), a2)
+    assert linalg.commutator(a3, a1) == mat_scale(Fraction(2), a1)
+    assert linalg.commutator(a3, a2) == mat_scale(Fraction(-2), a2)
     assert validate_lie_module(natural2(sl2())).ok
 
 
@@ -274,7 +275,7 @@ def _morphism_pool(L):
         # e1 and e2 act by commuting nilpotents and the centre e3 by zero.
         nil = [[ZERO, ONE], [ZERO, ZERO]]
         pool.append(LieModule.from_matrices(
-            L, [nil, linalg.mat_scale(Fraction(2), nil), linalg.zeros(2, 2)],
+            L, [nil, mat_scale(Fraction(2), nil), linalg.zeros(2, 2)],
             name="heis-nil2"))
     pool.append(direct_sum(LieModule.adjoint(L), LieModule.trivial(L, 1)).module)
     return pool

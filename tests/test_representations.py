@@ -114,9 +114,9 @@ def test_tensor_with_counit_recovers_module_oracle(A_sl2, adjoint_sl2):
     # Oracle: substituting delta_ji into the tensor action formula gives
     # f_i (u_l (x) 1) = (e_i act u_l) (x) 1, the original module.
     T = tensor_lie_module(adjoint_sl2, MatrixARep.counit(A_sl2))
-    assert T.result.dim == 3
-    assert T.result.matrices == adjoint_sl2.matrices
-    assert validate_lie_module(T.result).ok
+    assert T.dim == 3
+    assert T.matrices == adjoint_sl2.matrices
+    assert validate_lie_module(T).ok
 
 
 def reference_tensor_action(U, X, i, l, t):
@@ -143,9 +143,9 @@ def test_tensor_module_matches_the_kronecker_sum(A_sl2, sl2_alg, seed):
         fi = A_sl2.g.basis_vector(i)
         for l in range(1, U.dim + 1):
             for t in range(1, X.dim + 1):
-                e = [ZERO] * T.result.dim
-                e[T.position(l, t)] = ONE
-                assert T.result.act(fi, e) == reference_tensor_action(U, X, i, l, t)
+                e = [ZERO] * T.dim
+                e[(l - 1) * X.dim + (t - 1)] = ONE
+                assert T.act(fi, e) == reference_tensor_action(U, X, i, l, t)
 
 
 def test_tensor_module_validates(A_sl2, adjoint_sl2):
@@ -153,11 +153,16 @@ def test_tensor_module_validates(A_sl2, adjoint_sl2):
         from_lie_homomorphism(A_sl2, [[ZERO] * 3 for _ in range(3)])
     )
     T = tensor_lie_module(adjoint_sl2, X)
-    assert T.result.dim == 6
-    assert validate_lie_module(T.result).ok
-    # position bookkeeping: (l,t) lexicographic
-    assert T.position(2, 1) == 2
-    assert T.position(1, 2) == 1
+    assert T.dim == 6
+    assert validate_lie_module(T).ok
+    # position bookkeeping: (l,t) lexicographic, u_2 (x) x_1 at row 2 and
+    # u_1 (x) x_2 at row 1
+    for row, (l, t) in ((2, (2, 1)), (1, (1, 2))):
+        e = [ZERO] * T.dim
+        e[row] = ONE
+        for i in range(1, 4):
+            assert (T.act(A_sl2.g.basis_vector(i), e)
+                    == reference_tensor_action(adjoint_sl2, X, i, l, t))
 
 
 def test_rank1_projection_equivariance(A_sl2, adjoint_sl2):

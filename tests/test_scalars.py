@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from helpers import (
     const,
     from_lie_homomorphism,
+    mat_scale,
     nf,
     random_equivariant_map,
     tensor_square_inputs,
 )
-from univalg import linalg
 from univalg.coalgebra import CoalgebraOnU
 from univalg.formats import parse_algebra_text
 from univalg.lie import LieModule, LinearMap, is_module_morphism, validate_lie_module
@@ -237,7 +237,7 @@ def test_adjunction_does_not_depend_on_the_scalar_type(universal, A_sl2, t, seed
     for name, kind in KINDS.items():
         um = universal[name]
         X = _point(A_sl2, t, kind)
-        TX = tensor_lie_module(um.U, X).result
+        TX = tensor_lie_module(um.U, X)
         f = random_equivariant_map(Random(seed), um.Z, TX)
         if name == "Fraction":
             f = _twin_map(f)
@@ -257,7 +257,7 @@ def test_adjunction_does_not_depend_on_the_scalar_type(universal, A_sl2, t, seed
     um = universal["int"]
     X = _point(A_sl2, t, int)
     images, _, ok, back, _, _ = results["int"]
-    fk = LinearMap.from_matrix(linalg.mat_scale(k, back.mat()))
+    fk = LinearMap.from_matrix(mat_scale(k, back.mat()))
     res = factorize_through_universal(um, X, fk)
     assert res.ok and ok
     assert res.images == {key: [k * x for x in v] for key, v in images.items()}
@@ -270,7 +270,7 @@ def test_adjunction_does_not_depend_on_the_scalar_type(universal, A_sl2, t, seed
 def test_adjunction_on_scaled_tables_stays_exact(universal, A_sl2, t, seed):
     um = universal["scaled"]
     X = _point(A_sl2, t, int)
-    TX = tensor_lie_module(um.U, X).result
+    TX = tensor_lie_module(um.U, X)
     f = random_equivariant_map(Random(seed), um.Z, TX)
     res = factorize_through_universal(um, X, f)
     assert res.ok

@@ -265,6 +265,20 @@ def test_doubled_row_denominator_fails_descent(A_sl2, monkeypatch):
     assert doubled
 
 
+def test_corrupted_counit_entry_fails_descent_exactly(A_sl2):
+    # epsilon(x_11 x_22) = 0 instead of 1, written into B's table before the
+    # descent is first read.  P_(3,1,2) and P_(3,2,1) hold X_11 X_22 with
+    # opposite coefficients, so their counits are no longer 0; the laws
+    # read epsilon of the variables only.
+    B = BialgebraStructure(A_sl2)
+    x = B.variables
+    B._epsilons[A_sl2.table.times(x[0], x[4])] = 0
+    assert B.descent.violations == (
+        Violation("counit-kills-ideal", (3, 1, 2), "eps = 1"),
+        Violation("counit-kills-ideal", (3, 2, 1), "eps = -1"))
+    assert B.laws().ok
+
+
 def _violated_checks(B):
     return {v.check for v in B.verify().violations}
 
