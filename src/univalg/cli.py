@@ -78,9 +78,10 @@ def _universal_algebra(args, h_file: str, g_file: str | None = None):
 
 
 def _budget(args) -> int:
-    """The S-pair budget: --budget, else UNIVALG_BUDGET, else the default; a
-    usage error unless it is an integer of at least 0, written as in files
-    (``formats._INTEGER``: ASCII digits with an optional sign)."""
+    """The budget of S-pair reductions: --budget, else UNIVALG_BUDGET, else
+    the default; a usage error unless it is an integer of at least 0,
+    written as in files (``formats._INTEGER``: ASCII digits with an optional
+    sign)."""
     source, text = "--budget", args.budget
     if text is None:
         source, text = "UNIVALG_BUDGET", os.environ.get("UNIVALG_BUDGET",
@@ -377,7 +378,8 @@ def cmd_coalgebra(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", choices=["degrevlex", "lex"], default="degrevlex")
     p.add_argument("--budget", default=None,
-                   help="S-pair budget (default from UNIVALG_BUDGET or 100000)")
+                   help="budget of S-pair reductions, the pairs a criterion skips"
+                        " not counted (default from UNIVALG_BUDGET or 100000)")
     p.add_argument("--out", default=None, help="write output to a file")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .lie import (
     LieAlgebra,
@@ -81,23 +82,58 @@ def _size(path: str, line_no: int, parts: list[str], seen: int | None,
     return n
 
 
-def _lines(path: str, text: str) -> list[tuple[int, str]]:
-    out = []
+def _lines(path: str, text: str,
+           directives: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+    """The lines of ``text`` that are not blank once comments are cut, one at
+    a time, as (number from 1, line, words); each must start with one of
+    ``directives``."""
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((no, line))
-    return out
+            parts = line.split()
+            if parts[0] not in directives:
+                raise ParseError(path, no, f"unknown directive {parts[0]!r}")
+            yield no, line, parts
 
 
-def _parse_pairs(path: str, no: int, parts: list[str]) -> list[tuple[int, Scalar]]:
-    """Parse "s:c" coefficient pairs."""
+def _given(path: str, what: str, *sizes: int | None) -> None:
+    """Raise unless every ``what`` line was read."""
+    if None in sizes:
+        raise ParseError(path, 1, f"missing {what}")
+
+
+def _entry(path: str, no: int, line: str, usage: str, needs: str,
+           *sizes: int | None) -> tuple[list[int], str]:
+    """The integer arguments and the tail of an entry line written as
+    ``usage``, "<directive> <args>: <tail>", which may stand only after the
+    ``needs`` lines that give ``sizes``; a tail of pairs must not be empty."""
+    if None in sizes:
+        raise ParseError(path, no, f"{needs} must come before {line.split()[0]} entries")
+    head, _, tail = line.partition(":")
+    hp = head.split()
+    shape, _, pairs = usage.partition(":")
+    if len(hp) != len(shape.split()) or (":" in pairs and not tail.strip()):
+        raise ParseError(path, no, f"expected '{usage}'")
+    return [_int(path, no, t) for t in hp[1:]], tail
+
+
+def _pairs(path: str, no: int, tail: str, top: int, bad: str, at: tuple[int, ...],
+           seen: set[tuple]) -> list[tuple[int, Scalar]]:
+    """The "k:c" pairs of an entry's tail, each k in 1..top (else the error
+    ``bad``, formatted with k) and (*at, k) not in ``seen``, which takes it."""
     out = []
-    for part in parts:
+    for part in tail.split():
         if ":" not in part:
             raise ParseError(path, no, f"expected index:coefficient, got {part!r}")
         sidx, ctext = part.split(":", 1)
         out.append((_int(path, no, sidx), _rat(path, no, ctext)))
+    for k, _ in out:
+        if not 1 <= k <= top:
+            raise ParseError(path, no, bad.format(k))
+        entry = (*at, k)
+        if entry in seen:
+            raise ParseError(path, no, f"duplicate entry ({','.join(map(str, entry))})")
+        seen.add(entry)
     return out
 
 
@@ -130,33 +166,20 @@ def _read_algebra_text(text: str, path: str) -> LieAlgebra:
     dim: int | None = None
     entries: dict[tuple[int, int], dict[int, Scalar]] = {}
     seen: set[tuple[int, int, int]] = set()
-    for no, line in _lines(path, text):
-        parts = line.split()
+    for no, line, parts in _lines(path, text, ("algebra", "dim", "bracket")):
         if parts[0] == "algebra":
             name = parts[1] if len(parts) > 1 else ""
         elif parts[0] == "dim":
             dim = _size(path, no, parts, dim, least=1)
         elif parts[0] == "bracket":
-            if dim is None:
-                raise ParseError(path, no, "dim must come before bracket entries")
-            head, _, tail = line.partition(":")
-            hp = head.split()
-            if len(hp) != 3 or not tail.strip():
-                raise ParseError(path, no, "expected 'bracket i j: s:c ...'")
-            i, j = _int(path, no, hp[1]), _int(path, no, hp[2])
+            (i, j), tail = _entry(path, no, line, "bracket i j: s:c ...",
+                                  "dim", dim)
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ParseError(path, no, f"index ({i},{j}) out of range 1..{dim}")
-            for s, c in _parse_pairs(path, no, tail.split()):
-                if not 1 <= s <= dim:
-                    raise ParseError(path, no, f"index {s} out of range 1..{dim}")
-                if (i, j, s) in seen:
-                    raise ParseError(path, no, f"duplicate entry ({i},{j},{s})")
-                seen.add((i, j, s))
+            for s, c in _pairs(path, no, tail, dim, f"index {{}} out of range 1..{dim}",
+                               (i, j), seen):
                 entries.setdefault((i, j), {})[s] = c
-        else:
-            raise ParseError(path, no, f"unknown directive {parts[0]!r}")
-    if dim is None:
-        raise ParseError(path, 1, "missing dim")
+    _given(path, "dim", dim)
     return LieAlgebra.from_brackets(dim, entries, name=name)
 
 
@@ -218,8 +241,8 @@ def parse_module_text(text: str, path: str = "<string>",
     mat_entries: dict[tuple[int, int], dict[int, Scalar]] = {}
     seen: set[tuple] = set()
     first: dict[str, int] = {}  # directive -> the first line using it
-    for no, line in _lines(path, text):
-        parts = line.split()
+    directives = ("module", "over", "kind", "dim", "action", "mat")
+    for no, line, parts in _lines(path, text, directives):
         first.setdefault(parts[0], no)
         if parts[0] == "module":
             name = parts[1] if len(parts) > 1 else ""
@@ -232,41 +255,19 @@ def parse_module_text(text: str, path: str = "<string>",
         elif parts[0] == "dim":
             dim = _size(path, no, parts, dim)
         elif parts[0] == "action":
-            if dim is None:
-                raise ParseError(path, no, "dim must come before action entries")
-            head, _, tail = line.partition(":")
-            hp = head.split()
-            if len(hp) != 3 or not tail.strip():
-                raise ParseError(path, no, "expected 'action i j: s:c ...'")
-            i, j = _int(path, no, hp[1]), _int(path, no, hp[2])
+            (i, j), tail = _entry(path, no, line, "action i j: s:c ...",
+                                  "dim", dim)
             if not 1 <= j <= dim:
                 raise ParseError(path, no, f"index {j} out of range 1..{dim}")
-            for s, c in _parse_pairs(path, no, tail.split()):
-                if not 1 <= s <= dim:
-                    raise ParseError(path, no, f"index {s} out of range 1..{dim}")
-                if (i, j, s) in seen:
-                    raise ParseError(path, no, f"duplicate entry ({i},{j},{s})")
-                seen.add((i, j, s))
+            for s, c in _pairs(path, no, tail, dim, f"index {{}} out of range 1..{dim}",
+                               (i, j), seen):
                 lie_entries.append((no, i, j, [(s, c)]))
         elif parts[0] == "mat":
-            if dim is None:
-                raise ParseError(path, no, "dim must come before mat entries")
-            head, _, tail = line.partition(":")
-            hp = head.split()
-            if len(hp) != 3 or not tail.strip():
-                raise ParseError(path, no, "expected 'mat s i: k:c ...'")
-            s, i = _int(path, no, hp[1]), _int(path, no, hp[2])
-            for k, c in _parse_pairs(path, no, tail.split()):
-                if not 1 <= k <= dim * dim:
-                    raise ParseError(path, no, f"flat index {k} out of range")
-                if (s, i, k) in seen:
-                    raise ParseError(path, no, f"duplicate entry ({s},{i},{k})")
-                seen.add((s, i, k))
+            (s, i), tail = _entry(path, no, line, "mat s i: k:c ...", "dim", dim)
+            for k, c in _pairs(path, no, tail, dim * dim, "flat index {} out of range",
+                               (s, i), seen):
                 mat_entries.setdefault((s, i), {})[k] = c
-        else:
-            raise ParseError(path, no, f"unknown directive {parts[0]!r}")
-    if dim is None:
-        raise ParseError(path, 1, "missing dim")
+    _given(path, "dim", dim)
     other = "mat" if kind == "lie" else "action"
     if other in first:
         raise ParseError(path, first[other], f"{other} line in a kind {kind} file")
@@ -313,22 +314,14 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
     rows: int | None = None
     cols: int | None = None
     data: dict[int, list[Scalar]] = {}
-    for no, line in _lines(path, text):
-        parts = line.split()
-        if parts[0] == "morphism":
-            pass
-        elif parts[0] == "rows":
+    for no, line, parts in _lines(path, text, ("morphism", "rows", "cols", "row")):
+        if parts[0] == "rows":
             rows = _size(path, no, parts, rows)
         elif parts[0] == "cols":
             cols = _size(path, no, parts, cols)
         elif parts[0] == "row":
-            if rows is None or cols is None:
-                raise ParseError(path, no, "rows/cols must come before row entries")
-            head, _, tail = line.partition(":")
-            hp = head.split()
-            if len(hp) != 2:
-                raise ParseError(path, no, "expected 'row k: c c ...'")
-            k = _int(path, no, hp[1])
+            (k,), tail = _entry(path, no, line, "row k: c c ...",
+                                "rows/cols", rows, cols)
             if not 1 <= k <= rows:
                 raise ParseError(path, no, f"row index {k} out of range")
             if k in data:
@@ -337,10 +330,7 @@ def parse_morphism_text(text: str, path: str = "<string>") -> LinearMap:
             if len(vals) != cols:
                 raise ParseError(path, no, f"expected {cols} entries, got {len(vals)}")
             data[k] = vals
-        else:
-            raise ParseError(path, no, f"unknown directive {parts[0]!r}")
-    if rows is None or cols is None:
-        raise ParseError(path, 1, "missing rows/cols")
+    _given(path, "rows/cols", rows, cols)
     mat = [data.get(k, [ZERO] * cols) for k in range(1, rows + 1)]
     return LinearMap.from_matrix(mat, cols)
 

@@ -119,12 +119,6 @@ class LieAlgebra:
                                 out[s] += c * t
         return out
 
-    def basis_vector(self, i: int) -> Vec:
-        """1-based basis vector."""
-        v = [ZERO] * self.dim
-        v[i - 1] = ONE
-        return v
-
     @cached_property
     def validation(self) -> Report:
         """The report of ``validate_lie_algebra`` on the frozen table,
@@ -246,11 +240,6 @@ class LieModule:
                             out[s] += c * row[j]
         return out
 
-    def basis_vector(self, j: int) -> Vec:
-        v = [ZERO] * self.dim
-        v[j - 1] = ONE
-        return v
-
     def __eq__(self, other):
         return (
             isinstance(other, LieModule)
@@ -311,15 +300,6 @@ class LinearMap:
         if self.target_dim == 0:
             return []
         return linalg.mat_vec(self.matrix, v)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        if other.target_dim != self.source_dim:
-            raise ValueError("composition dimension mismatch")
-        if not self.matrix or not other.matrix:
-            return LinearMap.zero(other.source_dim, self.target_dim)
-        return LinearMap.from_matrix(linalg.mat_mul(self.mat(), other.mat()),
-                                     other.source_dim)
 
 
 def is_module_morphism(f: LinearMap, M: LieModule, N: LieModule) -> bool:

@@ -49,9 +49,6 @@ class FreeModule:
     ring: PolyRing
     rank: int
 
-    def basis_vector(self, pos: int) -> "ModuleVector":
-        return ModuleVector(self, {pos: self.ring.one()})
-
 
 class ModuleVector:
     """Element of a free module; ``components`` maps positions to nonzero
@@ -147,8 +144,8 @@ def module_buchberger(
     a copy or both sit at a single position.  The queued pairs are taken by
     the sugar strategy, least pair sugar first at any position, and the
     chain criterion applies to them as they are taken.  Raises
-    ResourceBudgetError once more than ``budget`` S-pairs have been taken
-    from the queue, which the skipped pairs never enter.
+    ResourceBudgetError once more than ``budget`` S-pairs would be reduced;
+    the pairs a criterion skips are not counted.
     """
     codec = _codec_of(module.ring)
     terms = (g if isinstance(g, dict) else _pack(g.components, codec) for g in gens)

@@ -628,8 +628,9 @@ def _buchberger(
     The heap is keyed by (pair sugar, term (position, lcm of the leads)),
     computed once when the pair is queued, so the pairs of least sugar go
     first, whatever their position, and a taken pair is skipped when the
-    chain criterion applies.  Raises ResourceBudgetError once more than
-    ``budget`` pairs have been taken from the queue.
+    chain criterion applies.  Raises ResourceBudgetError before the S-pair
+    reduction that would exceed ``budget``, so that a budget bounds the
+    reductions done; a pair the chain criterion skips is not counted.
     """
     top, emask, guard, low = codec.top, codec.emask, codec.guard, codec.low
     degree = codec.degree
@@ -679,17 +680,17 @@ def _buchberger(
         for shift in (p << top for p in range(rank)):
             add((sl - codec.sign * shift, lead - shift, tail_max,
                  [(t - shift, c) for t, c in tail], lc), sugar, n_gens, True)
-    processed = 0
+    reductions = 0
     while queue:
         sugar, lcm, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        processed += 1
-        if processed > budget:
+        if _chain_criterion(rows, at[lcm >> top], pending, i, j, lcm, codec):
+            continue
+        reductions += 1
+        if reductions > budget:
             raise ResourceBudgetError(
                 f"S-pair budget of {budget} exceeded in {name}"
             )
-        if _chain_criterion(rows, at[lcm >> top], pending, i, j, lcm, codec):
-            continue
         r, _ = _reduce(_s_terms(rows[i], rows[j], codec), table, codec)
         if r:
             add(_row(r, codec), sugar, len(rows), False)
@@ -870,8 +871,8 @@ def groebner(
     coprime leads never enters the queue (product criterion), and the queued
     pairs are taken by the sugar strategy, least pair sugar first, and
     skipped by the chain criterion.
-    Raises ResourceBudgetError once more than ``budget`` S-pairs have been
-    taken from the queue.
+    Raises ResourceBudgetError once more than ``budget`` S-pairs would be
+    reduced; pairs skipped by a criterion are not counted.
     """
     terms = [_packed(g, ring, "generators live in different rings") for g in gens]
     return GroebnerBasis(ring, _buchberger(terms, {}, 1, _codec_of(ring), budget,

@@ -10,10 +10,10 @@ the certificates, the evaluation words (``poly._words``) and the functor and
 direct-sum checks, whose ``PresentedMap``s keep the normal forms of their
 images as packed terms.  Every reduction goes through the module basis,
 ``mgb.remainder`` for a normal form and ``mgb.contains`` for a certificate,
-and the image of a vector under a ``PresentedMap`` through the target's
-``table.substitute``.  ModuleVectors appear only at ``relgens`` (rebuilt on
-every read), ``mgb.generators`` and ``PresentedMap.images`` (unpacked on
-first read).  Each U(U,Z) holds its multiplication table
+and the image of a vector under a map given on generators through the
+target's ``table.substitute``.  ModuleVectors appear only at ``relgens``
+(rebuilt on every read), ``mgb.generators`` and ``PresentedMap.images``
+(unpacked on first read).  Each U(U,Z) holds its multiplication table
 (``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
 one denominator, filled on demand one variable at a time, as FGLM fills its
 multiplication matrices; the coalgebra on U(U) reads its rows as they are.
@@ -31,6 +31,15 @@ and tensor rows, remembered for the last target: ``_factorize`` reads theta
 off f and ``_gamma`` writes Gamma(theta) through that table.
 ``linalg.evaluate`` applies a word to images[p] by matrix-vector steps that
 skip zeros, so no matrix of a polynomial or a PBW element is formed.
+
+Both functors on morphisms run one path as well.  ``_induced`` writes the
+generator images of the map that an equivariant f of the Lie g-module
+arguments induces, y_(r,t) -> sum_r' f_r'r y_(r',t), and ``_unpreserved``
+checks that the image of each relation (t, r, j) is sum_r' f_r'r times the
+relation (t, r', j) of the target, term by term: this holds exactly when f
+is equivariant, so the check reduces nothing.  ``direct_sum_check`` runs the
+same check on the maps that the projections and injections induce and
+composes their generator images exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from . import linalg, modgb
 from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_morphism
@@ -92,6 +101,10 @@ class UniversalAModule:
     def pos(self, s: int, r: int) -> int:
         """1-based (U index s, Z index r) -> 0-based free-module position."""
         return (s - 1) * self.Z.dim + (r - 1)
+
+    def _gen(self, r: int, t: int) -> int:
+        """The position of y_tr, r indexing Z and t indexing U."""
+        return self.pos(t, r)
 
     def _key(self, p: int, v: int = -1) -> int:
         """The packed key of x_v e_p, or of e_p when v is -1: ``_units`` holds
@@ -302,67 +315,67 @@ class PresentedMap:
         first read."""
         return {p: modgb._vector(self.target.free, t) for p, t in self.terms.items()}
 
-    def apply(self, terms: dict[int, Scalar]) -> dict[int, Scalar]:
-        """The image, as packed terms before reduction, of the source vector
-        with packed ``terms``: x^m y_p maps to x^m images[p]."""
-        return self.target.table.substitute(terms, self.terms)
 
-    def kills(self, terms: dict[int, Scalar]) -> bool:
-        """Whether the source vector with packed ``terms`` maps to zero."""
-        return self.target.mgb.contains(self.apply(terms))
-
-    def compose(self, other: "PresentedMap") -> "PresentedMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise ValueError("composition mismatch")
-        return PresentedMap(other.source, self.target, {
-            p: self.target.mgb.remainder(self.apply(t))
-            for p, t in other.terms.items()})
+def _induced(x: UniversalAModule | UniversalLieHModule,
+             y: UniversalAModule | UniversalLieHModule,
+             f: LinearMap, others: int) -> dict[int, list[tuple[int, Scalar]]]:
+    """The generator images of the map from x to y that f, a map of their
+    Lie g-module arguments, induces: y_(r,t) -> sum_r' f_r'r y_(r',t), r
+    indexing the Lie g-module argument and t, up to ``others``, the other
+    argument (``_gen``); each image as (target position, coefficient) pairs."""
+    return {x._gen(r, t): [(y._gen(rp, t), row[r - 1])
+                           for rp, row in enumerate(f.matrix, 1) if row[r - 1]]
+            for t in range(1, others + 1) for r in range(1, f.source_dim + 1)}
 
 
-def identity_presented_map(um: UniversalAModule) -> PresentedMap:
-    return PresentedMap(um, um, {
-        p: um.mgb.remainder({um._key(p): 1}) for p in range(um.rank)})
+def _unpreserved(x: UniversalAModule | UniversalLieHModule,
+                 y: UniversalAModule | UniversalLieHModule,
+                 f: LinearMap, rels_x: list[dict], rels_y: list[dict],
+                 image: Callable[[dict], dict]) -> tuple[int, int, int] | None:
+    """The first relation (t, r, j) of x, if any, whose image ``image(rel)``
+    under the induced map is not, term by term, sum_r' f_r'r times the
+    relation (t, r', j) of y; the relations are dicts of terms.  The two
+    differ by sum_r' ((f a_j - b_j f) e_r)_r' times generators of y, a_j and
+    b_j the actions of g's j-th basis element on the Lie g-module arguments
+    of x and y, so they agree exactly when f is equivariant, and no normal
+    form is needed."""
+    by_label = dict(zip(y.rel_labels, rels_y))
+    for (t, r, j), rel in zip(x.rel_labels, rels_x):
+        expected = _collect((k, row[r - 1] * c) for rp, row in enumerate(f.matrix, 1)
+                            if row[r - 1] for k, c in by_label[t, rp, j].items())
+        if _collect(image(rel).items()) != expected:
+            return t, r, j
+    return None
 
 
-def _induced_map(
+def _induced_U(
     um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
-) -> PresentedMap:
-    """The map U(U,X) -> U(U,Y) on generators: y_sr -> sum_r' f_r'r y_sr',
-    the s-th component of rho_Y(f(x_r)), reduced."""
-    rho = [um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
-           for r in range(1, um_x.Z.dim + 1)]
-    return PresentedMap(um_x, um_y, {
-        um_x.pos(s, r): um_y.mgb.remainder(rho[r - 1][s - 1])
-        for s in range(1, um_x.U.dim + 1) for r in range(1, um_x.Z.dim + 1)
-    })
+) -> tuple[dict[int, dict[int, Scalar]], tuple[int, int, int] | None]:
+    """The induced map's generator images as packed terms of U(U,Y), keyed
+    once, and the first relation of U(U,X) they do not preserve, or None;
+    a relation's image is the target's ``table.substitute``."""
+    keyed = {p: {um_y._key(q): c for q, c in pairs}
+             for p, pairs in _induced(um_x, um_y, f, um_x.U.dim).items()}
+    return keyed, _unpreserved(um_x, um_y, f, um_x.relations, um_y.relations,
+                               lambda rel: um_y.table.substitute(rel, keyed))
 
 
 def functor_on_morphism_U(
     um_x: UniversalAModule, um_y: UniversalAModule, f: LinearMap
 ) -> PresentedMap:
-    """The induced map U(U,X) -> U(U,Y) of an equivariant f: X -> Y, with
-    relation preservation and structure-map compatibility verified."""
+    """The induced map U(U,X) -> U(U,Y) of an equivariant f: X -> Y, checked
+    term by term on the relations (``_unpreserved``), with the normal forms
+    of its generator images."""
     if um_x.A != um_y.A:
         raise ValueError("universal modules over different algebras")
     if um_x.U != um_y.U:
         raise ValueError("the Lie h-module argument must coincide")
     if not is_module_morphism(f, um_x.Z, um_y.Z):
         raise ValueError("f is not a morphism of Lie g-modules")
-    fbar = _induced_map(um_x, um_y, f)
-    for label, terms in zip(um_x.rel_labels, um_x.relations):
-        if not fbar.kills(terms):
-            raise AssertionError(f"relation {label} not preserved by induced map")
-    # (Id_U (x) fbar) o rho_X = rho_Y o f on the basis of X: at each u_s the
-    # difference reduces to zero in U(U,Y).
-    for r in range(1, um_x.Z.dim + 1):
-        lhs = um_x._rho_terms(um_x.Z.basis_vector(r))
-        rhs = um_y._rho_terms(f.apply(um_x.Z.basis_vector(r)))
-        for a, b in zip(lhs, rhs):
-            diff = chain(fbar.apply(a).items(), ((u, -c) for u, c in b.items()))
-            if not um_y.mgb.contains(_collect(diff)):
-                raise AssertionError("structure maps do not commute with induced map")
-    return fbar
+    keyed, label = _induced_U(um_x, um_y, f)
+    if label:
+        raise AssertionError(f"relation {label} not preserved by induced map")
+    return PresentedMap(um_x, um_y, {p: um_y.mgb.remainder(t) for p, t in keyed.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +388,39 @@ def direct_sum_check(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> Report:
     """Mutually inverse generator-level maps between U(U, W1 (+) W2) and
-    U(U,W1) (+) U(U,W2): the relations of the sum map to zero in the summands
-    (forward) and those of each summand to zero in the sum (backward), and
-    both composites are the identity on generators (round trip)."""
+    U(U,W1) (+) U(U,W2): the maps induced by the projections preserve the
+    relations of the sum (forward) and those induced by the injections the
+    relations of each summand (backward), term by term, and both composites
+    are the identity on generators (round trip), composed exactly."""
     ds = direct_sum(W1, W2)
     um_sum = build_universal_amodule(A, U, ds.module, budget=budget)
     um_1 = build_universal_amodule(A, U, W1, budget=budget)
     um_2 = build_universal_amodule(A, U, W2, budget=budget)
-    # The maps induced by the projections and injections of W1 (+) W2.
-    p1 = _induced_map(um_sum, um_1, ds.proj1)
-    p2 = _induced_map(um_sum, um_2, ds.proj2)
-    i1 = _induced_map(um_1, um_sum, ds.inj1)
-    i2 = _induced_map(um_2, um_sum, ds.inj2)
+    (p1, lost_p1), (p2, lost_p2) = (_induced_U(um_sum, um_1, ds.proj1),
+                                    _induced_U(um_sum, um_2, ds.proj2))
+    (i1, lost_i1), (i2, lost_i2) = (_induced_U(um_1, um_sum, ds.inj1),
+                                    _induced_U(um_2, um_sum, ds.inj2))
     bad: list[Violation] = []
-    if not all(p1.kills(rel) and p2.kills(rel) for rel in um_sum.relations):
+    if lost_p1 or lost_p2:
         bad.append(Violation("direct-sum-forward", (), "relations not preserved"))
-    if not (all(i1.kills(rel) for rel in um_1.relations)
-            and all(i2.kills(rel) for rel in um_2.relations)):
+    if lost_i1 or lost_i2:
         bad.append(Violation("direct-sum-backward", (), "relations not preserved"))
+
+    def composite(*maps) -> dict[int, dict[int, Scalar]]:
+        """The sum of the composites a after b, on the generators of b's
+        source; the tables over one ring share their keys."""
+        return {p: _collect(chain.from_iterable(
+            um_sum.table.substitute(b[p], a).items() for a, b in maps)) for p in maps[0][1]}
+
+    def identity(um: UniversalAModule) -> dict[int, dict[int, Scalar]]:
+        return {p: {um._key(p): 1} for p in range(um.rank)}
+
     # i1 p1 + i2 p2 = id on the sum, and p_a i_b = delta_ab id on the summands.
-    c1, c2 = i1.compose(p1), i2.compose(p2)
-    both = PresentedMap(um_sum, um_sum, {
-        p: _collect(chain(c1.terms[p].items(), c2.terms[p].items())) for p in c1.terms})
-    if not (both.terms == identity_presented_map(um_sum).terms
-            and p1.compose(i1).terms == identity_presented_map(um_1).terms
-            and p2.compose(i2).terms == identity_presented_map(um_2).terms
-            and not any(p2.compose(i1).terms.values())
-            and not any(p1.compose(i2).terms.values())):
+    if not (composite((i1, p1), (i2, p2)) == identity(um_sum)
+            and composite((p1, i1)) == identity(um_1)
+            and composite((p2, i2)) == identity(um_2)
+            and not any(composite((p2, i1)).values())
+            and not any(composite((p1, i2)).values())):
         bad.append(Violation("direct-sum-round-trip", (), "not identity"))
     return Report(tuple(bad))
 
@@ -455,6 +474,10 @@ class UniversalLieHModule:
     def pos(self, r: int, s: int) -> int:
         """1-based (W index r, V index s) -> 0-based generator position."""
         return (r - 1) * self.V.dim + (s - 1)
+
+    def _gen(self, r: int, t: int) -> int:
+        """The position of y_rt, r indexing W and t indexing V."""
+        return self.pos(r, t)
 
     def _relations(self) -> tuple[tuple[_Words, ...], list[tuple[int, int, int]]]:
         """The relations (s, r, j) as terms (p, word, c), straight from the
@@ -534,39 +557,23 @@ class LiePresentedMap:
     images: dict[int, _Words]
 
 
-def _induced_lie_map(
-    vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
-) -> LiePresentedMap:
-    """The map V(V,X) -> V(V,Y) on generators, as terms (p, word, c):
-    y_rs -> sum_r' f_r'r y_r's."""
-    images: dict[int, _Words] = {}
-    for r in range(1, vm_x.W.dim + 1):
-        col = f.apply(vm_x.W.basis_vector(r))
-        for s in range(1, vm_x.V.dim + 1):
-            images[vm_x.pos(r, s)] = tuple(
-                (vm_y.pos(rp, s), (), c) for rp, c in enumerate(col, 1) if c)
-    return LiePresentedMap(vm_x, vm_y, images)
-
-
 def functor_on_morphism_V(
     vm_x: UniversalLieHModule, vm_y: UniversalLieHModule, f: LinearMap
 ) -> LiePresentedMap:
     """Induced map V(V,X) -> V(V,Y) of an equivariant f: X -> Y, checked term
-    by term: the image of the relation (s, r, j) of V(V,X) is sum_r' f_r'r
-    times the relation (s, r', j) of V(V,Y).  The images of generators have
-    words of length 0, so a term c w y_p maps to c w images[p] unnormalized."""
+    by term on the relations (``_unpreserved``).  The images of generators
+    have words of length 0, so a term c w y_p maps to c w images[p]
+    unnormalized."""
     if vm_x.A != vm_y.A or vm_x.V.matrices != vm_y.V.matrices:
         raise ValueError("the A-module argument must coincide")
     if not is_module_morphism(f, vm_x.W, vm_y.W):
         raise ValueError("f is not a morphism of Lie g-modules")
-    fbar = _induced_lie_map(vm_x, vm_y, f)
-    rels_y = dict(zip(vm_y.rel_labels, vm_y.rel_terms))
-    for (s, r, j), terms in zip(vm_x.rel_labels, vm_x.rel_terms):
-        image = _collect(((q, w + v), c * d) for p, w, c in terms
-                         for q, v, d in fbar.images[p])
-        expected = _collect(((q, w), f.matrix[rp - 1][r - 1] * c)
-                            for rp in range(1, vm_y.W.dim + 1)
-                            for q, w, c in rels_y[s, rp, j])
-        if image != expected:
-            raise AssertionError(f"relation {(s, r, j)} not preserved by induced map")
-    return fbar
+    images = _induced(vm_x, vm_y, f, vm_x.V.dim)
+    rels_x, rels_y = ([{(p, w): c for p, w, c in rel} for rel in vm.rel_terms]
+                      for vm in (vm_x, vm_y))
+    label = _unpreserved(vm_x, vm_y, f, rels_x, rels_y, lambda rel: _collect(
+        ((q, w), c * d) for (p, w), c in rel.items() for q, d in images[p]))
+    if label:
+        raise AssertionError(f"relation {label} not preserved by induced map")
+    return LiePresentedMap(vm_x, vm_y, {
+        p: tuple((q, (), c) for q, c in pairs) for p, pairs in images.items()})

@@ -15,6 +15,7 @@ from univalg.modgb import ModuleVector, _terms
 from univalg.poly import PolyRing, Polynomial
 from univalg.representations import MatrixARep
 from univalg.universal_algebra import add_pairs, tensor_normal_form, universal_polynomials
+from univalg.universal_modules import PresentedMap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,6 +32,44 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def unit_vector(dim, i):
+    """The i-th basis vector of a space of dimension ``dim``, i from 1."""
+    v = [0] * dim
+    v[i - 1] = 1
+    return v
+
+
+def free_generator(F, pos):
+    """The generator e_pos of the free module F."""
+    return ModuleVector(F, {pos: F.ring.one()})
+
+
+def compose(f, g):
+    """The linear map f after g."""
+    if g.target_dim != f.source_dim:
+        raise ValueError("composition dimension mismatch")
+    if not f.matrix or not g.matrix:
+        return LinearMap.zero(g.source_dim, f.target_dim)
+    return LinearMap.from_matrix(linalg.mat_mul(f.mat(), g.mat()), g.source_dim)
+
+
+def compose_presented(a, b):
+    """The map a after b of presented modules: the normal forms of b's images
+    with each generator replaced by its image under a."""
+    if b.target is not a.source:
+        raise ValueError("composition mismatch")
+    target = a.target
+    return PresentedMap(b.source, target, {
+        p: target.mgb.remainder(target.table.substitute(t, a.terms))
+        for p, t in b.terms.items()})
+
+
+def identity_presented(um):
+    """The identity of U(U,Z) as a map of presented modules."""
+    return PresentedMap(um, um, {
+        p: um.mgb.remainder({um._key(p): 1}) for p in range(um.rank)})
 
 
 def mat_add(a, b):
@@ -195,7 +234,7 @@ def push_to_module(fbar, Y, images):
 def is_collapsed(um) -> bool:
     """Whether every generator of U(U,Z) reduces to zero (degenerate but
     legal)."""
-    return all(nf(um, um.free.basis_vector(p)).is_zero() for p in range(um.rank))
+    return all(nf(um, free_generator(um.free, p)).is_zero() for p in range(um.rank))
 
 
 def is_abelian(L: LieAlgebra) -> bool:
@@ -492,7 +531,7 @@ def tensor_square_inputs(um, sq):
     Delta they take (every relation, every generator y_lt and every
     x_ab . y_lt), and the tensor elements x_ab . Delta(y_lt)."""
     n, m = um.A.h.dim, um.U.dim
-    gens = [um.free.basis_vector(um.pos(l, t))
+    gens = [free_generator(um.free, um.pos(l, t))
             for l in range(1, m + 1) for t in range(1, m + 1)]
     vectors = list(um.relgens) + gens
     acted = []
@@ -582,11 +621,11 @@ def reference_validate_lie_algebra(L: LieAlgebra) -> Report:
                         f"c[{i+1}][{j+1}][{s+1}]={L.table[i][j][s]} vs "
                         f"-c[{j+1}][{i+1}][{s+1}]={-L.table[j][i][s]}"))
     for i in range(n):
-        ei = L.basis_vector(i + 1)
+        ei = unit_vector(L.dim, i + 1)
         for j in range(i + 1, n):
-            ej = L.basis_vector(j + 1)
+            ej = unit_vector(L.dim, j + 1)
             for k in range(j + 1, n):
-                ek = L.basis_vector(k + 1)
+                ek = unit_vector(L.dim, k + 1)
                 acc = L.bracket(L.bracket(ei, ej), ek)
                 acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ej, ek), ei))]
                 acc = [a + b for a, b in zip(acc, L.bracket(L.bracket(ek, ei), ej))]

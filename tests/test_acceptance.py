@@ -16,6 +16,7 @@ from helpers import (
     act,
     const,
     degree,
+    free_generator,
     heisenberg,
     jgens,
     mat_scale,
@@ -28,6 +29,7 @@ from helpers import (
     rep_pool,
     solvable2,
     solve_unique,
+    unit_vector,
 )
 from univalg import linalg, poly
 from univalg.cli import golden_sl2_polynomials
@@ -110,7 +112,7 @@ def test_criterion_2_perfect_g_collapse(capsys):
     rows = []
     for i in range(1, 4):
         for j in range(1, 4):
-            rows.append(g.bracket(g.basis_vector(i), g.basis_vector(j)))
+            rows.append(g.bracket(unit_vector(g.dim, i), unit_vector(g.dim, j)))
     derived_rank = 3 - len(nullspace(rows))
     assert derived_rank == 3
     h = LieAlgebra.abelian(1)
@@ -324,8 +326,8 @@ def test_criterion_10_oracle_cross_checks(capsys, A_sl2):
     x11 = A.ring.var(0)
     hand = ModuleVector(um.free, {0: const(A.ring, Fraction(5)) - x11})
     ok = ok and (um.relgens[0] == hand or um.relgens[0] == hand.scale(-ONE))
-    ok = ok and act(um, x11, um.free.basis_vector(0)) == nf(um,
-        um.free.basis_vector(0).scale(Fraction(5))
+    ok = ok and act(um, x11, free_generator(um.free, 0)) == nf(um,
+        free_generator(um.free, 0).scale(Fraction(5))
     )
     # (c) factorization by dense linear solve: X diagonal, f an eigenvector.
     X = MatrixARep(A, 2, {(1, 1): [[Fraction(5), ZERO], [ZERO, Fraction(7)]]},
@@ -342,7 +344,7 @@ def test_criterion_10_oracle_cross_checks(capsys, A_sl2):
     ok = ok and result.ok and result.images[(1, 1)] == w_oracle
     # (d) row-reduction oracle for the derived subalgebra of sl2 (criterion 2)
     g = sl2()
-    rows = [g.bracket(g.basis_vector(i), g.basis_vector(j))
+    rows = [g.bracket(unit_vector(g.dim, i), unit_vector(g.dim, j))
             for i in range(1, 4) for j in range(1, 4)]
     ok = ok and (3 - len(nullspace(rows))) == 3
     _report(capsys, 10, "independent oracles match the main path bit-exactly", ok)

@@ -507,20 +507,21 @@ def test_corrupted_counit_table_fails_descent(capsys, monkeypatch, command):
 
 
 def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
-    # Every induced map sends y_sr to twice its image, so no composite is the
-    # identity.  The images are kept as packed terms, so those are doubled.
-    induced = universal_modules._induced_map
+    # Every induced map sends y_sr to twice its image, so no relation maps to
+    # its expected image and no composite is the identity.
+    induced = universal_modules._induced
 
-    def doubled(um_x, um_y, f):
-        fbar = induced(um_x, um_y, f)
-        fbar.terms = {p: {k: 2 * c for k, c in t.items()} for p, t in fbar.terms.items()}
-        return fbar
+    def doubled(x, y, f, others):
+        return {p: [(q, 2 * c) for q, c in pairs]
+                for p, pairs in induced(x, y, f, others).items()}
 
-    monkeypatch.setattr(universal_modules, "_induced_map", doubled)
+    monkeypatch.setattr(universal_modules, "_induced", doubled)
     code, out = run(capsys, "check", "direct-sum", fx("sl2.alg"), fx("sl2.alg"),
                     fx("adjoint_sl2.mod"), fx("adjoint_sl2.mod"), fx("trivial1_sl2.mod"))
     assert code == 1
     assert out == ("check direct-sum\nstatus fail\n"
+                   "item direct-sum-forward (): relations not preserved\n"
+                   "item direct-sum-backward (): relations not preserved\n"
                    "item direct-sum-round-trip (): not identity\n")
 
 

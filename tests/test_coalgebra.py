@@ -8,6 +8,7 @@ from helpers import (
     act,
     count_calls,
     doubled,
+    free_generator,
     heisenberg,
     natural2,
     nf,
@@ -124,7 +125,7 @@ def test_abelian_grouplike(abelian_setup):
     L, A, um = abelian_setup
     C = build_coalgebra(um, bialgebra_structure(A))
     # The single generator is grouplike: Delta(y) = y (x) y, eps(y) = 1.
-    g = um.free.basis_vector(0)
+    g = free_generator(um.free, 0)
     d = C.square.normal_form(C.square.delta_of_terms(_terms(g)))
     assert [(term(um.table, a), term(um.table, b)) for a, b in d] == [
         ((0, (0,)), (0, (0,)))]
@@ -219,7 +220,7 @@ def test_tensor_square_action_kills_relations(um_adjoint, coalg_adjoint, A_sl2):
     # by x_11 before or after comultiplying gives the same tensor element.
     um, sq = um_adjoint, coalg_adjoint.square
     x11 = um.A.ring.var(um.A.var_index(1, 1))
-    g = um.free.basis_vector(um.pos(1, 1))
+    g = free_generator(um.free, um.pos(1, 1))
     lhs = sq.normal_form(sq.delta_of_terms(_terms(act(um, x11, g))))
     rhs = sq.bmodule_act(1, 1, sq.delta_of_terms(_terms(g)))
     assert sq.normal_form(lhs) == sq.normal_form(rhs)
@@ -414,7 +415,7 @@ def test_exponent_overflow_in_tables_is_an_exponent_overflow(um_natural2,
     um, ring = um_natural2, um_natural2.A.ring
     top = (MAX_EXPONENT,) + (0,) * 8
     over = (MAX_EXPONENT + 1,) + (0,) * 8
-    y = um.free.basis_vector(0)
+    y = free_generator(um.free, 0)
     x11_y = ModuleVector(um.free, {0: ring.var(0)})
     for raises in (lambda: nf(um, poly_mul(y, ring.monomial(over))),
                    lambda: um.table.row(um.table.key(0, over)),

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from helpers import heisenberg, natural2, solvable2
+from helpers import heisenberg, natural2, solvable2, unit_vector
 from univalg.formats import parse_algebra_text, parse_module_text
 from univalg.lie import (
     LieAlgebra,
@@ -125,11 +125,11 @@ def _act_residuals(M):
     [b_i, b_j] u_r - (b_i (b_j u_r) - b_j (b_i u_r)) wherever it is nonzero."""
     L, out = M.algebra, []
     for i in range(1, L.dim + 1):
-        x = L.basis_vector(i)
+        x = unit_vector(L.dim, i)
         for j in range(1, L.dim + 1):
-            y = L.basis_vector(j)
+            y = unit_vector(L.dim, j)
             for r in range(1, M.dim + 1):
-                v = M.basis_vector(r)
+                v = unit_vector(M.dim, r)
                 lhs = M.act(L.bracket(x, y), v)
                 a, b = M.act(x, M.act(y, v)), M.act(y, M.act(x, v))
                 resid = [p - (q - s) for p, q, s in zip(lhs, a, b)]
@@ -140,8 +140,8 @@ def _act_residuals(M):
 
 def _act_intertwines(f, M, N):
     L = M.algebra
-    return all(f.apply(M.act(L.basis_vector(i), M.basis_vector(j)))
-               == N.act(L.basis_vector(i), f.apply(M.basis_vector(j)))
+    return all(f.apply(M.act(unit_vector(L.dim, i), unit_vector(M.dim, j)))
+               == N.act(unit_vector(L.dim, i), f.apply(unit_vector(M.dim, j)))
                for i in range(1, L.dim + 1) for j in range(1, M.dim + 1))
 
 

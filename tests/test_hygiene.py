@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import keyword
+import re
 from pathlib import Path
 
 import pytest
@@ -474,3 +476,59 @@ def test_engine_internal_is_reported():
         "m.py line 5: _reduce", "m.py line 6: codec.top", "m.py line 6: poly._reduce"]
     assert engine_internals({"poly.py": src}) == []
     assert engine_internals({"m.py": "def f(table, key):\n    return table.split(key)\n"}) == []
+
+
+# A copied block: WINDOW consecutive code lines that stand elsewhere in
+# univalg once every lower-case identifier is one placeholder, at least
+# LEAST characters long in that form, so that a run of short lines (an
+# import list, an ``else:``) is not one.
+WINDOW, LEAST = 4, 80
+_IDENTIFIER = re.compile(r"\b[a-z_][a-z0-9_]*\b")
+
+
+def _shape(line: str) -> str:
+    return _IDENTIFIER.sub(
+        lambda m: m.group() if keyword.iskeyword(m.group()) else "_", line)
+
+
+def copied_blocks(sources: dict[str, str]) -> list[str]:
+    """Every window of WINDOW code lines (not blank, comment or docstring)
+    in ``sources`` (file name -> text) whose shape stands more than once, as
+    the places it stands."""
+    places: dict[tuple[str, ...], list[str]] = {}
+    for file, text in sources.items():
+        strings = {
+            n for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for n in range(node.lineno, node.end_lineno + 1)}
+        code = [(n, _shape(line.strip()))
+                for n, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.strip().startswith("#") and n not in strings]
+        for k in range(len(code) - WINDOW + 1):
+            window = tuple(shape for _, shape in code[k:k + WINDOW])
+            if sum(map(len, window)) >= LEAST:
+                places.setdefault(window, []).append(f"{file} line {code[k][0]}")
+    return [", ".join(where) for where in places.values() if len(where) > 1]
+
+
+def test_no_copied_blocks():
+    assert copied_blocks(_sources_and_users()[0]) == []
+
+
+def test_copied_block_is_reported():
+    block = (
+        "    for part in tail.split():\n"
+        "        if ':' not in part:\n"
+        "            raise ValueError(f'expected index:coefficient, got {part!r}')\n"
+        "        out.append(int(part.split(':')[0]))\n"
+    )
+    src = (
+        f'def f(tail):\n    """Parse."""\n    out = []\n{block}    return out\n\n\n'
+        f"def g(tail):\n    out = []\n    # the same\n\n{block.replace('part', 'word')}"
+        "    return out\n"
+    )
+    assert copied_blocks({"m.py": src}) == ["m.py line 4, m.py line 15"]
+    # Under LEAST characters a run of lines is not a block.
+    short = "def f(a):\n    b = a\n    c = b\n    d = c\n    return d\n"
+    assert copied_blocks({"m.py": short + "\n\n" + short.replace("f(", "g(")}) == []

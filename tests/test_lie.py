@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     algebra_pool,
+    compose,
     heisenberg,
     mat_scale,
     natural2,
     random_equivariant_map,
     reference_validate_lie_algebra,
     solvable2,
+    unit_vector,
 )
 from univalg import linalg
 from univalg.lie import (
@@ -41,7 +43,7 @@ def test_sl2_is_a_lie_algebra():
 def test_abelian_and_brackets():
     L = LieAlgebra.abelian(2)
     assert validate_lie_algebra(L).ok
-    assert L.bracket(L.basis_vector(1), L.basis_vector(2)) == [ZERO, ZERO]
+    assert L.bracket(unit_vector(L.dim, 1), unit_vector(L.dim, 2)) == [ZERO, ZERO]
 
 
 def test_equal_algebras_hash_equal_whatever_their_names():
@@ -113,7 +115,7 @@ def test_adjoint_module_jacobi_oracle():
     for i in range(1, 4):
         for j in range(1, 4):
             for r in range(1, 4):
-                x, y, v = (L.basis_vector(k) for k in (i, j, r))
+                x, y, v = (unit_vector(L.dim, k) for k in (i, j, r))
                 lhs = L.bracket(L.bracket(x, y), v)
                 rhs = [
                     a - b
@@ -146,7 +148,7 @@ def test_action_matrix_is_the_frozen_transposed_action(make):
     # Column j of the matrix of b_i is b_i acting on u_j.
     M = make(sl2())
     for i, mat in enumerate(M.matrices, start=1):
-        columns = [M.act(M.algebra.basis_vector(i), M.basis_vector(j))
+        columns = [M.act(unit_vector(M.algebra.dim, i), unit_vector(M.dim, j))
                    for j in range(1, M.dim + 1)]
         assert mat == tuple(tuple(col[s] for col in columns) for s in range(M.dim))
         assert type(mat) is tuple and all(type(row) is tuple for row in mat)
@@ -187,8 +189,8 @@ def test_module_morphism_and_random_nonmorphism():
     rng = Random(7)
     mat = [[Fraction(rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
     f = LinearMap.from_matrix(mat)
-    x = L.basis_vector(3)
-    v = M.basis_vector(1)
+    x = unit_vector(L.dim, 3)
+    v = unit_vector(M.dim, 1)
     assert f.apply(M.act(x, v)) != T.act(x, f.apply(v))
     assert not is_module_morphism(f, M, T)
 
@@ -210,9 +212,9 @@ def test_direct_sum_block_oracle():
         assert all(big[r][3] == 0 for r in range(4))
     assert validate_lie_module(ds.module).ok
     # Projection/injection identities.
-    assert ds.proj1.compose(ds.inj1).mat() == linalg.identity(3)
-    assert ds.proj2.compose(ds.inj2).mat() == linalg.identity(1)
-    assert ds.proj2.compose(ds.inj1).mat() == linalg.zeros(1, 3)
+    assert compose(ds.proj1, ds.inj1).mat() == linalg.identity(3)
+    assert compose(ds.proj2, ds.inj2).mat() == linalg.identity(1)
+    assert compose(ds.proj2, ds.inj1).mat() == linalg.zeros(1, 3)
 
 
 def test_direct_sum_with_zero_dimensional_summand():
@@ -246,7 +248,7 @@ def test_linear_map_basics():
     f = LinearMap.from_matrix([[ONE, ZERO], [ONE, ONE]])
     g = LinearMap.from_matrix([[ZERO, ONE], [ONE, ZERO]])
     assert f.apply([ONE, ONE]) == [ONE, Fraction(2)]
-    assert f.compose(g).mat() == linalg.mat_mul(f.mat(), g.mat())
+    assert compose(f, g).mat() == linalg.mat_mul(f.mat(), g.mat())
     z = LinearMap.zero(2, 3)
     assert z.apply([ONE, ONE]) == [ZERO, ZERO, ZERO]
 
@@ -259,9 +261,9 @@ def _per_pair_is_module_morphism(f, M, N):
         return [sum((a * b for a, b in zip(row, v)), ZERO) for row in f.matrix]
 
     for i in range(1, M.algebra.dim + 1):
-        x = M.algebra.basis_vector(i)
+        x = unit_vector(M.algebra.dim, i)
         for j in range(1, M.dim + 1):
-            v = M.basis_vector(j)
+            v = unit_vector(M.dim, j)
             if apply(M.act(x, v)) != N.act(x, apply(v)):
                 return False
     return True

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import const, lead, lead_coeff, mono_div, mono_lcm, poly_mul
+from helpers import const, free_generator, lead, lead_coeff, mono_div, mono_lcm, poly_mul
 from univalg.modgb import (
     FreeModule,
     ModuleVector,
@@ -43,8 +43,8 @@ def setup():
 def test_vector_arithmetic(setup):
     R, F = setup
     x = R.var(0)
-    v = poly_mul(F.basis_vector(0), x) + F.basis_vector(1)
-    w = v - F.basis_vector(1)
+    v = poly_mul(free_generator(F, 0), x) + free_generator(F, 1)
+    w = v - free_generator(F, 1)
     assert w.components == {0: x}
     assert (v - v).is_zero()
     assert lead(v) == (0, (1, 0))  # position over term: position 0 leads
@@ -54,7 +54,7 @@ def test_position_over_term_order(setup):
     R, F = setup
     x, y = R.var(0), R.var(1)
     # A huge monomial at position 1 still loses to a constant at position 0.
-    v = F.basis_vector(0) + poly_mul(F.basis_vector(1), x * x * y * y)
+    v = free_generator(F, 0) + poly_mul(free_generator(F, 1), x * x * y * y)
     assert lead(v) == (0, (0, 0))
 
 
@@ -64,13 +64,13 @@ def test_module_normal_form_quotient(setup):
     # Submodule: (x - 2)e0, and the ring ideal (y^2 - x) folded in.
     ring_gb = groebner([y * y - x], R)
     mgb = module_buchberger([ModuleVector(F, {0: x - const(R, 2)})], ring_gb, F)
-    v = poly_mul(F.basis_vector(0), y * y)  # y^2 e0 -> x e0 -> 2 e0
+    v = poly_mul(free_generator(F, 0), y * y)  # y^2 e0 -> x e0 -> 2 e0
     nf = module_normal_form(v, mgb)
-    assert nf == F.basis_vector(0).scale(Fraction(2))
+    assert nf == free_generator(F, 0).scale(Fraction(2))
     # Position 1 only sees the ring ideal.
-    w = poly_mul(F.basis_vector(1), y * y + x)
+    w = poly_mul(free_generator(F, 1), y * y + x)
     nf1 = module_normal_form(w, mgb)
-    assert nf1 == poly_mul(F.basis_vector(1), x.scale(Fraction(2)))
+    assert nf1 == poly_mul(free_generator(F, 1), x.scale(Fraction(2)))
 
 
 # Small inputs over Q[x, y] with degrevlex: a polynomial is a dict from
@@ -153,8 +153,8 @@ def test_normal_form_linearity(a, b, e1, e2):
     mgb = module_buchberger(
         [ModuleVector(F, {0: x - R.one(), 1: y})], groebner([y * y - R.one()], R), F
     )
-    v = poly_mul(F.basis_vector(0), R.monomial((e1, e2), Fraction(a)))
-    w = poly_mul(F.basis_vector(1), R.monomial((e2, e1), Fraction(b)))
+    v = poly_mul(free_generator(F, 0), R.monomial((e1, e2), Fraction(a)))
+    w = poly_mul(free_generator(F, 1), R.monomial((e2, e1), Fraction(b)))
     lhs = module_normal_form(v + w, mgb)
     rhs = module_normal_form(v, mgb) + module_normal_form(w, mgb)
     assert lhs == module_normal_form(rhs, mgb)

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import count_calls, lead_monomial, natural2, nf
+from helpers import count_calls, free_generator, lead_monomial, natural2, nf
 from univalg import cli, modgb, poly, universal_modules
 from univalg.lie import LieModule, LinearMap, direct_sum
 from univalg.modgb import ModuleVector
@@ -96,7 +96,7 @@ def test_packed_paths_pack_and_unpack_nothing(A_sl2, sl2_alg, capsys, monkeypatc
     images = fbar.images
     assert fbar.images is images and len(calls[3]) == len(fbar.terms) == um.rank
     assert images == {p: modgb._vector(um.free, t) for p, t in fbar.terms.items()}
-    assert images == {p: nf(um, um.free.basis_vector(p)) for p in range(um.rank)}
+    assert images == {p: nf(um, free_generator(um.free, p)) for p in range(um.rank)}
 
 
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
@@ -142,16 +142,53 @@ def test_functor_on_morphism_V_checks_the_relations(A_sl2, sl2_alg):
     assert any(c for rel in vm_x.rel_terms for _, w, c in rel if not w)
 
 
+def forbid_membership(monkeypatch) -> None:
+    """Make ``_Basis.contains`` raise, except while a U(U,Z) is built and
+    certified."""
+    building = []
+    build, contains = universal_modules.build_universal_amodule, poly._Basis.contains
+
+    def built(*args, **kwargs):
+        building.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            building.pop()
+
+    def guarded(self, terms):
+        if not building:
+            raise AssertionError("_Basis.contains called")
+        return contains(self, terms)
+
+    monkeypatch.setattr(universal_modules, "build_universal_amodule", built)
+    monkeypatch.setattr(poly._Basis, "contains", guarded)
+
+
+def test_induced_maps_test_no_membership(A_sl2, sl2_alg, monkeypatch):
+    # Both functors check the relations term by term and the direct-sum
+    # check composes generator images exactly, so once the modules are built
+    # none of them asks a basis for membership.
+    ad, n2 = LieModule.adjoint(sl2_alg), natural2(sl2_alg)
+    um = build_universal_amodule(A_sl2, n2, n2)
+    vm_x, vm_y, f = _lie_modules(A_sl2, sl2_alg)
+    forbid_membership(monkeypatch)
+    with pytest.raises(AssertionError, match="_Basis.contains called"):
+        um.check_relations()
+    assert functor_on_morphism_U(um, um, LinearMap.identity(2)).terms
+    assert functor_on_morphism_V(vm_x, vm_y, f).images
+    assert direct_sum_check(A_sl2, ad, ad, LieModule.trivial(sl2_alg, 1)).ok
+
+
 def test_corrupted_lie_image_fails_the_functor(A_sl2, sl2_alg, monkeypatch):
     # Doubling the image of one generator breaks every relation it enters.
     vm_x, vm_y, f = _lie_modules(A_sl2, sl2_alg)
-    induced = universal_modules._induced_lie_map
+    induced = universal_modules._induced
 
-    def corrupted(vm_x, vm_y, f):
-        fbar = induced(vm_x, vm_y, f)
-        fbar.images[0] = tuple((q, w, 2 * c) for q, w, c in fbar.images[0])
-        return fbar
+    def corrupted(x, y, f, others):
+        images = induced(x, y, f, others)
+        images[0] = [(q, 2 * c) for q, c in images[0]]
+        return images
 
-    monkeypatch.setattr(universal_modules, "_induced_lie_map", corrupted)
+    monkeypatch.setattr(universal_modules, "_induced", corrupted)
     with pytest.raises(AssertionError, match="not preserved by induced map"):
         functor_on_morphism_V(vm_x, vm_y, f)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import natural2, pbw_words
+from helpers import natural2, pbw_words, unit_vector
 from univalg import linalg
 from univalg.lie import LieAlgebra, sl2
 from univalg.pbw import PBWElement, normalize_word, render_pbw
@@ -56,7 +56,7 @@ def test_word_action_respects_relations(A_sl2):
     vm = build_universal_lie_hmodule(A_sl2, MatrixARep.counit(A_sl2), M)
     norm = PBWVector(vm, {0: PBWElement(L, normalize_word(L, (2, 1)))})
     for k in range(1, 3):
-        image = linalg.evaluate(pbw_words(norm), mats, {0: M.basis_vector(k)}, M.dim)
+        image = linalg.evaluate(pbw_words(norm), mats, {0: unit_vector(M.dim, k)}, M.dim)
         assert image == [row[k - 1] for row in raw]
 
 

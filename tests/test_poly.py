@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gb_certificate import ideal_failures
 from helpers import (
     const,
+    count_calls,
     contains_unit,
     degree,
     eval_scalars,
@@ -15,6 +16,8 @@ from helpers import (
     mono_div,
     mono_lcm,
 )
+from univalg import poly
+from univalg.lie import sl2
 from univalg.poly import (
     DEGREVLEX,
     LEX,
@@ -31,6 +34,7 @@ from univalg.poly import (
     normal_form,
     render,
 )
+from univalg.universal_algebra import build_universal_algebra
 
 ONE = Fraction(1)
 
@@ -186,6 +190,17 @@ def test_budget_error():
     x, y, z = (R.var(i) for i in range(3))
     with pytest.raises(ResourceBudgetError):
         groebner([x * y - z * z, x * z - y, y * y - z], R, budget=1)
+
+
+def test_budget_counts_s_pair_reductions(monkeypatch):
+    # A budget bounds the S-pair reductions, not the pairs taken: the pairs
+    # the chain criterion skips are not counted, so on the i < j half of
+    # A(sl2,sl2)'s relations the engine reduces exactly 30 before it stops.
+    reductions = count_calls(monkeypatch, poly, "_s_terms")
+    with pytest.raises(ResourceBudgetError,
+                       match="^S-pair budget of 30 exceeded in buchberger$"):
+        build_universal_algebra(sl2(), sl2(), budget=30)
+    assert len(reductions) == 30
 
 
 def test_unit_ideal_detected():

@@ -11,6 +11,7 @@ from helpers import (
     reference_validate_arep,
     rep_pool,
     solvable2,
+    unit_vector,
     zero_dimensional,
 )
 from univalg import linalg
@@ -124,7 +125,7 @@ def reference_tensor_action(U, X, i, l, t):
     in the (l, t)-lexicographic basis, from the definition."""
     out = [ZERO] * (U.dim * X.dim)
     for j in range(1, U.algebra.dim + 1):
-        a = U.act(U.algebra.basis_vector(j), U.basis_vector(l))
+        a = U.act(unit_vector(U.algebra.dim, j), unit_vector(U.dim, l))
         b = [row[t - 1] for row in X.matrix(j, i)]
         for s, x in enumerate(a):
             for p, y in enumerate(b):
@@ -140,7 +141,7 @@ def test_tensor_module_matches_the_kronecker_sum(A_sl2, sl2_alg, seed):
     X = rep_pool(A_sl2, rng)
     T = tensor_lie_module(U, X)
     for i in range(1, A_sl2.g.dim + 1):
-        fi = A_sl2.g.basis_vector(i)
+        fi = unit_vector(A_sl2.g.dim, i)
         for l in range(1, U.dim + 1):
             for t in range(1, X.dim + 1):
                 e = [ZERO] * T.dim
@@ -161,7 +162,7 @@ def test_tensor_module_validates(A_sl2, adjoint_sl2):
         e = [ZERO] * T.dim
         e[row] = ONE
         for i in range(1, 4):
-            assert (T.act(A_sl2.g.basis_vector(i), e)
+            assert (T.act(unit_vector(A_sl2.g.dim, i), e)
                     == reference_tensor_action(adjoint_sl2, X, i, l, t))
 
 

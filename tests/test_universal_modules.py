@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from gb_certificate import _Certifier, _vector_element
 from helpers import (
     act,
+    compose,
+    compose_presented,
     const,
     count_calls,
+    free_generator,
     from_lie_homomorphism,
+    identity_presented,
     is_collapsed,
     mat_add,
     mat_scale,
@@ -25,6 +29,7 @@ from helpers import (
     row_entries,
     solvable2,
     term,
+    unit_vector,
 )
 from univalg import linalg, modgb, poly, universal_modules
 from univalg.lie import (
@@ -51,7 +56,6 @@ from univalg.universal_modules import (
     functor_on_morphism_V,
     gamma,
     gamma_lie,
-    identity_presented_map,
 )
 
 ZERO = Fraction(0)
@@ -88,8 +92,8 @@ def test_abelian_rank1_closed_form(ab1):
     # oracle relation, built by hand
     hand = ModuleVector(um.free, {0: const(A.ring, lam) - x11})
     assert um.relgens[0] == hand or um.relgens[0] == hand.scale(-ONE)
-    acted = act(um, x11, um.free.basis_vector(0))
-    assert acted == nf(um, um.free.basis_vector(0).scale(lam))
+    acted = act(um, x11, free_generator(um.free, 0))
+    assert acted == nf(um, free_generator(um.free, 0).scale(lam))
     assert not is_collapsed(um)
 
 
@@ -103,13 +107,13 @@ def test_adjoint_sl2_relation_suite(um_adjoint):
 
 
 def test_rho_shape(um_adjoint):
-    t = rho(um_adjoint, um_adjoint.Z.basis_vector(2))
+    t = rho(um_adjoint, unit_vector(um_adjoint.Z.dim, 2))
     # rho(z_2) = sum_s u_s (x) y_{s,2}, one component per u_s
     assert len(t) == 3
     for s in range(1, 4):
         comp = t[s - 1]
         expected = nf(um_adjoint,
-            um_adjoint.free.basis_vector(um_adjoint.pos(s, 2))
+            free_generator(um_adjoint.free, um_adjoint.pos(s, 2))
         )
         assert comp == expected
 
@@ -140,7 +144,7 @@ def test_build_packs_no_vector(A_sl2, sl2_alg, monkeypatch):
     packed = [count_calls(monkeypatch, module, "_pack") for module in (poly, modgb)]
     um = build_universal_amodule(A_sl2, n2, n2)
     assert packed == [[], []]
-    nf(um, um.free.basis_vector(0))
+    nf(um, free_generator(um.free, 0))
     assert packed[1]
 
 
@@ -350,7 +354,7 @@ def test_act_at_degree_3000_matches_normal_form(A_sl2, sl2_alg):
     p = A_sl2.ring.monomial((3000,) + (0,) * 8)
     v = ModuleVector(um.free, {})
     for pos in range(um.rank):
-        v = v + um.free.basis_vector(pos)
+        v = v + free_generator(um.free, pos)
     assert act(um, p, v) == nf(um, poly_mul(v, p))
 
 
@@ -619,9 +623,9 @@ def test_functor_on_morphism_and_composition(ab1):
     f = random_equivariant_map(rng, Z2, Z3)
     gbar = functor_on_morphism_U(um1, um2, g)
     fbar = functor_on_morphism_U(um2, um3, f)
-    fg = functor_on_morphism_U(um1, um3, f.compose(g))
-    assert fbar.compose(gbar).terms == fg.terms
-    ident = identity_presented_map(um1)
+    fg = functor_on_morphism_U(um1, um3, compose(f, g))
+    assert compose_presented(fbar, gbar).terms == fg.terms
+    ident = identity_presented(um1)
     assert functor_on_morphism_U(um1, um1, LinearMap.identity(2)).terms == ident.terms
 
 
@@ -631,6 +635,44 @@ def test_direct_sum_certificate_small(ab1):
     W1 = scaling_module(L, 2)
     W2 = LieModule.trivial(L, 1)
     assert direct_sum_check(A, U, W1, W2) == Report()
+
+
+def test_corrupted_induced_image_fails_every_direct_sum_item(ab1, monkeypatch):
+    # One generator's image doubled in every induced map: the relations it
+    # enters no longer map to their expected images, either way, and the
+    # composite i1 p1 sends it to four times itself.
+    L, A = ab1
+    induced = universal_modules._induced
+
+    def corrupted(x, y, f, others):
+        images = induced(x, y, f, others)
+        images[0] = [(q, 2 * c) for q, c in images[0]]
+        return images
+
+    monkeypatch.setattr(universal_modules, "_induced", corrupted)
+    report = direct_sum_check(A, scaling_module(L, 1), scaling_module(L, 2),
+                              LieModule.trivial(L, 1))
+    assert report.violations == (
+        Violation("direct-sum-forward", (), "relations not preserved"),
+        Violation("direct-sum-backward", (), "relations not preserved"),
+        Violation("direct-sum-round-trip", (), "not identity"),
+    )
+
+
+@pytest.mark.parametrize("U, Z", [("natural2", "adjoint"), ("adjoint", "adjoint"),
+                                  ("natural2", "natural2")])
+def test_functor_on_morphism_U_rejects_a_wrong_target(A_sl2, sl2_alg, U, Z):
+    # Into U(U,Z) presented with one eta sign flipped, the identity's image of
+    # the relation (1, 2, 1) is not the target's relation.  Over sl2 the
+    # target's relations imply the true ones (for natural2 into adjoint they
+    # collapse it), so no membership test of the images sees the flip.
+    modules = {"natural2": natural2(sl2_alg), "adjoint": LieModule.adjoint(sl2_alg)}
+    U, Z = modules[U], modules[Z]
+    um = build_universal_amodule(A_sl2, U, Z)
+    wrong = type("Wrong", (WrongEtaSign,), {"label": (1, 2, 1)})(A_sl2, U, Z)
+    with pytest.raises(AssertionError,
+                       match=r"relation \(1, 2, 1\) not preserved by induced map"):
+        functor_on_morphism_U(um, wrong, LinearMap.identity(Z.dim))
 
 
 # ---------------------------------------------------------------------------
