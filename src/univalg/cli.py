@@ -44,7 +44,7 @@ from .poly import DEFAULT_PAIR_BUDGET, DEGREVLEX, LEX, ResourceBudgetError
 from .representations import MatrixARep, validate_arep
 from .universal_algebra import (
     BialgebraStructure,
-    build_universal_algebra,
+    UniversalAlgebra,
     monomial_basis_up_to_degree,
 )
 from .universal_modules import (
@@ -69,12 +69,13 @@ class UsageError(Exception):
 
 
 def _universal_algebra(args, h_file: str, g_file: str | None = None):
-    """h, g and A(h,g) with the command's --order and --budget; without a
-    g file, g is h."""
+    """h, g and A(h,g) with the command's --order and --budget, which only
+    a command that reads a Groebner basis uses: A builds its basis on first
+    read.  Without a g file, g is h."""
     h = parse_algebra(h_file)
     g = parse_algebra(g_file) if g_file else h
     order = LEX if args.order == "lex" else DEGREVLEX
-    return h, g, build_universal_algebra(h, g, order=order, budget=args.budget)
+    return h, g, UniversalAlgebra(h, g, order=order, budget=args.budget)
 
 
 def _budget(args) -> int:
@@ -227,36 +228,36 @@ def cmd_univliemod(args) -> int:
     return EXIT_PASS
 
 
-def cmd_factorize(args) -> int:
-    h, g, A = _universal_algebra(args, args.h_file, args.g_file)
-    f = parse_morphism(args.f_file)
-    lines = []
-    if args.kind == "amod":
-        U = _load_lie_module(args.first, h)
-        Z = _load_lie_module(args.second, g)
-        X = _load_arep(args.target, A)
-        um = build_universal_amodule(A, U, Z, budget=args.budget)
+def _round_trip(args, kind, h_file, g_file, first, second, target, f_file):
+    """Factor f through U(U,Z) (kind amod) or V(V,W) (liemod), reading no
+    Groebner basis, and map theta back by Gamma: the factorization, and
+    whether its witnesses vanish and Gamma(theta) = f."""
+    h, g, A = _universal_algebra(args, h_file, g_file)
+    f = parse_morphism(f_file)
+    if kind == "amod":
+        U, Z = _load_lie_module(first, h), _load_lie_module(second, g)
+        X = _load_arep(target, A)
+        um = UniversalAModule(A, U, Z)
+        um.check_rho_equivariance().require(AssertionError, "structure map is not equivariant")
         result = factorize_through_universal(um, X, f)
-        round_trip = gamma(um, X, result.images).mat() == f.mat()
-    else:
-        V = _load_arep(args.first, A)
-        W = _load_lie_module(args.second, g)
-        Y = _load_lie_module(args.target, h)
-        vm = build_universal_lie_hmodule(A, V, W)
-        result = factorize_lie(vm, Y, f)
-        round_trip = gamma_lie(vm, Y, result.images).mat() == f.mat()
-    for key in sorted(result.images):
-        vec = " ".join(str(x) for x in result.images[key])
-        lines.append(f"image y[{key[0]},{key[1]}]: {vec}")
-    for label in sorted(result.witnesses):
-        vec = " ".join(str(x) for x in result.witnesses[label])
-        lines.append(
-            f"witness {label[0]},{label[1]},{label[2]}: {vec or 'empty'}"
-        )
+        return result, result.ok and gamma(um, X, result.images).mat() == f.mat()
+    V, W = _load_arep(first, A), _load_lie_module(second, g)
+    Y = _load_lie_module(target, h)
+    vm = build_universal_lie_hmodule(A, V, W)
+    result = factorize_lie(vm, Y, f)
+    return result, result.ok and gamma_lie(vm, Y, result.images).mat() == f.mat()
+
+
+def cmd_factorize(args) -> int:
+    result, ok = _round_trip(args, args.kind, args.h_file, args.g_file, args.first,
+                             args.second, args.target, args.f_file)
+    lines = [f"image y[{i},{j}]: {' '.join(map(str, v))}"
+             for (i, j), v in sorted(result.images.items())]
+    lines += [f"witness {a},{i},{j}: {' '.join(map(str, v)) or 'empty'}"
+              for (a, i, j), v in sorted(result.witnesses.items())]
     # The diagram commutes when Gamma(theta) = f, which is the round trip.
-    lines.append(f"diagram-commutes {'pass' if round_trip else 'fail'}")
-    lines.append(f"round-trip {'pass' if round_trip else 'fail'}")
-    ok = result.ok and round_trip
+    lines.append(f"diagram-commutes {'pass' if ok else 'fail'}")
+    lines.append(f"round-trip {'pass' if ok else 'fail'}")
     lines.append(f"status {'pass' if ok else 'fail'}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_PASS if ok else EXIT_SEMANTIC
@@ -306,14 +307,7 @@ def cmd_check(args) -> int:
         C.verify().require(AssertionError, "coalgebra verification failed")
         reports.append(("comodule-axioms", verify_comodule(um, C)))
     elif args.kind == "adjunction":
-        h, g, A = _universal_algebra(args, args.files[0], args.files[1])
-        U = _load_lie_module(args.files[2], h)
-        Z = _load_lie_module(args.files[3], g)
-        f = parse_morphism(args.files[5])
-        X = _load_arep(args.files[4], A)
-        um = build_universal_amodule(A, U, Z, budget=args.budget)
-        result = factorize_through_universal(um, X, f)
-        ok = result.ok and gamma(um, X, result.images).mat() == f.mat()
+        ok = _round_trip(args, "amod", *args.files)[1]
         bad = () if ok else (Violation("adjunction-round-trip", (), "fails"),)
         reports.append(("adjunction-round-trip", Report(bad)))
     elif args.kind == "direct-sum":
@@ -379,7 +373,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", choices=["degrevlex", "lex"], default="degrevlex")
     p.add_argument("--budget", default=None,
                    help="budget of S-pair reductions, the pairs a criterion skips"
-                        " not counted (default from UNIVALG_BUDGET or 100000)")
+                        " not counted (default from UNIVALG_BUDGET or 100000);"
+                        " accepted with no effect, as --order is, by the commands"
+                        " that build no Groebner basis: univliemod, factorize and"
+                        " check lie, module, rep and adjunction")
     p.add_argument("--out", default=None, help="write output to a file")
 
 

@@ -298,8 +298,8 @@ class GroebnerBasis(_Basis):
 # its position iff ``(sign*t - sign*l) & GUARD`` is 0: a field that would go
 # negative borrows and sets its guard bit.  Only ``_pack`` and ``_unpack``
 # convert between vectors and packed terms, and ``MultiplicationTable.key``
-# and ``.term``, ``_variable_keys``, ``_words``, ``lead_monomials`` and
-# ``render`` between single terms and their keys.
+# and ``.term``, ``_variable_keys``, ``_unit_keys``, ``_words``,
+# ``lead_monomials`` and ``render`` between single terms and their keys.
 
 FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
@@ -452,6 +452,13 @@ def _variable_keys(ring: PolyRing) -> tuple[int, ...]:
     """The keys of the terms (0, x_v), v = 0, ..., nvars - 1: the key of a
     monomial is the sum of its variables' keys."""
     return _codec_of(ring).variables
+
+
+def _unit_keys(ring: PolyRing, rank: int) -> list[tuple[int, ...]]:
+    """The keys of e_p, x_0 e_p, ..., x_(nvars-1) e_p for each position p < rank."""
+    c = _codec_of(ring)
+    units = (c.monomial((0,) * ring.nvars), *c.variables)
+    return [tuple(k - (p << c.top) for k in units) for p in range(rank)]
 
 
 # A vector as the terms (position, word, c) that ``linalg.evaluate`` reads: a

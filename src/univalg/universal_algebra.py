@@ -104,26 +104,36 @@ def jgen_labels(h: LieAlgebra, g: LieAlgebra) -> list[tuple[int, int, int]]:
 
 
 class UniversalAlgebra:
-    """A(h,g) presented by its polynomial ring, the generators of the
+    """A(h,g) presented by its polynomial ring and the generators of the
     relation ideal J as packed terms (``relations``, in the order of
-    ``labels``) and the reduced Groebner basis of J, with the multiplication
-    table ``table``."""
+    ``labels``).  Its reduced Groebner basis ``gb`` and multiplication table
+    ``table`` are built on first read, under the given order and budget."""
 
-    def __init__(
-        self,
-        h: LieAlgebra,
-        g: LieAlgebra,
-        ring: PolyRing,
-        relations: tuple[_Terms, ...],
-        gb: GroebnerBasis,
-    ):
+    def __init__(self, h: LieAlgebra, g: LieAlgebra, order: MonomialOrder = DEGREVLEX,
+                 budget: int = DEFAULT_PAIR_BUDGET):
+        for L, which in ((h, "h"), (g, "g")):
+            L.validation.require(ValueError, f"{which} is not a Lie algebra")
         self.h = h
         self.g = g
-        self.ring = ring
-        self.relations = relations
+        self.ring = algebra_ring(h, g, order)
+        self.relations = _universal_relations(h, g, self.ring)
         self.labels = jgen_labels(h, g)
-        self.gb = gb
-        self.table = gb.multiplication_table()
+        self.budget = budget
+
+    @functools.cached_property
+    def gb(self) -> GroebnerBasis:
+        """The reduced Groebner basis G of J, computed from the generators
+        with i < j only, so (G) lies in J; ``check_defining_relations`` then
+        reduces every generator to zero, so J lies in (G), and (G) = J."""
+        gb = poly.groebner([terms for (_, i, j), terms in zip(self.labels, self.relations)
+                            if i < j], self.ring, budget=self.budget)
+        check_defining_relations(self, gb).require(AssertionError,
+                                                   "defining relations fail in A(h,g)")
+        return gb
+
+    @functools.cached_property
+    def table(self) -> MultiplicationTable:
+        return self.gb.multiplication_table()
 
     def var_index(self, s: int, i: int) -> int:
         """1-based (s,i) -> 0-based variable index."""
@@ -140,46 +150,27 @@ class UniversalAlgebra:
         return hash((self.h, self.g, self.ring))
 
     def __repr__(self):
-        return (
-            f"UniversalAlgebra(h={self.h.name or self.h.dim}, "
-            f"g={self.g.name or self.g.dim}, |gb|={len(self.gb)})"
-        )
+        return f"UniversalAlgebra(h={self.h.name or self.h.dim}, g={self.g.name or self.g.dim})"
 
 
-def build_universal_algebra(
-    h: LieAlgebra,
-    g: LieAlgebra,
-    order: MonomialOrder = DEGREVLEX,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> UniversalAlgebra:
-    """Construct A(h,g) and verify the defining relations hold in it.
-
-    The Groebner basis B is computed from the generators with i < j only,
-    a subset of all of them, so (B) lies in J; ``check_defining_relations``
-    then reduces every generator to zero, so J lies in (B).  Together
-    (B) = J, and the certificate covers the half the engine never read."""
-    for L, which in ((h, "h"), (g, "g")):
-        L.validation.require(ValueError, f"{which} is not a Lie algebra")
-    ring = algebra_ring(h, g, order)
-    relations = _universal_relations(h, g, ring)
-    gb = poly.groebner([terms for (_, i, j), terms
-                        in zip(jgen_labels(h, g), relations) if i < j],
-                       ring, budget=budget)
-    A = UniversalAlgebra(h, g, ring, relations, gb)
-    check_defining_relations(A).require(AssertionError,
-                                        "defining relations fail in A(h,g)")
+def build_universal_algebra(h: LieAlgebra, g: LieAlgebra, order: MonomialOrder = DEGREVLEX,
+                            budget: int = DEFAULT_PAIR_BUDGET) -> UniversalAlgebra:
+    """Construct A(h,g) and build its certified Groebner basis now
+    (``UniversalAlgebra.gb``)."""
+    A = UniversalAlgebra(h, g, order, budget)
+    A.gb  # the first read builds and certifies it
     return A
 
 
-def check_defining_relations(A: UniversalAlgebra) -> Report:
-    """Every generator P_(a,i,j) of J must have normal form zero in A: its
-    packed terms leave an empty integer remainder.  All of them are read,
-    the i >= j half that ``build_universal_algebra`` keeps from the engine
-    included, which is what shows that A's basis spans all of J."""
+def check_defining_relations(A: UniversalAlgebra, gb: GroebnerBasis | None = None) -> Report:
+    """Every generator P_(a,i,j) of J, the i >= j half that the engine
+    never read included, must leave an empty integer remainder modulo
+    ``gb``, by default A's basis: so the basis spans all of J."""
+    gb = A.gb if gb is None else gb
     bad = tuple(
         Violation("relation", label, "normal forms differ")
         for label, terms in zip(A.labels, A.relations)
-        if not poly.ideal_contains(A.gb, terms)
+        if not poly.ideal_contains(gb, terms)
     )
     return Report(bad)
 

@@ -2,27 +2,23 @@
 their structure maps, factorization through finite-dimensional targets, the
 adjunction bijections, functoriality, and direct-sum preservation.
 
-U(U,Z) is a finitely presented module over the polynomial ring of A with the
-ideal folded into the module Groebner basis, so element equality is decidable.
-Its relations are the engine's packed terms, written once from the matrices
-of U and Z, and everything between them and the public edges stays packed:
-the certificates, the evaluation words (``poly._words``) and the functor and
-direct-sum checks, whose ``PresentedMap``s keep the normal forms of their
-images as packed terms.  Every reduction goes through the module basis,
-``mgb.remainder`` for a normal form and ``mgb.contains`` for a certificate,
-and the image of a vector under a map given on generators through the
-target's ``table.substitute``.  ModuleVectors appear only at ``relgens``
-(rebuilt on every read), ``mgb.generators`` and ``PresentedMap.images``
-(unpacked on first read).  Each U(U,Z) holds its multiplication table
-(``poly.MultiplicationTable``), nf(x^m e_p) by packed term as integers over
-one denominator, filled on demand one variable at a time, as FGLM fills its
-multiplication matrices; the coalgebra on U(U) reads its rows as they are.
-V(V,W) is kept as a presentation over the enveloping algebra of h whose
-relations are PBW words of length at most 1, written once as terms (p, word,
-c) straight from the matrices, so no construction computes a PBW normal
-form; ``relgens`` rebuilds them as PBW vectors on every read, and the
-functor's images are word terms too.  Its element equality is not decided,
-and it is probed through finite-dimensional factorization targets.
+U(U,Z) is a finitely presented module over the polynomial ring of A.  Its
+relations are the engine's packed terms, written once from the matrices of
+U and Z, and the structure map is certified on them exactly: the component
+at u_t of rho(f_j z_r) - f_j rho(z_r) is the relation (t, r, j), term by
+term.  Its module Groebner basis ``mgb``, with the ideal of A folded in so
+that element equality is decidable, and its multiplication table ``table``
+(``poly.MultiplicationTable``, nf(x^m e_p) by packed term, filled on demand
+as FGLM fills its multiplication matrices) are built on first read: by
+``build_universal_amodule``, ``functor_on_morphism_U``, ``direct_sum_check``
+and the coalgebra on U(U), which reads the table's rows as they are, but
+never by the adjunction.  ModuleVectors appear only at ``relgens``,
+``mgb.generators`` and ``PresentedMap.images``.  V(V,W) is kept as a
+presentation over the enveloping algebra of h whose relations are PBW words
+of length at most 1, written once as terms (p, word, c) straight from the
+matrices, so no construction computes a PBW normal form.  Its element
+equality is not decided, and it is probed through finite-dimensional
+factorization targets.
 
 Both adjunctions run one path.  Each universal object keeps its relations
 once, as terms (p, word, c), and meets a target as an ``_Adjunction`` whose
@@ -30,7 +26,8 @@ tensor-layout table sends each generator to its free position, source column
 and tensor rows, remembered for the last target: ``_factorize`` reads theta
 off f and ``_gamma`` writes Gamma(theta) through that table.
 ``linalg.evaluate`` applies a word to images[p] by matrix-vector steps that
-skip zeros, so no matrix of a polynomial or a PBW element is formed.
+skip zeros, so no matrix of a polynomial or a PBW element is formed, and no
+Groebner basis is read.
 
 Both functors on morphisms run one path as well.  ``_induced`` writes the
 generator images of the map that an equivariant f of the Lie g-module
@@ -54,7 +51,7 @@ from .lie import LieModule, LinearMap, Report, Violation, direct_sum, is_module_
 from .linalg import Frozen, Mat, Scalar, Vec
 from .modgb import FreeModule, ModuleVector
 from .pbw import PBWElement
-from .poly import DEFAULT_PAIR_BUDGET, _variable_keys, _words, _Words
+from .poly import DEFAULT_PAIR_BUDGET, MultiplicationTable, _unit_keys, _words, _Words
 from .representations import MatrixARep, tensor_lie_module
 from .universal_algebra import UniversalAlgebra
 
@@ -81,11 +78,21 @@ class UniversalAModule:
         self.Z = Z
         self.rank = U.dim * Z.dim
         self.free = FreeModule(A.ring, self.rank)
-        self._units = [A.table.key(0, (0,) * A.ring.nvars), *_variable_keys(A.ring)]
+        self.budget = budget
+        self._units = _unit_keys(A.ring, self.rank)
         self.relations, self.rel_labels = self._relations()
-        self.mgb = modgb.module_buchberger(self.relations, A.gb, self.free, budget=budget)
-        self.table = self.mgb.multiplication_table()
         self._last: tuple | None = None  # the last target of ``_adjunction``
+
+    @cached_property
+    def mgb(self) -> modgb.ModuleGroebnerBasis:
+        """The module basis, with A's basis folded in, built on first read
+        under the budget given at construction."""
+        return modgb.module_buchberger(self.relations, self.A.gb, self.free,
+                                       budget=self.budget)
+
+    @cached_property
+    def table(self) -> MultiplicationTable:
+        return self.mgb.multiplication_table()
 
     @property
     def relgens(self) -> list[ModuleVector]:
@@ -107,9 +114,9 @@ class UniversalAModule:
         return self.pos(t, r)
 
     def _key(self, p: int, v: int = -1) -> int:
-        """The packed key of x_v e_p, or of e_p when v is -1: ``_units`` holds
-        those of e_0, x_0 e_0, ..., x_(n-1) e_0."""
-        return self.A.table.shift(self._units[v + 1], p)
+        """The packed key of x_v e_p, or of e_p when v is -1: ``_units[p]``
+        holds those of e_p, x_0 e_p, ..., x_(n-1) e_p."""
+        return self._units[p][v + 1]
 
     def _relations(self) -> tuple[list[dict[int, Scalar]], list[tuple[int, int, int]]]:
         """The relations (s, i, j) as packed terms, straight from the matrices:
@@ -132,12 +139,6 @@ class UniversalAModule:
                     labels.append((s, i, j))
         return rels, labels
 
-    def _rho_terms(self, z: Vec) -> list[dict[int, Scalar]]:
-        """rho(z) before reduction, as packed terms, for a vector z of exact
-        scalars: its component at u_s is sum_r z_r y_sr."""
-        return [{self._key(self.pos(s, r)): c for r, c in enumerate(z, start=1) if c}
-                for s in range(1, self.U.dim + 1)]
-
     def check_relations(self) -> Report:
         """Every defining relation must reduce to zero."""
         bad = tuple(
@@ -148,22 +149,26 @@ class UniversalAModule:
         return Report(bad)
 
     def check_rho_equivariance(self) -> Report:
-        """rho(f_j act z_r) = f_j act rho(z_r) for all basis (j, r).  Their
-        difference is built as packed terms, f_j sending u_s (x) y_sr to
-        sum_q sum_t omega_qst u_t (x) x_qj y_sr, and each of its components
-        is reduced once."""
-        A, U, Z = self.A, self.U, self.Z
+        """rho(f_j act z_r) = f_j act rho(z_r) for all basis (j, r): with f_j
+        sending u_s (x) y_sr to sum_q sum_t omega_qst u_t (x) x_qj y_sr, the
+        component at u_t of their difference, as packed terms, must be the
+        stored relation (t, r, j) term by term.  Nothing is reduced, so a
+        relation that differs fails even where it spans the true one."""
+        A, U, Z, key = self.A, self.U, self.Z, self._key
+        by_label = dict(zip(self.rel_labels, self.relations))
         bad: list[Violation] = []
         for j in range(1, A.g.dim + 1):
             for r in range(1, Z.dim + 1):
-                diff = self._rho_terms([zrow[r - 1] for zrow in Z.matrices[j - 1]])
+                diff = [{key(self.pos(t, p)): zrow[r - 1] for p, zrow
+                         in enumerate(Z.matrices[j - 1], start=1) if zrow[r - 1]}
+                        for t in range(1, U.dim + 1)]
                 for s in range(1, U.dim + 1):
                     for q, u in enumerate(U.matrices, start=1):
-                        k = self._key(self.pos(s, r), A.var_index(q, j))
+                        k = key(self.pos(s, r), A.var_index(q, j))
                         for t in range(1, U.dim + 1):
                             if u[t - 1][s - 1]:
                                 diff[t - 1][k] = -u[t - 1][s - 1]
-                if not all(self.mgb.contains(d) for d in diff):
+                if any(d != by_label[t, r, j] for t, d in enumerate(diff, start=1)):
                     bad.append(Violation("rho-equivariance", (j, r), "nonzero"))
         return Report(tuple(bad))
 
@@ -187,8 +192,8 @@ def build_universal_amodule(
     A: UniversalAlgebra, U: LieModule, Z: LieModule,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> UniversalAModule:
-    """Construct U(U,Z) and verify its defining relations and the equivariance
-    of the structure map; raises on failure."""
+    """Construct U(U,Z), build its module basis now by verifying its defining
+    relations in it, and verify the structure map; raises on failure."""
     um = UniversalAModule(A, U, Z, budget=budget)
     um.check_relations().require(AssertionError, "defining relations fail in U(U,Z)")
     um.check_rho_equivariance().require(AssertionError,

@@ -34,6 +34,16 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def forbid_engine(monkeypatch):
+    """Make the Groebner engine raise wherever univalg holds it, so that a
+    test shows a computation builds no basis."""
+    def engine(*args, **kwargs):
+        raise RuntimeError("the Groebner engine ran")
+
+    for owner in (poly, modgb):
+        monkeypatch.setattr(owner, "_buchberger", engine)
+
+
 def unit_vector(dim, i):
     """The i-th basis vector of a space of dimension ``dim``, i from 1."""
     v = [0] * dim
@@ -103,9 +113,10 @@ def term(table, key):
 def rho(um, z):
     """The structure map of U(U,Z) at z: sum_s u_s (x) sum_r z_r y_sr, as the
     normal forms of its components, one per basis vector u_s of U, each the
-    remainder of the packed terms that the certificates build."""
-    return [modgb._vector(um.free, um.mgb.remainder(terms))
-            for terms in um._rho_terms([linalg.scalar(c) for c in z])]
+    remainder of its packed terms."""
+    return [modgb._vector(um.free, um.mgb.remainder(
+        {um._key(um.pos(s, r)): linalg.scalar(c) for r, c in enumerate(z, start=1) if c}))
+        for s in range(1, um.U.dim + 1)]
 
 
 def mono_div(a, b):
@@ -263,6 +274,62 @@ def natural2(L: LieAlgebra) -> LieModule:
         [[ONE, ZERO], [ZERO, -ONE]],
     ]
     return LieModule.from_matrices(L, mats, name="natural2")
+
+
+# sl3's basis: the E_ij with i != j, in lexicographic order of (i, j), then
+# E11 - E22 and E22 - E33.
+_SL3_UNITS = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+def sl3_matrix(k: int) -> list:
+    """The 3x3 matrix of sl3's basis element k, from 0."""
+    m = [[ZERO] * 3 for _ in range(3)]
+    if k < len(_SL3_UNITS):
+        i, j = _SL3_UNITS[k]
+        m[i][j] = ONE
+    else:
+        d = k - len(_SL3_UNITS)
+        m[d][d], m[d + 1][d + 1] = ONE, -ONE
+    return m
+
+
+def sl3_coordinates(m) -> list:
+    """The coordinates of a traceless 3x3 matrix in sl3's basis: its entries
+    off the diagonal, then d1 and -d3 for its diagonal (d1, d2, d3)."""
+    return [m[i][j] for i, j in _SL3_UNITS] + [m[0][0], -m[2][2]]
+
+
+def sl3() -> LieAlgebra:
+    """sl(3) on the basis of ``sl3_matrix``, its brackets the commutators."""
+    mats = [sl3_matrix(k) for k in range(8)]
+    return LieAlgebra(8, [[sl3_coordinates(linalg.commutator(a, b)) for b in mats]
+                          for a in mats], name="sl3")
+
+
+def natural3(L: LieAlgebra) -> LieModule:
+    """The 3-dimensional module of ``sl3()``: each basis element acts by its
+    matrix."""
+    return LieModule(L, [sl3_matrix(k) for k in range(8)], name="natural3")
+
+
+def principal_matrices(e_scale=ONE) -> list:
+    """The images of sl2's basis e1 = e, e2 = f, e3 = h under the principal
+    embedding into sl3, e -> E12 + E23, f -> 2 E21 + 2 E32 and
+    h -> diag(2, 0, -2), with e's image times ``e_scale``."""
+    e = [[ZERO, e_scale, ZERO], [ZERO, ZERO, e_scale], [ZERO, ZERO, ZERO]]
+    f = [[ZERO, ZERO, ZERO], [2 * ONE, ZERO, ZERO], [ZERO, 2 * ONE, ZERO]]
+    h = [[2 * ONE, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, -2 * ONE]]
+    return [e, f, h]
+
+
+def principal_images(e_scale=ONE) -> list:
+    """``principal_matrices`` in sl3's coordinates."""
+    return [sl3_coordinates(m) for m in principal_matrices(e_scale)]
+
+
+def principal_point(owner, e_scale=ONE) -> MatrixARep:
+    """The point module over A(sl3, sl2) of ``principal_images``."""
+    return from_lie_homomorphism(owner, principal_images(e_scale))
 
 
 def algebra_pool() -> list[LieAlgebra]:

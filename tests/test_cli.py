@@ -6,17 +6,22 @@ import pytest
 
 from helpers import (
     count_calls,
+    forbid_engine,
     jgens,
+    natural3,
+    principal_images,
     render_algebra,
     render_matrix_rep_data,
     render_module,
     render_morphism,
+    sl3,
 )
 from univalg import cli, linalg, poly, universal_modules
 from univalg.cli import main
 from univalg.coalgebra import CoalgebraOnU, TensorSquare
 from univalg.formats import (
     MAX_SIZE,
+    MatrixRepData,
     ParseError,
     parse_algebra_text,
     parse_module_text,
@@ -24,7 +29,8 @@ from univalg.formats import (
 )
 from univalg.lie import LieModule, LinearMap, Report, Violation, sl2
 from univalg.poly import LEX
-from univalg.universal_algebra import BialgebraStructure
+from univalg.representations import tensor_lie_module
+from univalg.universal_algebra import BialgebraStructure, UniversalAlgebra
 from univalg.universal_modules import UniversalAModule
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -137,13 +143,13 @@ def test_univalg_prints_and_matches_the_packed_relations(capsys, monkeypatch, fl
     # the golden basis against them too, so the command unpacks no relation
     # into a polynomial; every generator and groebner line goes through the
     # one text form, linalg.combination_str.
-    built, original = [], cli.build_universal_algebra
+    built, original = [], cli.UniversalAlgebra
 
     def build(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_universal_algebra", build)
+    monkeypatch.setattr(cli, "UniversalAlgebra", build)
     texts = count_calls(monkeypatch, linalg, "combination_str")
     unpacked = count_calls(monkeypatch, poly, "_unpack")
     code, out = run(capsys, "univalg", fx("sl2.alg"), fx("sl2.alg"), *flags)
@@ -325,6 +331,77 @@ def test_adjunction_reports_match_golden(capsys, command, files, golden):
     code, out = run(capsys, *command.split(), *map(fx, files))
     with open(fx(os.path.join("golden", golden))) as fh:
         assert (code, out) == (0, fh.read())
+
+
+# The commands that read no Groebner basis, on the fixtures, each with its
+# golden report if it has one.
+NO_BASIS_COMMANDS = [
+    ("factorize amod", ["sl2.alg", "sl2.alg", "natural2_sl2.mod", "natural2_sl2.mod",
+                        "counit3.rep", "identity2.mor"], "factorize_amod_sl2_natural2.txt"),
+    ("factorize liemod", ["sl2.alg", "sl2.alg", "counit3.rep", "adjoint_sl2.mod",
+                          "adjoint_sl2.mod", "identity3.mor"],
+     "factorize_liemod_sl2_adjoint.txt"),
+    ("univliemod", ["sl2.alg", "sl2.alg", "counit3.rep", "adjoint_sl2.mod"],
+     "univliemod_sl2_adjoint.txt"),
+    ("check rep", ["sl2.alg", "sl2.alg", "counit3.rep"], None),
+    ("check adjunction", ["sl2.alg", "sl2.alg", "natural2_sl2.mod", "natural2_sl2.mod",
+                          "counit3.rep", "identity2.mor"], None),
+]
+
+
+@pytest.mark.parametrize("command, files, golden", NO_BASIS_COMMANDS,
+                         ids=[c for c, _, _ in NO_BASIS_COMMANDS])
+def test_commands_that_read_no_basis_run_no_engine(capsys, monkeypatch, command, files,
+                                                  golden):
+    argv = [*command.split(), *map(fx, files)]
+    code, expected = run(capsys, *argv)
+    if golden:
+        with open(fx(os.path.join("golden", golden))) as fh:
+            assert expected == fh.read()
+    forbid_engine(monkeypatch)
+    assert run(capsys, *argv) == (0, expected) and code == 0
+
+
+def test_factorization_passes_where_the_basis_exhausts_the_budget(capsys):
+    # A(sl2, sl2)'s basis needs more than 0 S-pair reductions, and the
+    # factorization reads none, so only the command that builds it exits 3.
+    files = ["sl2.alg", "sl2.alg", "natural2_sl2.mod", "natural2_sl2.mod",
+             "counit3.rep", "identity2.mor"]
+    assert run(capsys, "univalg", *map(fx, files[:2]), "--budget", "0")[0] == 3
+    with open(fx(os.path.join("golden", "factorize_amod_sl2_natural2.txt"))) as fh:
+        assert run(capsys, "factorize", "amod", *map(fx, files), "--budget", "0") == (
+            0, fh.read())
+
+
+def test_sl3_principal_embedding_through_the_cli(capsys, monkeypatch, tmp_path):
+    # Over A(sl3, sl2), whose basis no engine run reaches: U = natural3, X the
+    # principal point module, Z = U (x) X and f the identity.
+    h, g = sl3(), sl2()
+    A = UniversalAlgebra(h, g)
+    X = MatrixRepData("principal", "universal", 1, {
+        (s, i): [[c]] for i, image in enumerate(principal_images(), 1)
+        for s, c in enumerate(image, 1) if c})
+    U = natural3(h)
+    texts = {"sl3.alg": render_algebra(h), "natural3.mod": render_module(U),
+             "z.mod": render_module(tensor_lie_module(U, X.to_rep(A)), over="sl2"),
+             "x.rep": render_matrix_rep_data(X)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    sl3_file, u, z, x = (str(tmp_path / name) for name in texts)
+    forbid_engine(monkeypatch)
+    code, out = run(capsys, "factorize", "amod", sl3_file, fx("sl2.alg"), u, z, x,
+                    fx("identity3.mor"))
+    assert code == 0 and out.endswith("round-trip pass\nstatus pass\n")
+    witnesses = [line for line in out.splitlines() if line.startswith("witness ")]
+    assert len(witnesses) == 27 and all(line.endswith(": 0") for line in witnesses)
+    assert run(capsys, "check", "rep", sl3_file, fx("sl2.alg"), x) == (
+        0, "check rep-relations\nstatus pass\n")
+    assert run(capsys, "check", "adjunction", sl3_file, fx("sl2.alg"), u, z, x,
+               fx("identity3.mor")) == (0, "check adjunction-round-trip\nstatus pass\n")
+    # V(V,W) with V = X, W = Z and Y = U: Y (x) V is U (x) X again.
+    code, out = run(capsys, "factorize", "liemod", sl3_file, fx("sl2.alg"), x, z, u,
+                    fx("identity3.mor"))
+    assert code == 0 and out.endswith("round-trip pass\nstatus pass\n")
 
 
 def test_coalgebra_subcommand(capsys):
@@ -536,13 +613,13 @@ def test_broken_induced_map_fails_direct_sum(capsys, monkeypatch):
 def test_check_honours_order(capsys, monkeypatch, tmp_path, files):
     (tmp_path / "one.mor").write_text("morphism one\nrows 1\ncols 1\nrow 1: 1\n")
     orders = []
-    build = cli.build_universal_algebra
+    build = cli.UniversalAlgebra
 
     def recorded(h, g, **options):
         orders.append(options.get("order"))
         return build(h, g, **options)
 
-    monkeypatch.setattr(cli, "build_universal_algebra", recorded)
+    monkeypatch.setattr(cli, "UniversalAlgebra", recorded)
     kind, *names = files.split()
     paths = [str(tmp_path / n) if n.endswith(".mor") else fx(n) for n in names]
     assert main(["check", kind, *paths, "--order", "lex"]) == 0

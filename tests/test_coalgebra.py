@@ -211,6 +211,24 @@ def test_finite_coalgebra_validation(A_sl2):
     assert not bad.validate().ok
 
 
+def test_dual_of_a_non_associative_algebra_fails_coassociativity(A_sl2, um_natural2,
+                                                                 coalg_natural2):
+    # X is the dual of the unital algebra <1, x, y> with x*x = y, y*x = x and
+    # every other product of x and y zero, which is not associative: (x*x)*x
+    # = x but x*(x*x) = 0.  Delta(c*) sums a* (x) b* over the products a*b
+    # with c in them, so Delta is not coassociative, while epsilon = 1*
+    # keeps the counit law, 1 being a two-sided unit.
+    product = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2, (1, 1): 2, (2, 1): 1}
+    delta = [[ONE if product.get((a, b)) == c else ZERO for c in range(3)]
+             for a in range(3) for b in range(3)]
+    k = MatrixARep.counit(A_sl2)
+    X = FiniteCoalgebraModule(k.direct_sum(k).direct_sum(k), LinearMap.from_matrix(delta),
+                              LinearMap.from_matrix([[ONE, ZERO, ZERO]]))
+    assert X.validate().violations == (Violation("coassociativity", (), "matrices differ"),)
+    with pytest.raises(ValueError, match="X is not a coalgebra"):
+        universal_coalgebra_map(um_natural2, coalg_natural2, X, LinearMap.zero(2, 6))
+
+
 def test_tensor_square_action_kills_relations(um_adjoint, coalg_adjoint, A_sl2):
     # x_ij acting on the tensor square is multiplication by Delta(x_ij); the
     # report certifies every defining relation of B acts as zero.

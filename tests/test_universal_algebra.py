@@ -10,11 +10,13 @@ from helpers import (
     delta,
     delta_images,
     epsilon,
+    forbid_engine,
     heisenberg,
     jgens,
     monomials_up_to_degree,
     reference_universal_polynomials,
     ring_map,
+    sl3,
     solvable2,
     tensor_ring,
 )
@@ -26,6 +28,7 @@ from univalg.poly import DEGREVLEX, LEX, PolyRing
 from univalg.representations import MatrixARep, validate_arep
 from univalg.universal_algebra import (
     BialgebraStructure,
+    UniversalAlgebra,
     algebra_ring,
     build_universal_algebra,
     check_defining_relations,
@@ -184,6 +187,19 @@ def test_bialgebra_laws_normal_form_oracle(A_sl2, B_sl2):
     for label, p in zip(A_sl2.labels, jgens(A_sl2)):
         assert epsilon(B_sl2, p) == 0
         assert delta(B_sl2, p).is_zero()
+
+
+def test_construction_and_repr_build_no_basis(monkeypatch):
+    # A(h,g) is its ring and relations until its basis is read, and its repr
+    # names h and g only: A(sl3, sl2)'s basis takes longer than any test.
+    forbid_engine(monkeypatch)
+    A = UniversalAlgebra(sl3(), sl2(), order=LEX, budget=0)
+    assert repr(A) == "UniversalAlgebra(h=sl3, g=sl2)"
+    assert (A.ring.nvars, len(A.relations), A.budget) == (24, 72, 0)
+    with pytest.raises(RuntimeError, match="the Groebner engine ran"):
+        A.gb
+    with pytest.raises(ValueError, match="h is not a Lie algebra"):
+        UniversalAlgebra(LieAlgebra(1, [[[ONE]]]), sl2())
 
 
 def test_bialgebra_requires_same_hg():

@@ -12,6 +12,7 @@ from helpers import (
     compose_presented,
     const,
     count_calls,
+    forbid_engine,
     free_generator,
     from_lie_homomorphism,
     identity_presented,
@@ -19,14 +20,19 @@ from helpers import (
     mat_add,
     mat_scale,
     natural2,
+    natural3,
     nf,
     poly_mul,
+    principal_matrices,
+    principal_point,
     push_to_module,
     random_equivariant_map,
     reference_row,
     rep_pool,
     rho,
     row_entries,
+    sl3,
+    sl3_coordinates,
     solvable2,
     term,
     unit_vector,
@@ -39,12 +45,13 @@ from univalg.lie import (
     Report,
     Violation,
     is_module_morphism,
+    sl2,
 )
 from univalg.modgb import ModuleVector, module_normal_form
 from univalg.pbw import PBWElement
 from univalg.poly import DEGREVLEX, LEX, Polynomial, normal_form
 from univalg.representations import MatrixARep, tensor_lie_module, validate_arep
-from univalg.universal_algebra import build_universal_algebra
+from univalg.universal_algebra import UniversalAlgebra, build_universal_algebra
 from univalg.universal_modules import (
     UniversalAModule,
     build_universal_amodule,
@@ -130,8 +137,7 @@ class WrongEtaSign(UniversalAModule):
         s, i, j = self.label
         p = next(p for p, row in enumerate(self.Z.matrices[j - 1], 1) if row[i - 1])
         rel = rels[labels.index(self.label)]
-        # The relation's packed terms: y_sp is the key of x^0 at position (s, p).
-        key = self.A.table.key(self.pos(s, p), (0,) * self.A.ring.nvars)
+        key = self._key(self.pos(s, p))  # the packed key of y_sp
         rel[key] = -rel[key]
         return rels, labels
 
@@ -242,12 +248,13 @@ def _solvable2_character(lam):
     (_solvable2_character(3), _solvable2_character(3), (1, 1, 1)),
     (scaling_module(LieAlgebra.abelian(1), 2), scaling_module(LieAlgebra.abelian(1), 5),
      (1, 1, 1)),
-], ids=["solvable2-adjoint", "solvable2-character", "abelian1-scalings"])
+    (natural2(sl2()), natural2(sl2()), (1, 2, 1)),
+    (LieModule.adjoint(sl2()), LieModule.adjoint(sl2()), (2, 1, 3)),
+], ids=["solvable2-adjoint", "solvable2-character", "abelian1-scalings",
+        "sl2-natural2", "sl2-adjoint"])
 def test_wrong_eta_sign_fails_rho_equivariance(U, Z, label):
     # The difference rho(f_j z_r) - f_j rho(z_r) has the true relation (s, r, j)
-    # as its component at u_s, so the wrong sign shows at (j, r) = (j, i).  (On
-    # sl2's modules the flipped relation also kills y_sp, and with it the
-    # true relation, so no check could see it there.)
+    # as its component at u_s, so the wrong sign shows at (j, r) = (j, i).
     s, i, j = label
     A = build_universal_algebra(U.algebra, Z.algebra)
     um = type("Wrong", (WrongEtaSign,), {"label": label})(A, U, Z)
@@ -673,6 +680,57 @@ def test_functor_on_morphism_U_rejects_a_wrong_target(A_sl2, sl2_alg, U, Z):
     with pytest.raises(AssertionError,
                        match=r"relation \(1, 2, 1\) not preserved by induced map"):
         functor_on_morphism_U(um, wrong, LinearMap.identity(Z.dim))
+
+
+# ---------------------------------------------------------------------------
+# A(sl3, sl2), whose Groebner basis is out of reach: the adjunction reads none
+# ---------------------------------------------------------------------------
+
+
+def test_sl3_principal_point_module_is_an_a_module(monkeypatch):
+    # The principal embedding sl2 -> sl3 is a Lie map, so its point module is
+    # an A-module, as are the zero map's and that of its conjugate by the
+    # elementary matrix 1 + E13; doubling e's image breaks [e, f] = h, and
+    # with it the relations.
+    forbid_engine(monkeypatch)
+    A = UniversalAlgebra(sl3(), sl2())
+    assert validate_arep(principal_point(A)).ok
+    assert validate_arep(from_lie_homomorphism(A, [[ZERO] * 8] * 3)).ok
+    p, p_inv = (linalg.identity(3) for _ in range(2))
+    p[0][2], p_inv[0][2] = ONE, -ONE
+    conjugate = [sl3_coordinates(linalg.mat_mul(linalg.mat_mul(p, m), p_inv))
+                 for m in principal_matrices()]
+    assert conjugate != [sl3_coordinates(m) for m in principal_matrices()]
+    assert validate_arep(from_lie_homomorphism(A, conjugate)).ok
+    assert not validate_arep(principal_point(A, e_scale=2 * ONE)).ok
+
+
+def test_sl3_principal_embedding_factors_through_the_universal_module(monkeypatch):
+    # U = natural3 and X the principal point module, so U (x) X is natural3
+    # restricted to sl2, the 3-dimensional simple module; Z = U (x) X and f
+    # the identity factor through U(U,Z) with all 3 * 3 * 3 witnesses zero,
+    # and Gamma gives f back.
+    forbid_engine(monkeypatch)
+    h = sl3()
+    A = UniversalAlgebra(h, sl2())
+    U, X = natural3(h), principal_point(A)
+    Z = tensor_lie_module(U, X)
+    f = LinearMap.identity(3)
+    um = UniversalAModule(A, U, Z)
+    assert um.check_rho_equivariance().ok
+    result = factorize_through_universal(um, X, f)
+    assert len(result.witnesses) == 27 and result.ok
+    assert gamma(um, X, result.images) == f
+    with pytest.raises(ValueError, match="f is not a morphism"):
+        factorize_through_universal(um, X, LinearMap.from_matrix(
+            [[ONE, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]]))
+    # One flipped eta sign: the structure-map check and exactly that
+    # relation's witness see it.
+    wrong = type("Wrong", (WrongEtaSign,), {"label": (1, 1, 3)})(A, U, Z)
+    assert wrong.check_rho_equivariance().violations == (
+        Violation("rho-equivariance", (3, 1), "nonzero"),)
+    witnesses = factorize_through_universal(wrong, X, f).witnesses
+    assert [label for label, w in witnesses.items() if any(w)] == [(1, 1, 3)]
 
 
 # ---------------------------------------------------------------------------
